@@ -84,7 +84,10 @@ def _read(path: str, report: _Report, label: str = "instance") -> str:
     with open(path, "rb") as fh:
         data = fh.read()
     report.digest(label, data)
-    return data.decode("utf-8")
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError("syntax", f"{label} file is not UTF-8 (byte {exc.start})") from exc
 
 
 def _write(path: str, text: str) -> None:
@@ -134,15 +137,21 @@ def _cmd_gen(args, report: _Report) -> int:
         text = files.serialize_instance(generators.empty_core_instance())
     elif family == "sp":
         text = files.serialize_instance(generators.sp_instance())
-    elif family == "random":
-        inst = generators.random_instance(args.n, args.density, args.ties, args.seed)
-        text = files.serialize_instance(inst)
-    elif family == "random-responsive":
-        prof = generators.random_responsive_profile(args.n, args.density, args.ties, args.seed)
-        text = files.serialize_responsive_profile(prof)
-    elif family == "random-predominant":
-        prof = generators.random_predominant_profile(args.n, args.mode, args.ties, args.seed)
-        text = files.serialize_predominant_profile(prof)
+    elif family in ("random", "random-responsive", "random-predominant"):
+        try:
+            if family == "random":
+                inst = generators.random_instance(args.n, args.density, args.ties, args.seed)
+                text = files.serialize_instance(inst)
+            elif family == "random-responsive":
+                prof = generators.random_responsive_profile(args.n, args.density, args.ties,
+                                                            args.seed)
+                text = files.serialize_responsive_profile(prof)
+            else:
+                prof = generators.random_predominant_profile(args.n, args.mode, args.ties,
+                                                             args.seed)
+                text = files.serialize_predominant_profile(prof)
+        except ValueError as exc:  # --n, --density or --ties out of range
+            raise ParseError("syntax", str(exc)) from exc
     else:
         raise ParseError("syntax", f"unknown family {family!r}")
     _write(args.out, text)
@@ -452,7 +461,7 @@ def run(argv: list[str]) -> int:
     except ParseError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (OracleLimitError, BudgetExceededError) as exc:

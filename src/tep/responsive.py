@@ -182,24 +182,47 @@ def is_rs_core_stable(prof: ResponsiveProfile, alloc: Allocation, *,
     return find_exchange_cycle(options, Budget(node_budget)) is None
 
 
+def _symmetrized_graph(owner: list[int] | tuple[int, ...],
+                       acceptable_houses: list[frozenset[int]] | list[set[int]],
+                       acceptable_tenants: list[frozenset[int]] | list[set[int]]
+                       ) -> list[list[int]]:
+    """Agent-house adjacency: agent i may take house h only if h's owner
+    also accepts i as a tenant."""
+    return [
+        sorted(h for h in acceptable_houses[i] if i in acceptable_tenants[owner[h]])
+        for i in range(len(owner))
+    ]
+
+
 def rs_aa(n: int, endowment: tuple[int, ...],
           acceptable_houses: list[frozenset[int]] | list[set[int]],
-          acceptable_tenants: list[frozenset[int]] | list[set[int]]) -> Allocation | None:
+          acceptable_tenants: list[frozenset[int]] | list[set[int]], *,
+          start: Allocation | None = None) -> Allocation | None:
     """An allocation giving every agent an acceptable house and every house
     an acceptable tenant, or None.
 
     Mutual acceptability is symmetrized first: agent i may take house h only
     if h's owner also accepts i as a tenant.  A perfect matching in the
     resulting agent-house graph is exactly such an allocation.
+
+    ``start`` is an allocation to reuse, typically one feasible for larger
+    sets.  If every one of its agent-house edges is still in the
+    symmetrized graph, ``start`` itself is returned, in O(n) and without
+    building the graph; otherwise the matching search is warm-started from
+    the edges that survive.  Whether an allocation exists does not depend
+    on ``start``, but which one is returned may.
     """
     owner = [0] * n
     for agent, house in enumerate(endowment):
         owner[house] = agent
-    adj = [
-        sorted(h for h in acceptable_houses[i] if i in acceptable_tenants[owner[h]])
-        for i in range(n)
-    ]
-    size, match = max_bipartite_matching(n, n, adj)
+    seed = None
+    if start is not None:
+        seed = [h if h in acceptable_houses[i] and i in acceptable_tenants[owner[h]] else -1
+                for i, h in enumerate(start.assignment)]
+        if -1 not in seed:
+            return start
+    adj = _symmetrized_graph(owner, acceptable_houses, acceptable_tenants)
+    size, match = max_bipartite_matching(n, n, adj, start=seed)
     if size < n:
         return None
     return Allocation(tuple(match))
@@ -246,6 +269,14 @@ def pra_rs(prof: ResponsiveProfile, *, order: str = "round-robin",
     that component is saturated for good.  The final matching is
     individually rational and Pareto optimal with respect to the responsive
     set extension.
+
+    Each feasibility test is :func:`rs_aa` warm-started from the current
+    allocation, so a drop that leaves it intact costs O(n), and one that
+    breaks a single edge costs a graph rebuild and one augmenting-path
+    search.  Failed drops are reverted, so the final sets are those of the
+    last successful test; one cold Hopcroft-Karp run on them fixes the
+    returned allocation, which therefore does not depend on the warm starts
+    taken on the way.  When no drop succeeds, everyone stays put.
     """
     if order not in _POLICIES:
         raise ValueError(f"unknown order policy {order!r}; choose from {_POLICIES}")
@@ -266,6 +297,7 @@ def pra_rs(prof: ResponsiveProfile, *, order: str = "round-robin",
     allocation = Allocation(tuple(range(n)))
 
     saturated: set[tuple[str, int]] = set()
+    refined = False
     calls = 0
     cursor = 0
     while len(saturated) < 2 * n:
@@ -283,13 +315,19 @@ def pra_rs(prof: ResponsiveProfile, *, order: str = "round-robin",
         target = sets_h if comp == "H" else sets_t
         target[agent] = target[agent] - dropped
         calls += 1
-        result = rs_aa(n, prof.endowment, sets_h, sets_t)
+        result = rs_aa(n, prof.endowment, sets_h, sets_t, start=allocation)
         if result is None:
             target[agent] = target[agent] | dropped
             saturated.add(pair)
         else:
             kept[pair] = remaining - 1
             allocation = result
+            refined = True
+    if refined:
+        # Called directly, not through rs_aa: this is no feasibility test,
+        # and rs_aa_calls counts every rs_aa call.
+        _, match = max_bipartite_matching(n, n, _symmetrized_graph(prof.owner, sets_h, sets_t))
+        allocation = Allocation(tuple(match))
     return PraResult(
         allocation=allocation,
         rs_aa_calls=calls,

@@ -202,6 +202,11 @@ def test_criterion_5_preference_refinement():
             started = time.monotonic()
             pra_rs(prof)
             assert time.monotonic() - started < 5.0
+        # polynomial at scale: 100 agents in seconds as well
+        prof = _big_responsive_profile(100, 0.8, 0.3, 0)
+        started = time.monotonic()
+        pra_rs(prof)
+        assert time.monotonic() - started < 5.0
         ok = True
     finally:
         _line(5, "preference refinement", ok)

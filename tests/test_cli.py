@@ -207,6 +207,38 @@ def test_exit_codes_for_bad_inputs(tmp_path, ring_file, monkeypatch):
     assert code == 3
 
 
+def _identity_file(tmp_path):
+    path = tmp_path / "id4.alloc"
+    path.write_text(serialize_allocation(identity_allocation(4)))
+    return str(path)
+
+
+def _non_utf8_instance(tmp_path):
+    path = tmp_path / "latin1.tep"
+    path.write_bytes(serialize_instance(sp_instance()).encode("utf-8") + b"# caf\xe9\n")
+    return ["verify", "--instance", str(path), "--allocation", _identity_file(tmp_path),
+            "--check", "ir"]
+
+
+def _directory_instance(tmp_path):
+    return ["verify", "--instance", str(tmp_path), "--allocation", _identity_file(tmp_path),
+            "--check", "ir"]
+
+
+@pytest.mark.parametrize("make_argv", [
+    _non_utf8_instance,
+    _directory_instance,
+    lambda tmp: ["gen", "--family", "random", "--n", "50", "--out", str(tmp / "x.tep")],
+    lambda tmp: ["gen", "--family", "random", "--density", "1.5", "--out", str(tmp / "x.tep")],
+], ids=["non-utf8-instance", "directory-instance", "gen-n-50", "gen-density-1.5"])
+def test_malformed_input_exits_2_with_an_input_error(tmp_path, capsys, make_argv):
+    code, out = invoke(make_argv(tmp_path))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error: ") and "Traceback" not in err
+
+
 def test_report_round_trip_structure(ring_file):
     code, out = invoke(["oracle", "--instance", str(ring_file), "--enumerate", "ir"])
     report = parse_report(out)

@@ -7,6 +7,7 @@ import pytest
 from tep import (
     Allocation,
     Outcome,
+    PraResult,
     ResponsiveProfile,
     RsOrdering,
     identity_allocation,
@@ -18,7 +19,10 @@ from tep import (
     rs_compare,
 )
 from tep.generators import random_responsive_profile
+from tep.matching import max_bipartite_matching
 from tep.responsive import acceptable_component_classes
+from tep.rng import SplitMix64
+from test_acceptance import _big_responsive_profile
 
 
 def profile(n, houses, tenants, endowment=None):
@@ -162,8 +166,6 @@ def test_rs_aa_unique_swap():
 
 
 def test_rs_aa_matches_exhaustive_search():
-    from tep.rng import SplitMix64
-
     for seed in range(60):
         n = 1 + seed % 7
         rng = SplitMix64(900 + seed)
@@ -182,6 +184,102 @@ def test_rs_aa_matches_exhaustive_search():
         if got is not None:
             inv = got.inverse
             assert all(got[i] in houses[i] and inv[i] in tenants[i] for i in range(n))
+
+
+def _random_graph(rng, n_left, n_right, density):
+    return [[v for v in range(n_right) if rng.random() < density] for _ in range(n_left)]
+
+
+def _check_matching(adj, n_right, size, match):
+    used = [v for v in match if v != -1]
+    assert size == len(used)
+    assert len(set(used)) == len(used) and all(0 <= v < n_right for v in used)
+    assert all(v == -1 or v in adj[u] for u, v in enumerate(match))
+
+
+def test_warm_started_matching_grows_to_the_cold_size():
+    with_perfect = without_perfect = 0
+    for seed in range(300):
+        rng = SplitMix64(3_000 + seed)
+        n_left = 1 + seed % 9
+        n_right = n_left if seed % 3 else 1 + (seed // 3) % 9
+        adj = _random_graph(rng, n_left, n_right, (0.15, 0.35, 0.7)[seed % 3])
+        cold_size, cold = max_bipartite_matching(n_left, n_right, adj)
+        _check_matching(adj, n_right, cold_size, cold)
+        if n_left == n_right:
+            if cold_size == n_left:
+                with_perfect += 1
+            else:
+                without_perfect += 1
+        # two valid partial matchings: a greedy one in random order, and the
+        # cold maximum matching with random pairs removed
+        order = list(range(n_left))
+        rng.shuffle(order)
+        greedy, taken = [-1] * n_left, set()
+        for u in order:
+            free = [v for v in adj[u] if v not in taken]
+            if free and rng.random() < 0.7:
+                greedy[u] = rng.choice(free)
+                taken.add(greedy[u])
+        thinned = [v if rng.random() < 0.6 else -1 for v in cold]
+        for start in (greedy, thinned, list(cold)):
+            size, match = max_bipartite_matching(n_left, n_right, adj, start=start)
+            _check_matching(adj, n_right, size, match)
+            assert size == cold_size
+            # augmenting paths never unmatch a left vertex
+            assert all(match[u] != -1 for u in range(n_left) if start[u] != -1)
+        assert max_bipartite_matching(n_left, n_right, adj, start=list(cold)) == (cold_size, cold)
+    assert with_perfect and without_perfect
+
+
+def _random_sets(rng, n, density):
+    return [set(x for x in range(n) if rng.random() < density) for _ in range(n)]
+
+
+def test_rs_aa_returns_a_start_whose_edges_all_survive():
+    hits = 0
+    for seed in range(120):
+        n = 1 + seed % 8
+        rng = SplitMix64(4_000 + seed)
+        houses, tenants = _random_sets(rng, n, 0.6), _random_sets(rng, n, 0.6)
+        p = rs_aa(n, tuple(range(n)), houses, tenants)
+        if p is None:
+            continue
+        hits += 1
+        assert rs_aa(n, tuple(range(n)), houses, tenants, start=p) is p
+        # shrink every set down to p's own edges plus random leftovers
+        inv = p.inverse
+        smaller_h = [{p[i]} | {h for h in houses[i] if rng.random() < 0.5} for i in range(n)]
+        smaller_t = [{inv[i]} | {t for t in tenants[i] if rng.random() < 0.5} for i in range(n)]
+        assert rs_aa(n, tuple(range(n)), smaller_h, smaller_t, start=p) is p
+    assert hits > 30
+
+
+def test_rs_aa_with_start_is_feasible_exactly_when_cold():
+    feasible = infeasible = 0
+    for seed in range(300):
+        n = 1 + seed % 8
+        rng = SplitMix64(5_000 + seed)
+        endowment = list(range(n))
+        rng.shuffle(endowment)
+        endowment = tuple(endowment)
+        density = (0.3, 0.5, 0.8)[seed % 3]
+        houses, tenants = _random_sets(rng, n, density), _random_sets(rng, n, density)
+        assignment = list(range(n))
+        rng.shuffle(assignment)
+        start = Allocation(tuple(assignment))
+        cold = rs_aa(n, endowment, houses, tenants)
+        warm = rs_aa(n, endowment, houses, tenants, start=start)
+        assert (warm is None) == (cold is None)
+        if warm is None:
+            infeasible += 1
+            continue
+        feasible += 1
+        owner = [0] * n
+        for agent, house in enumerate(endowment):
+            owner[house] = agent
+        assert all(warm[i] in houses[i] and i in tenants[owner[warm[i]]] for i in range(n))
+    assert feasible > 30 and infeasible > 30
 
 
 # ---------------------------------------------------------------- refinement
@@ -256,3 +354,76 @@ def test_profile_validation():
         profile(2, [[[0], [0]], [[1]]], [[[0]], [[1]]])  # duplicate item
     with pytest.raises(ValueError):
         profile(2, [[[0]], [[1]]], [[[0]], [[0]]])  # self missing
+
+
+# ---------------------------------------------------------------- reference
+
+
+def _pra_reference(prof, *, order="round-robin", seed=None):
+    """The refinement loop without warm starts: a cold rs_aa per tentative
+    drop, the allocation taken from the last successful call."""
+    n = prof.n
+    house_classes, tenant_classes = acceptable_component_classes(prof)
+    kept = {("H", i): len(house_classes[i]) for i in range(n)}
+    kept.update({("N", i): len(tenant_classes[i]) for i in range(n)})
+    sets_h = [set().union(*house_classes[i]) for i in range(n)]
+    sets_t = [set().union(*tenant_classes[i]) for i in range(n)]
+    pairs = [(comp, i) for i in range(n) for comp in ("H", "N")]
+    if order == "reverse":
+        pairs = list(reversed(pairs))
+    rng = SplitMix64(seed if seed is not None else 0)
+    allocation = identity_allocation(n)
+    saturated = set()
+    calls = cursor = 0
+    while len(saturated) < 2 * n:
+        if order == "random":
+            pair = rng.choice([p for p in pairs if p not in saturated])
+        else:
+            while pairs[cursor % len(pairs)] in saturated:
+                cursor += 1
+            pair = pairs[cursor % len(pairs)]
+            cursor += 1
+        comp, agent = pair
+        classes = house_classes[agent] if comp == "H" else tenant_classes[agent]
+        dropped = classes[kept[pair] - 1]
+        target = sets_h if comp == "H" else sets_t
+        target[agent] = target[agent] - dropped
+        calls += 1
+        result = rs_aa(n, prof.endowment, sets_h, sets_t)
+        if result is None:
+            target[agent] = target[agent] | dropped
+            saturated.add(pair)
+        else:
+            kept[pair] -= 1
+            allocation = result
+    return PraResult(allocation, calls,
+                     tuple(kept[("H", i)] for i in range(n)),
+                     tuple(kept[("N", i)] for i in range(n)))
+
+
+def _permuted_endowment(prof, rng):
+    """The same market with houses renamed so that agent i owns perm[i]."""
+    perm = list(range(prof.n))
+    rng.shuffle(perm)
+    houses = tuple(tuple(frozenset(perm[h] for h in cls) for cls in classes)
+                   for classes in prof.house_classes)
+    return ResponsiveProfile(prof.n, tuple(perm), houses, prof.tenant_classes)
+
+
+def _differential_profiles():
+    # heavy ties leave several perfect matchings on the final sets, where
+    # the warm-started searches and the cold one can part ways
+    for seed in range(240):
+        yield random_responsive_profile(1 + seed % 8, (0.3, 0.6, 0.9)[seed % 3],
+                                        (0.35, 0.9)[seed // 3 % 2], 60_000 + seed)
+    for seed in range(120):
+        base = random_responsive_profile(1 + seed % 12, 0.7, 0.3, 61_000 + seed)
+        yield _permuted_endowment(base, SplitMix64(seed))
+    for seed in range(3):
+        yield _big_responsive_profile(20 + 10 * seed, 0.8, 0.3, seed)
+
+
+def test_pra_matches_the_cold_reference():
+    for prof in _differential_profiles():
+        for order, s in (("round-robin", None), ("reverse", None), ("random", 7)):
+            assert pra_rs(prof, order=order, seed=s) == _pra_reference(prof, order=order, seed=s)
