@@ -1,17 +1,26 @@
 """Exact, desk-scale oracles for allocation axioms.
 
 Everything here is exponential-time by nature (the underlying existence
-questions are NP-hard), so each oracle carries an explicit bound: full
-scans over all n! allocations refuse to run above ``max_n`` and the
-backtracking searches consume a node budget.  Within those bounds the
-answers are exact.
+questions are NP-hard), so each oracle carries an explicit bound and is
+exact within it.
+
+The Pareto oracles and ``programs.solve_exact_max_weight`` share one
+branch and bound over partial assignments (:func:`_permutation_search`):
+agents take free houses in index order, so complete assignments come out in
+lexicographic order, and an agent's rank (or weight) is checked against its
+limit as soon as the receiver of its own house is known.  With a bound on
+the sum, a subtree is cut unless it can still beat the best leaf found so
+far *strictly*; ties are cut too, so of equally good allocations the
+lexicographically first one is kept.  These oracles still refuse to run
+above ``max_n``.  The backtracking searches over listed outcomes
+(:func:`_assignment_search`) consume a node budget instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .cycles import Budget, Options, find_exchange_cycle, has_cycle_through, iter_exchange_cycles
 from .errors import OracleLimitError
@@ -35,7 +44,69 @@ def _check_max_n(inst: Instance, max_n: int) -> None:
 
 
 def _rank_vector(inst: Instance, alloc: Allocation) -> tuple[int, ...]:
-    return tuple(inst.rank(i, outcome_of(inst, alloc, i)) for i in range(inst.n))
+    n, table, tenant = inst.n, inst.rank_table, alloc.inverse
+    return tuple(table[i][alloc[i] * n + tenant[inst.endowment[i]]] for i in range(n))
+
+
+def _permutation_search(inst: Instance, cost: Sequence[Sequence[int]], limits: Sequence[int],
+                        bound: float | None = None
+                        ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Depth-first search over partial assignments, yielding (assignment,
+    per-agent costs) leaves in lexicographic assignment order.
+
+    ``cost[i][h * n + t]`` is agent i's cost of outcome (h, t).  Agent k
+    takes a free house h at depth k; that fixes k's outcome when k's own
+    house already has a receiver, and the outcome of ``owner[h]`` when that
+    agent already holds a house.  A fixed cost above the agent's limit cuts
+    the branch.  Without ``bound`` every leaf within the limits is yielded.
+    With it, only leaves whose total is strictly below ``bound`` and below
+    every leaf yielded before are yielded, and a subtree is cut as soon as
+    its fixed costs plus each undetermined agent's least cost reach the
+    lowest of these totals.
+    """
+    n = inst.n
+    endow, owner = inst.endowment, inst.owner
+    low = [min(row) for row in cost]
+    got = [-1] * n    # house taken by each agent
+    taker = [-1] * n  # agent that took each house
+    val = [0] * n     # cost of each agent's fixed outcome
+    best = bound
+
+    def place(k: int, acc, rest) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+        nonlocal best
+        if k == n:
+            if best is not None:
+                best = acc
+            yield tuple(got), tuple(val)
+            return
+        row, limit, own = cost[k], limits[k], endow[k]
+        for h in range(n):
+            if taker[h] >= 0:
+                continue
+            a, r = acc, rest
+            tenant = k if h == own else taker[own]
+            if tenant >= 0:
+                c = row[h * n + tenant]
+                if c > limit:
+                    continue
+                a += c
+                r -= low[k]
+                val[k] = c
+            o = owner[h]
+            if o < k:
+                c = cost[o][got[o] * n + k]
+                if c > limits[o]:
+                    continue
+                a += c
+                r -= low[o]
+                val[o] = c
+            if best is not None and a + r >= best:
+                continue
+            got[k], taker[h] = h, k
+            yield from place(k + 1, a, r)
+            taker[h] = -1
+
+    return place(0, 0, sum(low))
 
 
 def is_individually_rational(inst: Instance, alloc: Allocation) -> bool:
@@ -61,25 +132,25 @@ def pareto_dominates(inst: Instance, q: Allocation, p: Allocation) -> bool:
 
 def is_pareto_optimal(inst: Instance, alloc: Allocation, *,
                       max_n: int = DEFAULT_MAX_N) -> bool:
+    """No other allocation weakly improves every agent and strictly one.
+
+    Searches the allocations ranked at most p's rank vector for one with a
+    smaller rank sum; one with the same sum would have p's rank vector.
+    """
     _check_max_n(inst, max_n)
     p_ranks = _rank_vector(inst, alloc)
-    for q in all_allocations(inst.n):
-        q_ranks = _rank_vector(inst, q)
-        if q_ranks != p_ranks and all(a <= b for a, b in zip(q_ranks, p_ranks)):
-            return False
-    return True
+    leaves = _permutation_search(inst, inst.rank_table, p_ranks, sum(p_ranks))
+    return next(leaves, None) is None
 
 
 def is_weakly_pareto_optimal(inst: Instance, alloc: Allocation, *,
                              max_n: int = DEFAULT_MAX_N) -> bool:
     """No other allocation strictly improves every agent at once."""
     _check_max_n(inst, max_n)
-    p_ranks = _rank_vector(inst, alloc)
-    for q in all_allocations(inst.n):
-        q_ranks = _rank_vector(inst, q)
-        if all(a < b for a, b in zip(q_ranks, p_ranks)):
-            return False
-    return True
+    limits = [r - 1 for r in _rank_vector(inst, alloc)]
+    if min(limits) < 0:  # an agent at rank 0 cannot improve
+        return True
+    return next(_permutation_search(inst, inst.rank_table, limits), None) is None
 
 
 @dataclass(frozen=True)
@@ -302,18 +373,17 @@ def find_top_allocation(inst: Instance, *,
 
 def enumerate_pareto_optimal(inst: Instance, *,
                              max_n: int = DEFAULT_MAX_N) -> list[Allocation]:
+    """All Pareto-optimal allocations, in lexicographic assignment order."""
     _check_max_n(inst, max_n)
-    allocs = list(all_allocations(inst.n))
-    vectors = [_rank_vector(inst, a) for a in allocs]
-    out = []
-    for i, p_ranks in enumerate(vectors):
-        dominated = any(
-            q_ranks != p_ranks and all(a <= b for a, b in zip(q_ranks, p_ranks))
-            for q_ranks in vectors
-        )
-        if not dominated:
-            out.append(allocs[i])
-    return out
+    leaves = list(_permutation_search(inst, inst.rank_table, [len(c) for c in inst.prefs]))
+    # Skyline of the distinct rank vectors: taken by rank sum, a vector is
+    # dominated iff an undominated vector of smaller sum lies below it.
+    front: list[tuple[int, ...]] = []
+    for vec in sorted(set(ranks for _, ranks in leaves), key=sum):
+        if not any(all(a <= b for a, b in zip(u, vec)) for u in front):
+            front.append(vec)
+    optimal = set(front)
+    return [Allocation(assignment) for assignment, ranks in leaves if ranks in optimal]
 
 
 def enumerate_ir_pareto_optimal(inst: Instance, *,

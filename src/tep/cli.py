@@ -108,16 +108,15 @@ def _oracle_max_n(args) -> int:
 
 
 def _parse_x3c_file(text: str) -> generators.X3CInstance:
-    rows = [line.split("#", 1)[0].split() for line in text.splitlines()]
-    rows = [r for r in rows if r]
-    if not rows or len(rows[0]) != 1:
+    rows = [(lineno, line.split()) for lineno, line in files._meaningful_lines(text)]
+    if not rows or len(rows[0][1]) != 1:
         raise ParseError("syntax", "exact-cover file: first line must be m", 1)
-    m = int(rows[0][0])
+    m = files._parse_int(rows[0][1][0], rows[0][0], "m")
     triples = []
-    for r in rows[1:]:
+    for lineno, r in rows[1:]:
         if len(r) != 3:
             raise ParseError("syntax", f"expected 3 elements per triple, got {r}")
-        triples.append(tuple(sorted(int(x) for x in r)))
+        triples.append(tuple(sorted(files._parse_int(x, lineno, "element") for x in r)))
     try:
         return generators.X3CInstance(m, tuple(triples))
     except ValueError as exc:
@@ -263,9 +262,13 @@ def _parse_candidate_file(text: str, truth, agent: int):
             parts = line.split()
             if parts[0] != "porder" or len(parts) < 2:
                 raise ParseError("syntax", "expected 'porder <agent> <item>...'", lineno)
-            if int(parts[1]) != agent:
+            if files._parse_int(parts[1], lineno, "agent") != agent:
                 raise ParseError("syntax", f"candidate line is for agent {parts[1]}", lineno)
-            reports.append(tuple(int(x) for x in parts[2:]))
+            order = tuple(files._parse_int(x, lineno, "item") for x in parts[2:])
+            if sorted(order) != list(range(truth.n)):
+                raise ParseError("syntax", f"porder must rank all {truth.n} items strictly",
+                                 lineno)
+            reports.append(order)
         return reports
     if isinstance(truth, ResponsiveProfile):
         profiles = []
@@ -280,10 +283,15 @@ def _parse_candidate_file(text: str, truth, agent: int):
         parts = head.split()
         if len(parts) != 2 or parts[0] != "pref" or not body:
             raise ParseError("syntax", "expected 'pref <agent>: [..] > [..]'", lineno)
-        if int(parts[1]) != agent:
+        if files._parse_int(parts[1], lineno, "agent") != agent:
             raise ParseError("syntax", f"candidate line is for agent {parts[1]}", lineno)
         chunks = files._split_classes(body, lineno, line)
-        reports.append([files._parse_outcomes(c, lineno) for c in chunks])
+        classes = [files._parse_outcomes(c, lineno) for c in chunks]
+        try:
+            incentives.replace_prefs(truth, agent, classes)
+        except ValueError as exc:  # an outcome out of range or listed twice
+            raise ParseError("syntax", str(exc), lineno) from exc
+        reports.append(classes)
     return reports
 
 

@@ -111,6 +111,20 @@ class Instance:
     def orders(self) -> tuple[PreferenceOrder, ...]:
         return tuple(PreferenceOrder(classes) for classes in self.prefs)
 
+    @cached_property
+    def rank_table(self) -> tuple[tuple[int, ...], ...]:
+        """rank_table[i][h * n + t] is agent i's rank of outcome (h, t);
+        unlisted outcomes hold the sentinel rank ``len(prefs[i])``."""
+        n = self.n
+        rows = []
+        for classes in self.prefs:
+            row = [len(classes)] * (n * n)
+            for rank, cls in enumerate(classes):
+                for o in cls:
+                    row[o.house * n + o.tenant] = rank
+            rows.append(tuple(row))
+        return tuple(rows)
+
     def preference(self, agent: int) -> PreferenceOrder:
         return self.orders[agent]
 

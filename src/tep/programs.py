@@ -17,12 +17,14 @@ variant for regression tests.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
-from .axioms import all_allocations
+# all_allocations is unused here but stays a module attribute: perfbench/tracer.py wraps it.
+from .axioms import _permutation_search, all_allocations  # noqa: F401
 from .errors import OracleLimitError
-from .model import Allocation, Instance, Outcome, outcome_of
+from .model import Allocation, Instance, outcome_of
 
 BORDA = "borda"
 EXPONENTIAL = "exponential"
@@ -60,17 +62,15 @@ def weights_from_ranks(inst: Instance, scheme: str = BORDA) -> WeightTable:
     if scheme not in WEIGHT_SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; choose from {WEIGHT_SCHEMES}")
     n = inst.n
-    flat = []
-    for i in range(n):
-        num_classes = len(inst.prefs[i])
-        for j in range(n):
-            for k in range(n):
-                rank = inst.rank(i, Outcome(j, k))
-                if scheme == BORDA:
-                    value = (num_classes - 1 - rank) if rank < num_classes else -n * num_classes
-                else:
-                    value = n ** (num_classes - rank)
-                flat.append(value)
+    flat: list[int] = []
+    for classes, ranks in zip(inst.prefs, inst.rank_table):
+        num_classes = len(classes)
+        if scheme == BORDA:
+            by_rank = [num_classes - 1 - rank for rank in range(num_classes)]
+            by_rank.append(-n * num_classes)
+        else:
+            by_rank = [n ** (num_classes - rank) for rank in range(num_classes + 1)]
+        flat.extend(by_rank[rank] for rank in ranks)
     return WeightTable(n=n, scheme=scheme, weights=tuple(flat))
 
 
@@ -255,19 +255,23 @@ def qp_point(inst: Instance, alloc: Allocation) -> dict[str, int]:
 
 def solve_exact_max_weight(inst: Instance, table: WeightTable, *,
                            max_n: int = DEFAULT_EXACT_MAX_N) -> tuple[Allocation, int]:
-    """Argmax of total weight over all allocations by full enumeration,
-    returning the lexicographically smallest assignment among ties."""
+    """Argmax of total weight over all allocations, returning the
+    lexicographically smallest assignment among ties.
+
+    Branch and bound over partial assignments in lexicographic order: a
+    subtree is cut unless its fixed weights plus each undetermined agent's
+    best weight strictly beat the best allocation found so far, so a later
+    allocation of equal weight never replaces an earlier one.
+    """
     if inst.n > max_n:
         raise OracleLimitError(
             f"exact optimizer needs n <= {max_n}, got n = {inst.n}; raise the bound explicitly"
         )
-    best_alloc: Allocation | None = None
-    best_value = 0
-    for alloc in all_allocations(inst.n):
-        value = table.allocation_value(inst, alloc)
-        if best_alloc is None or value > best_value:
-            best_alloc, best_value = alloc, value
-    return best_alloc, best_value
+    size = inst.n * inst.n
+    cost = [[-w for w in table.weights[i * size:(i + 1) * size]] for i in range(inst.n)]
+    limits = [max(row) for row in cost]
+    *_, (assignment, costs) = _permutation_search(inst, cost, limits, math.inf)
+    return Allocation(assignment), -sum(costs)
 
 
 def iter_candidate_points(program: MathProgram, n: int) -> Iterator[dict[str, int]]:

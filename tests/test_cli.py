@@ -8,7 +8,7 @@ import pytest
 from tep.cli import parse_report, run
 from tep.files import serialize_allocation, serialize_instance, serialize_predominant_profile
 from tep.generators import sp_instance
-from tep.model import identity_allocation
+from tep.model import identity_allocation, make_instance
 
 
 def invoke(argv):
@@ -225,18 +225,73 @@ def _directory_instance(tmp_path):
             "--check", "ir"]
 
 
+def _x3c_with_a_non_integer(tmp_path):
+    path = tmp_path / "cover.x3c"
+    path.write_text("1\n0 1 x\n0 1 2\n0 1 2\n")
+    return ["gen", "--family", "x3c-core", "--x3c", str(path), "--out", str(tmp_path / "o.tep")]
+
+
+def _candidates(tmp_path, line, method="exact"):
+    """manipulate argv for agent 0 with a one-line candidate file."""
+    if method == "exact":
+        inst = tmp_path / "sp.tep"
+        inst.write_text(serialize_instance(sp_instance()))
+    else:
+        inst = tmp_path / "p.ptep"
+        code, _ = invoke(["gen", "--family", "random-predominant", "--n", "3",
+                          "--seed", "3", "--out", str(inst)])
+        assert code == 0
+    cands = tmp_path / "cands.txt"
+    cands.write_text(line + "\n")
+    return ["manipulate", "--instance", str(inst), "--method", method, "--agent", "0",
+            "--space", f"file:{cands}"]
+
+
 @pytest.mark.parametrize("make_argv", [
     _non_utf8_instance,
     _directory_instance,
     lambda tmp: ["gen", "--family", "random", "--n", "50", "--out", str(tmp / "x.tep")],
     lambda tmp: ["gen", "--family", "random", "--density", "1.5", "--out", str(tmp / "x.tep")],
-], ids=["non-utf8-instance", "directory-instance", "gen-n-50", "gen-density-1.5"])
+    _x3c_with_a_non_integer,
+    lambda tmp: _candidates(tmp, "pref x: [(1,1)]"),
+    lambda tmp: _candidates(tmp, "pref 0: [(9,9)]"),
+    lambda tmp: _candidates(tmp, "porder x 0 1 2", "ttc"),
+    lambda tmp: _candidates(tmp, "porder 0 1 x 2", "ttc"),
+    lambda tmp: _candidates(tmp, "porder 0 1 9 2", "ttc"),
+], ids=["non-utf8-instance", "directory-instance", "gen-n-50", "gen-density-1.5",
+        "x3c-non-integer", "pref-non-integer-agent", "pref-out-of-range-outcome",
+        "porder-non-integer-agent", "porder-non-integer-item", "porder-out-of-range-item"])
 def test_malformed_input_exits_2_with_an_input_error(tmp_path, capsys, make_argv):
     code, out = invoke(make_argv(tmp_path))
     err = capsys.readouterr().err
     assert code == 2
     assert out == ""
     assert err.startswith("input error: ") and "Traceback" not in err
+
+
+def _unlisted_instance_argv(tmp_path, n, command):
+    inst = tmp_path / f"n{n}.tep"
+    inst.write_text(serialize_instance(make_instance(n, [[] for _ in range(n)])))
+    alloc = tmp_path / f"id{n}.alloc"
+    alloc.write_text(serialize_allocation(identity_allocation(n)))
+    return {
+        "po": ["verify", "--instance", str(inst), "--allocation", str(alloc), "--check", "po"],
+        "wpo": ["verify", "--instance", str(inst), "--allocation", str(alloc), "--check", "wpo"],
+        "enumerate-po": ["oracle", "--instance", str(inst), "--enumerate", "po"],
+        "exact": ["solve", "--instance", str(inst), "--method", "exact"],
+    }[command]
+
+
+@pytest.mark.parametrize("command,n", [("po", 9), ("wpo", 9), ("enumerate-po", 9), ("exact", 10)])
+def test_default_oracle_bounds_exit_3(tmp_path, capsys, monkeypatch, command, n):
+    """The pruned searches still refuse instances above the default bounds
+    (max_n 8 for the Pareto oracles, 9 for the exact optimizer)."""
+    monkeypatch.delenv("TEP_ORACLE_MAX_N", raising=False)
+    code, out = invoke(_unlisted_instance_argv(tmp_path, n, command))
+    err = capsys.readouterr().err
+    assert code == 3
+    assert out == ""
+    assert err.startswith("budget exceeded: ")
 
 
 def test_report_round_trip_structure(ring_file):
