@@ -64,6 +64,7 @@ from .incentives import (
 from .model import (
     Allocation,
     Instance,
+    Market,
     Outcome,
     PreferenceOrder,
     canonicalize_endowment,

@@ -24,7 +24,7 @@ from typing import Iterator, Sequence
 
 from .cycles import Budget, Options, find_exchange_cycle, has_cycle_through, iter_exchange_cycles
 from .errors import OracleLimitError
-from .model import Allocation, Instance, Outcome, outcome_of
+from .model import Allocation, Instance, Market, Outcome, outcome_of
 
 DEFAULT_MAX_N = 8
 DEFAULT_NODE_BUDGET = 10_000_000
@@ -36,10 +36,10 @@ def all_allocations(n: int) -> Iterator[Allocation]:
         yield Allocation(perm)
 
 
-def _check_max_n(inst: Instance, max_n: int) -> None:
-    if inst.n > max_n:
+def _check_max_n(market: Market, max_n: int) -> None:
+    if market.n > max_n:
         raise OracleLimitError(
-            f"exact scan needs n <= {max_n}, got n = {inst.n}; raise the bound explicitly"
+            f"exact scan needs n <= {max_n}, got n = {market.n}; raise the bound explicitly"
         )
 
 
@@ -195,21 +195,25 @@ def witness_blocks(inst: Instance, alloc: Allocation, witness: BlockingWitness) 
     return True
 
 
-def improvement_options(inst: Instance, alloc: Allocation) -> Options:
-    """Per agent, the (predecessor, successor) exchange steps it strictly
-    prefers to its current outcome.  A listed outcome (h, t) means taking
+def _improvement_steps(inst: Instance, agent: int, cur: int) -> list[tuple[int, int]]:
+    """The (predecessor, successor) exchange steps to the outcomes the agent
+    ranks strictly above rank ``cur``.  A listed outcome (h, t) means taking
     the house of h's owner while t becomes the agent's own tenant."""
-    opts: Options = []
-    for i in range(inst.n):
-        cur = inst.rank(i, outcome_of(inst, alloc, i))
-        steps: list[tuple[int, int]] = []
-        for rank, cls in enumerate(inst.prefs[i]):
-            if rank >= cur:
-                break
-            for o in sorted(cls):
-                steps.append((o.tenant, inst.owner[o.house]))
-        opts.append(steps)
-    return opts
+    owner = inst.owner
+    steps: list[tuple[int, int]] = []
+    for rank, cls in enumerate(inst.prefs[agent]):
+        if rank >= cur:
+            break
+        for o in sorted(cls):
+            steps.append((o.tenant, owner[o.house]))
+    return steps
+
+
+def improvement_options(inst: Instance, alloc: Allocation) -> Options:
+    """Per agent, the exchange steps it strictly prefers to its current
+    outcome."""
+    return [_improvement_steps(inst, i, inst.rank(i, outcome_of(inst, alloc, i)))
+            for i in range(inst.n)]
 
 
 def find_blocking_coalition(inst: Instance, alloc: Allocation, *,
@@ -275,8 +279,8 @@ def _assignment_search(inst: Instance, rank_limits: list[int],
         for x in sorted(set(trail_agents)):
             if x in determined or got[x] < 0 or ten[x] < 0:
                 continue
-            outcome = Outcome(got[x], ten[x])
-            if inst.rank(x, outcome) > rank_limits[x]:
+            rank = inst.rank(x, Outcome(got[x], ten[x]))
+            if rank > rank_limits[x]:
                 for y in added:
                     determined.remove(y)
                     imp_options[y] = []
@@ -284,14 +288,7 @@ def _assignment_search(inst: Instance, rank_limits: list[int],
             determined.add(x)
             added.append(x)
             if prune_blocking:
-                cur = inst.rank(x, outcome)
-                steps: list[tuple[int, int]] = []
-                for rank, cls in enumerate(inst.prefs[x]):
-                    if rank >= cur:
-                        break
-                    for o in sorted(cls):
-                        steps.append((o.tenant, owner[o.house]))
-                imp_options[x] = steps
+                imp_options[x] = _improvement_steps(inst, x, rank)
                 if has_cycle_through(imp_options, x, determined, budget):
                     for y in added:
                         determined.remove(y)

@@ -19,9 +19,8 @@ import time
 
 from . import axioms, files, generators, incentives, programs
 from .errors import BudgetExceededError, OracleLimitError, ParseError, ProofError, TepError
-from .model import Allocation
-from .predominant import HOUSE, TENANT, PredominantProfile, ttc, tttc
-from .responsive import ResponsiveProfile, pra_rs
+from .predominant import HOUSE, TENANT, ttc, tttc
+from .responsive import pra_rs
 
 EXIT_OK = 0
 EXIT_NO = 1
@@ -74,10 +73,6 @@ def parse_report(text: str) -> dict[str, str | list[str]]:
         else:
             out[key] = value
     return out
-
-
-def _fmt_alloc(alloc: Allocation) -> str:
-    return " ".join(str(h) for h in alloc.assignment)
 
 
 def _read(path: str, report: _Report, label: str = "instance") -> str:
@@ -164,17 +159,17 @@ def _cmd_solve(args, report: _Report) -> int:
     if args.method in ("ttc", "tttc"):
         prof = files.parse_predominant_profile(text)
         alloc = ttc(prof) if args.method == "ttc" else tttc(prof)
-        report.add("allocation", _fmt_alloc(alloc))
+        report.add("allocation", alloc.text())
     elif args.method == "pra":
         prof = files.parse_responsive_profile(text)
         result = pra_rs(prof, order=args.order, seed=args.seed)
-        report.add("allocation", _fmt_alloc(result.allocation))
+        report.add("allocation", result.allocation.text())
         report.add("rs-aa-calls", result.rs_aa_calls)
     elif args.method == "exact":
         inst = files.parse_instance(text)
         table = programs.weights_from_ranks(inst, args.weights)
         alloc, value = programs.solve_exact_max_weight(inst, table)
-        report.add("allocation", _fmt_alloc(alloc))
+        report.add("allocation", alloc.text())
         report.add("value", value)
     else:
         raise ParseError("syntax", f"unknown method {args.method!r}")
@@ -212,13 +207,13 @@ def _cmd_oracle(args, report: _Report) -> int:
         if found is None:
             report.add("result", "none")
             return EXIT_NO
-        report.add("allocation", _fmt_alloc(found))
+        report.add("allocation", found.text())
         return EXIT_OK
     else:
         raise ParseError("syntax", f"unknown enumeration {args.enumerate!r}")
     report.add("count", len(allocs))
     for alloc in sorted(allocs, key=lambda a: a.assignment):
-        report.add("allocation", _fmt_alloc(alloc))
+        report.add("allocation", alloc.text())
     return EXIT_OK
 
 
@@ -235,48 +230,35 @@ def _cmd_export(args, report: _Report) -> int:
     return EXIT_OK
 
 
-def _candidate_reports(args, truth, agent: int):
-    space = args.space
-    if space.startswith("file:"):
-        path = space[5:]
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        return _parse_candidate_file(text, truth, agent)
-    if isinstance(truth, PredominantProfile):
-        if space != "strict":
-            raise ParseError("syntax", "predominant mechanisms support --space strict or file:")
-        return incentives.strict_primary_reports(truth.n)
-    if isinstance(truth, ResponsiveProfile):
-        if space != "strict":
-            raise ParseError("syntax", "pra supports --space strict (component orders) or file:")
-        return incentives.component_order_reports(truth, agent)
-    if space != "subsets":
-        raise ParseError("syntax", "instance mechanisms support --space subsets or file:")
-    return incentives.sublist_reports(truth, agent)
+def _porder_candidates(text: str, truth, agent: int) -> list[tuple[int, ...]]:
+    reports = []
+    for lineno, line in files._meaningful_lines(text):
+        parts = line.split()
+        if parts[0] != "porder" or len(parts) < 2:
+            raise ParseError("syntax", "expected 'porder <agent> <item>...'", lineno)
+        if files._parse_int(parts[1], lineno, "agent") != agent:
+            raise ParseError("syntax", f"candidate line is for agent {parts[1]}", lineno)
+        order = tuple(files._parse_int(x, lineno, "item") for x in parts[2:])
+        if sorted(order) != list(range(truth.n)):
+            raise ParseError("syntax", f"porder must rank all {truth.n} items strictly", lineno)
+        reports.append(order)
+    return reports
 
 
-def _parse_candidate_file(text: str, truth, agent: int):
-    if isinstance(truth, PredominantProfile):
-        reports = []
-        for lineno, line in files._meaningful_lines(text):
-            parts = line.split()
-            if parts[0] != "porder" or len(parts) < 2:
-                raise ParseError("syntax", "expected 'porder <agent> <item>...'", lineno)
-            if files._parse_int(parts[1], lineno, "agent") != agent:
-                raise ParseError("syntax", f"candidate line is for agent {parts[1]}", lineno)
-            order = tuple(files._parse_int(x, lineno, "item") for x in parts[2:])
-            if sorted(order) != list(range(truth.n)):
-                raise ParseError("syntax", f"porder must rank all {truth.n} items strictly",
-                                 lineno)
-            reports.append(order)
-        return reports
-    if isinstance(truth, ResponsiveProfile):
-        profiles = []
-        for lineno, line in files._meaningful_lines(text):
-            wrapped = f"tep v1\nagents {truth.n}\n{line}"
-            prof = files.parse_responsive_profile(_pad_rpref(wrapped, truth, agent))
-            profiles.append((prof.house_classes[agent], prof.tenant_classes[agent]))
-        return profiles
+def _rpref_candidates(text: str, truth, agent: int) -> list[tuple]:
+    """Each candidate line replaces the agent's line in the serialized truth,
+    which keeps the endowment and the other agents' orders."""
+    lines = files.serialize_responsive_profile(truth).splitlines()
+    at = len(lines) - truth.n + agent
+    reports = []
+    for _, line in files._meaningful_lines(text):
+        lines[at] = line
+        prof = files.parse_responsive_profile("\n".join(lines) + "\n")
+        reports.append((prof.house_classes[agent], prof.tenant_classes[agent]))
+    return reports
+
+
+def _pref_candidates(text: str, truth, agent: int) -> list[list[list]]:
     reports = []
     for lineno, line in files._meaningful_lines(text):
         head, _, body = line.partition(":")
@@ -288,43 +270,51 @@ def _parse_candidate_file(text: str, truth, agent: int):
         chunks = files._split_classes(body, lineno, line)
         classes = [files._parse_outcomes(c, lineno) for c in chunks]
         try:
-            incentives.replace_prefs(truth, agent, classes)
+            truth.with_report(agent, classes)
         except ValueError as exc:  # an outcome out of range or listed twice
             raise ParseError("syntax", str(exc), lineno) from exc
         reports.append(classes)
     return reports
 
 
-def _pad_rpref(wrapped: str, truth: ResponsiveProfile, agent: int) -> str:
-    extra = []
-    for i in range(truth.n):
-        if i != agent:
-            h = " > ".join("[" + " ".join(map(str, sorted(c))) + "]"
-                           for c in truth.house_classes[i])
-            t = " > ".join("[" + " ".join(map(str, sorted(c))) + "]"
-                           for c in truth.tenant_classes[i])
-            extra.append(f"rpref {i}: H {h} ; N {t}")
-    return wrapped + "\n" + "\n".join(extra) + "\n"
-
-
 def _cmd_manipulate(args, report: _Report) -> int:
+    # Per method: the truth, the mechanism, the one built-in report space
+    # (with the hint shown when another is asked for), the candidate-file
+    # parser and the witness formatter.
     text = _read(args.instance, report)
+    agent = args.agent
     if args.method in ("ttc", "tttc"):
         truth = files.parse_predominant_profile(text)
         mechanism = ttc if args.method == "ttc" else tttc
+        space, hint = "strict", "predominant mechanisms support --space strict or file:"
+        built_in = lambda: incentives.strict_primary_reports(truth.n)
+        parse_candidates, fmt = _porder_candidates, lambda rep: " ".join(map(str, rep))
     elif args.method == "pra":
         truth = files.parse_responsive_profile(text)
         mechanism = lambda prof: pra_rs(prof, order=args.order, seed=args.seed).allocation
+        space, hint = "strict", "pra supports --space strict (component orders) or file:"
+        built_in = lambda: incentives.component_order_reports(truth, agent)
+        parse_candidates = _rpref_candidates
+        fmt = lambda rep: f"H {files.format_classes(rep[0])} ; N {files.format_classes(rep[1])}"
     elif args.method == "exact":
         truth = files.parse_instance(text)
         mechanism = lambda inst: programs.solve_exact_max_weight(
             inst, programs.weights_from_ranks(inst, args.weights))[0]
+        space, hint = "subsets", "instance mechanisms support --space subsets or file:"
+        built_in = lambda: incentives.sublist_reports(truth, agent)
+        parse_candidates = _pref_candidates
+        fmt = lambda rep: " > ".join("[" + " ".join(o.text() for o in cls) + "]" for cls in rep)
     else:
         raise ParseError("syntax", f"unknown method {args.method!r}")
-    agent = args.agent
     if not 0 <= agent < truth.n:
         raise ParseError("index-range", f"agent {agent} out of range 0..{truth.n - 1}")
-    reports = _candidate_reports(args, truth, agent)
+    if args.space.startswith("file:"):
+        with open(args.space[5:], "r", encoding="utf-8") as fh:
+            reports = parse_candidates(fh.read(), truth, agent)
+    elif args.space == space:
+        reports = built_in()
+    else:
+        raise ParseError("syntax", hint)
     witness = incentives.find_manipulation(mechanism, truth, agent, reports,
                                            max_reports=args.cap)
     report.add("agent", agent)
@@ -333,21 +323,8 @@ def _cmd_manipulate(args, report: _Report) -> int:
         return EXIT_NO
     report.add("outcome-before", witness.outcome_before.text())
     report.add("outcome-after", witness.outcome_after.text())
-    report.add("report", _fmt_report(witness.report))
+    report.add("report", fmt(witness.report))
     return EXIT_OK
-
-
-def _fmt_report(rep) -> str:
-    if isinstance(rep, tuple) and rep and isinstance(rep[0], int):
-        return " ".join(str(x) for x in rep)
-    if isinstance(rep, tuple) and len(rep) == 2:  # responsive component pair
-        h = " > ".join("[" + " ".join(map(str, sorted(c))) + "]" for c in rep[0])
-        t = " > ".join("[" + " ".join(map(str, sorted(c))) + "]" for c in rep[1])
-        return f"H {h} ; N {t}"
-    classes = " > ".join(
-        "[" + " ".join(o.text() for o in cls) + "]" for cls in rep
-    )
-    return classes
 
 
 def _cmd_prove(args, report: _Report) -> int:
@@ -474,6 +451,10 @@ def run(argv: list[str]) -> int:
         return EXIT_INPUT
     except (OracleLimitError, BudgetExceededError) as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
+    except RecursionError:  # the searches recurse once per agent or cycle member
+        print("budget exceeded: search deeper than the interpreter's recursion limit "
+              f"({sys.getrecursionlimit()})", file=sys.stderr)
         return EXIT_BUDGET
     except TepError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -33,6 +33,41 @@ class Budget:
                 raise BudgetExceededError("search node budget exhausted")
 
 
+def _cycles_through(options: Options, start: int, low: int, allowed: set[int],
+                    budget: Budget | None) -> Iterator[list[int]]:
+    """Yield each simple exchange cycle through ``start`` whose other
+    members lie in ``allowed`` and above ``low``, as a list from ``start``
+    in trading order, in depth-first order.  One budget tick per option
+    tried."""
+
+    def extend(closing_prev: int, cur: int, prev: int,
+               path: dict[int, None]) -> Iterator[list[int]]:
+        # ``path`` holds the members in trading order (dicts keep insertion
+        # order, and members leave it last in, first out).
+        for p, nxt in options[cur]:
+            if p != prev:
+                continue
+            if budget is not None:
+                budget.tick()
+            if nxt == start:
+                if cur == closing_prev:
+                    yield list(path)
+            elif nxt > low and nxt in allowed and nxt not in path:
+                path[nxt] = None
+                yield from extend(closing_prev, nxt, cur, path)
+                del path[nxt]
+
+    for p0, n0 in options[start]:
+        if budget is not None:
+            budget.tick()
+        if n0 == start:
+            if p0 == start:
+                yield [start]
+            continue
+        if n0 > low and p0 > low and n0 in allowed and p0 in allowed:
+            yield from extend(p0, n0, start, {start: None, n0: None})
+
+
 def iter_exchange_cycles(options: Options, budget: Budget | None = None,
                          members: set[int] | None = None) -> Iterator[list[int]]:
     """Yield every simple exchange cycle, smallest member first.
@@ -43,35 +78,8 @@ def iter_exchange_cycles(options: Options, budget: Budget | None = None,
     exactly once.
     """
     allowed = members if members is not None else set(range(len(options)))
-
-    def extend(start: int, closing_prev: int, cur: int, prev: int,
-               path: list[int], on_path: set[int]) -> Iterator[list[int]]:
-        for p, nxt in options[cur]:
-            if p != prev:
-                continue
-            if budget is not None:
-                budget.tick()
-            if nxt == start:
-                if cur == closing_prev:
-                    yield path.copy()
-            elif nxt > start and nxt in allowed and nxt not in on_path:
-                path.append(nxt)
-                on_path.add(nxt)
-                yield from extend(start, closing_prev, nxt, cur, path, on_path)
-                on_path.remove(nxt)
-                path.pop()
-
     for start in sorted(allowed):
-        for p0, n0 in options[start]:
-            if budget is not None:
-                budget.tick()
-            if n0 == start:
-                if p0 == start:
-                    yield [start]
-                continue
-            if n0 <= start or p0 <= start or n0 not in allowed or p0 not in allowed:
-                continue
-            yield from extend(start, p0, n0, start, [start, n0], {start, n0})
+        yield from _cycles_through(options, start, start, allowed, budget)
 
 
 def find_exchange_cycle(options: Options, budget: Budget | None = None,
@@ -87,30 +95,4 @@ def has_cycle_through(options: Options, pivot: int, allowed: set[int],
     Used for incremental pruning: after one more agent's exchange options
     become known, any newly completed cycle must pass through that agent.
     """
-
-    def extend(cur: int, prev: int, closing_prev: int, on_path: set[int]) -> bool:
-        for p, nxt in options[cur]:
-            if p != prev:
-                continue
-            if budget is not None:
-                budget.tick()
-            if nxt == pivot:
-                if cur == closing_prev:
-                    return True
-            elif nxt in allowed and nxt not in on_path:
-                on_path.add(nxt)
-                if extend(nxt, cur, closing_prev, on_path):
-                    return True
-                on_path.remove(nxt)
-        return False
-
-    for p0, n0 in options[pivot]:
-        if budget is not None:
-            budget.tick()
-        if n0 == pivot:
-            if p0 == pivot:
-                return True
-            continue
-        if n0 in allowed and p0 in allowed and extend(n0, pivot, p0, {pivot, n0}):
-            return True
-    return False
+    return next(_cycles_through(options, pivot, -1, allowed, budget), None) is not None

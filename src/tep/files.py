@@ -20,11 +20,13 @@ from __future__ import annotations
 import re
 
 from .errors import ParseError
-from .model import Allocation, Instance, Outcome, canonicalize_endowment, make_instance
+from .model import Allocation, Instance, Market, Outcome, canonicalize_endowment, make_instance
 from .predominant import HOUSE, TENANT, PredominantProfile
 from .responsive import ResponsiveProfile
 
 _HEADER = "tep v1"
+# Files declaring more agents are refused before anything is allocated.
+MAX_AGENTS = 10_000
 _OUTCOME_RE = re.compile(r"\(\s*(\d+)\s*,\s*(\d+)\s*\)")
 _CLASS_RE = re.compile(r"\[([^\[\]]*)\]")
 
@@ -96,6 +98,8 @@ def _parse_header_and_agents(lines, kind: str):
     n = _parse_int(parts[1], lineno, "agent count")
     if n < 1:
         raise _syntax("need at least one agent", lineno)
+    if n > MAX_AGENTS:
+        raise ParseError("index-range", f"agent count {n} above the limit {MAX_AGENTS}", lineno)
     return n
 
 
@@ -155,15 +159,24 @@ def parse_instance(text: str) -> Instance:
     return canonicalize_endowment(inst)
 
 
+def format_classes(classes, item=str) -> str:
+    """Indifference classes as '[a b] > [c]', each class sorted."""
+    return " > ".join("[" + " ".join(map(item, sorted(c))) + "]" for c in classes)
+
+
+def _preamble(market: Market, *directives: str) -> list[str]:
+    """Header, agent count, the given directives, and the endow line when
+    the endowment is not the identity."""
+    out = [_HEADER, f"agents {market.n}", *directives]
+    if not market.is_canonical():
+        out.append("endow " + " ".join(str(h) for h in market.endowment))
+    return out
+
+
 def serialize_instance(inst: Instance) -> str:
-    out = [_HEADER, f"agents {inst.n}"]
-    if not inst.is_canonical():
-        out.append("endow " + " ".join(str(h) for h in inst.endowment))
+    out = _preamble(inst)
     for i in range(inst.n):
-        classes = " > ".join(
-            "[" + " ".join(o.text() for o in sorted(cls)) + "]" for cls in inst.prefs[i]
-        )
-        out.append(f"pref {i}: {classes}")
+        out.append(f"pref {i}: {format_classes(inst.prefs[i], Outcome.text)}")
     return "\n".join(out) + "\n"
 
 
@@ -244,12 +257,9 @@ def parse_responsive_profile(text: str) -> ResponsiveProfile:
 
 
 def serialize_responsive_profile(prof: ResponsiveProfile) -> str:
-    out = [_HEADER, f"agents {prof.n}"]
-    if any(prof.endowment[i] != i for i in range(prof.n)):
-        out.append("endow " + " ".join(str(h) for h in prof.endowment))
+    out = _preamble(prof)
     for i in range(prof.n):
-        h = " > ".join("[" + " ".join(map(str, sorted(c))) + "]" for c in prof.house_classes[i])
-        t = " > ".join("[" + " ".join(map(str, sorted(c))) + "]" for c in prof.tenant_classes[i])
+        h, t = format_classes(prof.house_classes[i]), format_classes(prof.tenant_classes[i])
         out.append(f"rpref {i}: H {h} ; N {t}")
     return "\n".join(out) + "\n"
 
@@ -304,11 +314,8 @@ def parse_predominant_profile(text: str) -> PredominantProfile:
 
 
 def serialize_predominant_profile(prof: PredominantProfile) -> str:
-    out = [_HEADER, f"agents {prof.n}", f"mode {prof.mode}"]
-    if any(prof.endowment[i] != i for i in range(prof.n)):
-        out.append("endow " + " ".join(str(h) for h in prof.endowment))
+    out = _preamble(prof, f"mode {prof.mode}")
     for i in range(prof.n):
         p = " ".join(str(x) for x in prof.primary[i])
-        t = " > ".join("[" + " ".join(map(str, sorted(c))) + "]" for c in prof.tiebreak[i])
-        out.append(f"ppref {i}: P {p} ; T {t}")
+        out.append(f"ppref {i}: P {p} ; T {format_classes(prof.tiebreak[i])}")
     return "\n".join(out) + "\n"

@@ -14,16 +14,15 @@ with core consistency, on the 4-agent witness market.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations, permutations
 from typing import Callable, Iterable, Iterator
 
 from .axioms import (DEFAULT_MAX_N, enumerate_core_stable, enumerate_ir_pareto_optimal)
 from .errors import BudgetExceededError, ProofError
 from .generators import sp_instance
-from .model import Allocation, Instance, Outcome, compare, make_instance, outcome_of
-from .predominant import PredominantProfile, lex_compare
-from .responsive import ResponsiveProfile, RsOrdering, rs_compare
+from .model import Allocation, Instance, Market, Outcome, compare, outcome_of
+from .responsive import ResponsiveProfile
 
 Mechanism = Callable
 
@@ -36,48 +35,12 @@ class ManipulationWitness:
     outcome_after: Outcome
 
 
-def replace_prefs(inst: Instance, agent: int, classes) -> Instance:
-    """The instance with one agent's preference list swapped out (the
-    endowment outcome is appended when the report omits it)."""
-    prefs = [
-        [set(c) for c in (classes if i == agent else inst.prefs[i])]
-        for i in range(inst.n)
-    ]
-    return make_instance(inst.n, prefs, inst.endowment)
+# The instance with one agent's preference list swapped out (the endowment
+# outcome is appended when the report omits it).
+replace_prefs = Instance.with_report
 
 
-def _apply_report(truth, agent: int, report):
-    if isinstance(truth, Instance):
-        return replace_prefs(truth, agent, report)
-    if isinstance(truth, PredominantProfile):
-        primary = list(truth.primary)
-        primary[agent] = tuple(report)
-        return replace(truth, primary=tuple(primary))
-    if isinstance(truth, ResponsiveProfile):
-        houses, tenants = report
-        hc = list(truth.house_classes)
-        tc = list(truth.tenant_classes)
-        hc[agent] = tuple(frozenset(c) for c in houses)
-        tc[agent] = tuple(frozenset(c) for c in tenants)
-        return replace(truth, house_classes=tuple(hc), tenant_classes=tuple(tc))
-    raise TypeError(f"unsupported truth type {type(truth).__name__}")
-
-
-def _strictly_better(truth, agent: int, after: Outcome, before: Outcome) -> bool:
-    if isinstance(truth, Instance):
-        return compare(truth, agent, after, before) > 0
-    if isinstance(truth, PredominantProfile):
-        return lex_compare(truth, agent, after, before) > 0
-    if isinstance(truth, ResponsiveProfile):
-        return rs_compare(truth, agent, after, before) is RsOrdering.BETTER
-    raise TypeError(f"unsupported truth type {type(truth).__name__}")
-
-
-def _agent_outcome(truth, alloc: Allocation, agent: int) -> Outcome:
-    return Outcome(alloc[agent], alloc.inverse[truth.endowment[agent]])
-
-
-def find_manipulation(mechanism: Mechanism, truth, agent: int,
+def find_manipulation(mechanism: Mechanism, truth: Market, agent: int,
                       reports: Iterable, *,
                       max_reports: int = 100_000) -> ManipulationWitness | None:
     """First report in enumeration order that strictly improves the agent
@@ -88,12 +51,12 @@ def find_manipulation(mechanism: Mechanism, truth, agent: int,
     orders), or a :class:`ResponsiveProfile` (reports are (house classes,
     tenant classes) pairs).
     """
-    before = _agent_outcome(truth, mechanism(truth), agent)
+    before = outcome_of(truth, mechanism(truth), agent)
     for count, report in enumerate(reports):
         if count >= max_reports:
             raise BudgetExceededError(f"misreport space cap {max_reports} exceeded")
-        after = _agent_outcome(truth, mechanism(_apply_report(truth, agent, report)), agent)
-        if _strictly_better(truth, agent, after, before):
+        after = outcome_of(truth, mechanism(truth.with_report(agent, report)), agent)
+        if truth.prefers(agent, after, before):
             return ManipulationWitness(agent, report, before, after)
     return None
 
@@ -174,16 +137,8 @@ class ProofReport:
     name: str
     lines: tuple[str, ...]
 
-    @property
-    def closed(self) -> bool:
-        return True
-
     def __str__(self) -> str:
         return "\n".join(self.lines)
-
-
-def _fmt(alloc: Allocation) -> str:
-    return " ".join(str(h) for h in alloc.assignment)
 
 
 # The 4-agent witness market: its two IR + Pareto-optimal allocations, and
@@ -227,43 +182,43 @@ def verify_sp_impossibility_tree(inst: Instance | None = None) -> ProofReport:
     lines: list[str] = []
 
     root = set(enumerate_ir_pareto_optimal(inst))
-    _require(root == {_P, _Q}, f"root IR+PO set is {sorted(_fmt(a) for a in root)}")
-    lines.append(f"root: IR+PO choices are [{_fmt(_P)}] and [{_fmt(_Q)}]")
+    _require(root == {_P, _Q}, f"root IR+PO set is {sorted(a.text() for a in root)}")
+    lines.append(f"root: IR+PO choices are [{_P.text()}] and [{_Q.text()}]")
 
     # Choice Q: agent 2 truncates.
     inst2 = replace_prefs(inst, 2, _REPORT_2)
     cands2 = set(enumerate_ir_pareto_optimal(inst2))
     _require(cands2 == {_B, Allocation((3, 1, 2, 0))},
-             f"unexpected IR+PO set after agent 2's report: {sorted(_fmt(a) for a in cands2)}")
+             f"unexpected IR+PO set after agent 2's report: {sorted(a.text() for a in cands2)}")
     base_q = outcome_of(inst, _Q, 2)
     _require(_improves(inst, 2, _B, base_q), "agent 2 fails to improve at the bold choice")
-    lines.append(f"choice [{_fmt(_Q)}]: agent 2 truncates; choice [{_fmt(_B)}] improves 2: closed")
-    lines.append(f"choice [{_fmt(_Q)}]: sub-instance has 2 IR+PO allocations, published analysis expects 1")
+    lines.append(f"choice [{_Q.text()}]: agent 2 truncates; choice [{_B.text()}] improves 2: closed")
+    lines.append(f"choice [{_Q.text()}]: sub-instance has 2 IR+PO allocations, published analysis expects 1")
     extra = Allocation((3, 1, 2, 0))
     _require(not _improves(inst, 2, extra, base_q),
              "the overlooked allocation should not help agent 2")
     # Repair: in the truncated instance, agent 0 profits by truncating too.
     inst20 = replace_prefs(inst2, 0, _REPORT_0)
     cands20 = set(enumerate_ir_pareto_optimal(inst20))
-    _require(cands20 == {_B}, f"agent 0's repair report is not decisive: {sorted(_fmt(a) for a in cands20)}")
+    _require(cands20 == {_B}, f"agent 0's repair report is not decisive: {sorted(a.text() for a in cands20)}")
     base_extra = outcome_of(inst2, extra, 0)
     _require(_improves(inst2, 0, _B, base_extra), "agent 0 fails to improve in the repair branch")
-    lines.append(f"choice [{_fmt(_Q)}] -> [{_fmt(extra)}]: agent 0 truncates; unique choice [{_fmt(_B)}] improves 0: closed")
+    lines.append(f"choice [{_Q.text()}] -> [{extra.text()}]: agent 0 truncates; unique choice [{_B.text()}] improves 0: closed")
 
     # Choice P: agent 1 truncates.
     inst1 = replace_prefs(inst, 1, _REPORT_1)
     cands1 = set(enumerate_ir_pareto_optimal(inst1))
     _require(cands1 == {_Q, _S},
-             f"unexpected IR+PO set after agent 1's report: {sorted(_fmt(a) for a in cands1)}")
+             f"unexpected IR+PO set after agent 1's report: {sorted(a.text() for a in cands1)}")
     base_p = outcome_of(inst, _P, 1)
     _require(_improves(inst, 1, _Q, base_p), "agent 1 fails to improve at the swap choice")
-    lines.append(f"choice [{_fmt(_P)}]: agent 1 truncates; choice [{_fmt(_Q)}] improves 1: closed")
+    lines.append(f"choice [{_P.text()}]: agent 1 truncates; choice [{_Q.text()}] improves 1: closed")
     inst13 = replace_prefs(inst1, 3, _REPORT_3)
     cands13 = set(enumerate_ir_pareto_optimal(inst13))
-    _require(cands13 == {_Q}, f"agent 3's report is not decisive: {sorted(_fmt(a) for a in cands13)}")
+    _require(cands13 == {_Q}, f"agent 3's report is not decisive: {sorted(a.text() for a in cands13)}")
     base_s = outcome_of(inst1, _S, 3)
     _require(_improves(inst1, 3, _Q, base_s), "agent 3 fails to improve")
-    lines.append(f"choice [{_fmt(_P)}] -> [{_fmt(_S)}]: agent 3 truncates; unique choice [{_fmt(_Q)}] improves 3: closed")
+    lines.append(f"choice [{_P.text()}] -> [{_S.text()}]: agent 3 truncates; unique choice [{_Q.text()}] improves 3: closed")
 
     lines.append("all branches closed: no IR + Pareto-optimal mechanism is strategyproof here")
     return ProofReport("sp", tuple(lines))
@@ -278,20 +233,20 @@ def verify_core_consistency_impossibility(inst: Instance | None = None) -> Proof
     lines: list[str] = []
 
     root = set(enumerate_core_stable(inst))
-    _require(root == {_P, _Q}, f"root core set is {sorted(_fmt(a) for a in root)}")
-    lines.append(f"root: core-stable choices are [{_fmt(_P)}] and [{_fmt(_Q)}]")
+    _require(root == {_P, _Q}, f"root core set is {sorted(a.text() for a in root)}")
+    lines.append(f"root: core-stable choices are [{_P.text()}] and [{_Q.text()}]")
 
     inst2 = replace_prefs(inst, 2, _REPORT_2)
     cands2 = set(enumerate_core_stable(inst2))
-    _require(cands2 == {_B}, f"core set after agent 2's report: {sorted(_fmt(a) for a in cands2)}")
+    _require(cands2 == {_B}, f"core set after agent 2's report: {sorted(a.text() for a in cands2)}")
     _require(_improves(inst, 2, _B, outcome_of(inst, _Q, 2)), "agent 2 fails to improve")
-    lines.append(f"choice [{_fmt(_Q)}]: agent 2 truncates; unique core choice [{_fmt(_B)}] improves 2: closed")
+    lines.append(f"choice [{_Q.text()}]: agent 2 truncates; unique core choice [{_B.text()}] improves 2: closed")
 
     inst1 = replace_prefs(inst, 1, _REPORT_1)
     cands1 = set(enumerate_core_stable(inst1))
-    _require(cands1 == {_Q}, f"core set after agent 1's report: {sorted(_fmt(a) for a in cands1)}")
+    _require(cands1 == {_Q}, f"core set after agent 1's report: {sorted(a.text() for a in cands1)}")
     _require(_improves(inst, 1, _Q, outcome_of(inst, _P, 1)), "agent 1 fails to improve")
-    lines.append(f"choice [{_fmt(_P)}]: agent 1 truncates; unique core choice [{_fmt(_Q)}] improves 1: closed")
+    lines.append(f"choice [{_P.text()}]: agent 1 truncates; unique core choice [{_Q.text()}] improves 1: closed")
 
     lines.append("all branches closed: no core-consistent mechanism is strategyproof here")
     return ProofReport("core-consistency", tuple(lines))

@@ -62,8 +62,51 @@ class PreferenceOrder:
         return (rb > ra) - (ra > rb)
 
 
+def inverse_permutation(perm: tuple[int, ...]) -> tuple[int, ...]:
+    """inverse[x] is the index at which ``perm`` holds x."""
+    inverse = [0] * len(perm)
+    for index, x in enumerate(perm):
+        inverse[x] = index
+    return tuple(inverse)
+
+
 @dataclass(frozen=True)
-class Instance:
+class Market:
+    """What every kind of market shares: ``n`` agents, agent i endowed with
+    house ``endowment[i]``.
+
+    Subclasses add preferences and implement :meth:`prefers` (strict
+    preference between two outcomes) and :meth:`with_report` (the market
+    with one agent's preferences replaced by a report).
+    """
+
+    n: int
+    endowment: tuple[int, ...]
+
+    def __post_init__(self):
+        n = self.n
+        if len(self.endowment) != n or sorted(self.endowment) != list(range(n)):
+            raise ValueError("endowment must be a bijection onto house indices")
+
+    @cached_property
+    def owner(self) -> tuple[int, ...]:
+        """owner[h] is the agent endowed with house h."""
+        return inverse_permutation(self.endowment)
+
+    def is_canonical(self) -> bool:
+        return all(self.endowment[i] == i for i in range(self.n))
+
+    def prefers(self, agent: int, a: Outcome, b: Outcome) -> bool:
+        """Whether the agent strictly prefers outcome ``a`` to ``b``."""
+        raise NotImplementedError
+
+    def with_report(self, agent: int, report) -> Market:
+        """This market with the agent's preferences replaced by ``report``."""
+        raise NotImplementedError
+
+
+@dataclass(frozen=True)
+class Instance(Market):
     """A temporary exchange market.
 
     ``prefs[i]`` holds agent i's indifference classes best to worst.  The
@@ -73,16 +116,13 @@ class Instance:
     from unnormalized inputs.
     """
 
-    n: int
-    endowment: tuple[int, ...]
     prefs: tuple[PrefClasses, ...]
 
     def __post_init__(self):
         n = self.n
         if n < 1:
             raise ValueError("need at least one agent")
-        if len(self.endowment) != n or sorted(self.endowment) != list(range(n)):
-            raise ValueError("endowment must be a bijection onto house indices")
+        super().__post_init__()
         if len(self.prefs) != n:
             raise ValueError("need one preference list per agent")
         for i, classes in enumerate(self.prefs):
@@ -98,14 +138,6 @@ class Instance:
                     seen.add(o)
             if self.endowment_outcome(i) not in seen:
                 raise ValueError(f"agent {i} does not list its endowment outcome")
-
-    @cached_property
-    def owner(self) -> tuple[int, ...]:
-        """owner[h] is the agent endowed with house h."""
-        inverse = [0] * self.n
-        for agent, house in enumerate(self.endowment):
-            inverse[house] = agent
-        return tuple(inverse)
 
     @cached_property
     def orders(self) -> tuple[PreferenceOrder, ...]:
@@ -144,8 +176,15 @@ class Instance:
             out.extend(sorted(cls))
         return tuple(out)
 
-    def is_canonical(self) -> bool:
-        return all(self.endowment[i] == i for i in range(self.n))
+    def prefers(self, agent: int, a: Outcome, b: Outcome) -> bool:
+        return compare(self, agent, a, b) > 0
+
+    def with_report(self, agent: int, report) -> Instance:
+        """Agent's preference classes replaced by ``report`` (the endowment
+        outcome is appended when the report omits it)."""
+        prefs = [[set(c) for c in (report if i == agent else self.prefs[i])]
+                 for i in range(self.n)]
+        return make_instance(self.n, prefs, self.endowment)
 
 
 @dataclass(frozen=True)
@@ -161,13 +200,13 @@ class Allocation:
     def __getitem__(self, agent: int) -> int:
         return self.assignment[agent]
 
+    def text(self) -> str:
+        return " ".join(str(h) for h in self.assignment)
+
     @cached_property
     def inverse(self) -> tuple[int, ...]:
         """inverse[h] is the agent receiving house h."""
-        inv = [0] * len(self.assignment)
-        for agent, house in enumerate(self.assignment):
-            inv[house] = agent
-        return tuple(inv)
+        return inverse_permutation(self.assignment)
 
 
 def identity_allocation(n: int) -> Allocation:
@@ -194,9 +233,9 @@ def compare(inst: Instance, agent: int, a: Outcome, b: Outcome) -> int:
     return inst.orders[agent].compare(a, b)
 
 
-def outcome_of(inst: Instance, alloc: Allocation, agent: int) -> Outcome:
+def outcome_of(market: Market, alloc: Allocation, agent: int) -> Outcome:
     """The (house received, tenant of own house) pair for one agent."""
-    return Outcome(alloc[agent], alloc.inverse[inst.endowment[agent]])
+    return Outcome(alloc[agent], alloc.inverse[market.endowment[agent]])
 
 
 def make_instance(n: int, prefs: Iterable[Iterable[Iterable[Outcome]]],

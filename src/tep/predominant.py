@@ -10,26 +10,25 @@ materialized instance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
-from .model import Allocation, Instance, Outcome, make_instance
+from .model import Allocation, Instance, Market, Outcome, make_instance
 
 HOUSE = "house"
 TENANT = "tenant"
 
 
 @dataclass(frozen=True)
-class PredominantProfile:
+class PredominantProfile(Market):
     """Strict primary order plus weak tie-break order, per agent.
 
     In house mode ``primary[i]`` is a strict ranking of all houses (best
     first) and ``tiebreak[i]`` partitions the agents into indifference
-    classes; tenant mode swaps the two roles.
+    classes; tenant mode swaps the two roles.  A report is a strict primary
+    order.
     """
 
-    n: int
-    endowment: tuple[int, ...]
     mode: str
     primary: tuple[tuple[int, ...], ...]
     tiebreak: tuple[tuple[frozenset[int], ...], ...]
@@ -38,8 +37,7 @@ class PredominantProfile:
         n = self.n
         if self.mode not in (HOUSE, TENANT):
             raise ValueError(f"mode must be {HOUSE!r} or {TENANT!r}")
-        if len(self.endowment) != n or sorted(self.endowment) != list(range(n)):
-            raise ValueError("endowment must be a bijection onto house indices")
+        super().__post_init__()
         if len(self.primary) != n or len(self.tiebreak) != n:
             raise ValueError("need one primary order and one tie-break per agent")
         for i in range(n):
@@ -48,13 +46,6 @@ class PredominantProfile:
             flat = [x for cls in self.tiebreak[i] for x in cls]
             if sorted(flat) != list(range(n)):
                 raise ValueError(f"agent {i}: tie-break classes must partition all {n} items")
-
-    @cached_property
-    def owner(self) -> tuple[int, ...]:
-        inverse = [0] * self.n
-        for agent, house in enumerate(self.endowment):
-            inverse[house] = agent
-        return tuple(inverse)
 
     @cached_property
     def _primary_rank(self) -> tuple[dict[int, int], ...]:
@@ -73,6 +64,14 @@ class PredominantProfile:
         if self.mode == HOUSE:
             return (self._primary_rank[agent][o.house], self._tiebreak_rank[agent][o.tenant])
         return (self._primary_rank[agent][o.tenant], self._tiebreak_rank[agent][o.house])
+
+    def prefers(self, agent: int, a: Outcome, b: Outcome) -> bool:
+        return lex_compare(self, agent, a, b) > 0
+
+    def with_report(self, agent: int, report) -> PredominantProfile:
+        primary = list(self.primary)
+        primary[agent] = tuple(report)
+        return replace(self, primary=tuple(primary))
 
 
 def lex_compare(prof: PredominantProfile, agent: int, a: Outcome, b: Outcome) -> int:

@@ -12,14 +12,13 @@ individually rational, Pareto-optimal allocation under the extension.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
-from .axioms import DEFAULT_MAX_N, DEFAULT_NODE_BUDGET, all_allocations
+from .axioms import DEFAULT_MAX_N, DEFAULT_NODE_BUDGET, _check_max_n, all_allocations
 from .cycles import Budget, Options, find_exchange_cycle
-from .errors import OracleLimitError
 from .matching import max_bipartite_matching
-from .model import Allocation, Outcome
+from .model import Allocation, Market, Outcome, inverse_permutation, outcome_of
 from .rng import SplitMix64
 
 ComponentClasses = tuple[tuple[frozenset[int], ...], ...]
@@ -33,25 +32,23 @@ class RsOrdering(enum.Enum):
 
 
 @dataclass(frozen=True)
-class ResponsiveProfile:
+class ResponsiveProfile(Market):
     """Per-agent weak orders over houses and over tenants.
 
     ``house_classes[i]`` lists agent i's acceptable houses as indifference
     classes, best first, and must mention the agent's own house somewhere;
     ``tenant_classes[i]`` does the same for tenants and must mention the
     agent itself.  Unlisted items are unacceptable: mutually indifferent and
-    below everything listed.
+    below everything listed.  A report is a (house classes, tenant classes)
+    pair.
     """
 
-    n: int
-    endowment: tuple[int, ...]
     house_classes: ComponentClasses
     tenant_classes: ComponentClasses
 
     def __post_init__(self):
+        super().__post_init__()
         n = self.n
-        if len(self.endowment) != n or sorted(self.endowment) != list(range(n)):
-            raise ValueError("endowment must be a bijection onto house indices")
         for label, per_agent, required in (
             ("house", self.house_classes, lambda i: self.endowment[i]),
             ("tenant", self.tenant_classes, lambda i: i),
@@ -71,13 +68,6 @@ class ResponsiveProfile:
                         seen.add(item)
                 if required(i) not in seen:
                     raise ValueError(f"agent {i} must find its own {label} acceptable")
-
-    @cached_property
-    def owner(self) -> tuple[int, ...]:
-        inverse = [0] * self.n
-        for agent, house in enumerate(self.endowment):
-            inverse[house] = agent
-        return tuple(inverse)
 
     @cached_property
     def _house_ranks(self) -> tuple[dict[int, int], ...]:
@@ -105,6 +95,16 @@ class ResponsiveProfile:
     def acceptable_tenants(self, agent: int) -> frozenset[int]:
         return frozenset(t for cls in self.tenant_classes[agent] for t in cls)
 
+    def prefers(self, agent: int, a: Outcome, b: Outcome) -> bool:
+        return rs_compare(self, agent, a, b) is RsOrdering.BETTER
+
+    def with_report(self, agent: int, report) -> ResponsiveProfile:
+        houses, tenants = report
+        hc, tc = list(self.house_classes), list(self.tenant_classes)
+        hc[agent] = tuple(frozenset(c) for c in houses)
+        tc[agent] = tuple(frozenset(c) for c in tenants)
+        return replace(self, house_classes=tuple(hc), tenant_classes=tuple(tc))
+
 
 def rs_compare(prof: ResponsiveProfile, agent: int, a: Outcome, b: Outcome) -> RsOrdering:
     """Compare two outcomes under the responsive set extension: one outcome
@@ -129,15 +129,11 @@ def _weakly_better(prof: ResponsiveProfile, agent: int, a: Outcome, b: Outcome) 
     return rs_compare(prof, agent, a, b) in (RsOrdering.BETTER, RsOrdering.INDIFFERENT)
 
 
-def _outcome(prof: ResponsiveProfile, alloc: Allocation, agent: int) -> Outcome:
-    return Outcome(alloc[agent], alloc.inverse[prof.endowment[agent]])
-
-
 def is_rs_ir(prof: ResponsiveProfile, alloc: Allocation) -> bool:
     """Every agent's outcome weakly dominates its endowment outcome on both
     components."""
     return all(
-        _weakly_better(prof, i, _outcome(prof, alloc, i), Outcome(prof.endowment[i], i))
+        _weakly_better(prof, i, outcome_of(prof, alloc, i), Outcome(prof.endowment[i], i))
         for i in range(prof.n)
     )
 
@@ -146,15 +142,12 @@ def is_rs_pareto_optimal(prof: ResponsiveProfile, alloc: Allocation, *,
                          max_n: int = DEFAULT_MAX_N) -> bool:
     """No allocation weakly dominates this one for all agents (both
     components, with one strict somewhere) under the set extension."""
-    if prof.n > max_n:
-        raise OracleLimitError(
-            f"exact scan needs n <= {max_n}, got n = {prof.n}; raise the bound explicitly"
-        )
-    current = [_outcome(prof, alloc, i) for i in range(prof.n)]
+    _check_max_n(prof, max_n)
+    current = [outcome_of(prof, alloc, i) for i in range(prof.n)]
     for q in all_allocations(prof.n):
         strict = False
         for i in range(prof.n):
-            ordering = rs_compare(prof, i, _outcome(prof, q, i), current[i])
+            ordering = rs_compare(prof, i, outcome_of(prof, q, i), current[i])
             if ordering in (RsOrdering.WORSE, RsOrdering.INCOMPARABLE):
                 strict = False
                 break
@@ -171,7 +164,7 @@ def is_rs_core_stable(prof: ResponsiveProfile, alloc: Allocation, *,
     strictly improves under the set extension."""
     options: Options = []
     for i in range(prof.n):
-        cur = _outcome(prof, alloc, i)
+        cur = outcome_of(prof, alloc, i)
         steps = [
             (t, prof.owner[h])
             for h in range(prof.n)
@@ -212,9 +205,7 @@ def rs_aa(n: int, endowment: tuple[int, ...],
     the edges that survive.  Whether an allocation exists does not depend
     on ``start``, but which one is returned may.
     """
-    owner = [0] * n
-    for agent, house in enumerate(endowment):
-        owner[house] = agent
+    owner = inverse_permutation(endowment)
     seed = None
     if start is not None:
         seed = [h if h in acceptable_houses[i] and i in acceptable_tenants[owner[h]] else -1

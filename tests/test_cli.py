@@ -1,6 +1,7 @@
 """CLI end-to-end: subcommand behavior, exit codes, report determinism."""
 
 import io
+import time
 from contextlib import redirect_stdout
 
 import pytest
@@ -301,3 +302,46 @@ def test_report_round_trip_structure(ring_file):
     assert isinstance(report["allocation"], list)
     allocs = [tuple(int(x) for x in line.split()) for line in report["allocation"]]
     assert (0, 1, 2, 3, 4) in allocs
+
+
+def test_pra_file_candidates_use_the_profile_endowment(tmp_path, capsys):
+    """Agent 0 owns house 1 here, so its candidate must accept house 1, not 0."""
+    prof = tmp_path / "e.rtep"
+    prof.write_text("tep v1\nagents 3\nendow 1 2 0\n"
+                    "rpref 0: H [1] ; N [0]\nrpref 1: H [2] ; N [1]\nrpref 2: H [0] ; N [2]\n")
+    cands = tmp_path / "c.txt"
+    argv = ["manipulate", "--instance", str(prof), "--method", "pra", "--agent", "0",
+            "--space", f"file:{cands}", "--quiet"]
+    cands.write_text("rpref 0: H [1] ; N [0]\n")
+    code, out = invoke(argv)
+    assert (code, out, capsys.readouterr().err) == (1, "agent: 0\nresult: none\n", "")
+    cands.write_text("rpref 0: H [0] ; N [0]\n")
+    code, out = invoke(argv)
+    assert (code, out) == (2, "")
+    assert "agent 0 must find its own house acceptable" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("enumerate_", ["ir", "core"])
+def test_search_deeper_than_the_recursion_limit_exits_3(tmp_path, capsys, enumerate_):
+    inst = tmp_path / "n1500.tep"
+    inst.write_text("tep v1\nagents 1500\n")
+    code, out = invoke(["oracle", "--instance", str(inst), "--enumerate", enumerate_])
+    err = capsys.readouterr().err
+    assert (code, out) == (3, "")
+    assert err.startswith("budget exceeded: ") and "recursion limit" in err
+
+
+@pytest.mark.parametrize("suffix,argv", [
+    ("tep", ["oracle", "--enumerate", "ir"]),
+    ("ptep", ["solve", "--method", "ttc"]),
+    ("rtep", ["solve", "--method", "pra"]),
+], ids=["instance", "predominant", "responsive"])
+def test_oversized_agent_count_is_refused_at_once(tmp_path, capsys, suffix, argv):
+    path = tmp_path / f"huge.{suffix}"
+    path.write_text("tep v1\nagents 99999999\n" + ("mode house\n" if suffix == "ptep" else ""))
+    started = time.monotonic()
+    code, out = invoke(argv + ["--instance", str(path)])
+    assert time.monotonic() - started < 1.0
+    err = capsys.readouterr().err
+    assert (code, out) == (2, "")
+    assert err == "input error: index-range: agent count 99999999 above the limit 10000 (line 2)\n"

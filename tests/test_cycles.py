@@ -1,0 +1,135 @@
+"""The one depth-first cycle search behind `iter_exchange_cycles` and
+`has_cycle_through`, cross-checked against the two routines it replaced.
+
+``iter_exchange_cycles_reference`` and ``has_cycle_through_reference`` are
+those routines, kept verbatim apart from their names.  On seeded random
+option lists, with and without a member subset and under several budgets,
+the new search must give the same cycles in the same order, the same
+answers, the same ``Budget.left`` after each call, and run out of budget at
+the same point.
+"""
+
+import random
+from typing import Iterator
+
+from tep.cycles import Budget, has_cycle_through, iter_exchange_cycles
+from tep.errors import BudgetExceededError
+
+
+def iter_exchange_cycles_reference(options, budget=None, members=None) -> Iterator[list[int]]:
+    allowed = members if members is not None else set(range(len(options)))
+
+    def extend(start: int, closing_prev: int, cur: int, prev: int,
+               path: list[int], on_path: set[int]) -> Iterator[list[int]]:
+        for p, nxt in options[cur]:
+            if p != prev:
+                continue
+            if budget is not None:
+                budget.tick()
+            if nxt == start:
+                if cur == closing_prev:
+                    yield path.copy()
+            elif nxt > start and nxt in allowed and nxt not in on_path:
+                path.append(nxt)
+                on_path.add(nxt)
+                yield from extend(start, closing_prev, nxt, cur, path, on_path)
+                on_path.remove(nxt)
+                path.pop()
+
+    for start in sorted(allowed):
+        for p0, n0 in options[start]:
+            if budget is not None:
+                budget.tick()
+            if n0 == start:
+                if p0 == start:
+                    yield [start]
+                continue
+            if n0 <= start or p0 <= start or n0 not in allowed or p0 not in allowed:
+                continue
+            yield from extend(start, p0, n0, start, [start, n0], {start, n0})
+
+
+def has_cycle_through_reference(options, pivot, allowed, budget=None) -> bool:
+
+    def extend(cur: int, prev: int, closing_prev: int, on_path: set[int]) -> bool:
+        for p, nxt in options[cur]:
+            if p != prev:
+                continue
+            if budget is not None:
+                budget.tick()
+            if nxt == pivot:
+                if cur == closing_prev:
+                    return True
+            elif nxt in allowed and nxt not in on_path:
+                on_path.add(nxt)
+                if extend(nxt, cur, closing_prev, on_path):
+                    return True
+                on_path.remove(nxt)
+        return False
+
+    for p0, n0 in options[pivot]:
+        if budget is not None:
+            budget.tick()
+        if n0 == pivot:
+            if p0 == pivot:
+                return True
+            continue
+        if n0 in allowed and p0 in allowed and extend(n0, pivot, p0, {pivot, n0}):
+            return True
+    return False
+
+
+def _random_options(rng: random.Random, n: int) -> list[list[tuple[int, int]]]:
+    """Per agent, a random list of (predecessor, successor) pairs; denser
+    lists make longer cycles, and a few self-loops (i, i) occur."""
+    density = rng.choice([0.1, 0.3, 0.6])
+    return [[(p, s) for p in range(n) for s in range(n) if rng.random() < density]
+            for _ in range(n)]
+
+
+def _outcome(fn):
+    """(result or the exhaustion marker, cycles yielded before it)."""
+    seen = []
+    try:
+        return fn(seen), seen
+    except BudgetExceededError:
+        return "exhausted", seen
+
+
+def _family():
+    rng = random.Random(20261018)
+    for case in range(3000):
+        n = rng.randint(1, 7)
+        options = _random_options(rng, n)
+        members = None if case % 2 else set(rng.sample(range(n), rng.randint(1, n)))
+        yield case, options, members, rng.choice([None, 5, 50, 500])
+
+
+def test_cycle_enumeration_matches_the_reference():
+    exhausted = longest = 0
+    for case, options, members, nodes in _family():
+        runs = []
+        for enumerate_ in (iter_exchange_cycles_reference, iter_exchange_cycles):
+            budget = Budget(nodes)
+            result, seen = _outcome(lambda seen: seen.extend(enumerate_(options, budget, members)))
+            runs.append((result, seen, budget.left))
+        assert runs[0] == runs[1], (case, options, members, nodes)
+        exhausted += runs[0][0] == "exhausted"
+        longest = max([longest] + [len(cycle) for cycle in runs[0][1]])
+    assert exhausted > 0 and longest >= 5
+
+
+def test_cycle_through_a_pivot_matches_the_reference():
+    answers = {True: 0, False: 0, "exhausted": 0}
+    for case, options, members, nodes in _family():
+        n = len(options)
+        allowed = members if members is not None else set(range(n))
+        for pivot in range(n):
+            runs = []
+            for has_cycle in (has_cycle_through_reference, has_cycle_through):
+                budget = Budget(nodes)
+                result, _ = _outcome(lambda seen: has_cycle(options, pivot, allowed, budget))
+                runs.append((result, budget.left))
+            assert runs[0] == runs[1], (case, options, pivot, allowed, nodes)
+            answers[runs[0][0]] += 1
+    assert min(answers.values()) > 0, answers
