@@ -36,10 +36,10 @@ def all_allocations(n: int) -> Iterator[Allocation]:
         yield Allocation(perm)
 
 
-def _check_max_n(market: Market, max_n: int) -> None:
+def _check_max_n(market: Market, max_n: int, what: str = "exact scan") -> None:
     if market.n > max_n:
         raise OracleLimitError(
-            f"exact scan needs n <= {max_n}, got n = {market.n}; raise the bound explicitly"
+            f"{what} needs n <= {max_n}, got n = {market.n}; raise the bound explicitly"
         )
 
 

@@ -154,6 +154,12 @@ def _cmd_gen(args, report: _Report) -> int:
     return EXIT_OK
 
 
+def _solve_exact(inst, weights: str):
+    # The bound first: the weight table has n³ entries.
+    axioms._check_max_n(inst, programs.DEFAULT_EXACT_MAX_N, programs.EXACT_OPTIMIZER)
+    return programs.solve_exact_max_weight(inst, programs.weights_from_ranks(inst, weights))
+
+
 def _cmd_solve(args, report: _Report) -> int:
     text = _read(args.instance, report)
     if args.method in ("ttc", "tttc"):
@@ -166,9 +172,7 @@ def _cmd_solve(args, report: _Report) -> int:
         report.add("allocation", result.allocation.text())
         report.add("rs-aa-calls", result.rs_aa_calls)
     elif args.method == "exact":
-        inst = files.parse_instance(text)
-        table = programs.weights_from_ranks(inst, args.weights)
-        alloc, value = programs.solve_exact_max_weight(inst, table)
+        alloc, value = _solve_exact(files.parse_instance(text), args.weights)
         report.add("allocation", alloc.text())
         report.add("value", value)
     else:
@@ -247,13 +251,17 @@ def _porder_candidates(text: str, truth, agent: int) -> list[tuple[int, ...]]:
 
 def _rpref_candidates(text: str, truth, agent: int) -> list[tuple]:
     """Each candidate line replaces the agent's line in the serialized truth,
-    which keeps the endowment and the other agents' orders."""
+    which keeps the endowment and the other agents' orders; a fault is
+    reported at the candidate's own line."""
     lines = files.serialize_responsive_profile(truth).splitlines()
     at = len(lines) - truth.n + agent
     reports = []
-    for _, line in files._meaningful_lines(text):
+    for lineno, line in files._meaningful_lines(text):
         lines[at] = line
-        prof = files.parse_responsive_profile("\n".join(lines) + "\n")
+        try:
+            prof = files.parse_responsive_profile("\n".join(lines) + "\n")
+        except ParseError as exc:
+            raise ParseError(exc.code, exc.message, lineno, exc.column) from exc
         reports.append((prof.house_classes[agent], prof.tenant_classes[agent]))
     return reports
 
@@ -298,8 +306,7 @@ def _cmd_manipulate(args, report: _Report) -> int:
         fmt = lambda rep: f"H {files.format_classes(rep[0])} ; N {files.format_classes(rep[1])}"
     elif args.method == "exact":
         truth = files.parse_instance(text)
-        mechanism = lambda inst: programs.solve_exact_max_weight(
-            inst, programs.weights_from_ranks(inst, args.weights))[0]
+        mechanism = lambda inst: _solve_exact(inst, args.weights)[0]
         space, hint = "subsets", "instance mechanisms support --space subsets or file:"
         built_in = lambda: incentives.sublist_reports(truth, agent)
         parse_candidates = _pref_candidates

@@ -15,6 +15,7 @@ class ParseError(TepError):
     def __init__(self, code: str, message: str, line: int | None = None,
                  column: int | None = None):
         self.code = code
+        self.message = message
         self.line = line
         self.column = column
         where = ""

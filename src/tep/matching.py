@@ -3,32 +3,25 @@
 Vertices are integer-indexed on both sides.  Runs in O(E * sqrt(V)), which
 keeps the acceptability-matching subroutine polynomial and fast at scale.
 
-A search may be warm-started from a partial matching.  Augmenting along a
-path keeps every matched vertex matched, so the search only adds to the
-matching it starts from: one edge short of a perfect matching costs a single
-augmenting phase instead of the O(sqrt(V)) phases a cold start needs.
+:func:`augment` grows a given matching by a single augmenting path instead:
+one edge short of a perfect matching, that is one O(E) search where a cold
+start needs O(sqrt(V)) phases.
 """
 
 from collections import deque
+from collections.abc import Iterable, Sequence
 
 _INF = -1
 
 
-def max_bipartite_matching(n_left: int, n_right: int, adj: list[list[int]],
-                           start: list[int] | None = None) -> tuple[int, list[int]]:
+def max_bipartite_matching(n_left: int, n_right: int,
+                           adj: list[list[int]]) -> tuple[int, list[int]]:
     """Return (matching size, match) where match[u] is u's right partner or -1.
 
     ``adj[u]`` lists the right vertices adjacent to left vertex ``u``.
-    ``start``, if given, is the matching to grow, in the same form as the
-    result; it must be valid: every pair ``(u, start[u])`` an edge of ``adj``
-    and no right vertex used twice.  The result is a maximum matching either
-    way, but which one may depend on ``start``.
     """
-    match_left = [_INF] * n_left if start is None else list(start)
+    match_left = [_INF] * n_left
     match_right = [_INF] * n_right
-    for u, v in enumerate(match_left):
-        if v != _INF:
-            match_right[v] = u
     dist = [0] * n_left
 
     def bfs() -> bool:
@@ -61,9 +54,41 @@ def max_bipartite_matching(n_left: int, n_right: int, adj: list[list[int]],
         dist[u] = _INF
         return False
 
-    size = n_left - match_left.count(_INF)
+    size = 0
     while bfs():
         for u in range(n_left):
             if match_left[u] == _INF and dfs(u):
                 size += 1
     return size, match_left
+
+
+def augment(adj: Sequence[Iterable[int]], match_left: list[int], match_right: list[int],
+            root: int) -> bool:
+    """Grow the matching by one augmenting path from the free left vertex
+    ``root``, in place; False, with the matching untouched, if there is none.
+
+    ``match_left`` and ``match_right`` are the two sides of a valid
+    matching, -1 for unmatched.  Breadth-first search over alternating paths
+    from ``root``, stopping at the first free right vertex, so the cost is
+    at most O(E).  By Berge's theorem a matching with ``root`` as its only
+    free left vertex is maximum exactly when this returns False; and a root
+    without an augmenting path keeps none after other roots augment, so one
+    call per free left vertex yields a maximum matching.
+    """
+    via: dict[int, int] = {}  # right vertex -> the left vertex that reached it
+    queue = deque([root])
+    while queue:
+        u = queue.popleft()
+        for v in adj[u]:
+            if v in via:
+                continue
+            via[v] = u
+            w = match_right[v]
+            if w == _INF:
+                while v != _INF:  # flip the path back to the root
+                    u = via[v]
+                    match_right[v] = u
+                    v, match_left[u] = match_left[u], v
+                return True
+            queue.append(w)
+    return False

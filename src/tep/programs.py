@@ -22,8 +22,7 @@ from dataclasses import dataclass
 from typing import Iterator, Mapping
 
 # all_allocations is unused here but stays a module attribute: perfbench/tracer.py wraps it.
-from .axioms import _permutation_search, all_allocations  # noqa: F401
-from .errors import OracleLimitError
+from .axioms import _check_max_n, _permutation_search, all_allocations  # noqa: F401
 from .model import Allocation, Instance, outcome_of
 
 BORDA = "borda"
@@ -31,6 +30,7 @@ EXPONENTIAL = "exponential"
 WEIGHT_SCHEMES = (BORDA, EXPONENTIAL)
 
 DEFAULT_EXACT_MAX_N = 9
+EXACT_OPTIMIZER = "exact optimizer"  # how the max_n refusal names it
 
 
 @dataclass(frozen=True)
@@ -263,10 +263,7 @@ def solve_exact_max_weight(inst: Instance, table: WeightTable, *,
     best weight strictly beat the best allocation found so far, so a later
     allocation of equal weight never replaces an earlier one.
     """
-    if inst.n > max_n:
-        raise OracleLimitError(
-            f"exact optimizer needs n <= {max_n}, got n = {inst.n}; raise the bound explicitly"
-        )
+    _check_max_n(inst, max_n, EXACT_OPTIMIZER)
     size = inst.n * inst.n
     cost = [[-w for w in table.weights[i * size:(i + 1) * size]] for i in range(inst.n)]
     limits = [max(row) for row in cost]

@@ -17,7 +17,7 @@ from functools import cached_property
 
 from .axioms import DEFAULT_MAX_N, DEFAULT_NODE_BUDGET, _check_max_n, all_allocations
 from .cycles import Budget, Options, find_exchange_cycle
-from .matching import max_bipartite_matching
+from .matching import augment, max_bipartite_matching
 from .model import Allocation, Market, Outcome, inverse_permutation, outcome_of
 from .rng import SplitMix64
 
@@ -190,7 +190,8 @@ def _symmetrized_graph(owner: list[int] | tuple[int, ...],
 def rs_aa(n: int, endowment: tuple[int, ...],
           acceptable_houses: list[frozenset[int]] | list[set[int]],
           acceptable_tenants: list[frozenset[int]] | list[set[int]], *,
-          start: Allocation | None = None) -> Allocation | None:
+          start: Allocation | None = None,
+          adj: list[set[int]] | None = None) -> Allocation | None:
     """An allocation giving every agent an acceptable house and every house
     an acceptable tenant, or None.
 
@@ -200,23 +201,33 @@ def rs_aa(n: int, endowment: tuple[int, ...],
 
     ``start`` is an allocation to reuse, typically one feasible for larger
     sets.  If every one of its agent-house edges is still in the
-    symmetrized graph, ``start`` itself is returned, in O(n) and without
-    building the graph; otherwise the matching search is warm-started from
-    the edges that survive.  Whether an allocation exists does not depend
-    on ``start``, but which one is returned may.
+    symmetrized graph, ``start`` itself is returned; otherwise the edges
+    that survive are repaired with one augmenting-path search per agent
+    they leave unmatched, and no Hopcroft-Karp phases.  Whether an
+    allocation exists does not depend on ``start``, but which one is
+    returned may.
+
+    ``adj``, which needs ``start``, is the symmetrized graph as one set of
+    houses per agent, kept up to date by the caller, so nothing is built
+    and the sets are not read: an intact ``start`` costs O(n), and each
+    broken edge one O(E) search.
     """
-    owner = inverse_permutation(endowment)
-    seed = None
-    if start is not None:
-        seed = [h if h in acceptable_houses[i] and i in acceptable_tenants[owner[h]] else -1
-                for i, h in enumerate(start.assignment)]
-        if -1 not in seed:
-            return start
-    adj = _symmetrized_graph(owner, acceptable_houses, acceptable_tenants)
-    size, match = max_bipartite_matching(n, n, adj, start=seed)
-    if size < n:
-        return None
-    return Allocation(tuple(match))
+    if adj is None:
+        graph = _symmetrized_graph(inverse_permutation(endowment),
+                                   acceptable_houses, acceptable_tenants)
+        if start is None:
+            size, match = max_bipartite_matching(n, n, graph)
+            return Allocation(tuple(match)) if size == n else None
+        adj = [set(row) for row in graph]
+    if all(map(set.__contains__, adj, start.assignment)):
+        return start
+    match = [h if h in row else -1 for h, row in zip(start.assignment, adj)]
+    taken = [-1] * n
+    for i, h in enumerate(match):
+        if h != -1:
+            taken[h] = i
+    free = [i for i in range(n) if match[i] == -1]
+    return Allocation(tuple(match)) if all(augment(adj, match, taken, i) for i in free) else None
 
 
 def acceptable_component_classes(prof: ResponsiveProfile) -> tuple[ComponentClasses, ComponentClasses]:
@@ -249,6 +260,21 @@ class PraResult:
 _POLICIES = ("round-robin", "reverse", "random")
 
 
+def _cut(adj: list[set[int]], comp: str, agent: int, dropped: frozenset[int],
+         own: int) -> list[tuple[int, int]]:
+    """Remove from the symmetrized graph, and return, the edges that the
+    agent's drop of class ``dropped`` ends: (agent, h) for each dropped house
+    h, or (t, own) for each dropped tenant t, ``own`` being the agent's
+    house."""
+    if comp == "H":
+        cut = [(agent, h) for h in dropped if h in adj[agent]]
+    else:
+        cut = [(t, own) for t in dropped if own in adj[t]]
+    for i, h in cut:
+        adj[i].remove(h)
+    return cut
+
+
 def pra_rs(prof: ResponsiveProfile, *, order: str = "round-robin",
            seed: int | None = None) -> PraResult:
     """Refine dichotomous acceptability sets until no component can shrink.
@@ -261,13 +287,18 @@ def pra_rs(prof: ResponsiveProfile, *, order: str = "round-robin",
     individually rational and Pareto optimal with respect to the responsive
     set extension.
 
-    Each feasibility test is :func:`rs_aa` warm-started from the current
-    allocation, so a drop that leaves it intact costs O(n), and one that
-    breaks a single edge costs a graph rebuild and one augmenting-path
-    search.  Failed drops are reverted, so the final sets are those of the
-    last successful test; one cold Hopcroft-Karp run on them fixes the
-    returned allocation, which therefore does not depend on the warm starts
-    taken on the way.  When no drop succeeds, everyone stays put.
+    The symmetrized agent-house graph is built once.  A drop removes the
+    edges it ends, in O(|class|), and a failed drop puts them back.  Each
+    feasibility test is :func:`rs_aa` on that graph, warm-started from the
+    current allocation.  A drop breaks at most one edge of the allocation:
+    the agent's own for a house drop, the one into its house for a tenant
+    drop.  So a test costs an O(n) check, plus, when that edge broke, one
+    alternating-path search from the freed agent, which by Berge's theorem
+    decides feasibility.  Failed drops are reverted, so the final sets are
+    those of the last successful test; one cold Hopcroft-Karp run on them
+    fixes the returned allocation, which therefore does not depend on the
+    warm starts taken on the way.  When no drop succeeds, everyone stays
+    put.
     """
     if order not in _POLICIES:
         raise ValueError(f"unknown order policy {order!r}; choose from {_POLICIES}")
@@ -277,6 +308,7 @@ def pra_rs(prof: ResponsiveProfile, *, order: str = "round-robin",
     kept.update({("N", i): len(tenant_classes[i]) for i in range(n)})
     sets_h = [set().union(*house_classes[i]) for i in range(n)]
     sets_t = [set().union(*tenant_classes[i]) for i in range(n)]
+    adj = [set(row) for row in _symmetrized_graph(prof.owner, sets_h, sets_t)]
 
     pairs = [(comp, i) for i in range(n) for comp in ("H", "N")]
     if order == "reverse":
@@ -303,12 +335,15 @@ def pra_rs(prof: ResponsiveProfile, *, order: str = "round-robin",
         classes = house_classes[agent] if comp == "H" else tenant_classes[agent]
         remaining = kept[pair]
         dropped = classes[remaining - 1]
+        cut = _cut(adj, comp, agent, dropped, prof.endowment[agent])
         target = sets_h if comp == "H" else sets_t
-        target[agent] = target[agent] - dropped
+        target[agent] -= dropped
         calls += 1
-        result = rs_aa(n, prof.endowment, sets_h, sets_t, start=allocation)
+        result = rs_aa(n, prof.endowment, sets_h, sets_t, start=allocation, adj=adj)
         if result is None:
-            target[agent] = target[agent] | dropped
+            target[agent] |= dropped
+            for i, h in cut:
+                adj[i].add(h)
             saturated.add(pair)
         else:
             kept[pair] = remaining - 1
@@ -317,7 +352,7 @@ def pra_rs(prof: ResponsiveProfile, *, order: str = "round-robin",
     if refined:
         # Called directly, not through rs_aa: this is no feasibility test,
         # and rs_aa_calls counts every rs_aa call.
-        _, match = max_bipartite_matching(n, n, _symmetrized_graph(prof.owner, sets_h, sets_t))
+        _, match = max_bipartite_matching(n, n, [sorted(row) for row in adj])
         allocation = Allocation(tuple(match))
     return PraResult(
         allocation=allocation,

@@ -202,11 +202,13 @@ def test_criterion_5_preference_refinement():
             started = time.monotonic()
             pra_rs(prof)
             assert time.monotonic() - started < 5.0
-        # polynomial at scale: 100 agents in seconds as well
-        prof = _big_responsive_profile(100, 0.8, 0.3, 0)
-        started = time.monotonic()
-        pra_rs(prof)
-        assert time.monotonic() - started < 5.0
+        # polynomial at scale: 100 and 200 agents in seconds as well
+        for n in (100, 200):
+            prof = _big_responsive_profile(n, 0.8, 0.3, 0)
+            started = time.monotonic()
+            result = pra_rs(prof)
+            assert time.monotonic() - started < 5.0
+            assert is_rs_ir(prof, result.allocation)
         ok = True
     finally:
         _line(5, "preference refinement", ok)

@@ -6,6 +6,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
+from tep import programs
 from tep.cli import parse_report, run
 from tep.files import serialize_allocation, serialize_instance, serialize_predominant_profile
 from tep.generators import sp_instance
@@ -319,6 +320,40 @@ def test_pra_file_candidates_use_the_profile_endowment(tmp_path, capsys):
     code, out = invoke(argv)
     assert (code, out) == (2, "")
     assert "agent 0 must find its own house acceptable" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("candidates,line", [
+    ("rpref 2: H [7] ; N [2]\n", 1),
+    ("# agent 2 owns house 0\nrpref 2: H [0] ; N [2]\nrpref 2: H [7] ; N [2]\n", 3),
+], ids=["first-line", "third-line"])
+def test_faulty_rpref_candidate_reports_its_own_line(tmp_path, capsys, candidates, line):
+    prof = tmp_path / "e.rtep"
+    prof.write_text("tep v1\nagents 3\nendow 1 2 0\n"
+                    "rpref 0: H [1] ; N [0]\nrpref 1: H [2] ; N [1]\nrpref 2: H [0] ; N [2]\n")
+    cands = tmp_path / "c.txt"
+    cands.write_text(candidates)
+    code, out = invoke(["manipulate", "--instance", str(prof), "--method", "pra", "--agent", "2",
+                        "--space", f"file:{cands}"])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == (
+        f"input error: index-range: house 7 out of range 0..2 (line {line})\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--method", "exact"],
+    ["manipulate", "--method", "exact", "--agent", "0", "--space", "subsets"],
+], ids=["solve", "manipulate"])
+def test_exact_bound_is_checked_before_the_weight_table(tmp_path, capsys, monkeypatch, argv):
+    def weights_from_ranks(*args):
+        raise AssertionError("the n³ weight table was built")
+
+    monkeypatch.setattr(programs, "weights_from_ranks", weights_from_ranks)
+    inst = tmp_path / "n150.tep"
+    inst.write_text("tep v1\nagents 150\n")
+    code, out = invoke(argv + ["--instance", str(inst)])
+    assert (code, out) == (3, "")
+    assert capsys.readouterr().err == ("budget exceeded: exact optimizer needs n <= 9, "
+                                       "got n = 150; raise the bound explicitly\n")
 
 
 @pytest.mark.parametrize("enumerate_", ["ir", "core"])

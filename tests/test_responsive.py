@@ -18,9 +18,10 @@ from tep import (
     rs_aa,
     rs_compare,
 )
+from tep import responsive
 from tep.generators import random_responsive_profile
-from tep.matching import max_bipartite_matching
-from tep.responsive import acceptable_component_classes
+from tep.matching import augment, max_bipartite_matching
+from tep.responsive import _symmetrized_graph, acceptable_component_classes
 from tep.rng import SplitMix64
 from test_acceptance import _big_responsive_profile
 
@@ -197,8 +198,23 @@ def _check_matching(adj, n_right, size, match):
     assert all(v == -1 or v in adj[u] for u, v in enumerate(match))
 
 
+def _augmenting_path_exists(adj, n_right, match_left, root):
+    """Reference: a path exists iff the graph cut down to the matched left
+    vertices and ``root`` has a matching one larger than the current one."""
+    rows = [row if u == root or match_left[u] != -1 else [] for u, row in enumerate(adj)]
+    size, _ = max_bipartite_matching(len(adj), n_right, rows)
+    return size > len(match_left) - match_left.count(-1)
+
+
+def _right_side(match_left, n_right):
+    return [match_left.index(v) if v in match_left else -1 for v in range(n_right)]
+
+
 def test_warm_started_matching_grows_to_the_cold_size():
-    with_perfect = without_perfect = 0
+    """augment from each free left vertex of a valid partial matching in
+    turn: True exactly when an augmenting path exists, the matching stays
+    valid, and it ends at the Hopcroft-Karp size."""
+    with_perfect = without_perfect = found = missing = 0
     for seed in range(300):
         rng = SplitMix64(3_000 + seed)
         n_left = 1 + seed % 9
@@ -211,8 +227,8 @@ def test_warm_started_matching_grows_to_the_cold_size():
                 with_perfect += 1
             else:
                 without_perfect += 1
-        # two valid partial matchings: a greedy one in random order, and the
-        # cold maximum matching with random pairs removed
+        # three valid partial matchings: a greedy one in random order, the
+        # cold maximum matching with random pairs removed, and all of it
         order = list(range(n_left))
         rng.shuffle(order)
         greedy, taken = [-1] * n_left, set()
@@ -222,14 +238,28 @@ def test_warm_started_matching_grows_to_the_cold_size():
                 greedy[u] = rng.choice(free)
                 taken.add(greedy[u])
         thinned = [v if rng.random() < 0.6 else -1 for v in cold]
-        for start in (greedy, thinned, list(cold)):
-            size, match = max_bipartite_matching(n_left, n_right, adj, start=start)
-            _check_matching(adj, n_right, size, match)
-            assert size == cold_size
-            # augmenting paths never unmatch a left vertex
-            assert all(match[u] != -1 for u in range(n_left) if start[u] != -1)
-        assert max_bipartite_matching(n_left, n_right, adj, start=list(cold)) == (cold_size, cold)
+        for start in (greedy, thinned, cold):
+            match_left = list(start)
+            match_right = _right_side(match_left, n_right)
+            for root in order:
+                if match_left[root] != -1:
+                    continue
+                before = list(match_left)
+                expected = _augmenting_path_exists(adj, n_right, match_left, root)
+                assert augment(adj, match_left, match_right, root) is expected
+                if expected:
+                    found += 1
+                    assert match_left[root] != -1
+                else:
+                    missing += 1
+                    assert match_left == before
+                # augmenting paths never unmatch a left vertex
+                assert all(match_left[u] != -1 for u in range(n_left) if before[u] != -1)
+                _check_matching(adj, n_right, n_left - match_left.count(-1), match_left)
+                assert match_right == _right_side(match_left, n_right)
+            assert n_left - match_left.count(-1) == cold_size
     assert with_perfect and without_perfect
+    assert found > 100 and missing > 100
 
 
 def _random_sets(rng, n, density):
@@ -427,3 +457,50 @@ def test_pra_matches_the_cold_reference():
     for prof in _differential_profiles():
         for order, s in (("round-robin", None), ("reverse", None), ("random", 7)):
             assert pra_rs(prof, order=order, seed=s) == _pra_reference(prof, order=order, seed=s)
+
+
+def test_maintained_graph_equals_the_symmetrized_sets(monkeypatch):
+    """pra_rs edits its agent-house graph per drop instead of rebuilding it.
+    A spy replays every drop on its own copy of the sets and compares the
+    graph with a fresh build of them: before each drop (so after the last
+    one was kept or reverted), at each feasibility test, and on return."""
+    real_cut, real_rs_aa = responsive._cut, responsive.rs_aa
+    state = {}
+
+    def fresh(owner):
+        return [set(row) for row in _symmetrized_graph(owner, state["h"], state["t"])]
+
+    def cut(adj, comp, agent, dropped, own):
+        assert adj == fresh(state["owner"])
+        state["adj"], state["drop"] = adj, (comp, agent, dropped)
+        (state["h"] if comp == "H" else state["t"])[agent] -= dropped
+        return real_cut(adj, comp, agent, dropped, own)
+
+    def rs_aa(n, endowment, houses, tenants, *, start=None, adj=None):
+        assert (houses, tenants) == (state["h"], state["t"])
+        assert adj is state["adj"] and adj == fresh(state["owner"])
+        result = real_rs_aa(n, endowment, houses, tenants, start=start, adj=adj)
+        if result is None:
+            comp, agent, dropped = state["drop"]
+            (state["h"] if comp == "H" else state["t"])[agent] |= dropped
+            state["reverted"] += 1
+        else:
+            state["kept"] += 1
+        return result
+
+    monkeypatch.setattr(responsive, "_cut", cut)
+    monkeypatch.setattr(responsive, "rs_aa", rs_aa)
+    state["kept"] = state["reverted"] = 0
+    rng = SplitMix64(17)
+    for seed in range(150):
+        prof = random_responsive_profile(1 + seed % 12, (0.3, 0.6, 0.9)[seed % 3],
+                                         (0.0, 0.35, 0.9)[seed // 3 % 3], 80_000 + seed)
+        if seed % 2:
+            prof = _permuted_endowment(prof, rng)
+        for order, s in (("round-robin", None), ("reverse", None), ("random", seed)):
+            hcls, tcls = acceptable_component_classes(prof)
+            state.update(owner=prof.owner, adj=None,
+                         h=[set().union(*c) for c in hcls], t=[set().union(*c) for c in tcls])
+            pra_rs(prof, order=order, seed=s)
+            assert state["adj"] == fresh(prof.owner)
+    assert state["kept"] > 1_000 and state["reverted"] > 1_000
