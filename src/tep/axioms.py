@@ -11,9 +11,14 @@ lexicographic order, and an agent's rank (or weight) is checked against its
 limit as soon as the receiver of its own house is known.  With a bound on
 the sum, a subtree is cut unless it can still beat the best leaf found so
 far *strictly*; ties are cut too, so of equally good allocations the
-lexicographically first one is kept.  These oracles still refuse to run
-above ``max_n``.  The backtracking searches over listed outcomes
-(:func:`_assignment_search`) consume a node budget instead.
+lexicographically first one is kept.  With the endowment ranks as limits
+it yields exactly the IR allocations, which the IR + Pareto and core
+enumerations take.  These oracles refuse to run above ``max_n``.
+
+The backtracking search over listed outcomes (:func:`_assignment_search`)
+stays a separate engine: it tries listed outcomes in listed order under a
+node budget, which suits sparse large-n gadgets, and ``core_exists`` (its
+first leaf) and the exit-3 points depend on that order and that budget.
 """
 
 from __future__ import annotations
@@ -41,6 +46,11 @@ def _check_max_n(market: Market, max_n: int, what: str = "exact scan") -> None:
         raise OracleLimitError(
             f"{what} needs n <= {max_n}, got n = {market.n}; raise the bound explicitly"
         )
+
+
+def _ir_limits(inst: Instance) -> list[int]:
+    """Per agent, the rank of its endowment outcome: the limit of IR."""
+    return [inst.endowment_rank(i) for i in range(inst.n)]
 
 
 def _rank_vector(inst: Instance, alloc: Allocation) -> tuple[int, ...]:
@@ -111,10 +121,8 @@ def _permutation_search(inst: Instance, cost: Sequence[Sequence[int]], limits: S
 
 def is_individually_rational(inst: Instance, alloc: Allocation) -> bool:
     """Every agent weakly prefers its outcome to keeping its own house."""
-    return all(
-        inst.rank(i, outcome_of(inst, alloc, i)) <= inst.endowment_rank(i)
-        for i in range(inst.n)
-    )
+    return all(inst.rank(i, outcome_of(inst, alloc, i)) <= limit
+               for i, limit in enumerate(_ir_limits(inst)))
 
 
 def pareto_dominates(inst: Instance, q: Allocation, p: Allocation) -> bool:
@@ -336,9 +344,7 @@ def enumerate_ir_allocations(inst: Instance, *,
                              ) -> list[Allocation]:
     """Exactly the allocations giving every agent an outcome weakly above
     its endowment outcome, found by backtracking over listed outcomes."""
-    limits = [inst.endowment_rank(i) for i in range(inst.n)]
-    budget = Budget(node_budget)
-    return list(_assignment_search(inst, limits, False, budget))
+    return list(_assignment_search(inst, _ir_limits(inst), False, Budget(node_budget)))
 
 
 def core_exists(inst: Instance, *,
@@ -350,9 +356,8 @@ def core_exists(inst: Instance, *,
     IR assignments only, pruning branches that already contain a blocking
     cycle.  Leaves are re-checked before being returned.
     """
-    limits = [inst.endowment_rank(i) for i in range(inst.n)]
     budget = Budget(node_budget)
-    for alloc in _assignment_search(inst, limits, True, budget):
+    for alloc in _assignment_search(inst, _ir_limits(inst), True, budget):
         options = improvement_options(inst, alloc)
         if find_exchange_cycle(options, budget) is None:
             return alloc
@@ -368,11 +373,9 @@ def find_top_allocation(inst: Instance, *,
     return next(_assignment_search(inst, limits, False, budget), None)
 
 
-def enumerate_pareto_optimal(inst: Instance, *,
-                             max_n: int = DEFAULT_MAX_N) -> list[Allocation]:
-    """All Pareto-optimal allocations, in lexicographic assignment order."""
-    _check_max_n(inst, max_n)
-    leaves = list(_permutation_search(inst, inst.rank_table, [len(c) for c in inst.prefs]))
+def _pareto_front(inst: Instance, limits: Sequence[int]) -> list[Allocation]:
+    """The allocations within ``limits`` that none of them dominates, lexicographically."""
+    leaves = list(_permutation_search(inst, inst.rank_table, limits))
     # Skyline of the distinct rank vectors: taken by rank sum, a vector is
     # dominated iff an undominated vector of smaller sum lies below it.
     front: list[tuple[int, ...]] = []
@@ -383,16 +386,27 @@ def enumerate_pareto_optimal(inst: Instance, *,
     return [Allocation(assignment) for assignment, ranks in leaves if ranks in optimal]
 
 
+def enumerate_pareto_optimal(inst: Instance, *,
+                             max_n: int = DEFAULT_MAX_N) -> list[Allocation]:
+    """All Pareto-optimal allocations, in lexicographic assignment order."""
+    _check_max_n(inst, max_n)
+    return _pareto_front(inst, [len(c) for c in inst.prefs])
+
+
 def enumerate_ir_pareto_optimal(inst: Instance, *,
                                 max_n: int = DEFAULT_MAX_N) -> list[Allocation]:
+    """The IR Pareto-optimal allocations, in lexicographic assignment order:
+    the front of the IR allocations, since what dominates an IR one is IR."""
     _check_max_n(inst, max_n)
-    return [a for a in enumerate_pareto_optimal(inst, max_n=max_n)
-            if is_individually_rational(inst, a)]
+    return _pareto_front(inst, _ir_limits(inst))
 
 
 def enumerate_core_stable(inst: Instance, *, max_n: int = DEFAULT_MAX_N,
                           node_budget: int | None = DEFAULT_NODE_BUDGET
                           ) -> list[Allocation]:
+    """The core-stable allocations, in lexicographic assignment order.  They
+    are IR, so only IR ones are checked, each under its own node budget."""
     _check_max_n(inst, max_n)
-    return [a for a in all_allocations(inst.n)
+    leaves = _permutation_search(inst, inst.rank_table, _ir_limits(inst))
+    return [a for a in (Allocation(assignment) for assignment, _ in leaves)
             if is_core_stable(inst, a, node_budget=node_budget)]

@@ -257,6 +257,10 @@ def _rpref_candidates(text: str, truth, agent: int) -> list[tuple]:
     at = len(lines) - truth.n + agent
     reports = []
     for lineno, line in files._meaningful_lines(text):
+        head = line.partition(":")[0].split()
+        if len(head) == 2 and head[0] == "rpref" and files._parse_int(
+                head[1], lineno, "agent") != agent:
+            raise ParseError("syntax", f"candidate line is for agent {head[1]}", lineno)
         lines[at] = line
         try:
             prof = files.parse_responsive_profile("\n".join(lines) + "\n")

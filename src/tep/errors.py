@@ -9,7 +9,7 @@ class ParseError(TepError):
     """A text input (instance, allocation, or profile file) is malformed.
 
     ``code`` identifies the diagnostic: "syntax", "duplicate-outcome",
-    "endowment", or "index-range".
+    "duplicate-item", "endowment", or "index-range".
     """
 
     def __init__(self, code: str, message: str, line: int | None = None,

@@ -204,14 +204,20 @@ def serialize_allocation(alloc: Allocation) -> str:
     return "".join(f"assign {i} {h}\n" for i, h in enumerate(alloc.assignment))
 
 
-def _parse_index_classes(chunk_list: list[str], n: int, lineno: int,
+def _parse_index_classes(chunk_list: list[str], n: int, lineno: int, agent: int,
                          what: str) -> list[frozenset[int]]:
     classes = []
+    seen: set[int] = set()
     for chunk in chunk_list:
         items = [_check_index(_parse_int(tok, lineno, what), n, lineno, what)
                  for tok in chunk.split()]
         if not items:
             raise _syntax(f"empty {what} class", lineno)
+        for item in items:
+            if item in seen:
+                raise ParseError("duplicate-item", f"agent {agent} lists {what} {item} twice",
+                                 lineno)
+            seen.add(item)
         classes.append(frozenset(items))
     return classes
 
@@ -241,9 +247,9 @@ def parse_responsive_profile(text: str) -> ResponsiveProfile:
         if not sep or not house_part.startswith("H") or not tenant_part.startswith("N"):
             raise _syntax("rpref body must look like 'H [..] > [..] ; N [..]'", lineno)
         houses[agent] = tuple(_parse_index_classes(
-            _split_classes(house_part[1:], lineno, line), n, lineno, "house"))
+            _split_classes(house_part[1:], lineno, line), n, lineno, agent, "house"))
         tenants[agent] = tuple(_parse_index_classes(
-            _split_classes(tenant_part[1:], lineno, line), n, lineno, "tenant"))
+            _split_classes(tenant_part[1:], lineno, line), n, lineno, agent, "tenant"))
     endow = endow if endow is not None else tuple(range(n))
     missing = [i for i in range(n) if i not in houses]
     if missing:
@@ -298,7 +304,7 @@ def parse_predominant_profile(text: str) -> PredominantProfile:
                  for tok in p_part[1:].split()]
         primary[agent] = tuple(order)
         tiebreak[agent] = tuple(_parse_index_classes(
-            _split_classes(t_part[1:], lineno, line), n, lineno, "item"))
+            _split_classes(t_part[1:], lineno, line), n, lineno, agent, "item"))
     if mode is None:
         raise _syntax("missing 'mode' line", 1)
     endow = endow if endow is not None else tuple(range(n))

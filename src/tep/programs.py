@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Mapping
 
 # all_allocations is unused here but stays a module attribute: perfbench/tracer.py wraps it.
 from .axioms import _check_max_n, _permutation_search, all_allocations  # noqa: F401
@@ -270,39 +270,3 @@ def solve_exact_max_weight(inst: Instance, table: WeightTable, *,
     *_, (assignment, costs) = _permutation_search(inst, cost, limits, math.inf)
     return Allocation(assignment), -sum(costs)
 
-
-def iter_candidate_points(program: MathProgram, n: int) -> Iterator[dict[str, int]]:
-    """All 0/1 points satisfying the one-per-agent constraint family of the
-    given encoding (each agent picks exactly one triple, or one house);
-    points outside this family violate that constraint by construction.
-    Used by exhaustive feasibility scans where 2**V is out of reach."""
-    if program.kind == "ilp":
-        choices = [[(i, j, k) for j in range(n) for k in range(n)] for i in range(n)]
-
-        def fill(point: dict[str, int], picks) -> dict[str, int]:
-            for (i, j, k) in picks:
-                point[_x3(i, j, k)] = 1
-            return point
-
-        base = {v: 0 for v in program.variables}
-        stack = [(0, [])]
-        while stack:
-            i, picks = stack.pop()
-            if i == n:
-                yield fill(dict(base), picks)
-                continue
-            for choice in reversed(choices[i]):
-                stack.append((i + 1, picks + [choice]))
-    else:
-        base = {v: 0 for v in program.variables}
-
-        def rec(i: int, point: dict[str, int]) -> Iterator[dict[str, int]]:
-            if i == n:
-                yield dict(point)
-                return
-            for j in range(n):
-                point[_x2(i, j)] = 1
-                yield from rec(i + 1, point)
-                point[_x2(i, j)] = 0
-
-        yield from rec(0, dict(base))

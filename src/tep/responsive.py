@@ -15,7 +15,8 @@ import enum
 from dataclasses import dataclass, replace
 from functools import cached_property
 
-from .axioms import DEFAULT_MAX_N, DEFAULT_NODE_BUDGET, _check_max_n, all_allocations
+# all_allocations is unused here but stays a module attribute: perfbench/tracer.py wraps it.
+from .axioms import DEFAULT_MAX_N, DEFAULT_NODE_BUDGET, all_allocations  # noqa: F401
 from .cycles import Budget, Options, find_exchange_cycle
 from .matching import augment, max_bipartite_matching
 from .model import Allocation, Market, Outcome, inverse_permutation, outcome_of
@@ -141,21 +142,32 @@ def is_rs_ir(prof: ResponsiveProfile, alloc: Allocation) -> bool:
 def is_rs_pareto_optimal(prof: ResponsiveProfile, alloc: Allocation, *,
                          max_n: int = DEFAULT_MAX_N) -> bool:
     """No allocation weakly dominates this one for all agents (both
-    components, with one strict somewhere) under the set extension."""
-    _check_max_n(prof, max_n)
-    current = [outcome_of(prof, alloc, i) for i in range(prof.n)]
-    for q in all_allocations(prof.n):
-        strict = False
-        for i in range(prof.n):
-            ordering = rs_compare(prof, i, outcome_of(prof, q, i), current[i])
-            if ordering in (RsOrdering.WORSE, RsOrdering.INCOMPARABLE):
-                strict = False
-                break
-            if ordering is RsOrdering.BETTER:
-                strict = True
-        if strict:
-            return False
-    return True
+    components, with one strict somewhere) under the set extension.
+
+    Edge k -> j when k taking j's house weakly improves k's house rank and
+    the house owner's tenant rank, strict if either improves strictly.
+    Ranks depend only on who takes which house, so the allocation is
+    dominated iff a strict edge k -> j has j reaching k along edges.
+    ``max_n`` is accepted for callers and bounds nothing.
+    """
+    n, owner, house = prof.n, prof.owner, alloc.assignment
+    house_now = [prof.house_rank(k, house[k]) for k in range(n)]
+    tenant_now = [prof.tenant_rank(owner[house[j]], j) for j in range(n)]
+    reach = [0] * n  # bit j of reach[k]: k reaches j along edges
+    strict = []
+    for k in range(n):
+        for j in range(n):
+            dh = house_now[k] - prof.house_rank(k, house[j])
+            dt = tenant_now[j] - prof.tenant_rank(owner[house[j]], k)
+            if dh >= 0 and dt >= 0:
+                reach[k] |= 1 << j
+                if dh or dt:
+                    strict.append((k, j))
+    for m in range(n):  # Warshall's closure, one bit row per agent
+        for k in range(n):
+            if reach[k] >> m & 1:
+                reach[k] |= reach[m]
+    return not any(reach[j] >> k & 1 for k, j in strict)
 
 
 def is_rs_core_stable(prof: ResponsiveProfile, alloc: Allocation, *,

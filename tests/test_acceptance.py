@@ -66,9 +66,10 @@ from tep.generators import (
     x3c_top_instance,
 )
 from tep.incentives import strict_primary_reports
-from tep.programs import iter_candidate_points
 from tep.responsive import acceptable_component_classes
 from tep.rng import SplitMix64
+
+from references import iter_candidate_points
 
 
 def _line(num, name, ok):
@@ -200,8 +201,9 @@ def test_criterion_5_preference_refinement():
         for seed in range(3):
             prof = _big_responsive_profile(50, 0.8, 0.3, seed)
             started = time.monotonic()
-            pra_rs(prof)
+            result = pra_rs(prof)
             assert time.monotonic() - started < 5.0
+            assert is_rs_pareto_optimal(prof, result.allocation)
         # polynomial at scale: 100 and 200 agents in seconds as well
         for n in (100, 200):
             prof = _big_responsive_profile(n, 0.8, 0.3, 0)
@@ -209,6 +211,7 @@ def test_criterion_5_preference_refinement():
             result = pra_rs(prof)
             assert time.monotonic() - started < 5.0
             assert is_rs_ir(prof, result.allocation)
+            assert is_rs_pareto_optimal(prof, result.allocation)
         ok = True
     finally:
         _line(5, "preference refinement", ok)

@@ -249,6 +249,13 @@ def _candidates(tmp_path, line, method="exact"):
             "--space", f"file:{cands}"]
 
 
+def _profile_with(tmp_path, suffix, text, method):
+    """argv solving a one-file profile with the given method."""
+    path = tmp_path / f"p.{suffix}"
+    path.write_text(text)
+    return ["solve", "--instance", str(path), "--method", method]
+
+
 @pytest.mark.parametrize("make_argv", [
     _non_utf8_instance,
     _directory_instance,
@@ -260,15 +267,33 @@ def _candidates(tmp_path, line, method="exact"):
     lambda tmp: _candidates(tmp, "porder x 0 1 2", "ttc"),
     lambda tmp: _candidates(tmp, "porder 0 1 x 2", "ttc"),
     lambda tmp: _candidates(tmp, "porder 0 1 9 2", "ttc"),
+    lambda tmp: _profile_with(tmp, "rtep", "tep v1\nagents 1\nrpref 0: H [0 0] ; N [0]\n", "pra"),
+    lambda tmp: _profile_with(tmp, "rtep", "tep v1\nagents 1\nrpref 0: H [0] ; N [0 0]\n", "pra"),
+    lambda tmp: _profile_with(tmp, "ptep", "tep v1\nagents 2\nmode house\n"
+                              "ppref 0: P 0 1 ; T [0 0 1]\nppref 1: P 1 0 ; T [1] > [0]\n", "ttc"),
 ], ids=["non-utf8-instance", "directory-instance", "gen-n-50", "gen-density-1.5",
         "x3c-non-integer", "pref-non-integer-agent", "pref-out-of-range-outcome",
-        "porder-non-integer-agent", "porder-non-integer-item", "porder-out-of-range-item"])
+        "porder-non-integer-agent", "porder-non-integer-item", "porder-out-of-range-item",
+        "rpref-house-twice", "rpref-tenant-twice", "ppref-item-twice"])
 def test_malformed_input_exits_2_with_an_input_error(tmp_path, capsys, make_argv):
     code, out = invoke(make_argv(tmp_path))
     err = capsys.readouterr().err
     assert code == 2
     assert out == ""
     assert err.startswith("input error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("suffix,body,method,message", [
+    ("rtep", "rpref 0: H [0 0] ; N [0]", "pra", "agent 0 lists house 0 twice"),
+    ("rtep", "rpref 0: H [0] ; N [0] > [0]", "pra", "agent 0 lists tenant 0 twice"),
+    ("ptep", "mode house\nppref 0: P 0 ; T [0 0]", "ttc", "agent 0 lists item 0 twice"),
+], ids=["rpref-house", "rpref-tenant", "ppref-tiebreak"])
+def test_an_item_listed_twice_is_refused_at_its_line(tmp_path, capsys, suffix, body, method,
+                                                     message):
+    code, out = invoke(_profile_with(tmp_path, suffix, f"tep v1\nagents 1\n{body}\n", method))
+    line = 3 + body.count("\n")
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == f"input error: duplicate-item: {message} (line {line})\n"
 
 
 def _unlisted_instance_argv(tmp_path, n, command):
@@ -322,11 +347,14 @@ def test_pra_file_candidates_use_the_profile_endowment(tmp_path, capsys):
     assert "agent 0 must find its own house acceptable" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("candidates,line", [
-    ("rpref 2: H [7] ; N [2]\n", 1),
-    ("# agent 2 owns house 0\nrpref 2: H [0] ; N [2]\nrpref 2: H [7] ; N [2]\n", 3),
-], ids=["first-line", "third-line"])
-def test_faulty_rpref_candidate_reports_its_own_line(tmp_path, capsys, candidates, line):
+@pytest.mark.parametrize("candidates,message", [
+    ("rpref 2: H [7] ; N [2]\n", "index-range: house 7 out of range 0..2 (line 1)"),
+    ("# agent 2 owns house 0\nrpref 2: H [0] ; N [2]\nrpref 2: H [7] ; N [2]\n",
+     "index-range: house 7 out of range 0..2 (line 3)"),
+    ("rpref 2: H [0] ; N [2]\nrpref 1: H [2] ; N [1]\n",
+     "syntax: candidate line is for agent 1 (line 2)"),
+], ids=["first-line", "third-line", "other-agent"])
+def test_faulty_rpref_candidate_reports_its_own_line(tmp_path, capsys, candidates, message):
     prof = tmp_path / "e.rtep"
     prof.write_text("tep v1\nagents 3\nendow 1 2 0\n"
                     "rpref 0: H [1] ; N [0]\nrpref 1: H [2] ; N [1]\nrpref 2: H [0] ; N [2]\n")
@@ -335,8 +363,7 @@ def test_faulty_rpref_candidate_reports_its_own_line(tmp_path, capsys, candidate
     code, out = invoke(["manipulate", "--instance", str(prof), "--method", "pra", "--agent", "2",
                         "--space", f"file:{cands}"])
     assert (code, out) == (2, "")
-    assert capsys.readouterr().err == (
-        f"input error: index-range: house 7 out of range 0..2 (line {line})\n")
+    assert capsys.readouterr().err == f"input error: {message}\n"
 
 
 @pytest.mark.parametrize("argv", [

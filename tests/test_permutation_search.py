@@ -1,17 +1,25 @@
-"""The pruned permutation search behind the Pareto oracles and the exact
-optimizer, cross-checked against the n! scans it replaced.
+"""The pruned permutation search behind the Pareto oracles, the IR + Pareto
+and core enumerations and the exact optimizer, cross-checked against the n!
+scans it replaced.
 
-The ``*_reference`` functions are those scans, kept verbatim apart from
-their names: they walk every allocation in lexicographic order and compare
-rank vectors or weights read through ``Instance.rank``.
+The ``*_reference`` functions are those scans (the IR + Pareto and core
+ones live in ``references.py``): they walk every allocation in
+lexicographic order and compare rank vectors or weights read through
+``Instance.rank``.
 """
 
 import random
 
+import pytest
+
 from tep import (
     Allocation,
+    BudgetExceededError,
     Outcome,
     all_allocations,
+    axioms,
+    enumerate_core_stable,
+    enumerate_ir_pareto_optimal,
     enumerate_pareto_optimal,
     identity_allocation,
     is_individually_rational,
@@ -20,7 +28,7 @@ from tep import (
     make_instance,
     outcome_of,
 )
-from tep.generators import random_instance
+from tep.generators import random_instance, sp_instance
 from tep.programs import (
     BORDA,
     WEIGHT_SCHEMES,
@@ -28,6 +36,8 @@ from tep.programs import (
     solve_exact_max_weight,
     weights_from_ranks,
 )
+
+from references import enumerate_core_stable_reference, enumerate_ir_pareto_optimal_reference
 
 
 def _rank_vector_reference(inst, alloc):
@@ -181,3 +191,60 @@ def test_weight_table_matches_the_per_outcome_loop():
     for inst in family():
         for scheme in WEIGHT_SCHEMES:
             assert weights_from_ranks(inst, scheme) == weights_from_ranks_reference(inst, scheme)
+
+
+def ir_family():
+    """``family()`` plus, for n = 2..6, sparse and dense instances with and
+    without ties, every second one with a permuted endowment."""
+    rng = random.Random(6)
+    out = family()
+    for n in range(2, 7):
+        for density, ties in ((0.4, 0.0), (0.5, 0.3), (0.8, 0.6), (0.7, 0.9)):
+            inst = random_instance(n, density, ties, rng.getrandbits(32))
+            if len(out) % 2:
+                endowment = list(range(n))
+                rng.shuffle(endowment)
+                inst = make_instance(n, inst.prefs, endowment=endowment)
+            out.append(inst)
+    return out
+
+
+def test_ir_pareto_enumeration_matches_the_full_scan_in_order():
+    sizes = set()
+    for inst in ir_family():
+        got = enumerate_ir_pareto_optimal(inst)
+        assert got == enumerate_ir_pareto_optimal_reference(inst), inst
+        sizes.add(min(len(got), 2))
+    assert sizes == {1, 2}
+
+
+def test_core_enumeration_matches_the_full_scan_in_order():
+    sizes = set()
+    for inst in ir_family():
+        got = enumerate_core_stable(inst)
+        assert got == enumerate_core_stable_reference(inst), inst
+        sizes.add(min(len(got), 2))
+    assert sizes == {0, 1, 2}
+
+
+def test_core_enumeration_checks_each_ir_allocation_once_in_order(monkeypatch):
+    """Core-stable allocations are IR, so no other allocation is checked."""
+    checked = []
+    real = axioms.is_core_stable
+
+    def spy(inst, alloc, *, node_budget):
+        checked.append(alloc)
+        return real(inst, alloc, node_budget=node_budget)
+
+    monkeypatch.setattr(axioms, "is_core_stable", spy)
+    for inst in family(max_n=6):
+        checked.clear()
+        enumerate_core_stable(inst)
+        assert checked == [a for a in all_allocations(inst.n) if is_individually_rational(inst, a)]
+
+
+def test_core_enumeration_passes_its_node_budget_to_each_check():
+    inst = sp_instance()
+    assert enumerate_core_stable(inst, node_budget=None) == enumerate_core_stable_reference(inst)
+    with pytest.raises(BudgetExceededError):
+        enumerate_core_stable(inst, node_budget=1)

@@ -21,7 +21,8 @@ from tep import (
     weights_from_ranks,
 )
 from tep.generators import empty_core_instance, random_instance, sp_instance
-from tep.programs import iter_candidate_points
+
+from references import iter_candidate_points
 
 RING = empty_core_instance()
 SP = sp_instance()

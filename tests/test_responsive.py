@@ -23,6 +23,8 @@ from tep.generators import random_responsive_profile
 from tep.matching import augment, max_bipartite_matching
 from tep.responsive import _symmetrized_graph, acceptable_component_classes
 from tep.rng import SplitMix64
+
+from references import is_rs_pareto_optimal_reference
 from test_acceptance import _big_responsive_profile
 
 
@@ -132,6 +134,53 @@ def test_rs_po_basics():
     assert is_rs_pareto_optimal(everyone_top(3), identity_allocation(3))
     assert not is_rs_pareto_optimal(mutual_improvement_2(), identity_allocation(2))
     assert is_rs_pareto_optimal(mutual_improvement_2(), Allocation((1, 0)))
+
+
+def _rs_po_cases():
+    """Seeded profiles with n = 1..7, densities 0.3-0.9 and tie rates 0-0.9,
+    half of them with a permuted endowment, each with its pra_rs outcome,
+    the identity and three random allocations."""
+    rng = SplitMix64(93)
+    for seed in range(126):
+        n = 1 + seed % 7
+        prof = random_responsive_profile(n, (0.3, 0.6, 0.9)[seed % 3],
+                                         (0.0, 0.35, 0.9)[seed // 7 % 3], 90_000 + seed)
+        if seed // 3 % 2:
+            prof = _permuted_endowment(prof, rng)
+        allocs = [pra_rs(prof).allocation, identity_allocation(n)]
+        for _ in range(3):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            allocs.append(Allocation(tuple(perm)))
+        for alloc in allocs:
+            yield prof, alloc
+
+
+def test_rs_po_matches_the_full_scan():
+    kinds = set()
+    for prof, alloc in _rs_po_cases():
+        got = is_rs_pareto_optimal(prof, alloc)
+        assert got == is_rs_pareto_optimal_reference(prof, alloc), (prof, alloc)
+        kinds.add((got, is_rs_ir(prof, alloc), prof.is_canonical()))
+    # optimal and not, IR and not, with either kind of endowment
+    assert {k[0] for k in kinds} == {k[1] for k in kinds} == {k[2] for k in kinds} == {True, False}
+    assert (True, False, False) in kinds and (False, True, False) in kinds
+
+
+def test_rs_po_ignores_a_cycle_of_indifferent_swaps():
+    """Both agents are indifferent between the two houses and the two
+    tenants, so swapping changes nothing and the identity stays optimal."""
+    prof = profile(2, [[[0, 1]], [[0, 1]]], [[[0, 1]], [[0, 1]]])
+    assert is_rs_pareto_optimal(prof, identity_allocation(2))
+    assert is_rs_pareto_optimal(prof, Allocation((1, 0)))
+
+
+def test_rs_po_sees_a_three_way_trade():
+    """Only the rotation 0 -> 1 -> 2 -> 0 improves on the identity, strictly
+    for agent 0's house and indifferently for everything else."""
+    prof = profile(3, [[[1], [0]], [[1, 2]], [[2, 0]]], [[[0, 2]], [[1, 0]], [[2, 1]]])
+    assert not is_rs_pareto_optimal(prof, identity_allocation(3))
+    assert is_rs_pareto_optimal(prof, Allocation((1, 2, 0)))
 
 
 def test_rs_core_basics():
