@@ -5,15 +5,12 @@ run prints a small structured report (stable field order, deterministic for
 fixed inputs and seeds; wall-clock timing only appears under ``--timing``).
 Exit codes: 0 the property holds or an object was found, 1 it fails or none
 exists, 2 bad input, 3 an oracle bound or search budget was exceeded.
-
-``TEP_ORACLE_MAX_N`` overrides the default bound on full-scan oracles.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
-import os
 import sys
 import time
 
@@ -75,10 +72,11 @@ def parse_report(text: str) -> dict[str, str | list[str]]:
     return out
 
 
-def _read(path: str, report: _Report, label: str = "instance") -> str:
+def _read(path: str, report: _Report | None, label: str = "instance") -> str:
     with open(path, "rb") as fh:
         data = fh.read()
-    report.digest(label, data)
+    if report is not None:  # candidate files are read without a digest line
+        report.digest(label, data)
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -91,31 +89,7 @@ def _write(path: str, text: str) -> None:
 
 
 def _oracle_max_n(args) -> int:
-    env = os.environ.get("TEP_ORACLE_MAX_N")
-    if args.max_n is not None:
-        return args.max_n
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ParseError("syntax", f"TEP_ORACLE_MAX_N must be an integer, got {env!r}")
-    return axioms.DEFAULT_MAX_N
-
-
-def _parse_x3c_file(text: str) -> generators.X3CInstance:
-    rows = [(lineno, line.split()) for lineno, line in files._meaningful_lines(text)]
-    if not rows or len(rows[0][1]) != 1:
-        raise ParseError("syntax", "exact-cover file: first line must be m", 1)
-    m = files._parse_int(rows[0][1][0], rows[0][0], "m")
-    triples = []
-    for lineno, r in rows[1:]:
-        if len(r) != 3:
-            raise ParseError("syntax", f"expected 3 elements per triple, got {r}")
-        triples.append(tuple(sorted(files._parse_int(x, lineno, "element") for x in r)))
-    try:
-        return generators.X3CInstance(m, tuple(triples))
-    except ValueError as exc:
-        raise ParseError("syntax", str(exc)) from exc
+    return axioms.DEFAULT_MAX_N if args.max_n is None else args.max_n
 
 
 def _cmd_gen(args, report: _Report) -> int:
@@ -123,10 +97,11 @@ def _cmd_gen(args, report: _Report) -> int:
     if family in ("x3c-core", "x3c-top"):
         if not args.x3c:
             raise ParseError("syntax", f"--family {family} needs --x3c FILE")
-        x = _parse_x3c_file(_read(args.x3c, report, "x3c"))
-        inst = (generators.x3c_core_instance if family == "x3c-core" else
-                generators.x3c_top_instance)(x)
-        text = files.serialize_instance(inst)
+        # x3c-core has five agents per ground element, x3c-top one; 3m elements.
+        make, per_m = ((generators.x3c_core_instance, 15) if family == "x3c-core" else
+                       (generators.x3c_top_instance, 3))
+        text = files.serialize_instance(make(files.parse_x3c(_read(args.x3c, report, "x3c"),
+                                                             per_m)))
     elif family == "empty-core":
         text = files.serialize_instance(generators.empty_core_instance())
     elif family == "sp":
@@ -223,6 +198,8 @@ def _cmd_oracle(args, report: _Report) -> int:
 
 def _cmd_export(args, report: _Report) -> int:
     inst = files.parse_instance(_read(args.instance, report))
+    # The bound first: the weight table has n³ entries and the program n³ terms.
+    axioms._check_max_n(inst, programs.EXPORT_MAX_N, "export")
     table = programs.weights_from_ranks(inst, args.weights)
     program = (programs.export_ilp(inst, table) if args.form == "ilp"
                else programs.export_qp(inst, table))
@@ -234,65 +211,10 @@ def _cmd_export(args, report: _Report) -> int:
     return EXIT_OK
 
 
-def _porder_candidates(text: str, truth, agent: int) -> list[tuple[int, ...]]:
-    reports = []
-    for lineno, line in files._meaningful_lines(text):
-        parts = line.split()
-        if parts[0] != "porder" or len(parts) < 2:
-            raise ParseError("syntax", "expected 'porder <agent> <item>...'", lineno)
-        if files._parse_int(parts[1], lineno, "agent") != agent:
-            raise ParseError("syntax", f"candidate line is for agent {parts[1]}", lineno)
-        order = tuple(files._parse_int(x, lineno, "item") for x in parts[2:])
-        if sorted(order) != list(range(truth.n)):
-            raise ParseError("syntax", f"porder must rank all {truth.n} items strictly", lineno)
-        reports.append(order)
-    return reports
-
-
-def _rpref_candidates(text: str, truth, agent: int) -> list[tuple]:
-    """Each candidate line replaces the agent's line in the serialized truth,
-    which keeps the endowment and the other agents' orders; a fault is
-    reported at the candidate's own line."""
-    lines = files.serialize_responsive_profile(truth).splitlines()
-    at = len(lines) - truth.n + agent
-    reports = []
-    for lineno, line in files._meaningful_lines(text):
-        head = line.partition(":")[0].split()
-        if len(head) == 2 and head[0] == "rpref" and files._parse_int(
-                head[1], lineno, "agent") != agent:
-            raise ParseError("syntax", f"candidate line is for agent {head[1]}", lineno)
-        lines[at] = line
-        try:
-            prof = files.parse_responsive_profile("\n".join(lines) + "\n")
-        except ParseError as exc:
-            raise ParseError(exc.code, exc.message, lineno, exc.column) from exc
-        reports.append((prof.house_classes[agent], prof.tenant_classes[agent]))
-    return reports
-
-
-def _pref_candidates(text: str, truth, agent: int) -> list[list[list]]:
-    reports = []
-    for lineno, line in files._meaningful_lines(text):
-        head, _, body = line.partition(":")
-        parts = head.split()
-        if len(parts) != 2 or parts[0] != "pref" or not body:
-            raise ParseError("syntax", "expected 'pref <agent>: [..] > [..]'", lineno)
-        if files._parse_int(parts[1], lineno, "agent") != agent:
-            raise ParseError("syntax", f"candidate line is for agent {parts[1]}", lineno)
-        chunks = files._split_classes(body, lineno, line)
-        classes = [files._parse_outcomes(c, lineno) for c in chunks]
-        try:
-            truth.with_report(agent, classes)
-        except ValueError as exc:  # an outcome out of range or listed twice
-            raise ParseError("syntax", str(exc), lineno) from exc
-        reports.append(classes)
-    return reports
-
-
 def _cmd_manipulate(args, report: _Report) -> int:
     # Per method: the truth, the mechanism, the one built-in report space
-    # (with the hint shown when another is asked for), the candidate-file
-    # parser and the witness formatter.
+    # (with the hint shown when another is asked for), the candidate-line
+    # keyword and the witness formatter.
     text = _read(args.instance, report)
     agent = args.agent
     if args.method in ("ttc", "tttc"):
@@ -300,28 +222,28 @@ def _cmd_manipulate(args, report: _Report) -> int:
         mechanism = ttc if args.method == "ttc" else tttc
         space, hint = "strict", "predominant mechanisms support --space strict or file:"
         built_in = lambda: incentives.strict_primary_reports(truth.n)
-        parse_candidates, fmt = _porder_candidates, lambda rep: " ".join(map(str, rep))
+        keyword, fmt = "porder", lambda rep: " ".join(map(str, rep))
     elif args.method == "pra":
         truth = files.parse_responsive_profile(text)
         mechanism = lambda prof: pra_rs(prof, order=args.order, seed=args.seed).allocation
         space, hint = "strict", "pra supports --space strict (component orders) or file:"
         built_in = lambda: incentives.component_order_reports(truth, agent)
-        parse_candidates = _rpref_candidates
+        keyword = "rpref"
         fmt = lambda rep: f"H {files.format_classes(rep[0])} ; N {files.format_classes(rep[1])}"
     elif args.method == "exact":
         truth = files.parse_instance(text)
         mechanism = lambda inst: _solve_exact(inst, args.weights)[0]
         space, hint = "subsets", "instance mechanisms support --space subsets or file:"
         built_in = lambda: incentives.sublist_reports(truth, agent)
-        parse_candidates = _pref_candidates
+        keyword = "pref"
         fmt = lambda rep: " > ".join("[" + " ".join(o.text() for o in cls) + "]" for cls in rep)
     else:
         raise ParseError("syntax", f"unknown method {args.method!r}")
     if not 0 <= agent < truth.n:
         raise ParseError("index-range", f"agent {agent} out of range 0..{truth.n - 1}")
     if args.space.startswith("file:"):
-        with open(args.space[5:], "r", encoding="utf-8") as fh:
-            reports = parse_candidates(fh.read(), truth, agent)
+        reports = files.parse_candidates(_read(args.space[5:], None, "candidate"), keyword,
+                                         truth, agent)
     elif args.space == space:
         reports = built_in()
     else:
@@ -367,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--quiet", action="store_true", help="print only the payload")
         p.add_argument("--timing", action="store_true", help="append a wall-clock line")
         p.add_argument("--max-n", type=int, default=None,
-                       help="bound for full-scan oracles (default 8, env TEP_ORACLE_MAX_N)")
+                       help="bound for full-scan oracles (default 8)")
         p.add_argument("--node-budget", type=int, default=axioms.DEFAULT_NODE_BUDGET,
                        help="node budget for backtracking searches")
 

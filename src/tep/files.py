@@ -1,8 +1,9 @@
 """Line-oriented text formats for instances, allocations, and profiles.
 
-All files are UTF-8 with ``#`` comments and begin with the header line
-``tep v1``.  Instance preference lines give bracketed indifference classes,
-best to worst::
+All files are UTF-8 with ``#`` comments.  Instance and profile files begin
+with the header line ``tep v1`` and an ``agents`` line, then their
+directives, each at most once, then one line per agent.  Instance
+preference lines give bracketed indifference classes, best to worst::
 
     tep v1
     agents 5
@@ -12,7 +13,9 @@ best to worst::
 Allocation files pair agents with houses, one ``assign <agent> <house>``
 line per agent.  Responsive profiles use ``rpref`` lines with an ``H`` and
 an ``N`` component; predominant profiles use a ``mode`` line plus ``ppref``
-lines with a strict ``P`` list and bracketed ``T`` classes.
+lines with a strict ``P`` list and bracketed ``T`` classes.  Candidate files
+hold one misreport per line, and exact-cover files give ``m`` and then one
+triple per line.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 import re
 
 from .errors import ParseError
+from .generators import X3CInstance
 from .model import Allocation, Instance, Market, Outcome, canonicalize_endowment, make_instance
 from .predominant import HOUSE, TENANT, PredominantProfile
 from .responsive import ResponsiveProfile
@@ -29,6 +33,10 @@ _HEADER = "tep v1"
 MAX_AGENTS = 10_000
 _OUTCOME_RE = re.compile(r"\(\s*(\d+)\s*,\s*(\d+)\s*\)")
 _CLASS_RE = re.compile(r"\[([^\[\]]*)\]")
+# Agent-line keyword -> what its files are called and the shape of its body.
+_FORMATS = {"pref": ("instance", "[..] > [..]"),
+            "rpref": ("responsive profile", "H ... ; N ..."),
+            "ppref": ("predominant profile", "P ... ; T ...")}
 
 
 def _meaningful_lines(text: str):
@@ -43,15 +51,30 @@ def _syntax(message: str, lineno: int, column: int | None = None) -> ParseError:
 
 
 def _parse_int(token: str, lineno: int, what: str) -> int:
-    if not token.lstrip("-").isdigit():
-        raise _syntax(f"expected an integer {what}, got {token!r}", lineno)
-    return int(token)
+    if token.lstrip("-").isdigit():
+        try:
+            return int(token)
+        except ValueError:  # '--5', '²', or more digits than int() converts
+            pass
+    raise _syntax(f"expected an integer {what}, got {token!r}", lineno)
 
 
 def _check_index(value: int, n: int, lineno: int, what: str) -> int:
     if not 0 <= value < n:
         raise ParseError("index-range", f"{what} {value} out of range 0..{n - 1}", lineno)
     return value
+
+
+def _items(tokens: list[str], n: int, lineno: int, what: str = "item") -> tuple[int, ...]:
+    return tuple(_check_index(_parse_int(tok, lineno, what), n, lineno, what) for tok in tokens)
+
+
+def _build(make, *args):
+    """A constructor's ValueError as a ParseError."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise ParseError("syntax", str(exc), None) from exc
 
 
 def _split_classes(body: str, lineno: int, line: str) -> list[str]:
@@ -74,23 +97,114 @@ def _split_classes(body: str, lineno: int, line: str) -> list[str]:
         rest = tail[1:] if tail.startswith(">") else tail
 
 
-def _parse_outcomes(chunk: str, lineno: int) -> list[Outcome]:
-    stripped = _OUTCOME_RE.sub("", chunk).strip()
-    if stripped:
-        raise _syntax(f"unexpected text {stripped[:20]!r} inside a class", lineno)
-    return [Outcome(int(h), int(t)) for h, t in _OUTCOME_RE.findall(chunk)]
+def _pref_body(body: str, n: int, lineno: int, line: str, agent: int) -> list[list[Outcome]]:
+    """Outcome classes in file order, each non-empty, no outcome twice."""
+    classes = []
+    seen: set[Outcome] = set()
+    for chunk in _split_classes(body, lineno, line):
+        stripped = _OUTCOME_RE.sub("", chunk).strip()
+        if stripped:
+            raise _syntax(f"unexpected text {stripped[:20]!r} inside a class", lineno)
+        outcomes = [Outcome(int(h), int(t)) for h, t in _OUTCOME_RE.findall(chunk)]
+        if not outcomes:
+            raise _syntax("empty indifference class", lineno)
+        for o in outcomes:
+            _check_index(o.house, n, lineno, "house")
+            _check_index(o.tenant, n, lineno, "tenant")
+            if o in seen:
+                raise ParseError("duplicate-outcome",
+                                 f"agent {agent} lists {o.text()} twice", lineno)
+            seen.add(o)
+        classes.append(outcomes)
+    return classes
 
 
-def _parse_header_and_agents(lines, kind: str):
-    try:
-        lineno, line = next(lines)
-    except StopIteration:
+def _index_classes(body: str, n: int, lineno: int, line: str, agent: int,
+                   what: str) -> tuple[frozenset[int], ...]:
+    classes = []
+    seen: set[int] = set()
+    for chunk in _split_classes(body, lineno, line):
+        items = _items(chunk.split(), n, lineno, what)
+        if not items:
+            raise _syntax(f"empty {what} class", lineno)
+        for item in items:
+            if item in seen:
+                raise ParseError("duplicate-item", f"agent {agent} lists {what} {item} twice",
+                                 lineno)
+            seen.add(item)
+        classes.append(frozenset(items))
+    return tuple(classes)
+
+
+def _rpref_body(body: str, n: int, lineno: int, line: str, agent: int):
+    house_part, sep, tenant_part = (part.strip() for part in body.partition(";"))
+    if not sep or not house_part.startswith("H") or not tenant_part.startswith("N"):
+        raise _syntax("rpref body must look like 'H [..] > [..] ; N [..]'", lineno)
+    return (_index_classes(house_part[1:], n, lineno, line, agent, "house"),
+            _index_classes(tenant_part[1:], n, lineno, line, agent, "tenant"))
+
+
+def _primary_order(body: str, n: int, lineno: int, line: str, agent: int) -> tuple[int, ...]:
+    return _items(body.split(), n, lineno)
+
+
+def _ppref_body(body: str, n: int, lineno: int, line: str, agent: int):
+    p_part, sep, t_part = (part.strip() for part in body.partition(";"))
+    if not sep or not p_part.startswith("P") or not t_part.startswith("T"):
+        raise _syntax("ppref body must look like 'P 2 0 1 ; T [..] > [..]'", lineno)
+    return (_primary_order(p_part[1:], n, lineno, line, agent),
+            _index_classes(t_part[1:], n, lineno, line, agent, "item"))
+
+
+# Candidate keyword -> the reader of one report.
+_REPORTS = {"pref": _pref_body, "rpref": _rpref_body, "porder": _primary_order}
+
+
+def _agent_line(line: str, lineno: int, keyword: str, n: int) -> tuple[int, str]:
+    """The agent and the body of a '<keyword> <agent>: <body>' line."""
+    head, _, body = line.partition(":")
+    parts = head.split()
+    if len(parts) != 2 or parts[0] != keyword or not body:
+        raise _syntax(f"expected '{keyword} <agent>: {_FORMATS[keyword][1]}', got {line!r}",
+                      lineno)
+    return _check_index(_parse_int(parts[1], lineno, "agent"), n, lineno, "agent"), body
+
+
+def _parse_endow(line: str, n: int, lineno: int) -> tuple[int, ...]:
+    parts = line.split()
+    if len(parts) != n + 1:
+        raise ParseError("endowment", f"endow line needs {n} houses", lineno)
+    houses = _items(parts[1:], n, lineno, "house")
+    if sorted(houses) != list(range(n)):
+        raise ParseError("endowment", "endow line is not a bijection", lineno)
+    return houses
+
+
+def _parse_mode(line: str, n: int, lineno: int) -> str:
+    parts = line.split()
+    if len(parts) != 2 or parts[1] not in (HOUSE, TENANT):
+        raise _syntax(f"expected 'mode {HOUSE}|{TENANT}', got {line!r}", lineno)
+    return parts[1]
+
+
+def _read_agent_lines(text: str, keyword: str, parse_body, directives: dict | None = None,
+                      complete: bool = True):
+    """The steps every per-agent format shares: the header and the
+    ``agents`` line, then ``endow`` and the given directives, each at most
+    once and before the first agent line, then one ``<keyword> <agent>:``
+    line per agent, whose body ``parse_body(body, n, lineno, line, agent)``
+    reads.  Returns n, the directive values by name (``endow`` defaults to
+    the identity) and the bodies in agent order, ``[]`` for an agent without
+    a line; ``complete`` refuses a missing line."""
+    kind = _FORMATS[keyword][0]
+    lines = _meaningful_lines(text)
+    lineno, line = next(lines, (1, None))
+    if line is None:
         raise _syntax(f"empty {kind} file", 1)
     if line != _HEADER:
         raise _syntax(f"{kind} file must start with {_HEADER!r}", lineno)
-    try:
-        lineno, line = next(lines)
-    except StopIteration:
+    lineno, line = next(lines, (1, None))
+    if line is None:
         raise _syntax("missing 'agents <n>' line", 1)
     parts = line.split()
     if len(parts) != 2 or parts[0] != "agents":
@@ -100,63 +214,35 @@ def _parse_header_and_agents(lines, kind: str):
         raise _syntax("need at least one agent", lineno)
     if n > MAX_AGENTS:
         raise ParseError("index-range", f"agent count {n} above the limit {MAX_AGENTS}", lineno)
-    return n
-
-
-def _parse_endow(parts: list[str], n: int, lineno: int) -> tuple[int, ...]:
-    if len(parts) != n + 1:
-        raise ParseError("endowment", f"endow line needs {n} houses", lineno)
-    houses = [_check_index(_parse_int(p, lineno, "house"), n, lineno, "house")
-              for p in parts[1:]]
-    if sorted(houses) != list(range(n)):
-        raise ParseError("endowment", "endow line is not a bijection", lineno)
-    return tuple(houses)
+    readers = {"endow": _parse_endow, **(directives or {})}
+    found: dict = {}
+    bodies: dict = {}
+    for lineno, line in lines:
+        word = line.split(None, 1)[0]
+        if word in readers:
+            if bodies or word in found:
+                raise _syntax(f"{word} must appear once, before {keyword} lines", lineno)
+            found[word] = readers[word](line, n, lineno)
+        elif word == keyword:
+            agent, body = _agent_line(line, lineno, keyword, n)
+            if agent in bodies:
+                raise _syntax(f"duplicate {keyword} line for agent {agent}", lineno)
+            bodies[agent] = parse_body(body, n, lineno, line, agent)
+        else:
+            raise _syntax(f"unknown directive {word!r}", lineno)
+    missing = [i for i in range(n) if i not in bodies]
+    if complete and missing:
+        raise _syntax(f"missing {keyword} line for agents {missing}", 1)
+    found.setdefault("endow", tuple(range(n)))
+    return n, found, [bodies.get(i, []) for i in range(n)]
 
 
 def parse_instance(text: str) -> Instance:
     """Parse and validate an instance file, returning it in canonical
     labeling (agent i owns house i); preference outcomes are relabeled
     alongside the houses when the endow line is not the identity."""
-    lines = _meaningful_lines(text)
-    n = _parse_header_and_agents(lines, "instance")
-    endow: tuple[int, ...] | None = None
-    prefs: dict[int, list[list[Outcome]]] = {}
-    for lineno, line in lines:
-        parts = line.split()
-        if parts[0] == "endow":
-            if prefs or endow is not None:
-                raise _syntax("endow must appear once, before pref lines", lineno)
-            endow = _parse_endow(parts, n, lineno)
-        elif parts[0] == "pref":
-            head, _, body = line.partition(":")
-            if not body:
-                raise _syntax("pref line needs ':'", lineno)
-            head_parts = head.split()
-            if len(head_parts) != 2:
-                raise _syntax(f"expected 'pref <agent>:', got {head!r}", lineno)
-            agent = _check_index(_parse_int(head_parts[1], lineno, "agent"), n, lineno, "agent")
-            if agent in prefs:
-                raise _syntax(f"duplicate pref line for agent {agent}", lineno)
-            classes = []
-            seen: set[Outcome] = set()
-            for chunk in _split_classes(body, lineno, line):
-                outcomes = _parse_outcomes(chunk, lineno)
-                if not outcomes:
-                    raise _syntax("empty indifference class", lineno)
-                for o in outcomes:
-                    _check_index(o.house, n, lineno, "house")
-                    _check_index(o.tenant, n, lineno, "tenant")
-                    if o in seen:
-                        raise ParseError("duplicate-outcome",
-                                         f"agent {agent} lists {o.text()} twice", lineno)
-                    seen.add(o)
-                classes.append(outcomes)
-            prefs[agent] = classes
-        else:
-            raise _syntax(f"unknown directive {parts[0]!r}", lineno)
-    endow = endow if endow is not None else tuple(range(n))
-    inst = make_instance(n, [prefs.get(i, []) for i in range(n)], endow)
-    return canonicalize_endowment(inst)
+    n, found, prefs = _read_agent_lines(text, "pref", _pref_body, complete=False)
+    return canonicalize_endowment(make_instance(n, prefs, found["endow"]))
 
 
 def format_classes(classes, item=str) -> str:
@@ -204,62 +290,10 @@ def serialize_allocation(alloc: Allocation) -> str:
     return "".join(f"assign {i} {h}\n" for i, h in enumerate(alloc.assignment))
 
 
-def _parse_index_classes(chunk_list: list[str], n: int, lineno: int, agent: int,
-                         what: str) -> list[frozenset[int]]:
-    classes = []
-    seen: set[int] = set()
-    for chunk in chunk_list:
-        items = [_check_index(_parse_int(tok, lineno, what), n, lineno, what)
-                 for tok in chunk.split()]
-        if not items:
-            raise _syntax(f"empty {what} class", lineno)
-        for item in items:
-            if item in seen:
-                raise ParseError("duplicate-item", f"agent {agent} lists {what} {item} twice",
-                                 lineno)
-            seen.add(item)
-        classes.append(frozenset(items))
-    return classes
-
-
 def parse_responsive_profile(text: str) -> ResponsiveProfile:
-    lines = _meaningful_lines(text)
-    n = _parse_header_and_agents(lines, "responsive profile")
-    endow: tuple[int, ...] | None = None
-    houses: dict[int, tuple] = {}
-    tenants: dict[int, tuple] = {}
-    for lineno, line in lines:
-        parts = line.split()
-        if parts[0] == "endow":
-            endow = _parse_endow(parts, n, lineno)
-            continue
-        if parts[0] != "rpref":
-            raise _syntax(f"unknown directive {parts[0]!r}", lineno)
-        head, _, body = line.partition(":")
-        head_parts = head.split()
-        if len(head_parts) != 2 or not body:
-            raise _syntax(f"expected 'rpref <agent>: H ... ; N ...', got {line!r}", lineno)
-        agent = _check_index(_parse_int(head_parts[1], lineno, "agent"), n, lineno, "agent")
-        if agent in houses:
-            raise _syntax(f"duplicate rpref line for agent {agent}", lineno)
-        house_part, sep, tenant_part = body.partition(";")
-        house_part, tenant_part = house_part.strip(), tenant_part.strip()
-        if not sep or not house_part.startswith("H") or not tenant_part.startswith("N"):
-            raise _syntax("rpref body must look like 'H [..] > [..] ; N [..]'", lineno)
-        houses[agent] = tuple(_parse_index_classes(
-            _split_classes(house_part[1:], lineno, line), n, lineno, agent, "house"))
-        tenants[agent] = tuple(_parse_index_classes(
-            _split_classes(tenant_part[1:], lineno, line), n, lineno, agent, "tenant"))
-    endow = endow if endow is not None else tuple(range(n))
-    missing = [i for i in range(n) if i not in houses]
-    if missing:
-        raise _syntax(f"missing rpref line for agents {missing}", 1)
-    try:
-        return ResponsiveProfile(n, endow,
-                                 tuple(houses[i] for i in range(n)),
-                                 tuple(tenants[i] for i in range(n)))
-    except ValueError as exc:
-        raise ParseError("syntax", str(exc), None) from exc
+    n, found, bodies = _read_agent_lines(text, "rpref", _rpref_body)
+    houses, tenants = zip(*bodies)
+    return _build(ResponsiveProfile, n, found["endow"], houses, tenants)
 
 
 def serialize_responsive_profile(prof: ResponsiveProfile) -> str:
@@ -271,52 +305,11 @@ def serialize_responsive_profile(prof: ResponsiveProfile) -> str:
 
 
 def parse_predominant_profile(text: str) -> PredominantProfile:
-    lines = _meaningful_lines(text)
-    n = _parse_header_and_agents(lines, "predominant profile")
-    endow: tuple[int, ...] | None = None
-    mode: str | None = None
-    primary: dict[int, tuple[int, ...]] = {}
-    tiebreak: dict[int, tuple] = {}
-    for lineno, line in lines:
-        parts = line.split()
-        if parts[0] == "endow":
-            endow = _parse_endow(parts, n, lineno)
-            continue
-        if parts[0] == "mode":
-            if len(parts) != 2 or parts[1] not in (HOUSE, TENANT):
-                raise _syntax(f"expected 'mode {HOUSE}|{TENANT}', got {line!r}", lineno)
-            mode = parts[1]
-            continue
-        if parts[0] != "ppref":
-            raise _syntax(f"unknown directive {parts[0]!r}", lineno)
-        head, _, body = line.partition(":")
-        head_parts = head.split()
-        if len(head_parts) != 2 or not body:
-            raise _syntax(f"expected 'ppref <agent>: P ... ; T ...', got {line!r}", lineno)
-        agent = _check_index(_parse_int(head_parts[1], lineno, "agent"), n, lineno, "agent")
-        if agent in primary:
-            raise _syntax(f"duplicate ppref line for agent {agent}", lineno)
-        p_part, sep, t_part = body.partition(";")
-        p_part, t_part = p_part.strip(), t_part.strip()
-        if not sep or not p_part.startswith("P") or not t_part.startswith("T"):
-            raise _syntax("ppref body must look like 'P 2 0 1 ; T [..] > [..]'", lineno)
-        order = [_check_index(_parse_int(tok, lineno, "item"), n, lineno, "item")
-                 for tok in p_part[1:].split()]
-        primary[agent] = tuple(order)
-        tiebreak[agent] = tuple(_parse_index_classes(
-            _split_classes(t_part[1:], lineno, line), n, lineno, agent, "item"))
-    if mode is None:
+    n, found, bodies = _read_agent_lines(text, "ppref", _ppref_body, {"mode": _parse_mode})
+    if "mode" not in found:
         raise _syntax("missing 'mode' line", 1)
-    endow = endow if endow is not None else tuple(range(n))
-    missing = [i for i in range(n) if i not in primary]
-    if missing:
-        raise _syntax(f"missing ppref line for agents {missing}", 1)
-    try:
-        return PredominantProfile(n, endow, mode,
-                                  tuple(primary[i] for i in range(n)),
-                                  tuple(tiebreak[i] for i in range(n)))
-    except ValueError as exc:
-        raise ParseError("syntax", str(exc), None) from exc
+    primary, tiebreak = zip(*bodies)
+    return _build(PredominantProfile, n, found["endow"], found["mode"], primary, tiebreak)
 
 
 def serialize_predominant_profile(prof: PredominantProfile) -> str:
@@ -325,3 +318,50 @@ def serialize_predominant_profile(prof: PredominantProfile) -> str:
         p = " ".join(str(x) for x in prof.primary[i])
         out.append(f"ppref {i}: P {p} ; T {format_classes(prof.tiebreak[i])}")
     return "\n".join(out) + "\n"
+
+
+def parse_candidates(text: str, keyword: str, truth: Market, agent: int) -> list:
+    """The misreports in a candidate file, one per line: ``pref`` or
+    ``rpref`` lines, read as in their file formats, or ``porder <agent>
+    <item>...`` strict primary orders.  Each must give a valid market in
+    place of the agent's preferences in ``truth``, so an ``rpref`` candidate
+    must list the house the endowment gives the agent.  A fault is reported
+    at the candidate's own line."""
+    reports = []
+    for lineno, line in _meaningful_lines(text):
+        if keyword == "porder":  # no ':' after the agent
+            parts = line.split()
+            if parts[0] != keyword or len(parts) < 2:
+                raise _syntax("expected 'porder <agent> <item>...'", lineno)
+            who, body = _parse_int(parts[1], lineno, "agent"), " ".join(parts[2:])
+        else:
+            who, body = _agent_line(line, lineno, keyword, truth.n)
+        if who != agent:
+            raise _syntax(f"candidate line is for agent {who}", lineno)
+        report = _REPORTS[keyword](body, truth.n, lineno, line, agent)
+        try:
+            truth.with_report(agent, report)
+        except ValueError as exc:
+            raise ParseError("syntax", str(exc), lineno) from exc
+        reports.append(report)
+    return reports
+
+
+def parse_x3c(text: str, agents_per_m: int) -> X3CInstance:
+    """An exact-cover file: ``m``, then one triple per line.  An ``m`` whose
+    gadget would have more than MAX_AGENTS agents, ``agents_per_m`` for each
+    unit of m, is refused before anything is allocated."""
+    rows = [(lineno, line.split()) for lineno, line in _meaningful_lines(text)]
+    if not rows or len(rows[0][1]) != 1:
+        raise _syntax("exact-cover file: first line must be m", 1)
+    lineno, (token,) = rows[0]
+    m = _parse_int(token, lineno, "m")
+    if agents_per_m * m > MAX_AGENTS:
+        raise ParseError("index-range", f"m = {m} makes {agents_per_m * m} agents, above the "
+                         f"limit {MAX_AGENTS}", lineno)
+    triples = []
+    for lineno, r in rows[1:]:
+        if len(r) != 3:
+            raise _syntax(f"expected 3 elements per triple, got {r}", lineno)
+        triples.append(tuple(sorted(_parse_int(x, lineno, "element") for x in r)))
+    return _build(X3CInstance, m, tuple(triples))

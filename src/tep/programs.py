@@ -30,6 +30,9 @@ EXPONENTIAL = "exponential"
 WEIGHT_SCHEMES = (BORDA, EXPONENTIAL)
 
 DEFAULT_EXACT_MAX_N = 9
+# The CLI refuses to export above this: the weight table and the program grow
+# as n³ (n = 50 writes about 11 MB).
+EXPORT_MAX_N = 50
 EXACT_OPTIMIZER = "exact optimizer"  # how the max_n refusal names it
 
 

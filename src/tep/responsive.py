@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 # all_allocations is unused here but stays a module attribute: perfbench/tracer.py wraps it.
-from .axioms import DEFAULT_MAX_N, DEFAULT_NODE_BUDGET, all_allocations  # noqa: F401
+from .axioms import DEFAULT_NODE_BUDGET, all_allocations  # noqa: F401
 from .cycles import Budget, Options, find_exchange_cycle
 from .matching import augment, max_bipartite_matching
 from .model import Allocation, Market, Outcome, inverse_permutation, outcome_of
@@ -139,8 +139,7 @@ def is_rs_ir(prof: ResponsiveProfile, alloc: Allocation) -> bool:
     )
 
 
-def is_rs_pareto_optimal(prof: ResponsiveProfile, alloc: Allocation, *,
-                         max_n: int = DEFAULT_MAX_N) -> bool:
+def is_rs_pareto_optimal(prof: ResponsiveProfile, alloc: Allocation) -> bool:
     """No allocation weakly dominates this one for all agents (both
     components, with one strict somewhere) under the set extension.
 
@@ -148,7 +147,6 @@ def is_rs_pareto_optimal(prof: ResponsiveProfile, alloc: Allocation, *,
     the house owner's tenant rank, strict if either improves strictly.
     Ranks depend only on who takes which house, so the allocation is
     dominated iff a strict edge k -> j has j reaching k along edges.
-    ``max_n`` is accepted for callers and bounds nothing.
     """
     n, owner, house = prof.n, prof.owner, alloc.assignment
     house_now = [prof.house_rank(k, house[k]) for k in range(n)]

@@ -124,6 +124,7 @@ def test_manipulate_with_candidate_file(tmp_path):
     assert code == 0
     assert report["outcome-before"] == "(2,0)"
     assert report["outcome-after"] == "(2,2)"
+    assert "candidate-sha256" not in report  # only the instance is digested
 
 
 def test_manipulate_strict_space_none_for_ttc(tmp_path):
@@ -190,7 +191,7 @@ def test_reports_are_byte_deterministic(tmp_path):
     assert runs[0] == runs[1]
 
 
-def test_exit_codes_for_bad_inputs(tmp_path, ring_file, monkeypatch):
+def test_exit_codes_for_bad_inputs(tmp_path, ring_file):
     bad = tmp_path / "bad.tep"
     bad.write_text("tep v1\nagents 2\npref 0: [(9,9)]\n")
     code, _ = invoke(["oracle", "--instance", str(bad), "--enumerate", "ir"])
@@ -200,12 +201,11 @@ def test_exit_codes_for_bad_inputs(tmp_path, ring_file, monkeypatch):
     assert code == 2
     code, _ = invoke(["nonsense"])
     assert code == 2
-    # oracle bound exceeded: env override forces a tiny scan limit
+    # oracle bound exceeded: --max-n forces a tiny scan limit
     alloc_path = tmp_path / "id.alloc"
     alloc_path.write_text(serialize_allocation(identity_allocation(5)))
-    monkeypatch.setenv("TEP_ORACLE_MAX_N", "2")
     code, _ = invoke(["verify", "--instance", str(ring_file),
-                      "--allocation", str(alloc_path), "--check", "po"])
+                      "--allocation", str(alloc_path), "--check", "po", "--max-n", "2"])
     assert code == 3
 
 
@@ -249,6 +249,12 @@ def _candidates(tmp_path, line, method="exact"):
             "--space", f"file:{cands}"]
 
 
+def _non_utf8_candidates(tmp_path):
+    argv = _candidates(tmp_path, "pref 0: [(0,0)]")
+    (tmp_path / "cands.txt").write_bytes(b"pref 0: [(0,0)]  # caf\xe9\n")
+    return argv
+
+
 def _profile_with(tmp_path, suffix, text, method):
     """argv solving a one-file profile with the given method."""
     path = tmp_path / f"p.{suffix}"
@@ -271,10 +277,14 @@ def _profile_with(tmp_path, suffix, text, method):
     lambda tmp: _profile_with(tmp, "rtep", "tep v1\nagents 1\nrpref 0: H [0] ; N [0 0]\n", "pra"),
     lambda tmp: _profile_with(tmp, "ptep", "tep v1\nagents 2\nmode house\n"
                               "ppref 0: P 0 1 ; T [0 0 1]\nppref 1: P 1 0 ; T [1] > [0]\n", "ttc"),
+    lambda tmp: _candidates(tmp, "pref 0: [(1,1) (1,1)] > [(0,0)]"),
+    lambda tmp: _candidates(tmp, "pref 0: [] > [(0,0)]"),
+    _non_utf8_candidates,
 ], ids=["non-utf8-instance", "directory-instance", "gen-n-50", "gen-density-1.5",
         "x3c-non-integer", "pref-non-integer-agent", "pref-out-of-range-outcome",
         "porder-non-integer-agent", "porder-non-integer-item", "porder-out-of-range-item",
-        "rpref-house-twice", "rpref-tenant-twice", "ppref-item-twice"])
+        "rpref-house-twice", "rpref-tenant-twice", "ppref-item-twice",
+        "pref-candidate-outcome-twice", "pref-candidate-empty-class", "non-utf8-candidates"])
 def test_malformed_input_exits_2_with_an_input_error(tmp_path, capsys, make_argv):
     code, out = invoke(make_argv(tmp_path))
     err = capsys.readouterr().err
@@ -296,6 +306,87 @@ def test_an_item_listed_twice_is_refused_at_its_line(tmp_path, capsys, suffix, b
     assert capsys.readouterr().err == f"input error: duplicate-item: {message} (line {line})\n"
 
 
+@pytest.mark.parametrize("suffix,body,method,message", [
+    ("rtep", "endow 0\nendow 0\nrpref 0: H [0] ; N [0]", "pra",
+     "endow must appear once, before rpref lines (line 4)"),
+    ("rtep", "rpref 0: H [0] ; N [0]\nendow 0", "pra",
+     "endow must appear once, before rpref lines (line 4)"),
+    ("ptep", "mode tenant\nmode house\nppref 0: P 0 ; T [0]", "ttc",
+     "mode must appear once, before ppref lines (line 4)"),
+    ("ptep", "endow 0\nppref 0: P 0 ; T [0]\nmode house", "ttc",
+     "mode must appear once, before ppref lines (line 5)"),
+    ("tep", "pref 0: [(0,0)]\nendow 0", "exact",
+     "endow must appear once, before pref lines (line 4)"),
+], ids=["rpref-endow-twice", "rpref-endow-late", "ppref-mode-twice", "ppref-mode-late",
+        "pref-endow-late"])
+def test_a_directive_appears_once_before_the_agent_lines(tmp_path, capsys, suffix, body, method,
+                                                        message):
+    code, out = invoke(_profile_with(tmp_path, suffix, f"tep v1\nagents 1\n{body}\n", method))
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == f"input error: syntax: {message}\n"
+
+
+def _token_in(tmp_path, where, token):
+    """argv that reads ``token`` where a file format expects an integer."""
+    profiles = {
+        "instance": ("tep", f"tep v1\nagents {token}\n", "exact"),
+        "rpref": ("rtep", f"tep v1\nagents 1\nrpref {token}: H [0] ; N [0]\n", "pra"),
+        "ppref": ("ptep", f"tep v1\nagents 1\nmode house\nppref 0: P {token} ; T [0]\n", "ttc"),
+    }
+    if where in profiles:
+        return _profile_with(tmp_path, *profiles[where])
+    if where == "pref-candidate":
+        return _candidates(tmp_path, f"pref {token}: [(1,1)]")
+    if where == "porder-candidate":
+        return _candidates(tmp_path, f"porder {token} 0 1 2", "ttc")
+    other = tmp_path / "other.txt"
+    if where == "x3c":
+        other.write_text(f"1\n0 1 2\n0 {token} 2\n0 1 2\n")
+        return ["gen", "--family", "x3c-top", "--x3c", str(other), "--out", str(tmp_path / "o.tep")]
+    if where == "allocation":
+        other.write_text(f"assign 0 {token}\n")
+        inst = _profile_with(tmp_path, "tep", "tep v1\nagents 1\n", "exact")[2]
+        return ["verify", "--instance", inst, "--allocation", str(other), "--check", "ir"]
+    other.write_text(f"rpref 0: H [0] ; N [{token}]\n")
+    inst = _profile_with(tmp_path, "rtep", "tep v1\nagents 1\nrpref 0: H [0] ; N [0]\n", "pra")[2]
+    return ["manipulate", "--instance", inst, "--method", "pra", "--agent", "0",
+            "--space", f"file:{other}"]
+
+
+@pytest.mark.parametrize("token", ["--5", "\u00b2", "1" * 5000],
+                         ids=["double-minus", "superscript-two", "5000-digits"])
+@pytest.mark.parametrize("where", ["instance", "allocation", "rpref", "ppref", "x3c",
+                                   "pref-candidate", "porder-candidate", "rpref-candidate"])
+def test_a_token_int_cannot_read_exits_2(tmp_path, capsys, where, token):
+    code, out = invoke(_token_in(tmp_path, where, token))
+    err = capsys.readouterr().err
+    assert (code, out) == (2, "")
+    assert err.startswith("input error: syntax: expected an integer ")
+    assert f"got {token!r} (line " in err
+
+
+@pytest.mark.parametrize("family,text,agents", [
+    ("x3c-core", "1000000\n", 15_000_000),
+    ("x3c-core", "667\n", 10_005),
+    ("x3c-core", "700\n" + "".join(f"{3 * j} {3 * j + 1} {3 * j + 2}\n" for j in range(700)) * 3,
+     10_500),
+    ("x3c-top", "3334\n", 10_002),
+], ids=["m-1000000", "core-m-667", "core-cover-m-700", "top-m-3334"])
+def test_an_x3c_gadget_above_the_agent_limit_is_refused_at_once(tmp_path, capsys, family, text,
+                                                               agents):
+    path = tmp_path / "c.x3c"
+    path.write_text(text)
+    m = text.split()[0]
+    started = time.monotonic()
+    code, out = invoke(["gen", "--family", family, "--x3c", str(path),
+                        "--out", str(tmp_path / "o.tep")])
+    assert time.monotonic() - started < 1.0
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == (f"input error: index-range: m = {m} makes {agents} agents, "
+                                       "above the limit 10000 (line 1)\n")
+    assert not (tmp_path / "o.tep").exists()
+
+
 def _unlisted_instance_argv(tmp_path, n, command):
     inst = tmp_path / f"n{n}.tep"
     inst.write_text(serialize_instance(make_instance(n, [[] for _ in range(n)])))
@@ -310,10 +401,9 @@ def _unlisted_instance_argv(tmp_path, n, command):
 
 
 @pytest.mark.parametrize("command,n", [("po", 9), ("wpo", 9), ("enumerate-po", 9), ("exact", 10)])
-def test_default_oracle_bounds_exit_3(tmp_path, capsys, monkeypatch, command, n):
+def test_default_oracle_bounds_exit_3(tmp_path, capsys, command, n):
     """The pruned searches still refuse instances above the default bounds
     (max_n 8 for the Pareto oracles, 9 for the exact optimizer)."""
-    monkeypatch.delenv("TEP_ORACLE_MAX_N", raising=False)
     code, out = invoke(_unlisted_instance_argv(tmp_path, n, command))
     err = capsys.readouterr().err
     assert code == 3
@@ -366,21 +456,26 @@ def test_faulty_rpref_candidate_reports_its_own_line(tmp_path, capsys, candidate
     assert capsys.readouterr().err == f"input error: {message}\n"
 
 
-@pytest.mark.parametrize("argv", [
-    ["solve", "--method", "exact"],
-    ["manipulate", "--method", "exact", "--agent", "0", "--space", "subsets"],
-], ids=["solve", "manipulate"])
-def test_exact_bound_is_checked_before_the_weight_table(tmp_path, capsys, monkeypatch, argv):
+@pytest.mark.parametrize("argv,bound", [
+    (["solve", "--method", "exact"], "exact optimizer needs n <= 9"),
+    (["manipulate", "--method", "exact", "--agent", "0", "--space", "subsets"],
+     "exact optimizer needs n <= 9"),
+    (["export", "--form", "ilp", "--out", "n150.lp"], "export needs n <= 50"),
+], ids=["solve", "manipulate", "export"])
+def test_exact_bound_is_checked_before_the_weight_table(tmp_path, capsys, monkeypatch, argv,
+                                                        bound):
     def weights_from_ranks(*args):
         raise AssertionError("the n³ weight table was built")
 
     monkeypatch.setattr(programs, "weights_from_ranks", weights_from_ranks)
+    monkeypatch.chdir(tmp_path)
     inst = tmp_path / "n150.tep"
     inst.write_text("tep v1\nagents 150\n")
     code, out = invoke(argv + ["--instance", str(inst)])
     assert (code, out) == (3, "")
-    assert capsys.readouterr().err == ("budget exceeded: exact optimizer needs n <= 9, "
+    assert capsys.readouterr().err == (f"budget exceeded: {bound}, "
                                        "got n = 150; raise the bound explicitly\n")
+    assert not (tmp_path / "n150.lp").exists()
 
 
 @pytest.mark.parametrize("enumerate_", ["ir", "core"])

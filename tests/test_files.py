@@ -88,3 +88,25 @@ def test_allocation_round_trip_and_errors():
         parse_allocation("assign 0 1\nassign 1 1\n", 2)  # not a bijection
     with pytest.raises(ParseError):
         parse_allocation("assign 0 5\nassign 1 0\n", 2)  # house out of range
+
+
+def test_integer_tokens_are_read_as_before():
+    """Decimal digits of any script, with at most one leading '-', as int()
+    reads them; '+', '_' and non-decimal digits are refused."""
+    assert parse_allocation("assign ٠ -0\n", 1) == Allocation((0,))
+    for token in ("+0", "0_0", "²", "--0", "-"):
+        with pytest.raises(ParseError, match="expected an integer"):
+            parse_allocation(f"assign 0 {token}\n", 1)
+
+
+def test_x3c_m_is_bounded_by_the_gadget_size():
+    from tep.files import MAX_AGENTS, parse_x3c
+
+    def cover(m):
+        return f"{m}\n" + "".join(f"{3 * j} {3 * j + 1} {3 * j + 2}\n" for j in range(m)) * 3
+
+    assert parse_x3c(cover(666), 15).m == 666
+    assert parse_x3c(cover(3333), 3).m == 3333
+    for m, per_m in ((667, 15), (3334, 3)):
+        with pytest.raises(ParseError, match=f"above the limit {MAX_AGENTS}"):
+            parse_x3c(cover(m), per_m)
