@@ -135,12 +135,23 @@ def _solve_exact(inst, weights: str):
     return programs.solve_exact_max_weight(inst, programs.weights_from_ranks(inst, weights))
 
 
+def _predominant(text: str, method: str):
+    """The profile in ``text`` and the mechanism ``method`` names, which
+    needs the profile's mode: ttc a house-primary one, tttc a tenant-primary
+    one."""
+    prof = files.parse_predominant_profile(text)
+    mechanism, mode = (ttc, HOUSE) if method == "ttc" else (tttc, TENANT)
+    if prof.mode != mode:
+        raise ParseError("syntax", f"--method {method} needs a profile with 'mode {mode}', "
+                         f"got 'mode {prof.mode}'")
+    return prof, mechanism
+
+
 def _cmd_solve(args, report: _Report) -> int:
     text = _read(args.instance, report)
     if args.method in ("ttc", "tttc"):
-        prof = files.parse_predominant_profile(text)
-        alloc = ttc(prof) if args.method == "ttc" else tttc(prof)
-        report.add("allocation", alloc.text())
+        prof, mechanism = _predominant(text, args.method)
+        report.add("allocation", mechanism(prof).text())
     elif args.method == "pra":
         prof = files.parse_responsive_profile(text)
         result = pra_rs(prof, order=args.order, seed=args.seed)
@@ -218,8 +229,7 @@ def _cmd_manipulate(args, report: _Report) -> int:
     text = _read(args.instance, report)
     agent = args.agent
     if args.method in ("ttc", "tttc"):
-        truth = files.parse_predominant_profile(text)
-        mechanism = ttc if args.method == "ttc" else tttc
+        truth, mechanism = _predominant(text, args.method)
         space, hint = "strict", "predominant mechanisms support --space strict or file:"
         built_in = lambda: incentives.strict_primary_reports(truth.n)
         keyword, fmt = "porder", lambda rep: " ".join(map(str, rep))

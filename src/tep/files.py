@@ -16,11 +16,18 @@ an ``N`` component; predominant profiles use a ``mode`` line plus ``ppref``
 lines with a strict ``P`` list and bracketed ``T`` classes.  Candidate files
 hold one misreport per line, and exact-cover files give ``m`` and then one
 triple per line.
+
+A body in the spelling the serializers write is checked against one
+compiled grammar and read with a few string operations per line; only a
+body that fails that check, or whose indices are out of range or repeated,
+is walked token by token, and that walk raises every ParseError.
 """
 
 from __future__ import annotations
 
 import re
+from functools import lru_cache, partial, wraps
+from itertools import islice, repeat
 
 from .errors import ParseError
 from .generators import X3CInstance
@@ -33,6 +40,16 @@ _HEADER = "tep v1"
 MAX_AGENTS = 10_000
 _OUTCOME_RE = re.compile(r"\(\s*(\d+)\s*,\s*(\d+)\s*\)")
 _CLASS_RE = re.compile(r"\[([^\[\]]*)\]")
+# The spelling the serializers write (ASCII digits, single spaces, ' > '
+# between classes), checked with one fullmatch per body.
+_IDS = r"[0-9]+(?: [0-9]+)*"
+_OC = r"\([0-9]+,[0-9]+\)"
+_CLASSES = rf"\[{_IDS}\](?: > \[{_IDS}\])*"
+_FAST_PREF = re.compile(rf" ?\[{_OC}(?: {_OC})*\](?: > \[{_OC}(?: {_OC})*\])*")
+_FAST_RPREF = re.compile(rf" ?H ({_CLASSES}) ; N ({_CLASSES})")
+_FAST_PPREF = re.compile(rf" ?P ({_IDS}) ; T ({_CLASSES})")
+_BLANK_BRACKETS = str.maketrans("[]", "  ")
+_BLANK_PUNCTUATION = str.maketrans("[]()>,", "      ")
 # Agent-line keyword -> what its files are called and the shape of its body.
 _FORMATS = {"pref": ("instance", "[..] > [..]"),
             "rpref": ("responsive profile", "H ... ; N ..."),
@@ -66,7 +83,82 @@ def _check_index(value: int, n: int, lineno: int, what: str) -> int:
 
 
 def _items(tokens: list[str], n: int, lineno: int, what: str = "item") -> tuple[int, ...]:
+    values = _indices(tokens, n)
+    if values is not None:
+        return values
     return tuple(_check_index(_parse_int(tok, lineno, what), n, lineno, what) for tok in tokens)
+
+
+@lru_cache(maxsize=4)
+def _index_table(n: int) -> dict[str, int]:
+    # Every caller gets the same dict from the cache; callers only read it.
+    return {str(i): i for i in range(n)}
+
+
+def _indices(tokens, n: int) -> tuple[int, ...] | None:
+    """The tokens as indices below n, or None if one is not written as
+    ``str(i)`` for such an index: one lookup per token reads and
+    range-checks it."""
+    try:
+        return tuple(map(_index_table(n).__getitem__, tokens))
+    except KeyError:
+        return None
+
+
+def _fast(read):
+    """A body reader that tries ``read(body, n)`` first.  It returns the
+    value of a body in the serializers' spelling whose indices are in range
+    and not repeated, or None; the decorated token walk then reads the body
+    again, accepting the other spellings and raising every ParseError."""
+    def wrap(walk):
+        @wraps(walk)
+        def reader(body: str, n: int, lineno: int, line: str, agent: int):
+            value = read(body, n)
+            return walk(body, n, lineno, line, agent) if value is None else value
+        return reader
+    return wrap
+
+
+def _fast_index_classes(text: str, n: int) -> tuple[frozenset[int], ...] | None:
+    """'[1 2] > [0]' as index classes; the text matched _CLASSES."""
+    chunks = list(map(str.split, text.translate(_BLANK_BRACKETS).split(" > ")))
+    try:
+        classes = tuple(map(frozenset, map(partial(map, _index_table(n).__getitem__), chunks)))
+    except KeyError:  # not an index below n in the serializers' spelling
+        return None
+    return classes if len(frozenset().union(*classes)) == sum(map(len, chunks)) else None
+
+
+def _fast_pref(body: str, n: int) -> list[list[Outcome]] | None:
+    if not _FAST_PREF.fullmatch(body):
+        return None
+    numbers = _indices(body.translate(_BLANK_PUNCTUATION).split(), n)
+    if numbers is None:
+        return None
+    it = iter(numbers)
+    outcomes = list(map(tuple.__new__, repeat(Outcome), zip(it, it)))  # no Python call each
+    if len(set(outcomes)) != len(outcomes):
+        return None
+    # the outcomes cut into consecutive runs, one per class
+    sizes = map(str.count, body.split(" > "), repeat("("))
+    return list(map(list, map(islice, repeat(iter(outcomes)), sizes)))
+
+
+def _fast_rpref(body: str, n: int):
+    match = _FAST_RPREF.fullmatch(body)
+    if not match:
+        return None
+    houses, tenants = (_fast_index_classes(part, n) for part in match.groups())
+    return None if houses is None or tenants is None else (houses, tenants)
+
+
+def _fast_ppref(body: str, n: int):
+    match = _FAST_PPREF.fullmatch(body)
+    if not match:
+        return None
+    primary = _indices(match[1].split(), n)
+    tiebreak = _fast_index_classes(match[2], n)
+    return None if primary is None or tiebreak is None else (primary, tiebreak)
 
 
 def _build(make, *args):
@@ -97,6 +189,7 @@ def _split_classes(body: str, lineno: int, line: str) -> list[str]:
         rest = tail[1:] if tail.startswith(">") else tail
 
 
+@_fast(_fast_pref)
 def _pref_body(body: str, n: int, lineno: int, line: str, agent: int) -> list[list[Outcome]]:
     """Outcome classes in file order, each non-empty, no outcome twice."""
     classes = []
@@ -105,7 +198,8 @@ def _pref_body(body: str, n: int, lineno: int, line: str, agent: int) -> list[li
         stripped = _OUTCOME_RE.sub("", chunk).strip()
         if stripped:
             raise _syntax(f"unexpected text {stripped[:20]!r} inside a class", lineno)
-        outcomes = [Outcome(int(h), int(t)) for h, t in _OUTCOME_RE.findall(chunk)]
+        outcomes = [Outcome(_parse_int(h, lineno, "house"), _parse_int(t, lineno, "tenant"))
+                    for h, t in _OUTCOME_RE.findall(chunk)]
         if not outcomes:
             raise _syntax("empty indifference class", lineno)
         for o in outcomes:
@@ -136,6 +230,7 @@ def _index_classes(body: str, n: int, lineno: int, line: str, agent: int,
     return tuple(classes)
 
 
+@_fast(_fast_rpref)
 def _rpref_body(body: str, n: int, lineno: int, line: str, agent: int):
     house_part, sep, tenant_part = (part.strip() for part in body.partition(";"))
     if not sep or not house_part.startswith("H") or not tenant_part.startswith("N"):
@@ -148,6 +243,7 @@ def _primary_order(body: str, n: int, lineno: int, line: str, agent: int) -> tup
     return _items(body.split(), n, lineno)
 
 
+@_fast(_fast_ppref)
 def _ppref_body(body: str, n: int, lineno: int, line: str, agent: int):
     p_part, sep, t_part = (part.strip() for part in body.partition(";"))
     if not sep or not p_part.startswith("P") or not t_part.startswith("T"):

@@ -69,7 +69,8 @@ class X3CInstance:
                 counts[x] += 1
         bad = [x for x, c in enumerate(counts) if c != 3]
         if bad:
-            raise ValueError(f"each element must appear exactly three times; off: {bad}")
+            raise ValueError(f"each element must appear exactly three times; {len(bad)} do "
+                             f"not, the first {len(bad[:10])}: {bad[:10]}")
 
     @property
     def ground_size(self) -> int:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, NamedTuple
 
 
@@ -126,17 +127,11 @@ class Instance(Market):
         if len(self.prefs) != n:
             raise ValueError("need one preference list per agent")
         for i, classes in enumerate(self.prefs):
-            seen: set[Outcome] = set()
-            for cls in classes:
-                if not cls:
-                    raise ValueError(f"agent {i} has an empty indifference class")
-                for o in cls:
-                    if not (0 <= o.house < n and 0 <= o.tenant < n):
-                        raise ValueError(f"agent {i} lists out-of-range outcome {o.text()}")
-                    if o in seen:
-                        raise ValueError(f"agent {i} lists outcome {o.text()} twice")
-                    seen.add(o)
-            if self.endowment_outcome(i) not in seen:
+            listed = frozenset().union(*classes)
+            if not (all(classes) and len(listed) == sum(map(len, classes)) and listed
+                    and min(map(min, listed)) >= 0 and max(map(max, listed)) < n):
+                _raise_first_fault(i, classes, n)
+            if self.endowment_outcome(i) not in listed:
                 raise ValueError(f"agent {i} does not list its endowment outcome")
 
     @cached_property
@@ -185,6 +180,21 @@ class Instance(Market):
         prefs = [[set(c) for c in (report if i == agent else self.prefs[i])]
                  for i in range(self.n)]
         return make_instance(self.n, prefs, self.endowment)
+
+
+def _raise_first_fault(agent: int, classes: PrefClasses, n: int) -> None:
+    """The first empty class, out-of-range outcome or repeated outcome of an
+    agent's classes, as a ValueError."""
+    seen: set[Outcome] = set()
+    for cls in classes:
+        if not cls:
+            raise ValueError(f"agent {agent} has an empty indifference class")
+        for o in cls:
+            if not (0 <= o.house < n and 0 <= o.tenant < n):
+                raise ValueError(f"agent {agent} lists out-of-range outcome {o.text()}")
+            if o in seen:
+                raise ValueError(f"agent {agent} lists outcome {o.text()} twice")
+            seen.add(o)
 
 
 @dataclass(frozen=True)
@@ -238,6 +248,15 @@ def outcome_of(market: Market, alloc: Allocation, agent: int) -> Outcome:
     return Outcome(alloc[agent], alloc.inverse[market.endowment[agent]])
 
 
+def _outcome_classes(classes: Iterable[Iterable]) -> list[frozenset[Outcome]]:
+    """The non-empty classes as sets of Outcomes; when they hold Outcomes
+    only, those are not rebuilt."""
+    classes = list(map(tuple, classes))
+    if not set(map(type, chain.from_iterable(classes))) <= {Outcome}:
+        classes = [[Outcome(*o) for o in cls] for cls in classes]
+    return list(filter(None, map(frozenset, classes)))
+
+
 def make_instance(n: int, prefs: Iterable[Iterable[Iterable[Outcome]]],
                   endowment: Iterable[int] | None = None) -> Instance:
     """Build a validated :class:`Instance` from plain nested iterables.
@@ -248,10 +267,9 @@ def make_instance(n: int, prefs: Iterable[Iterable[Iterable[Outcome]]],
     endow = tuple(endowment) if endowment is not None else tuple(range(n))
     normalized: list[PrefClasses] = []
     for i, classes in enumerate(prefs):
-        frozen = [frozenset(Outcome(*o) for o in cls) for cls in classes]
-        frozen = [cls for cls in frozen if cls]
+        frozen = _outcome_classes(classes)
         own = Outcome(endow[i] if i < len(endow) else i, i)
-        if not any(own in cls for cls in frozen):
+        if own not in frozenset().union(*frozen):
             frozen.append(frozenset([own]))
         normalized.append(tuple(frozen))
     return Instance(n=n, endowment=endow, prefs=tuple(normalized))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import chain
 
 from .model import Allocation, Instance, Market, Outcome, make_instance
 
@@ -43,8 +44,7 @@ class PredominantProfile(Market):
         for i in range(n):
             if sorted(self.primary[i]) != list(range(n)):
                 raise ValueError(f"agent {i}: primary order must rank all {n} items strictly")
-            flat = [x for cls in self.tiebreak[i] for x in cls]
-            if sorted(flat) != list(range(n)):
+            if sorted(chain.from_iterable(self.tiebreak[i])) != list(range(n)):
                 raise ValueError(f"agent {i}: tie-break classes must partition all {n} items")
 
     @cached_property

@@ -19,6 +19,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
+from itertools import chain, compress, filterfalse, repeat
+from operator import add, itemgetter
 from typing import Mapping
 
 # all_allocations is unused here but stays a module attribute: perfbench/tracer.py wraps it.
@@ -73,7 +76,7 @@ def weights_from_ranks(inst: Instance, scheme: str = BORDA) -> WeightTable:
             by_rank.append(-n * num_classes)
         else:
             by_rank = [n ** (num_classes - rank) for rank in range(num_classes + 1)]
-        flat.extend(by_rank[rank] for rank in ranks)
+        flat.extend(map(by_rank.__getitem__, ranks))
     return WeightTable(n=n, scheme=scheme, weights=tuple(flat))
 
 
@@ -96,15 +99,12 @@ class MathProgram:
     constraints: tuple[Constraint, ...]
 
     def __post_init__(self):
-        declared = set(self.variables)
-        for _, names in self.objective:
-            for v in names:
-                if v not in declared:
-                    raise ValueError(f"objective references undeclared variable {v}")
+        undeclared = partial(filterfalse, set(self.variables).__contains__)
+        for v in undeclared(chain.from_iterable(map(itemgetter(1), self.objective))):
+            raise ValueError(f"objective references undeclared variable {v}")
         for con in self.constraints:
-            for _, v in con.terms:
-                if v not in declared:
-                    raise ValueError(f"constraint {con.name} references undeclared variable {v}")
+            for v in undeclared(map(itemgetter(1), con.terms)):
+                raise ValueError(f"constraint {con.name} references undeclared variable {v}")
 
     def objective_value(self, point: Mapping[str, int]) -> int:
         total = 0
@@ -130,29 +130,30 @@ class MathProgram:
 
     def to_lp_text(self) -> str:
         """LP-style text: objective, subject-to, binary, end sections."""
-
-        def term_text(coeff: int, names: tuple[str, ...], first: bool) -> str:
-            sign = "-" if coeff < 0 else ("" if first else "+")
-            magnitude = abs(coeff)
-            body = " * ".join(names)
-            coeff_part = f"{magnitude} " if magnitude != 1 or not names else ""
-            lead = f"{sign} " if sign else ""
-            return f"{lead}{coeff_part}{body}"
-
-        out = ["maximize"]
-        parts = [term_text(c, names, i == 0) for i, (c, names) in enumerate(self.objective)]
-        out.append(" obj: " + (" ".join(parts) if parts else "0"))
-        out.append("subject to")
+        names = list(map(itemgetter(1), self.objective))
+        bodies = list(map(" * ".join, names))
+        if not all(names):  # a term without a variable shows a coefficient of 1
+            bodies = [body if v else ("1 " if abs(c) == 1 else "")
+                      for (c, v), body in zip(self.objective, bodies)]
+        objective = _lp_sum(map(itemgetter(0), self.objective), bodies)
+        out = ["maximize", " obj: " + (objective if self.objective else "0"), "subject to"]
         for con in self.constraints:
-            lhs = " ".join(
-                term_text(c, (v,), i == 0) for i, (c, v) in enumerate(con.terms)
-            )
+            lhs = _lp_sum(map(itemgetter(0), con.terms), map(itemgetter(1), con.terms))
             out.append(f" {con.name}: {lhs} {con.sense} {con.rhs}")
         out.append("binary")
-        for v in self.variables:
-            out.append(f" {v}")
+        out.extend(map(" ".__add__, self.variables))
         out.append("end")
         return "\n".join(out) + "\n"
+
+
+def _lp_sum(coefficients, bodies) -> str:
+    """Signed terms 'a + 2 b - c' from integer coefficients and term texts: a
+    coefficient of 1 is left out, and the first term has no '+'."""
+    coefficients = tuple(coefficients)
+    heads = {c: ("- " if c < 0 else "+ ") + ("" if abs(c) == 1 else f"{abs(c)} ")
+             for c in set(coefficients)}
+    text = " ".join(map(add, map(heads.__getitem__, coefficients), bodies))
+    return text[2:] if text.startswith("+ ") else text
 
 
 def _x3(i: int, j: int, k: int) -> str:
@@ -174,44 +175,41 @@ def export_ilp(inst: Instance, table: WeightTable, *, linking: bool = True) -> M
     i's house" to "k receives i's house".
     """
     n = inst.n
-    variables = tuple(_x3(i, j, k) for i in range(n) for j in range(n) for k in range(n))
-    objective = tuple(
-        (table.weight(i, j, k), (_x3(i, j, k),))
-        for i in range(n) for j in range(n) for k in range(n)
-        if table.weight(i, j, k) != 0
-    )
+    names = [_x3(i, j, k) for i in range(n) for j in range(n) for k in range(n)]
+    ones, minus_ones = repeat(1), repeat(-1)
+    objective = tuple(compress(zip(table.weights, zip(names)), table.weights))
     cons: list[Constraint] = []
     for i in range(n):
-        terms = tuple((1, _x3(i, j, k)) for j in range(n) for k in range(n))
+        terms = tuple(zip(ones, names[i * n * n:(i + 1) * n * n]))
         cons.append(Constraint(f"agent_{i}", terms, "=", 1))
     for j in range(n):
-        terms = tuple((1, _x3(i, j, k)) for i in range(n) for k in range(n))
+        terms = tuple(zip(ones, chain.from_iterable(
+            names[(i * n + j) * n:(i * n + j + 1) * n] for i in range(n))))
         cons.append(Constraint(f"house_{j}", terms, "=", 1))
     for k in range(n):
-        terms = tuple((1, _x3(i, j, k)) for i in range(n) for j in range(n))
-        cons.append(Constraint(f"tenant_{k}", terms, "=", 1))
+        cons.append(Constraint(f"tenant_{k}", tuple(zip(ones, names[k::n])), "=", 1))
     for i in range(n):
         own = inst.endowment[i]
         for k in range(n):
             if k == i:
                 continue
             cons.append(Constraint(f"own_house_own_tenant_{i}_{k}",
-                                   ((1, _x3(i, own, k)),), "=", 0))
+                                   ((1, names[(i * n + own) * n + k]),), "=", 0))
         for j in range(n):
             if j == own:
                 continue
             cons.append(Constraint(f"own_tenant_own_house_{i}_{j}",
-                                   ((1, _x3(i, j, i)),), "=", 0))
+                                   ((1, names[(i * n + j) * n + i]),), "=", 0))
     if linking:
         for i in range(n):
             own = inst.endowment[i]
             for k in range(n):
                 if k == i:
                     continue
-                terms = tuple((1, _x3(i, j, k)) for j in range(n))
-                terms += tuple((-1, _x3(k, own, kk)) for kk in range(n))
+                terms = (*zip(ones, names[i * n * n + k:(i + 1) * n * n:n]),
+                         *zip(minus_ones, names[(k * n + own) * n:(k * n + own + 1) * n]))
                 cons.append(Constraint(f"link_{i}_{k}", terms, "=", 0))
-    return MathProgram("ilp", variables, objective, tuple(cons))
+    return MathProgram("ilp", tuple(names), objective, tuple(cons))
 
 
 def export_qp(inst: Instance, table: WeightTable) -> MathProgram:
@@ -220,21 +218,21 @@ def export_qp(inst: Instance, table: WeightTable) -> MathProgram:
     w(i, j, k) * x_i_j * x_k_e(i) so the second factor says agent k moved
     into i's own house."""
     n = inst.n
-    variables = tuple(_x2(i, j) for i in range(n) for j in range(n))
+    names = [_x2(i, j) for i in range(n) for j in range(n)]
+    weights = table.weights
     objective = []
     for i in range(n):
-        own = inst.endowment[i]
+        movers = names[inst.endowment[i]::n]  # x_k_e(i) for every k
         for j in range(n):
-            for k in range(n):
-                w = table.weight(i, j, k)
-                if w != 0:
-                    objective.append((w, (_x2(i, j), _x2(k, own))))
+            row = weights[(i * n + j) * n:(i * n + j + 1) * n]
+            objective.extend(compress(zip(row, zip(repeat(names[i * n + j]), movers)), row))
     cons: list[Constraint] = []
     for i in range(n):
-        cons.append(Constraint(f"row_{i}", tuple((1, _x2(i, j)) for j in range(n)), "=", 1))
+        cons.append(Constraint(f"row_{i}", tuple(zip(repeat(1), names[i * n:(i + 1) * n])),
+                               "=", 1))
     for j in range(n):
-        cons.append(Constraint(f"col_{j}", tuple((1, _x2(i, j)) for i in range(n)), "=", 1))
-    return MathProgram("qp", variables, tuple(objective), tuple(cons))
+        cons.append(Constraint(f"col_{j}", tuple(zip(repeat(1), names[j::n])), "=", 1))
+    return MathProgram("qp", tuple(names), tuple(objective), tuple(cons))
 
 
 def ilp_point(inst: Instance, alloc: Allocation) -> dict[str, int]:

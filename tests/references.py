@@ -2,14 +2,24 @@
 
 Each walks every allocation (or every one-per-agent 0/1 point) and applies
 the definition directly, so it is obviously right and only usable at desk
-scale.
+scale.  The text-format reader (``parse_*_reference``) and the LP writer
+(``export_*_reference``, ``to_lp_text_reference``) are the token-by-token
+and term-by-term versions the library's fast paths replaced, kept as they
+were.
 """
 
+from __future__ import annotations
+
+import re
 from typing import Iterator
 
 from tep import all_allocations, is_core_stable, is_individually_rational, outcome_of
-from tep.programs import MathProgram, _x2, _x3
-from tep.responsive import RsOrdering, rs_compare
+from tep.errors import ParseError
+from tep.generators import X3CInstance
+from tep.model import Allocation, Instance, Market, Outcome, canonicalize_endowment, make_instance
+from tep.predominant import HOUSE, TENANT, PredominantProfile
+from tep.programs import Constraint, MathProgram, WeightTable, _x2, _x3
+from tep.responsive import ResponsiveProfile, RsOrdering, rs_compare
 
 
 def iter_candidate_points(program: MathProgram, n: int) -> Iterator[dict[str, int]]:
@@ -90,3 +100,407 @@ def is_rs_pareto_optimal_reference(prof, alloc):
         if strict:
             return False
     return True
+
+
+# -- the text-format reader ----------------------------------------------
+
+_HEADER = "tep v1"
+# Files declaring more agents are refused before anything is allocated.
+MAX_AGENTS = 10_000
+_OUTCOME_RE = re.compile(r"\(\s*(\d+)\s*,\s*(\d+)\s*\)")
+_CLASS_RE = re.compile(r"\[([^\[\]]*)\]")
+# Agent-line keyword -> what its files are called and the shape of its body.
+_FORMATS = {"pref": ("instance", "[..] > [..]"),
+            "rpref": ("responsive profile", "H ... ; N ..."),
+            "ppref": ("predominant profile", "P ... ; T ...")}
+
+
+def _meaningful_lines(text: str):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
+def _syntax(message: str, lineno: int, column: int | None = None) -> ParseError:
+    return ParseError("syntax", message, lineno, column)
+
+
+def _parse_int(token: str, lineno: int, what: str) -> int:
+    if token.lstrip("-").isdigit():
+        try:
+            return int(token)
+        except ValueError:  # '--5', '²', or more digits than int() converts
+            pass
+    raise _syntax(f"expected an integer {what}, got {token!r}", lineno)
+
+
+def _check_index(value: int, n: int, lineno: int, what: str) -> int:
+    if not 0 <= value < n:
+        raise ParseError("index-range", f"{what} {value} out of range 0..{n - 1}", lineno)
+    return value
+
+
+def _items(tokens: list[str], n: int, lineno: int, what: str = "item") -> tuple[int, ...]:
+    return tuple(_check_index(_parse_int(tok, lineno, what), n, lineno, what) for tok in tokens)
+
+
+def _build(make, *args):
+    """A constructor's ValueError as a ParseError."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise ParseError("syntax", str(exc), None) from exc
+
+
+def _split_classes(body: str, lineno: int, line: str) -> list[str]:
+    """Split 'class > class > ...' into bracket bodies, rejecting stray text.
+    The '>' separator may be omitted between adjacent bracket groups."""
+    chunks = []
+    rest = body
+    while True:
+        rest_stripped = rest.strip()
+        if not rest_stripped:
+            raise _syntax("empty indifference class list", lineno)
+        match = _CLASS_RE.match(rest_stripped)
+        if not match:
+            col = line.find(rest_stripped) + 1
+            raise _syntax(f"expected a bracketed class, got {rest_stripped[:20]!r}", lineno, col)
+        chunks.append(match.group(1))
+        tail = rest_stripped[match.end():].strip()
+        if not tail:
+            return chunks
+        rest = tail[1:] if tail.startswith(">") else tail
+
+
+def _pref_body(body: str, n: int, lineno: int, line: str, agent: int) -> list[list[Outcome]]:
+    """Outcome classes in file order, each non-empty, no outcome twice."""
+    classes = []
+    seen: set[Outcome] = set()
+    for chunk in _split_classes(body, lineno, line):
+        stripped = _OUTCOME_RE.sub("", chunk).strip()
+        if stripped:
+            raise _syntax(f"unexpected text {stripped[:20]!r} inside a class", lineno)
+        outcomes = [Outcome(int(h), int(t)) for h, t in _OUTCOME_RE.findall(chunk)]
+        if not outcomes:
+            raise _syntax("empty indifference class", lineno)
+        for o in outcomes:
+            _check_index(o.house, n, lineno, "house")
+            _check_index(o.tenant, n, lineno, "tenant")
+            if o in seen:
+                raise ParseError("duplicate-outcome",
+                                 f"agent {agent} lists {o.text()} twice", lineno)
+            seen.add(o)
+        classes.append(outcomes)
+    return classes
+
+
+def _index_classes(body: str, n: int, lineno: int, line: str, agent: int,
+                   what: str) -> tuple[frozenset[int], ...]:
+    classes = []
+    seen: set[int] = set()
+    for chunk in _split_classes(body, lineno, line):
+        items = _items(chunk.split(), n, lineno, what)
+        if not items:
+            raise _syntax(f"empty {what} class", lineno)
+        for item in items:
+            if item in seen:
+                raise ParseError("duplicate-item", f"agent {agent} lists {what} {item} twice",
+                                 lineno)
+            seen.add(item)
+        classes.append(frozenset(items))
+    return tuple(classes)
+
+
+def _rpref_body(body: str, n: int, lineno: int, line: str, agent: int):
+    house_part, sep, tenant_part = (part.strip() for part in body.partition(";"))
+    if not sep or not house_part.startswith("H") or not tenant_part.startswith("N"):
+        raise _syntax("rpref body must look like 'H [..] > [..] ; N [..]'", lineno)
+    return (_index_classes(house_part[1:], n, lineno, line, agent, "house"),
+            _index_classes(tenant_part[1:], n, lineno, line, agent, "tenant"))
+
+
+def _primary_order(body: str, n: int, lineno: int, line: str, agent: int) -> tuple[int, ...]:
+    return _items(body.split(), n, lineno)
+
+
+def _ppref_body(body: str, n: int, lineno: int, line: str, agent: int):
+    p_part, sep, t_part = (part.strip() for part in body.partition(";"))
+    if not sep or not p_part.startswith("P") or not t_part.startswith("T"):
+        raise _syntax("ppref body must look like 'P 2 0 1 ; T [..] > [..]'", lineno)
+    return (_primary_order(p_part[1:], n, lineno, line, agent),
+            _index_classes(t_part[1:], n, lineno, line, agent, "item"))
+
+
+# Candidate keyword -> the reader of one report.
+_REPORTS = {"pref": _pref_body, "rpref": _rpref_body, "porder": _primary_order}
+
+
+def _agent_line(line: str, lineno: int, keyword: str, n: int) -> tuple[int, str]:
+    """The agent and the body of a '<keyword> <agent>: <body>' line."""
+    head, _, body = line.partition(":")
+    parts = head.split()
+    if len(parts) != 2 or parts[0] != keyword or not body:
+        raise _syntax(f"expected '{keyword} <agent>: {_FORMATS[keyword][1]}', got {line!r}",
+                      lineno)
+    return _check_index(_parse_int(parts[1], lineno, "agent"), n, lineno, "agent"), body
+
+
+def _parse_endow(line: str, n: int, lineno: int) -> tuple[int, ...]:
+    parts = line.split()
+    if len(parts) != n + 1:
+        raise ParseError("endowment", f"endow line needs {n} houses", lineno)
+    houses = _items(parts[1:], n, lineno, "house")
+    if sorted(houses) != list(range(n)):
+        raise ParseError("endowment", "endow line is not a bijection", lineno)
+    return houses
+
+
+def _parse_mode(line: str, n: int, lineno: int) -> str:
+    parts = line.split()
+    if len(parts) != 2 or parts[1] not in (HOUSE, TENANT):
+        raise _syntax(f"expected 'mode {HOUSE}|{TENANT}', got {line!r}", lineno)
+    return parts[1]
+
+
+def _read_agent_lines(text: str, keyword: str, parse_body, directives: dict | None = None,
+                      complete: bool = True):
+    """The steps every per-agent format shares: the header and the
+    ``agents`` line, then ``endow`` and the given directives, each at most
+    once and before the first agent line, then one ``<keyword> <agent>:``
+    line per agent, whose body ``parse_body(body, n, lineno, line, agent)``
+    reads.  Returns n, the directive values by name (``endow`` defaults to
+    the identity) and the bodies in agent order, ``[]`` for an agent without
+    a line; ``complete`` refuses a missing line."""
+    kind = _FORMATS[keyword][0]
+    lines = _meaningful_lines(text)
+    lineno, line = next(lines, (1, None))
+    if line is None:
+        raise _syntax(f"empty {kind} file", 1)
+    if line != _HEADER:
+        raise _syntax(f"{kind} file must start with {_HEADER!r}", lineno)
+    lineno, line = next(lines, (1, None))
+    if line is None:
+        raise _syntax("missing 'agents <n>' line", 1)
+    parts = line.split()
+    if len(parts) != 2 or parts[0] != "agents":
+        raise _syntax(f"expected 'agents <n>', got {line!r}", lineno)
+    n = _parse_int(parts[1], lineno, "agent count")
+    if n < 1:
+        raise _syntax("need at least one agent", lineno)
+    if n > MAX_AGENTS:
+        raise ParseError("index-range", f"agent count {n} above the limit {MAX_AGENTS}", lineno)
+    readers = {"endow": _parse_endow, **(directives or {})}
+    found: dict = {}
+    bodies: dict = {}
+    for lineno, line in lines:
+        word = line.split(None, 1)[0]
+        if word in readers:
+            if bodies or word in found:
+                raise _syntax(f"{word} must appear once, before {keyword} lines", lineno)
+            found[word] = readers[word](line, n, lineno)
+        elif word == keyword:
+            agent, body = _agent_line(line, lineno, keyword, n)
+            if agent in bodies:
+                raise _syntax(f"duplicate {keyword} line for agent {agent}", lineno)
+            bodies[agent] = parse_body(body, n, lineno, line, agent)
+        else:
+            raise _syntax(f"unknown directive {word!r}", lineno)
+    missing = [i for i in range(n) if i not in bodies]
+    if complete and missing:
+        raise _syntax(f"missing {keyword} line for agents {missing}", 1)
+    found.setdefault("endow", tuple(range(n)))
+    return n, found, [bodies.get(i, []) for i in range(n)]
+
+
+def parse_instance_reference(text: str) -> Instance:
+    """Parse and validate an instance file, returning it in canonical
+    labeling (agent i owns house i); preference outcomes are relabeled
+    alongside the houses when the endow line is not the identity."""
+    n, found, prefs = _read_agent_lines(text, "pref", _pref_body, complete=False)
+    return canonicalize_endowment(make_instance(n, prefs, found["endow"]))
+
+
+def parse_allocation_reference(text: str, n: int) -> Allocation:
+    assignment: dict[int, int] = {}
+    for lineno, line in _meaningful_lines(text):
+        parts = line.split()
+        if len(parts) != 3 or parts[0] != "assign":
+            raise _syntax(f"expected 'assign <agent> <house>', got {line!r}", lineno)
+        agent = _check_index(_parse_int(parts[1], lineno, "agent"), n, lineno, "agent")
+        house = _check_index(_parse_int(parts[2], lineno, "house"), n, lineno, "house")
+        if agent in assignment:
+            raise _syntax(f"duplicate assignment for agent {agent}", lineno)
+        assignment[agent] = house
+    missing = [i for i in range(n) if i not in assignment]
+    if missing:
+        raise _syntax(f"missing assignment for agents {missing}", 1)
+    houses = [assignment[i] for i in range(n)]
+    if sorted(houses) != list(range(n)):
+        raise _syntax("assignment is not a bijection", 1)
+    return Allocation(tuple(houses))
+
+
+def parse_responsive_profile_reference(text: str) -> ResponsiveProfile:
+    n, found, bodies = _read_agent_lines(text, "rpref", _rpref_body)
+    houses, tenants = zip(*bodies)
+    return _build(ResponsiveProfile, n, found["endow"], houses, tenants)
+
+
+def parse_predominant_profile_reference(text: str) -> PredominantProfile:
+    n, found, bodies = _read_agent_lines(text, "ppref", _ppref_body, {"mode": _parse_mode})
+    if "mode" not in found:
+        raise _syntax("missing 'mode' line", 1)
+    primary, tiebreak = zip(*bodies)
+    return _build(PredominantProfile, n, found["endow"], found["mode"], primary, tiebreak)
+
+
+def parse_candidates_reference(text: str, keyword: str, truth: Market, agent: int) -> list:
+    """The misreports in a candidate file, one per line: ``pref`` or
+    ``rpref`` lines, read as in their file formats, or ``porder <agent>
+    <item>...`` strict primary orders.  Each must give a valid market in
+    place of the agent's preferences in ``truth``, so an ``rpref`` candidate
+    must list the house the endowment gives the agent.  A fault is reported
+    at the candidate's own line."""
+    reports = []
+    for lineno, line in _meaningful_lines(text):
+        if keyword == "porder":  # no ':' after the agent
+            parts = line.split()
+            if parts[0] != keyword or len(parts) < 2:
+                raise _syntax("expected 'porder <agent> <item>...'", lineno)
+            who, body = _parse_int(parts[1], lineno, "agent"), " ".join(parts[2:])
+        else:
+            who, body = _agent_line(line, lineno, keyword, truth.n)
+        if who != agent:
+            raise _syntax(f"candidate line is for agent {who}", lineno)
+        report = _REPORTS[keyword](body, truth.n, lineno, line, agent)
+        try:
+            truth.with_report(agent, report)
+        except ValueError as exc:
+            raise ParseError("syntax", str(exc), lineno) from exc
+        reports.append(report)
+    return reports
+
+
+def parse_x3c_reference(text: str, agents_per_m: int) -> X3CInstance:
+    """An exact-cover file: ``m``, then one triple per line.  An ``m`` whose
+    gadget would have more than MAX_AGENTS agents, ``agents_per_m`` for each
+    unit of m, is refused before anything is allocated."""
+    rows = [(lineno, line.split()) for lineno, line in _meaningful_lines(text)]
+    if not rows or len(rows[0][1]) != 1:
+        raise _syntax("exact-cover file: first line must be m", 1)
+    lineno, (token,) = rows[0]
+    m = _parse_int(token, lineno, "m")
+    if agents_per_m * m > MAX_AGENTS:
+        raise ParseError("index-range", f"m = {m} makes {agents_per_m * m} agents, above the "
+                         f"limit {MAX_AGENTS}", lineno)
+    triples = []
+    for lineno, r in rows[1:]:
+        if len(r) != 3:
+            raise _syntax(f"expected 3 elements per triple, got {r}", lineno)
+        triples.append(tuple(sorted(_parse_int(x, lineno, "element") for x in r)))
+    return _build(X3CInstance, m, tuple(triples))
+
+
+# -- the LP writer --------------------------------------------------------
+
+def to_lp_text_reference(program: MathProgram) -> str:
+    """LP-style text: objective, subject-to, binary, end sections."""
+
+    def term_text(coeff: int, names: tuple[str, ...], first: bool) -> str:
+        sign = "-" if coeff < 0 else ("" if first else "+")
+        magnitude = abs(coeff)
+        body = " * ".join(names)
+        coeff_part = f"{magnitude} " if magnitude != 1 or not names else ""
+        lead = f"{sign} " if sign else ""
+        return f"{lead}{coeff_part}{body}"
+
+    out = ["maximize"]
+    parts = [term_text(c, names, i == 0) for i, (c, names) in enumerate(program.objective)]
+    out.append(" obj: " + (" ".join(parts) if parts else "0"))
+    out.append("subject to")
+    for con in program.constraints:
+        lhs = " ".join(
+            term_text(c, (v,), i == 0) for i, (c, v) in enumerate(con.terms)
+        )
+        out.append(f" {con.name}: {lhs} {con.sense} {con.rhs}")
+    out.append("binary")
+    for v in program.variables:
+        out.append(f" {v}")
+    out.append("end")
+    return "\n".join(out) + "\n"
+
+
+def export_ilp_reference(inst: Instance, table: WeightTable, *,
+                         linking: bool = True) -> MathProgram:
+    """Linear encoding over binaries x_i_j_k (agent i receives house j and
+    agent k is the tenant of i's own house).
+
+    Constraints: one triple per agent, each house received once, each agent
+    a tenant once, the two self-consistency exclusion families (keeping your
+    house means you are your own tenant, and conversely), and, unless
+    ``linking`` is disabled, the linking equalities that tie "k is tenant of
+    i's house" to "k receives i's house".
+    """
+    n = inst.n
+    variables = tuple(_x3(i, j, k) for i in range(n) for j in range(n) for k in range(n))
+    objective = tuple(
+        (table.weight(i, j, k), (_x3(i, j, k),))
+        for i in range(n) for j in range(n) for k in range(n)
+        if table.weight(i, j, k) != 0
+    )
+    cons: list[Constraint] = []
+    for i in range(n):
+        terms = tuple((1, _x3(i, j, k)) for j in range(n) for k in range(n))
+        cons.append(Constraint(f"agent_{i}", terms, "=", 1))
+    for j in range(n):
+        terms = tuple((1, _x3(i, j, k)) for i in range(n) for k in range(n))
+        cons.append(Constraint(f"house_{j}", terms, "=", 1))
+    for k in range(n):
+        terms = tuple((1, _x3(i, j, k)) for i in range(n) for j in range(n))
+        cons.append(Constraint(f"tenant_{k}", terms, "=", 1))
+    for i in range(n):
+        own = inst.endowment[i]
+        for k in range(n):
+            if k == i:
+                continue
+            cons.append(Constraint(f"own_house_own_tenant_{i}_{k}",
+                                   ((1, _x3(i, own, k)),), "=", 0))
+        for j in range(n):
+            if j == own:
+                continue
+            cons.append(Constraint(f"own_tenant_own_house_{i}_{j}",
+                                   ((1, _x3(i, j, i)),), "=", 0))
+    if linking:
+        for i in range(n):
+            own = inst.endowment[i]
+            for k in range(n):
+                if k == i:
+                    continue
+                terms = tuple((1, _x3(i, j, k)) for j in range(n))
+                terms += tuple((-1, _x3(k, own, kk)) for kk in range(n))
+                cons.append(Constraint(f"link_{i}_{k}", terms, "=", 0))
+    return MathProgram("ilp", variables, objective, tuple(cons))
+
+
+def export_qp_reference(inst: Instance, table: WeightTable) -> MathProgram:
+    """Quadratic encoding over binaries x_i_j (agent i receives house j):
+    assignment row and column constraints, objective summing
+    w(i, j, k) * x_i_j * x_k_e(i) so the second factor says agent k moved
+    into i's own house."""
+    n = inst.n
+    variables = tuple(_x2(i, j) for i in range(n) for j in range(n))
+    objective = []
+    for i in range(n):
+        own = inst.endowment[i]
+        for j in range(n):
+            for k in range(n):
+                w = table.weight(i, j, k)
+                if w != 0:
+                    objective.append((w, (_x2(i, j), _x2(k, own))))
+    cons: list[Constraint] = []
+    for i in range(n):
+        cons.append(Constraint(f"row_{i}", tuple((1, _x2(i, j)) for j in range(n)), "=", 1))
+    for j in range(n):
+        cons.append(Constraint(f"col_{j}", tuple((1, _x2(i, j)) for i in range(n)), "=", 1))
+    return MathProgram("qp", variables, tuple(objective), tuple(cons))

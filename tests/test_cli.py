@@ -502,3 +502,34 @@ def test_oversized_agent_count_is_refused_at_once(tmp_path, capsys, suffix, argv
     err = capsys.readouterr().err
     assert (code, out) == (2, "")
     assert err == "input error: index-range: agent count 99999999 above the limit 10000 (line 2)\n"
+
+
+@pytest.mark.parametrize("command", ["solve", "manipulate"])
+@pytest.mark.parametrize("method,mode", [("ttc", "tenant"), ("tttc", "house")])
+def test_a_mechanism_on_a_profile_of_the_other_mode_exits_2(tmp_path, capsys, command, method,
+                                                           mode):
+    path = tmp_path / "p.ptep"
+    code, _ = invoke(["gen", "--family", "random-predominant", "--mode", mode, "--n", "4",
+                      "--seed", "5", "--out", str(path)])
+    assert code == 0
+    capsys.readouterr()
+    argv = [command, "--instance", str(path), "--method", method]
+    if command == "manipulate":
+        argv += ["--agent", "0", "--space", "strict"]
+    code, out = invoke(argv)
+    other = "house" if mode == "tenant" else "tenant"
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == (f"input error: syntax: --method {method} needs a profile "
+                                       f"with 'mode {other}', got 'mode {mode}'\n")
+
+
+def test_an_x3c_refusal_names_at_most_ten_elements(tmp_path, capsys):
+    path = tmp_path / "c.x3c"
+    path.write_text("3333\n")
+    code, out = invoke(["gen", "--family", "x3c-top", "--x3c", str(path),
+                        "--out", str(tmp_path / "o.tep")])
+    err = capsys.readouterr().err
+    assert (code, out) == (2, "")
+    assert len(err.encode()) < 300 and err.count("\n") == 1
+    assert err == ("input error: syntax: each element must appear exactly three times; 9999 do "
+                   "not, the first 10: [0, 1, 2, 3, 4, 5, 6, 7, 8, 9]\n")

@@ -21,8 +21,14 @@ from tep import (
     weights_from_ranks,
 )
 from tep.generators import empty_core_instance, random_instance, sp_instance
+from tep.programs import Constraint, MathProgram
 
-from references import iter_candidate_points
+from references import (
+    export_ilp_reference,
+    export_qp_reference,
+    iter_candidate_points,
+    to_lp_text_reference,
+)
 
 RING = empty_core_instance()
 SP = sp_instance()
@@ -266,3 +272,43 @@ def test_program_validates_variable_references():
     with pytest.raises(ValueError):
         MathProgram("ilp", ("x_0_0_0",), (),
                     (Constraint("c", ((1, "ghost"),), "=", 1),))
+
+
+# ------------------------------------------- name-table writer vs. reference
+
+
+def _permuted_instance(n, seed):
+    """A random instance with a non-identity endowment, so each agent's own
+    house differs from its index."""
+    from tep.rng import SplitMix64
+
+    inst = random_instance(n, 0.5, 0.4, seed)
+    endowment = list(range(n))
+    SplitMix64(seed).shuffle(endowment)
+    return make_instance(n, inst.prefs, endowment)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_exports_match_the_reference_writer_byte_for_byte(n):
+    for seed, scheme in product((n, 100 + n), ("borda", "exponential")):
+        inst = _permuted_instance(n, seed)
+        table = weights_from_ranks(inst, scheme)
+        pairs = [(export_qp(inst, table), export_qp_reference(inst, table)),
+                 (export_ilp(inst, table), export_ilp_reference(inst, table)),
+                 (export_ilp(inst, table, linking=False),
+                  export_ilp_reference(inst, table, linking=False))]
+        for program, reference in pairs:
+            assert program == reference
+            assert program.to_lp_text() == to_lp_text_reference(reference)
+
+
+@pytest.mark.parametrize("objective,terms", [
+    ((), ()),
+    (((5, ()), (1, ()), (-1, ()), (0, ("a",))), ((1, "a"), (-1, "b"), (0, "a"), (-7, "b"))),
+    (((-1, ("a", "b")), (1, ("b",)), (3, ("a", "b"))), ((2, "b"),)),
+    (((1, ("",)), (1, ()), (-1, ("", "a"))), ((1, ""), (-1, ""))),
+], ids=["empty", "constants-and-zeros", "negative-first", "empty-names"])
+def test_lp_text_of_odd_terms_matches_the_reference(objective, terms):
+    program = MathProgram("qp", ("a", "b", ""), objective,
+                          (Constraint("c", terms, "<=", 1), Constraint("d", (), "=", 0)))
+    assert program.to_lp_text() == to_lp_text_reference(program)
