@@ -208,13 +208,7 @@ def _improvement_steps(inst: Instance, agent: int, cur: int) -> list[tuple[int, 
     ranks strictly above rank ``cur``.  A listed outcome (h, t) means taking
     the house of h's owner while t becomes the agent's own tenant."""
     owner = inst.owner
-    steps: list[tuple[int, int]] = []
-    for rank, cls in enumerate(inst.prefs[agent]):
-        if rank >= cur:
-            break
-        for o in sorted(cls):
-            steps.append((o.tenant, owner[o.house]))
-    return steps
+    return [(o.tenant, owner[o.house]) for o in inst.listed_outcomes(agent, cur - 1)]
 
 
 def improvement_options(inst: Instance, alloc: Allocation) -> Options:
@@ -267,40 +261,33 @@ def _assignment_search(inst: Instance, rank_limits: list[int],
     endow = inst.endowment
     got = [-1] * n  # house received
     ten = [-1] * n  # tenant of own house
-    candidates: list[list[Outcome]] = []
-    for i in range(n):
-        opts: list[Outcome] = []
-        for rank, cls in enumerate(inst.prefs[i]):
-            if rank > rank_limits[i]:
-                break
-            opts.extend(sorted(cls))
-        candidates.append(opts)
-
+    candidates = [inst.listed_outcomes(i, rank_limits[i]) for i in range(n)]
     determined: set[int] = set()
     imp_options: Options = [[] for _ in range(n)]
 
-    def settle(trail_agents: list[int]) -> list[int] | None:
+    def undo(added: list[int]) -> None:
+        for y in added:
+            determined.remove(y)
+            imp_options[y] = []
+
+    def settle(agents: set[int]) -> list[int] | None:
         """Validate agents that just became fully determined; returns the
         list added to ``determined`` or None when one fails its rank limit
         or completes an improvement cycle."""
         added: list[int] = []
-        for x in sorted(set(trail_agents)):
+        for x in sorted(agents):
             if x in determined or got[x] < 0 or ten[x] < 0:
                 continue
             rank = inst.rank(x, Outcome(got[x], ten[x]))
             if rank > rank_limits[x]:
-                for y in added:
-                    determined.remove(y)
-                    imp_options[y] = []
+                undo(added)
                 return None
             determined.add(x)
             added.append(x)
             if prune_blocking:
                 imp_options[x] = _improvement_steps(inst, x, rank)
                 if has_cycle_through(imp_options, x, determined, budget):
-                    for y in added:
-                        determined.remove(y)
-                        imp_options[y] = []
+                    undo(added)
                     return None
         return added
 
@@ -315,26 +302,22 @@ def _assignment_search(inst: Instance, rank_limits: list[int],
             if (got[i] >= 0 and got[i] != o.house) or (ten[i] >= 0 and ten[i] != o.tenant):
                 continue
             budget.tick()
-            trail: list[tuple[str, int]] = []
-
-            def put(kind: str, x: int, value: int) -> bool:
-                arr = got if kind == "g" else ten
+            # The four facts o fixes; a clash with one already fixed ends the candidate.
+            trail: list[tuple[list[int], int]] = []
+            for arr, x, value in ((got, i, o.house), (ten, i, o.tenant),
+                                  (ten, owner[o.house], i), (got, o.tenant, endow[i])):
                 if arr[x] < 0:
                     arr[x] = value
-                    trail.append((kind, x))
-                    return True
-                return arr[x] == value
-
-            ok = (put("g", i, o.house) and put("t", i, o.tenant)
-                  and put("t", owner[o.house], i) and put("g", o.tenant, endow[i]))
-            added = settle([x for _, x in trail]) if ok else None
-            if ok and added is not None:
-                yield from assign(i + 1)
-                for y in added:
-                    determined.remove(y)
-                    imp_options[y] = []
-            for kind, x in reversed(trail):
-                (got if kind == "g" else ten)[x] = -1
+                    trail.append((arr, x))
+                elif arr[x] != value:
+                    break
+            else:
+                added = settle({x for _, x in trail})
+                if added is not None:
+                    yield from assign(i + 1)
+                    undo(added)
+            for arr, x in trail:
+                arr[x] = -1
 
     return assign(0)
 

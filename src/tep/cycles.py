@@ -68,24 +68,21 @@ def _cycles_through(options: Options, start: int, low: int, allowed: set[int],
             yield from extend(p0, n0, start, {start: None, n0: None})
 
 
-def iter_exchange_cycles(options: Options, budget: Budget | None = None,
-                         members: set[int] | None = None) -> Iterator[list[int]]:
+def iter_exchange_cycles(options: Options, budget: Budget | None = None) -> Iterator[list[int]]:
     """Yield every simple exchange cycle, smallest member first.
 
     ``options[i]`` lists the (predecessor, successor) pairs agent i accepts.
-    ``members`` restricts the search to a subset of agents.  Cycles are
-    canonical: position 0 holds the smallest member, so each cycle appears
-    exactly once.
+    Cycles are canonical: position 0 holds the smallest member, so each
+    cycle appears exactly once.
     """
-    allowed = members if members is not None else set(range(len(options)))
-    for start in sorted(allowed):
+    allowed = set(range(len(options)))
+    for start in range(len(options)):
         yield from _cycles_through(options, start, start, allowed, budget)
 
 
-def find_exchange_cycle(options: Options, budget: Budget | None = None,
-                        members: set[int] | None = None) -> list[int] | None:
+def find_exchange_cycle(options: Options, budget: Budget | None = None) -> list[int] | None:
     """First exchange cycle in canonical enumeration order, or None."""
-    return next(iter_exchange_cycles(options, budget, members), None)
+    return next(iter_exchange_cycles(options, budget), None)
 
 
 def has_cycle_through(options: Options, pivot: int, allowed: set[int],

@@ -10,6 +10,11 @@ Outcomes an agent does not list are treated as a single shared indifference
 class strictly below everything listed, which makes every comparison total.
 The agent's endowment outcome ``(endowment[i], i)`` is always listed (it is
 appended as a final singleton class when a constructor input omits it).
+
+The same weak order, :class:`PreferenceOrder`, also ranks the house and
+tenant components of responsive profiles and the orders of predominant
+ones; :func:`checked_items` validates the class lists of instances and
+responsive profiles.
 """
 
 from __future__ import annotations
@@ -33,34 +38,76 @@ PrefClasses = tuple[frozenset[Outcome], ...]
 
 @dataclass(frozen=True)
 class PreferenceOrder:
-    """One agent's weak order as a rank lookup.
+    """One weak order as a rank lookup: over one agent's outcomes, or over
+    the houses, tenants or tie-break items of a component order.
 
-    Rank 0 is the best class; unlisted outcomes all share the sentinel rank
-    ``len(classes)``, i.e. they are mutually indifferent and strictly worse
-    than every listed outcome.
+    ``classes`` lists indifference classes best first.  Rank 0 is the best
+    class; unlisted items all share the sentinel rank ``len(classes)``, i.e.
+    they are mutually indifferent and strictly worse than every listed item.
     """
 
-    classes: PrefClasses
+    classes: tuple[frozenset, ...]
 
     @cached_property
-    def _ranks(self) -> dict[Outcome, int]:
-        table: dict[Outcome, int] = {}
-        for rank, cls in enumerate(self.classes):
-            for outcome in cls:
-                table[outcome] = rank
-        return table
+    def _ranks(self) -> dict:
+        return {x: rank for rank, cls in enumerate(self.classes) for x in cls}
+
+    @cached_property
+    def _listing(self) -> tuple[tuple, list[int]]:
+        """The listed items best class first, sorted within a class, and
+        per rank r the number of items ranked r or better."""
+        items: list = []
+        ends = []
+        for cls in self.classes:
+            items.extend(sorted(cls))
+            ends.append(len(items))
+        return tuple(items), ends
 
     @property
     def unacceptable_rank(self) -> int:
         return len(self.classes)
 
-    def rank(self, outcome: Outcome) -> int:
-        return self._ranks.get(outcome, len(self.classes))
+    def rank(self, item) -> int:
+        return self._ranks.get(item, len(self.classes))
 
-    def compare(self, a: Outcome, b: Outcome) -> int:
+    def compare(self, a, b) -> int:
         """+1 if ``a`` is strictly preferred, -1 if ``b`` is, 0 on a tie."""
         ra, rb = self.rank(a), self.rank(b)
         return (rb > ra) - (ra > rb)
+
+    def listed(self, limit: int | None = None) -> tuple:
+        """The listed items of rank at most ``limit`` (all by default), best
+        class first, sorted within a class."""
+        items, ends = self._listing
+        if limit is None or limit >= len(ends) - 1:
+            return items
+        return items[:ends[limit]] if limit >= 0 else ()
+
+
+def checked_items(agent: int, classes, n: int, item: str = "outcome") -> frozenset:
+    """The items an agent's best-first classes list.  A ValueError names the
+    first empty class, out-of-range item or repeated item.  ``item`` is
+    ``"outcome"`` for (house, tenant) pairs, else what the integer items
+    are (``"house"``, ``"tenant"``)."""
+    pairs = item == "outcome"
+    listed = frozenset().union(*classes)
+    values = frozenset().union(*listed) if pairs else listed
+    if (all(classes) and len(listed) == sum(map(len, classes)) and values
+            and min(values) >= 0 and max(values) < n):
+        return listed
+    seen: set = set()
+    for cls in classes:
+        if not cls:
+            raise ValueError(f"agent {agent} has an empty "
+                             f"{'indifference' if pairs else item} class")
+        for x in cls:
+            name = f"{item} {x.text() if pairs else x}"
+            if not all(0 <= v < n for v in (x if pairs else (x,))):
+                raise ValueError(f"agent {agent} lists out-of-range {name}")
+            if x in seen:
+                raise ValueError(f"agent {agent} lists {name} twice")
+            seen.add(x)
+    return listed
 
 
 def inverse_permutation(perm: tuple[int, ...]) -> tuple[int, ...]:
@@ -127,11 +174,7 @@ class Instance(Market):
         if len(self.prefs) != n:
             raise ValueError("need one preference list per agent")
         for i, classes in enumerate(self.prefs):
-            listed = frozenset().union(*classes)
-            if not (all(classes) and len(listed) == sum(map(len, classes)) and listed
-                    and min(map(min, listed)) >= 0 and max(map(max, listed)) < n):
-                _raise_first_fault(i, classes, n)
-            if self.endowment_outcome(i) not in listed:
+            if self.endowment_outcome(i) not in checked_items(i, classes, n):
                 raise ValueError(f"agent {i} does not list its endowment outcome")
 
     @cached_property
@@ -164,12 +207,10 @@ class Instance(Market):
     def rank(self, agent: int, outcome: Outcome) -> int:
         return self.orders[agent].rank(outcome)
 
-    def listed_outcomes(self, agent: int) -> tuple[Outcome, ...]:
-        """The agent's listed outcomes, best class first, sorted within a class."""
-        out: list[Outcome] = []
-        for cls in self.prefs[agent]:
-            out.extend(sorted(cls))
-        return tuple(out)
+    def listed_outcomes(self, agent: int, limit: int | None = None) -> tuple[Outcome, ...]:
+        """The agent's listed outcomes of rank at most ``limit`` (all by
+        default), best class first, sorted within a class."""
+        return self.orders[agent].listed(limit)
 
     def prefers(self, agent: int, a: Outcome, b: Outcome) -> bool:
         return compare(self, agent, a, b) > 0
@@ -180,21 +221,6 @@ class Instance(Market):
         prefs = [[set(c) for c in (report if i == agent else self.prefs[i])]
                  for i in range(self.n)]
         return make_instance(self.n, prefs, self.endowment)
-
-
-def _raise_first_fault(agent: int, classes: PrefClasses, n: int) -> None:
-    """The first empty class, out-of-range outcome or repeated outcome of an
-    agent's classes, as a ValueError."""
-    seen: set[Outcome] = set()
-    for cls in classes:
-        if not cls:
-            raise ValueError(f"agent {agent} has an empty indifference class")
-        for o in cls:
-            if not (0 <= o.house < n and 0 <= o.tenant < n):
-                raise ValueError(f"agent {agent} lists out-of-range outcome {o.text()}")
-            if o in seen:
-                raise ValueError(f"agent {agent} lists outcome {o.text()} twice")
-            seen.add(o)
 
 
 @dataclass(frozen=True)

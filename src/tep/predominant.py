@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import chain
 
-from .model import Allocation, Instance, Market, Outcome, make_instance
+from .model import Allocation, Instance, Market, Outcome, PreferenceOrder, make_instance
 
 HOUSE = "house"
 TENANT = "tenant"
@@ -48,22 +48,19 @@ class PredominantProfile(Market):
                 raise ValueError(f"agent {i}: tie-break classes must partition all {n} items")
 
     @cached_property
-    def _primary_rank(self) -> tuple[dict[int, int], ...]:
-        return tuple({x: r for r, x in enumerate(order)} for order in self.primary)
-
-    @cached_property
-    def _tiebreak_rank(self) -> tuple[dict[int, int], ...]:
-        return tuple(
-            {x: r for r, cls in enumerate(classes) for x in cls}
-            for classes in self.tiebreak
-        )
+    def _orders(self) -> tuple[tuple[PreferenceOrder, PreferenceOrder], ...]:
+        """Per agent, the primary order (one item per class) and the tie-break order."""
+        return tuple((PreferenceOrder(tuple(frozenset([x]) for x in order)),
+                      PreferenceOrder(classes))
+                     for order, classes in zip(self.primary, self.tiebreak))
 
     def outcome_key(self, agent: int, outcome: Outcome) -> tuple[int, int]:
         """Sort key (lower is better) of an outcome for one agent."""
         o = Outcome(*outcome)
+        primary, tiebreak = self._orders[agent]
         if self.mode == HOUSE:
-            return (self._primary_rank[agent][o.house], self._tiebreak_rank[agent][o.tenant])
-        return (self._primary_rank[agent][o.tenant], self._tiebreak_rank[agent][o.house])
+            return (primary.rank(o.house), tiebreak.rank(o.tenant))
+        return (primary.rank(o.tenant), tiebreak.rank(o.house))
 
     def prefers(self, agent: int, a: Outcome, b: Outcome) -> bool:
         return lex_compare(self, agent, a, b) > 0

@@ -19,7 +19,8 @@ from functools import cached_property
 from .axioms import DEFAULT_NODE_BUDGET, all_allocations  # noqa: F401
 from .cycles import Budget, Options, find_exchange_cycle
 from .matching import augment, max_bipartite_matching
-from .model import Allocation, Market, Outcome, inverse_permutation, outcome_of
+from .model import (Allocation, Market, Outcome, PreferenceOrder, checked_items,
+                    inverse_permutation, outcome_of)
 from .rng import SplitMix64
 
 ComponentClasses = tuple[tuple[frozenset[int], ...], ...]
@@ -50,45 +51,27 @@ class ResponsiveProfile(Market):
     def __post_init__(self):
         super().__post_init__()
         n = self.n
-        for label, per_agent, required in (
-            ("house", self.house_classes, lambda i: self.endowment[i]),
-            ("tenant", self.tenant_classes, lambda i: i),
-        ):
+        for label, per_agent, required in (("house", self.house_classes, self.endowment),
+                                           ("tenant", self.tenant_classes, range(n))):
             if len(per_agent) != n:
                 raise ValueError(f"need one {label} order per agent")
             for i, classes in enumerate(per_agent):
-                seen: set[int] = set()
-                for cls in classes:
-                    if not cls:
-                        raise ValueError(f"agent {i} has an empty {label} class")
-                    for item in cls:
-                        if not 0 <= item < n:
-                            raise ValueError(f"agent {i} lists out-of-range {label} {item}")
-                        if item in seen:
-                            raise ValueError(f"agent {i} lists {label} {item} twice")
-                        seen.add(item)
-                if required(i) not in seen:
+                if required[i] not in checked_items(i, classes, n, label):
                     raise ValueError(f"agent {i} must find its own {label} acceptable")
 
     @cached_property
-    def _house_ranks(self) -> tuple[dict[int, int], ...]:
-        return tuple(
-            {h: rank for rank, cls in enumerate(classes) for h in cls}
-            for classes in self.house_classes
-        )
+    def _house_orders(self) -> tuple[PreferenceOrder, ...]:
+        return tuple(map(PreferenceOrder, self.house_classes))
 
     @cached_property
-    def _tenant_ranks(self) -> tuple[dict[int, int], ...]:
-        return tuple(
-            {t: rank for rank, cls in enumerate(classes) for t in cls}
-            for classes in self.tenant_classes
-        )
+    def _tenant_orders(self) -> tuple[PreferenceOrder, ...]:
+        return tuple(map(PreferenceOrder, self.tenant_classes))
 
     def house_rank(self, agent: int, house: int) -> int:
-        return self._house_ranks[agent].get(house, len(self.house_classes[agent]))
+        return self._house_orders[agent].rank(house)
 
     def tenant_rank(self, agent: int, tenant: int) -> int:
-        return self._tenant_ranks[agent].get(tenant, len(self.tenant_classes[agent]))
+        return self._tenant_orders[agent].rank(tenant)
 
     def acceptable_houses(self, agent: int) -> frozenset[int]:
         return frozenset(h for cls in self.house_classes[agent] for h in cls)

@@ -2,10 +2,13 @@
 
 Each walks every allocation (or every one-per-agent 0/1 point) and applies
 the definition directly, so it is obviously right and only usable at desk
-scale.  The text-format reader (``parse_*_reference``) and the LP writer
-(``export_*_reference``, ``to_lp_text_reference``) are the token-by-token
-and term-by-term versions the library's fast paths replaced, kept as they
-were.
+scale.  The outcome listing and the backtracking search over listed
+outcomes (``listed_outcomes_reference``, ``improvement_steps_reference``,
+``assignment_search_reference``) are the versions that sorted every class
+on each call.  The text-format reader (``parse_*_reference``) and the LP
+writer (``export_*_reference``, ``to_lp_text_reference``) are the
+token-by-token and term-by-term versions the library's fast paths
+replaced.  All are kept as they were.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import re
 from typing import Iterator
 
 from tep import all_allocations, is_core_stable, is_individually_rational, outcome_of
+from tep.cycles import Budget, Options, has_cycle_through
 from tep.errors import ParseError
 from tep.generators import X3CInstance
 from tep.model import Allocation, Instance, Market, Outcome, canonicalize_endowment, make_instance
@@ -100,6 +104,118 @@ def is_rs_pareto_optimal_reference(prof, alloc):
         if strict:
             return False
     return True
+
+
+# -- the outcome search --------------------------------------------------
+# The listing and the backtracking search over listed outcomes as they were
+# before they read one cached listing per agent, kept verbatim apart from
+# their names (``listed_outcomes`` was an ``Instance`` method).
+
+def listed_outcomes_reference(inst: Instance, agent: int) -> tuple[Outcome, ...]:
+    """The agent's listed outcomes, best class first, sorted within a class."""
+    out: list[Outcome] = []
+    for cls in inst.prefs[agent]:
+        out.extend(sorted(cls))
+    return tuple(out)
+
+
+def improvement_steps_reference(inst: Instance, agent: int, cur: int) -> list[tuple[int, int]]:
+    """The (predecessor, successor) exchange steps to the outcomes the agent
+    ranks strictly above rank ``cur``.  A listed outcome (h, t) means taking
+    the house of h's owner while t becomes the agent's own tenant."""
+    owner = inst.owner
+    steps: list[tuple[int, int]] = []
+    for rank, cls in enumerate(inst.prefs[agent]):
+        if rank >= cur:
+            break
+        for o in sorted(cls):
+            steps.append((o.tenant, owner[o.house]))
+    return steps
+
+
+def assignment_search_reference(inst: Instance, rank_limits: list[int],
+                                prune_blocking: bool, budget: Budget) -> Iterator[Allocation]:
+    """Backtracking over agents in index order, assigning each a listed
+    outcome of rank <= its limit, with bijection and tenant-consistency
+    propagation.  With ``prune_blocking`` any partial assignment already
+    containing an improvement cycle among fully-determined agents is cut,
+    so every yielded leaf is core stable.
+    """
+    n = inst.n
+    owner = inst.owner
+    endow = inst.endowment
+    got = [-1] * n  # house received
+    ten = [-1] * n  # tenant of own house
+    candidates: list[list[Outcome]] = []
+    for i in range(n):
+        opts: list[Outcome] = []
+        for rank, cls in enumerate(inst.prefs[i]):
+            if rank > rank_limits[i]:
+                break
+            opts.extend(sorted(cls))
+        candidates.append(opts)
+
+    determined: set[int] = set()
+    imp_options: Options = [[] for _ in range(n)]
+
+    def settle(trail_agents: list[int]) -> list[int] | None:
+        """Validate agents that just became fully determined; returns the
+        list added to ``determined`` or None when one fails its rank limit
+        or completes an improvement cycle."""
+        added: list[int] = []
+        for x in sorted(set(trail_agents)):
+            if x in determined or got[x] < 0 or ten[x] < 0:
+                continue
+            rank = inst.rank(x, Outcome(got[x], ten[x]))
+            if rank > rank_limits[x]:
+                for y in added:
+                    determined.remove(y)
+                    imp_options[y] = []
+                return None
+            determined.add(x)
+            added.append(x)
+            if prune_blocking:
+                imp_options[x] = improvement_steps_reference(inst, x, rank)
+                if has_cycle_through(imp_options, x, determined, budget):
+                    for y in added:
+                        determined.remove(y)
+                        imp_options[y] = []
+                    return None
+        return added
+
+    def assign(i: int) -> Iterator[Allocation]:
+        if i == n:
+            yield Allocation(tuple(got))
+            return
+        if got[i] >= 0 and ten[i] >= 0:
+            yield from assign(i + 1)
+            return
+        for o in candidates[i]:
+            if (got[i] >= 0 and got[i] != o.house) or (ten[i] >= 0 and ten[i] != o.tenant):
+                continue
+            budget.tick()
+            trail: list[tuple[str, int]] = []
+
+            def put(kind: str, x: int, value: int) -> bool:
+                arr = got if kind == "g" else ten
+                if arr[x] < 0:
+                    arr[x] = value
+                    trail.append((kind, x))
+                    return True
+                return arr[x] == value
+
+            ok = (put("g", i, o.house) and put("t", i, o.tenant)
+                  and put("t", owner[o.house], i) and put("g", o.tenant, endow[i]))
+            added = settle([x for _, x in trail]) if ok else None
+            if ok and added is not None:
+                yield from assign(i + 1)
+                for y in added:
+                    determined.remove(y)
+                    imp_options[y] = []
+            for kind, x in reversed(trail):
+                (got if kind == "g" else ten)[x] = -1
+
+    return assign(0)
 
 
 # -- the text-format reader ----------------------------------------------

@@ -533,3 +533,24 @@ def test_an_x3c_refusal_names_at_most_ten_elements(tmp_path, capsys):
     assert len(err.encode()) < 300 and err.count("\n") == 1
     assert err == ("input error: syntax: each element must appear exactly three times; 9999 do "
                    "not, the first 10: [0, 1, 2, 3, 4, 5, 6, 7, 8, 9]\n")
+
+
+def test_the_shared_parser_answers_as_a_fresh_one(ring_file, capsys, monkeypatch):
+    """run keeps one argument parser for the process; a good argv, one
+    argparse refuses, --help and the good argv again each give the stdout,
+    stderr and exit code a freshly built parser gives."""
+    from tep import cli
+
+    good = ["oracle", "--instance", str(ring_file), "--enumerate", "ir"]
+    argvs = [good, ["oracle", "--instance", str(ring_file), "--enumerate", "all"],
+             ["--help"], ["verify", "--help"], good]
+    shared = []
+    for argv in argvs:
+        code = run(argv)
+        shared.append((code, *capsys.readouterr()))
+    for argv, answer in zip(argvs, shared):
+        monkeypatch.setattr(cli, "_PARSER", cli.build_parser())
+        code = run(argv)
+        assert answer == (code, *capsys.readouterr()), argv
+    assert [code for code, _, _ in shared] == [0, 2, 0, 0, 0]
+    assert shared[0] == shared[-1] and "invalid choice" in shared[1][2]

@@ -3,10 +3,10 @@
 
 ``iter_exchange_cycles_reference`` and ``has_cycle_through_reference`` are
 those routines, kept verbatim apart from their names.  On seeded random
-option lists, with and without a member subset and under several budgets,
-the new search must give the same cycles in the same order, the same
-answers, the same ``Budget.left`` after each call, and run out of budget at
-the same point.
+option lists under several budgets (the pivot search also within member
+subsets), the new search must give the same cycles in the same order, the
+same answers, the same ``Budget.left`` after each call, and run out of
+budget at the same point.
 """
 
 import random
@@ -107,13 +107,13 @@ def _family():
 
 def test_cycle_enumeration_matches_the_reference():
     exhausted = longest = 0
-    for case, options, members, nodes in _family():
+    for case, options, _, nodes in _family():
         runs = []
         for enumerate_ in (iter_exchange_cycles_reference, iter_exchange_cycles):
             budget = Budget(nodes)
-            result, seen = _outcome(lambda seen: seen.extend(enumerate_(options, budget, members)))
+            result, seen = _outcome(lambda seen: seen.extend(enumerate_(options, budget)))
             runs.append((result, seen, budget.left))
-        assert runs[0] == runs[1], (case, options, members, nodes)
+        assert runs[0] == runs[1], (case, options, nodes)
         exhausted += runs[0][0] == "exhausted"
         longest = max([longest] + [len(cycle) for cycle in runs[0][1]])
     assert exhausted > 0 and longest >= 5

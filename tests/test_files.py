@@ -1,6 +1,7 @@
 """Profile and allocation file formats."""
 
 import re
+from dataclasses import replace
 
 import pytest
 
@@ -275,3 +276,98 @@ def test_the_serializers_spelling_takes_the_fast_path():
             for line in text.splitlines()[2:]:
                 if line.startswith(keyword):
                     assert read(line.partition(":")[2], 6) is not None, line
+
+
+def _cli_argvs(name, text, args, tmp_path):
+    """The tep.cli.run argument lists that read a case's file: the file
+    written to ``tmp_path``, next to the valid market a candidate or
+    allocation file needs."""
+    from tep.generators import random_instance
+
+    def write(label, content):
+        path = tmp_path / label
+        path.write_text(content, encoding="utf-8")
+        return str(path)
+
+    out = str(tmp_path / "out")
+    kind = name.split("/")[0]
+    case = write("case", text)
+    if kind.startswith("instance"):
+        return [["oracle", "--instance", case, "--enumerate", "ir", "--node-budget", "20000"],
+                ["oracle", "--instance", case, "--enumerate", "core", "--node-budget", "20000"]]
+    if kind == "allocation":
+        inst = write("inst", serialize_instance(random_instance(args[0], 0.6, 0.4, 0)))
+        return [["verify", "--instance", inst, "--allocation", case, "--check", "ir"]]
+    if kind == "rpref":
+        return [["solve", "--instance", case, "--method", "pra"]]
+    if kind == "ppref":
+        return [["solve", "--instance", case, "--method", method] for method in ("ttc", "tttc")]
+    if kind == "x3c":
+        return [["gen", "--family", family, "--x3c", case, "--out", out]
+                for family in ("x3c-core", "x3c-top")]
+    keyword, truth, agent = args
+    if keyword == "pref":
+        market, method = serialize_instance(truth), "exact"
+    elif keyword == "rpref":
+        market, method = serialize_responsive_profile(truth), "pra"
+    else:
+        market = serialize_predominant_profile(truth)
+        method = "ttc" if truth.mode == "house" else "tttc"
+    return [["manipulate", "--instance", write("truth", market), "--method", method,
+             "--agent", str(agent), "--space", f"file:{case}"]]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_the_mutations_exit_through_the_cli_with_a_contract_code(seed, tmp_path, capsys):
+    """Every file of the reader cases, sent through tep.cli.run, exits 0, 1,
+    2 or 3 without an exception escaping; a file the reader refuses exits 2
+    with an input error."""
+    from tep.cli import run
+
+    codes = set()
+    for name, parse, _, text, args in _reader_cases(seed):
+        refused = isinstance(_read(parse, text, *args), tuple)
+        for argv in _cli_argvs(name, text, args, tmp_path):
+            code = run(argv)
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2, 3), (name, argv, code, err)
+            if refused:
+                assert code == 2 and err.startswith("input error: "), (name, text, err)
+            codes.add(code)
+    assert {0, 2} <= codes
+
+
+def test_every_serializer_is_a_fixed_point_of_its_reader():
+    """serialize(parse(text)) == text, byte for byte, on seeded random
+    instances, allocations and profiles; instances with a permuted endowment
+    are read in canonical labeling, so there the canonical text is the fixed
+    point."""
+    import random
+
+    from tep.files import parse_instance
+    from tep.generators import random_instance
+    from tep.model import make_instance
+
+    rng = random.Random(12)
+    for seed in range(40):
+        n = 1 + seed % 8
+        perm = list(range(n))
+        rng.shuffle(perm)
+        inst = random_instance(n, rng.choice([0.2, 0.5, 0.9]), rng.choice([0, 0.4, 0.9]), seed)
+        permuted = make_instance(n, inst.prefs, endowment=perm)
+        canonical = serialize_instance(parse_instance(serialize_instance(permuted)))
+        prof = random_predominant_profile(n, rng.choice(["house", "tenant"]), 0.4, seed)
+        texts = [
+            (parse_instance, serialize_instance, serialize_instance(inst), ()),
+            (parse_instance, serialize_instance, canonical, ()),
+            (parse_allocation, serialize_allocation, serialize_allocation(Allocation(tuple(perm))),
+             (n,)),
+            (parse_responsive_profile, serialize_responsive_profile,
+             serialize_responsive_profile(random_responsive_profile(n, 0.7, 0.4, seed)), ()),
+            (parse_predominant_profile, serialize_predominant_profile,
+             serialize_predominant_profile(prof), ()),
+            (parse_predominant_profile, serialize_predominant_profile,
+             serialize_predominant_profile(replace(prof, endowment=tuple(perm))), ()),
+        ]
+        for parse, serialize, text, args in texts:
+            assert serialize(parse(text, *args)) == text, text

@@ -7,6 +7,7 @@ from tep import (
     Instance,
     Outcome,
     ParseError,
+    PreferenceOrder,
     canonicalize_endowment,
     compare,
     identity_allocation,
@@ -204,3 +205,90 @@ def test_unacceptable_rank_is_shared_bottom():
     assert order.rank(Outcome(3, 2)) == order.unacceptable_rank
     listed = [order.rank(o) for o in inst.listed_outcomes(0)]
     assert max(listed) < order.unacceptable_rank
+
+
+def _classes(*lists):
+    return tuple(frozenset(c) for c in lists)
+
+
+O = Outcome
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Instance(2, (0, 1), (_classes([O(0, 0)], []), _classes([O(1, 1)]))),
+     "agent 0 has an empty indifference class"),
+    (lambda: Instance(2, (0, 1), (_classes([O(0, 0)]), _classes([O(1, 1), O(2, 0)]))),
+     "agent 1 lists out-of-range outcome (2,0)"),
+    (lambda: Instance(2, (0, 1), (_classes([O(0, 0)]), _classes([O(1, 1)], [O(0, -1)]))),
+     "agent 1 lists out-of-range outcome (0,-1)"),
+    (lambda: Instance(2, (0, 1), (_classes([O(0, 1)], [O(0, 0)], [O(0, 1)]),
+                                  _classes([O(1, 1)]))),
+     "agent 0 lists outcome (0,1) twice"),
+    (lambda: Instance(2, (0, 1), (_classes([O(0, 1)]), _classes([O(1, 1)]))),
+     "agent 0 does not list its endowment outcome"),
+    (lambda: Instance(2, (0, 1), ((), _classes([O(1, 1)]))),
+     "agent 0 does not list its endowment outcome"),
+    (lambda: _profile(([[1], []], [[1]]), ([[0]], [[1]])),
+     "agent 0 has an empty house class"),
+    (lambda: _profile(([[0]], [[1], [2]]), ([[0]], [[1]])),
+     "agent 1 lists out-of-range house 2"),
+    (lambda: _profile(([[0]], [[1], [1]]), ([[0]], [[1]])),
+     "agent 1 lists house 1 twice"),
+    (lambda: _profile(([[1]], [[1]]), ([[0]], [[1]])),
+     "agent 0 must find its own house acceptable"),
+    (lambda: _profile(([[0]], [[1]]), ([[0]], [[1], []])),
+     "agent 1 has an empty tenant class"),
+    (lambda: _profile(([[0]], [[1]]), ([[0, -1]], [[1]])),
+     "agent 0 lists out-of-range tenant -1"),
+    (lambda: _profile(([[0]], [[1]]), ([[0], [1, 0]], [[1]])),
+     "agent 0 lists tenant 0 twice"),
+    (lambda: _profile(([[0]], [[1]]), ([[0]], [[0]])),
+     "agent 1 must find its own tenant acceptable"),
+    (lambda: _profile(([[0]],), ([[0]], [[1]])), "need one house order per agent"),
+    (lambda: _profile(([[0]], [[1]]), ([[0]],)), "need one tenant order per agent"),
+], ids=lambda x: x if isinstance(x, str) else "")
+def test_each_class_list_fault_has_its_own_message(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
+
+
+def _profile(houses, tenants):
+    from tep.responsive import ResponsiveProfile
+
+    return ResponsiveProfile(2, (0, 1), tuple(_classes(*h) for h in houses),
+                             tuple(_classes(*t) for t in tenants))
+
+
+def test_component_ranks_and_outcome_keys_read_one_weak_order():
+    """house_rank, tenant_rank and outcome_key give each listed item the
+    index of its class and every unlisted item the count of classes."""
+    from tep.generators import random_predominant_profile, random_responsive_profile
+
+    def rank_of(classes, x):
+        return next((r for r, cls in enumerate(classes) if x in cls), len(classes))
+
+    for seed in range(6):
+        prof = random_responsive_profile(6, 0.5, 0.5, seed)
+        for i in range(6):
+            for x in range(6):
+                assert prof.house_rank(i, x) == rank_of(prof.house_classes[i], x)
+                assert prof.tenant_rank(i, x) == rank_of(prof.tenant_classes[i], x)
+        pprof = random_predominant_profile(5, "house" if seed % 2 else "tenant", 0.5, seed)
+        for i in range(5):
+            for h in range(5):
+                for t in range(5):
+                    lead, tie = (h, t) if pprof.mode == "house" else (t, h)
+                    assert pprof.outcome_key(i, (h, t)) == (
+                        pprof.primary[i].index(lead), rank_of(pprof.tiebreak[i], tie))
+
+
+def test_a_preference_order_over_any_items():
+    order = PreferenceOrder(_classes([3, 1], [0], [5, 2, 4]))
+    assert [order.rank(x) for x in range(7)] == [1, 0, 2, 0, 2, 2, 3]
+    assert order.unacceptable_rank == 3
+    assert (order.compare(1, 0), order.compare(0, 1), order.compare(2, 5)) == (1, -1, 0)
+    assert order.compare(6, 5) == -1 and order.compare(6, 7) == 0
+    assert [order.listed(limit) for limit in (-1, 0, 1, 2, 3, None)] == [
+        (), (1, 3), (1, 3, 0), (1, 3, 0, 2, 4, 5), (1, 3, 0, 2, 4, 5), (1, 3, 0, 2, 4, 5)]
+    assert PreferenceOrder(()).listed() == () and PreferenceOrder(()).listed(-1) == ()

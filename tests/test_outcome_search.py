@@ -1,0 +1,157 @@
+"""The backtracking search over listed outcomes (`axioms._assignment_search`),
+the improvement steps it prunes with and the per-agent listing both read,
+cross-checked against the versions that sorted every class on each call
+(kept in ``references``).
+
+On seeded random instances (every second one with a permuted endowment) and
+on exact-cover gadgets, under several rank limits and with pruning on and
+off, both searches must give the same event log: every budget tick, every
+``has_cycle_through`` call with its pivot, member set and answer, and every
+leaf, in order.  So they yield the same leaves in the same order, leave the
+same ``Budget.left``, and run out of budget at the same tick.  A search
+without pruning on the m = 2 x3c-core gadget has more than ``NODES`` ticks;
+there both must run out at the same point.
+"""
+
+import random
+
+import pytest
+import references
+from references import (assignment_search_reference, improvement_steps_reference,
+                        listed_outcomes_reference)
+
+from tep import axioms
+from tep.axioms import _assignment_search, _improvement_steps, _ir_limits
+from tep.cycles import Budget
+from tep.errors import BudgetExceededError
+from tep.generators import random_instance, random_x3c, x3c_core_instance, x3c_top_instance
+from tep.model import make_instance
+
+NODES = 20_000
+
+
+def search_family():
+    """Seeded instances with n = 1..7, sparse and strict to dense with heavy
+    ties, every second one with a permuted endowment, and the x3c-core and
+    x3c-top gadgets of two random exact-cover inputs with m = 1 and 2."""
+    rng = random.Random(10)
+    out = []
+    for n in range(1, 8):
+        for density, ties in ((0.3, 0.0), (0.5, 0.4), (0.8, 0.8)):
+            inst = random_instance(n, density, ties, rng.getrandbits(32))
+            if len(out) % 2:
+                endowment = list(range(n))
+                rng.shuffle(endowment)
+                inst = make_instance(n, inst.prefs, endowment=endowment)
+            out.append(inst)
+    for m in (1, 2):
+        for seed in range(2):
+            x = random_x3c(m, seed)
+            out += [x3c_core_instance(x), x3c_top_instance(x)]
+    return out
+
+
+def limit_sets(inst, rng):
+    """IR limits, top-class limits, every listed class, and random limits
+    from -1 (no candidate) to past the last class."""
+    yield "ir", _ir_limits(inst)
+    yield "top", [0] * inst.n
+    yield "all", [len(c) for c in inst.prefs]
+    yield "random", [rng.randint(-1, len(c)) for c in inst.prefs]
+
+
+class LoggedBudget(Budget):
+    """A budget that writes each tick into an event log."""
+
+    def __init__(self, nodes, log):
+        super().__init__(nodes)
+        self.log = log
+
+    def tick(self):
+        self.log.append("tick")
+        super().tick()
+
+
+@pytest.fixture()
+def logged_cycle_checks(monkeypatch):
+    """Make both searches log each has_cycle_through call and its answer."""
+    real = axioms.has_cycle_through
+
+    def logged(options, pivot, allowed, budget=None):
+        budget.log.append(("cycle", pivot, tuple(sorted(allowed))))
+        found = real(options, pivot, allowed, budget)
+        budget.log.append(found)
+        return found
+
+    monkeypatch.setattr(axioms, "has_cycle_through", logged)
+    monkeypatch.setattr(references, "has_cycle_through", logged)
+
+
+def run(search, inst, limits, prune, nodes):
+    """The event log of one search and the budget left after it."""
+    log = []
+    budget = LoggedBudget(nodes, log)
+    try:
+        for alloc in search(inst, limits, prune, budget):
+            log.append(alloc.assignment)
+        log.append("end")
+    except BudgetExceededError:
+        log.append("exhausted")
+    return log, budget.left
+
+
+def cases():
+    rng = random.Random(11)
+    for index, inst in enumerate(search_family()):
+        for name, limits in limit_sets(inst, rng):
+            for prune in (False, True):
+                yield (index, name, prune), inst, limits, prune
+
+
+def test_the_search_matches_the_reference_event_for_event(logged_cycle_checks):
+    seen = {"leaves>1": 0, "cycle-found": 0, "no-leaf": 0, "permuted": 0, "gadget": 0}
+    for case, inst, limits, prune in cases():
+        got = run(_assignment_search, inst, limits, prune, NODES)
+        want = run(assignment_search_reference, inst, limits, prune, NODES)
+        assert got == want, case
+        leaves = sum(isinstance(e, tuple) and e[0] != "cycle" for e in want[0])
+        seen["leaves>1"] += leaves > 1
+        seen["no-leaf"] += leaves == 0
+        seen["cycle-found"] += True in want[0]
+        seen["permuted"] += not inst.is_canonical() and leaves > 0
+        seen["gadget"] += inst.n >= 15 and leaves > 0
+    assert min(seen.values()) > 0, seen
+
+
+def test_the_search_runs_out_of_budget_at_the_same_tick(logged_cycle_checks):
+    exhausted = 0
+    for case, inst, limits, prune in cases():
+        full, _ = run(assignment_search_reference, inst, limits, prune, NODES)
+        ticks = full.count("tick")
+        budgets = {0, 1, 2, ticks // 3, ticks // 2, ticks - 1}
+        if full[-1] == "end":
+            budgets.add(ticks)
+        for nodes in sorted(b for b in budgets if 0 <= b <= ticks):
+            got = run(_assignment_search, inst, limits, prune, nodes)
+            want = run(assignment_search_reference, inst, limits, prune, nodes)
+            assert got == want, (case, nodes)
+            log, _ = got
+            if nodes < ticks:
+                assert log[-1] == "exhausted" and log.count("tick") == nodes + 1, (case, nodes)
+                assert log[:-1] == full[:len(log) - 1], (case, nodes)
+                exhausted += 1
+            else:
+                assert got == (full, 0), (case, nodes)
+    assert exhausted > 100
+
+
+def test_the_listing_matches_the_reference_at_every_limit():
+    for inst in search_family():
+        for agent in range(inst.n):
+            listing = listed_outcomes_reference(inst, agent)
+            assert inst.listed_outcomes(agent) == listing
+            for limit in range(-1, len(inst.prefs[agent]) + 1):
+                want = tuple(o for o in listing if inst.rank(agent, o) <= limit)
+                assert inst.listed_outcomes(agent, limit) == want, (agent, limit)
+                assert (_improvement_steps(inst, agent, limit + 1)
+                        == improvement_steps_reference(inst, agent, limit + 1)), (agent, limit)
