@@ -13,7 +13,11 @@ the sum, a subtree is cut unless it can still beat the best leaf found so
 far *strictly*; ties are cut too, so of equally good allocations the
 lexicographically first one is kept.  With the endowment ranks as limits
 it yields exactly the IR allocations, which the IR + Pareto and core
-enumerations take.  These oracles refuse to run above ``max_n``.
+enumerations take.  The Pareto enumerations keep the leaves whose rank
+vectors form the skyline: the distinct vectors are taken by rank sum, and
+each is tested against the front kept so far with one AND of per-agent
+rank bitmasks, not member by member.  These oracles refuse to run above
+``max_n``.
 
 The backtracking search over listed outcomes (:func:`_assignment_search`)
 stays a separate engine: it tries listed outcomes in listed order under a
@@ -24,7 +28,9 @@ first leaf) and the exit-3 points depend on that order and that budget.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import permutations
+from operator import and_
 from typing import Iterator, Sequence
 
 from .cycles import Budget, Options, find_exchange_cycle, has_cycle_through, iter_exchange_cycles
@@ -360,12 +366,17 @@ def _pareto_front(inst: Instance, limits: Sequence[int]) -> list[Allocation]:
     """The allocations within ``limits`` that none of them dominates, lexicographically."""
     leaves = list(_permutation_search(inst, inst.rank_table, limits))
     # Skyline of the distinct rank vectors: taken by rank sum, a vector is
-    # dominated iff an undominated vector of smaller sum lies below it.
-    front: list[tuple[int, ...]] = []
+    # dominated iff an undominated vector of smaller sum lies below it.  Bit j
+    # of masks[i][r] is set when front member j ranks agent i at r or better,
+    # so the members below a vector are the AND of its agents' masks.
+    masks = [[0] * (len(classes) + 1) for classes in inst.prefs]
+    optimal = set()
     for vec in sorted(set(ranks for _, ranks in leaves), key=sum):
-        if not any(all(a <= b for a, b in zip(u, vec)) for u in front):
-            front.append(vec)
-    optimal = set(front)
+        if not reduce(and_, map(list.__getitem__, masks, vec)):
+            bit = 1 << len(optimal)
+            optimal.add(vec)
+            for row, r in zip(masks, vec):
+                row[r:] = [m | bit for m in row[r:]]
     return [Allocation(assignment) for assignment, ranks in leaves if ranks in optimal]
 
 

@@ -185,15 +185,7 @@ class Instance(Market):
     def rank_table(self) -> tuple[tuple[int, ...], ...]:
         """rank_table[i][h * n + t] is agent i's rank of outcome (h, t);
         unlisted outcomes hold the sentinel rank ``len(prefs[i])``."""
-        n = self.n
-        rows = []
-        for classes in self.prefs:
-            row = [len(classes)] * (n * n)
-            for rank, cls in enumerate(classes):
-                for o in cls:
-                    row[o.house * n + o.tenant] = rank
-            rows.append(tuple(row))
-        return tuple(rows)
+        return tuple(_rank_row(classes, self.n) for classes in self.prefs)
 
     def preference(self, agent: int) -> PreferenceOrder:
         return self.orders[agent]
@@ -217,10 +209,22 @@ class Instance(Market):
 
     def with_report(self, agent: int, report) -> Instance:
         """Agent's preference classes replaced by ``report`` (the endowment
-        outcome is appended when the report omits it)."""
-        prefs = [[set(c) for c in (report if i == agent else self.prefs[i])]
-                 for i in range(self.n)]
-        return make_instance(self.n, prefs, self.endowment)
+        outcome is appended when the report omits it).
+
+        Only the report is normalized; the other agents keep their class
+        tuples and, once this instance's :attr:`rank_table` is built, their
+        rank rows, so the new instance builds only the reporting agent's row.
+        """
+        if not 0 <= agent < self.n:
+            raise ValueError(f"no agent {agent}")
+        prefs = list(self.prefs)
+        prefs[agent] = _normalized_classes(report, self.endowment_outcome(agent))
+        new = Instance(n=self.n, endowment=self.endowment, prefs=tuple(prefs))
+        if "rank_table" in self.__dict__:
+            rows = list(self.rank_table)
+            rows[agent] = _rank_row(prefs[agent], self.n)
+            new.__dict__["rank_table"] = tuple(rows)
+        return new
 
 
 @dataclass(frozen=True)
@@ -274,13 +278,25 @@ def outcome_of(market: Market, alloc: Allocation, agent: int) -> Outcome:
     return Outcome(alloc[agent], alloc.inverse[market.endowment[agent]])
 
 
-def _outcome_classes(classes: Iterable[Iterable]) -> list[frozenset[Outcome]]:
-    """The non-empty classes as sets of Outcomes; when they hold Outcomes
-    only, those are not rebuilt."""
+def _normalized_classes(classes: Iterable[Iterable], own: Outcome) -> PrefClasses:
+    """The non-empty classes as sets of Outcomes (Outcomes are not rebuilt),
+    with ``own`` appended as a final singleton class when none lists it."""
     classes = list(map(tuple, classes))
     if not set(map(type, chain.from_iterable(classes))) <= {Outcome}:
         classes = [[Outcome(*o) for o in cls] for cls in classes]
-    return list(filter(None, map(frozenset, classes)))
+    frozen = list(filter(None, map(frozenset, classes)))
+    if own not in frozenset().union(*frozen):
+        frozen.append(frozenset([own]))
+    return tuple(frozen)
+
+
+def _rank_row(classes: PrefClasses, n: int) -> tuple[int, ...]:
+    """One agent's row of :attr:`Instance.rank_table`."""
+    row = [len(classes)] * (n * n)
+    for rank, cls in enumerate(classes):
+        for o in cls:
+            row[o.house * n + o.tenant] = rank
+    return tuple(row)
 
 
 def make_instance(n: int, prefs: Iterable[Iterable[Iterable[Outcome]]],
@@ -291,14 +307,9 @@ def make_instance(n: int, prefs: Iterable[Iterable[Iterable[Outcome]]],
     whose listing omits it.
     """
     endow = tuple(endowment) if endowment is not None else tuple(range(n))
-    normalized: list[PrefClasses] = []
-    for i, classes in enumerate(prefs):
-        frozen = _outcome_classes(classes)
-        own = Outcome(endow[i] if i < len(endow) else i, i)
-        if own not in frozenset().union(*frozen):
-            frozen.append(frozenset([own]))
-        normalized.append(tuple(frozen))
-    return Instance(n=n, endowment=endow, prefs=tuple(normalized))
+    normalized = tuple(_normalized_classes(classes, Outcome(endow[i] if i < len(endow) else i, i))
+                       for i, classes in enumerate(prefs))
+    return Instance(n=n, endowment=endow, prefs=normalized)
 
 
 def canonicalize_endowment(inst: Instance) -> Instance:

@@ -343,8 +343,12 @@ def pra_rs(prof: ResponsiveProfile, *, order: str = "round-robin",
             allocation = result
             refined = True
     if refined:
-        # Called directly, not through rs_aa: this is no feasibility test,
-        # and rs_aa_calls counts every rs_aa call.
+        # This run only pins which allocation is printed: every perfect
+        # matching of the final sets is RS-IR and RS-Pareto optimal (tested
+        # in both directions in test_responsive), so the warm allocation
+        # already is one.  It stays so that output does not depend on the
+        # warm starts.  Called directly, not through rs_aa: this is no
+        # feasibility test, and rs_aa_calls counts every rs_aa call.
         _, match = max_bipartite_matching(n, n, [sorted(row) for row in adj])
         allocation = Allocation(tuple(match))
     return PraResult(

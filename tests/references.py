@@ -2,8 +2,10 @@
 
 Each walks every allocation (or every one-per-agent 0/1 point) and applies
 the definition directly, so it is obviously right and only usable at desk
-scale.  The outcome listing and the backtracking search over listed
-outcomes (``listed_outcomes_reference``, ``improvement_steps_reference``,
+scale.  ``pareto_front_reference`` is the pairwise skyline that the rank
+masks of ``axioms._pareto_front`` replaced, over the same walk.  The
+outcome listing and the backtracking search over listed outcomes
+(``listed_outcomes_reference``, ``improvement_steps_reference``,
 ``assignment_search_reference``) are the versions that sorted every class
 on each call.  The text-format reader (``parse_*_reference``) and the LP
 writer (``export_*_reference``, ``to_lp_text_reference``) are the
@@ -17,6 +19,7 @@ import re
 from typing import Iterator
 
 from tep import all_allocations, is_core_stable, is_individually_rational, outcome_of
+from tep.axioms import _permutation_search
 from tep.cycles import Budget, Options, has_cycle_through
 from tep.errors import ParseError
 from tep.generators import X3CInstance
@@ -80,6 +83,19 @@ def enumerate_ir_pareto_optimal_reference(inst):
         if not any(q != p and all(a <= b for a, b in zip(q, p)) for q in vectors):
             out.append(alloc)
     return out
+
+
+def pareto_front_reference(inst, limits):
+    """``axioms._pareto_front`` with the pairwise skyline it had before the
+    rank masks: the same walk, each rank vector taken by rank sum and
+    compared with every undominated vector kept before it."""
+    leaves = list(_permutation_search(inst, inst.rank_table, limits))
+    front: list[tuple[int, ...]] = []
+    for vec in sorted(set(ranks for _, ranks in leaves), key=sum):
+        if not any(all(a <= b for a, b in zip(u, vec)) for u in front):
+            front.append(vec)
+    optimal = set(front)
+    return [Allocation(assignment) for assignment, ranks in leaves if ranks in optimal]
 
 
 def enumerate_core_stable_reference(inst, node_budget=None):

@@ -1,11 +1,16 @@
 """CLI end-to-end: subcommand behavior, exit codes, report determinism."""
 
 import io
+import os
+import subprocess
+import sys
 import time
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
+import tep
 from tep import programs
 from tep.cli import parse_report, run
 from tep.files import serialize_allocation, serialize_instance, serialize_predominant_profile
@@ -554,3 +559,23 @@ def test_the_shared_parser_answers_as_a_fresh_one(ring_file, capsys, monkeypatch
         assert answer == (code, *capsys.readouterr()), argv
     assert [code for code, _, _ in shared] == [0, 2, 0, 0, 0]
     assert shared[0] == shared[-1] and "invalid choice" in shared[1][2]
+
+
+def _module_cli(*argv, cwd):
+    """``python -m tep.cli`` in a fresh interpreter, with this tep first on its path."""
+    env = dict(os.environ)
+    src = str(Path(tep.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "tep.cli", *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_python_m_tep_cli_runs_the_command_line(tmp_path):
+    done = _module_cli("gen", "--family", "random", "--n", "5", "--seed", "1", "--out", "f.tep",
+                       cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "f.tep").read_text().startswith("tep v1")
+    assert parse_report(done.stdout)["wrote"] == "f.tep"
+    bad = _module_cli("gen", "--no-such-flag", cwd=tmp_path)
+    assert bad.returncode == 2
+    assert bad.stdout == ""

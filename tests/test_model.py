@@ -292,3 +292,79 @@ def test_a_preference_order_over_any_items():
     assert [order.listed(limit) for limit in (-1, 0, 1, 2, 3, None)] == [
         (), (1, 3), (1, 3, 0), (1, 3, 0, 2, 4, 5), (1, 3, 0, 2, 4, 5), (1, 3, 0, 2, 4, 5)]
     assert PreferenceOrder(()).listed() == () and PreferenceOrder(()).listed(-1) == ()
+
+
+def _full_rebuild(inst, agent, report):
+    """What ``Instance.with_report`` built before it kept the other agents:
+    every agent's classes normalized again by ``make_instance``."""
+    prefs = [[set(c) for c in (report if i == agent else inst.prefs[i])] for i in range(inst.n)]
+    return make_instance(inst.n, prefs, inst.endowment)
+
+
+def _rotated(inst):
+    """The instance's classes under the endowment i -> house i + 1."""
+    n = inst.n
+    return make_instance(n, inst.prefs, [(i + 1) % n for i in range(n)])
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_with_report_equals_a_full_rebuild(seed):
+    """Every report of the subsets space, for every agent: on the canonical
+    instance before its rank rows are computed (every row built fresh), and
+    on a rotated endowment with its rank rows computed (handed on)."""
+    from tep.incentives import sublist_reports
+
+    for n, density in ((3, 0.6), (4, 0.35)):
+        base = random_instance(n, density, 0.3, 300 + seed)
+        rotated = _rotated(base)
+        rotated.rank_table
+        for inst in (base, rotated):
+            for agent in range(n):
+                for report in sublist_reports(inst, agent):
+                    got, want = inst.with_report(agent, report), _full_rebuild(inst, agent, report)
+                    assert got == want and got.prefs == want.prefs
+                    assert got.rank_table == want.rank_table
+                    assert got.owner == want.owner
+                    for i in range(n):
+                        assert got.listed_outcomes(i) == want.listed_outcomes(i)
+                        assert got.endowment_rank(i) == want.endowment_rank(i)
+
+
+def test_with_report_drops_an_empty_class_and_keeps_the_other_agents():
+    inst = sp_instance()
+    inst.rank_table
+    got = inst.with_report(2, [[(3, 3)], [], [O(2, 2)]])
+    assert got.prefs[2] == _classes([O(3, 3)], [O(2, 2)])
+    assert all(got.prefs[i] is inst.prefs[i] for i in (0, 1, 3))
+    assert all(got.rank_table[i] is inst.rank_table[i] for i in (0, 1, 3))
+    assert got.rank_table == _full_rebuild(inst, 2, [[(3, 3)], [O(2, 2)]]).rank_table
+    with pytest.raises(ValueError, match="no agent 4"):
+        inst.with_report(4, [[O(0, 0)]])
+
+
+@pytest.mark.parametrize("report, message", [
+    ([[O(3, 3)], [O(4, 2)]], "agent 2 lists out-of-range outcome (4,2)"),
+    ([[O(3, -1)]], "agent 2 lists out-of-range outcome (3,-1)"),
+    ([[O(3, 3)], [O(2, 2), O(1, 1)], [O(3, 3)]], "agent 2 lists outcome (3,3) twice"),
+])
+def test_a_bad_report_raises_the_message_a_full_rebuild_raises(report, message):
+    inst = sp_instance()
+    for build in (inst.with_report, lambda a, r: _full_rebuild(inst, a, r)):
+        with pytest.raises(ValueError) as info:
+            build(2, report)
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize("line, message", [
+    ("pref 2: [(3,3)] > [(4,2)]", "index-range: house 4 out of range 0..3 (line 1)"),
+    ("pref 2: [(3,3)] > [(2,9)]", "index-range: tenant 9 out of range 0..3 (line 1)"),
+    ("pref 2: [(3,3)] > [(2,2) (3,3)]", "duplicate-outcome: agent 2 lists (3,3) twice (line 1)"),
+    ("pref 2: [(3,3) (3,3)]", "duplicate-outcome: agent 2 lists (3,3) twice (line 1)"),
+    ("pref 2: [(3,3)] > [] > [(2,2)]", "syntax: empty indifference class (line 1)"),
+])
+def test_a_bad_candidate_line_keeps_its_parse_error(line, message):
+    from tep.files import parse_candidates
+
+    with pytest.raises(ParseError) as info:
+        parse_candidates(line + "\n", "pref", sp_instance(), 2)
+    assert str(info.value) == message

@@ -37,7 +37,11 @@ from tep.programs import (
     weights_from_ranks,
 )
 
-from references import enumerate_core_stable_reference, enumerate_ir_pareto_optimal_reference
+from references import (
+    enumerate_core_stable_reference,
+    enumerate_ir_pareto_optimal_reference,
+    pareto_front_reference,
+)
 
 
 def _rank_vector_reference(inst, alloc):
@@ -169,6 +173,33 @@ def test_pareto_checks_match_the_full_scans():
 def test_pareto_enumeration_matches_the_full_scan_in_order():
     for inst in family(max_n=6):
         assert enumerate_pareto_optimal(inst) == enumerate_pareto_optimal_reference(inst), inst
+
+
+def _skyline_cases(n, seeds):
+    """Seeded instances at tie rate 0.3 and densities up to 1.0, every
+    second one with a rotated endowment, each with the sentinel limits (all
+    Pareto-optimal allocations) and the IR limits."""
+    for k, (density, seed) in enumerate((d, s) for d in (0.3, 0.6, 1.0) for s in seeds):
+        inst = random_instance(n, density, 0.3, 7_000 + 100 * n + seed)
+        if k % 2:
+            inst = make_instance(n, inst.prefs, [(i + 1) % n for i in range(n)])
+        yield inst, [len(c) for c in inst.prefs]
+        yield inst, [inst.endowment_rank(i) for i in range(n)]
+
+
+@pytest.mark.parametrize("n, seeds", [(2, range(6)), (3, range(6)), (4, range(6)),
+                                      (5, range(4)), (6, range(3)), (7, range(1))])
+def test_mask_skyline_matches_the_pairwise_skyline(n, seeds):
+    for inst, limits in _skyline_cases(n, seeds):
+        assert axioms._pareto_front(inst, limits) == pareto_front_reference(inst, limits), inst
+
+
+def test_mask_skyline_matches_the_pairwise_skyline_at_n8():
+    inst = random_instance(8, 0.3, 0.3, 3)
+    limits = [len(c) for c in inst.prefs]
+    front = axioms._pareto_front(inst, limits)
+    assert front == pareto_front_reference(inst, limits)
+    assert len(front) > 100
 
 
 def test_exact_optimizer_matches_the_full_scan_with_its_tie_break():
