@@ -23,6 +23,10 @@ The backtracking search over listed outcomes (:func:`_assignment_search`)
 stays a separate engine: it tries listed outcomes in listed order under a
 node budget, which suits sparse large-n gadgets, and ``core_exists`` (its
 first leaf) and the exit-3 points depend on that order and that budget.
+Each candidate ticks the budget once and is tested against the facts
+already fixed before it writes any; a newly fixed agent's rank is read from
+its order's rank dict, and its improvement steps are built once per rank
+and search.
 """
 
 from __future__ import annotations
@@ -267,31 +271,38 @@ def _assignment_search(inst: Instance, rank_limits: list[int],
     endow = inst.endowment
     got = [-1] * n  # house received
     ten = [-1] * n  # tenant of own house
-    candidates = [inst.listed_outcomes(i, rank_limits[i]) for i in range(n)]
+    # Each agent's candidates as (house, tenant, owner of the house), in listed order.
+    candidates = [[(h, t, owner[h]) for h, t in inst.listed_outcomes(i, rank_limits[i])]
+                  for i in range(n)]
+    ranks = [order.ranks for order in inst.orders]
+    unlisted = [order.unacceptable_rank for order in inst.orders]
+    steps: list[dict[int, list[tuple[int, int]]]] = [{} for _ in range(n)]
     determined: set[int] = set()
     imp_options: Options = [[] for _ in range(n)]
+    tick = budget.tick
 
     def undo(added: list[int]) -> None:
         for y in added:
             determined.remove(y)
             imp_options[y] = []
 
-    def settle(agents: set[int]) -> list[int] | None:
-        """Validate agents that just became fully determined; returns the
-        list added to ``determined`` or None when one fails its rank limit
-        or completes an improvement cycle."""
+    def settle(fixed: list[int]) -> list[int] | None:
+        """Validate the agents, in order, that just became fully determined;
+        returns them once added to ``determined``, or None when one fails its
+        rank limit or completes an improvement cycle."""
         added: list[int] = []
-        for x in sorted(agents):
-            if x in determined or got[x] < 0 or ten[x] < 0:
-                continue
-            rank = inst.rank(x, Outcome(got[x], ten[x]))
+        for x in fixed:
+            rank = ranks[x].get((got[x], ten[x]), unlisted[x])
             if rank > rank_limits[x]:
                 undo(added)
                 return None
             determined.add(x)
             added.append(x)
             if prune_blocking:
-                imp_options[x] = _improvement_steps(inst, x, rank)
+                known = steps[x]
+                if rank not in known:
+                    known[rank] = _improvement_steps(inst, x, rank)
+                imp_options[x] = known[rank]
                 if has_cycle_through(imp_options, x, determined, budget):
                     undo(added)
                     return None
@@ -301,29 +312,42 @@ def _assignment_search(inst: Instance, rank_limits: list[int],
         if i == n:
             yield Allocation(tuple(got))
             return
-        if got[i] >= 0 and ten[i] >= 0:
+        gi, ti = got[i], ten[i]
+        if gi >= 0 and ti >= 0:
             yield from assign(i + 1)
             return
-        for o in candidates[i]:
-            if (got[i] >= 0 and got[i] != o.house) or (ten[i] >= 0 and ten[i] != o.tenant):
+        own = endow[i]
+        for h, t, o in candidates[i]:
+            if (gi >= 0 and gi != h) or (ti >= 0 and ti != t):
                 continue
-            budget.tick()
-            # The four facts o fixes; a clash with one already fixed ends the candidate.
-            trail: list[tuple[list[int], int]] = []
-            for arr, x, value in ((got, i, o.house), (ten, i, o.tenant),
-                                  (ten, owner[o.house], i), (got, o.tenant, endow[i])):
-                if arr[x] < 0:
-                    arr[x] = value
-                    trail.append((arr, x))
-                elif arr[x] != value:
-                    break
+            tick()
+            # The candidate fixes got[i] = h, ten[i] = t, ten[o] = i and
+            # got[t] = own; a clash with a fact already fixed ends it unwritten.
+            if o == i:  # h is i's own house, so i must be its own tenant
+                if t != i:
+                    continue
+                got[i], ten[i] = h, i
+                fixed = [i]
             else:
-                added = settle({x for _, x in trail})
-                if added is not None:
-                    yield from assign(i + 1)
-                    undo(added)
-            for arr, x in trail:
-                arr[x] = -1
+                ten_o, got_t = ten[o], got[t]
+                if t == i or (ten_o >= 0 and ten_o != i) or (got_t >= 0 and got_t != own):
+                    continue
+                got[i], ten[i], ten[o], got[t] = h, t, i, own
+                # Now fixed: i, and o and t unless already determined or
+                # still missing their other fact.
+                fixed = [i]
+                if o not in determined and got[o] >= 0:
+                    fixed.append(o)
+                if t != o and t not in determined and ten[t] >= 0:
+                    fixed.append(t)
+                fixed.sort()
+            added = settle(fixed)
+            if added is not None:
+                yield from assign(i + 1)
+                undo(added)
+            if o != i:
+                ten[o], got[t] = ten_o, got_t
+            got[i], ten[i] = gi, ti
 
     return assign(0)
 

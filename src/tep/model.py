@@ -49,7 +49,9 @@ class PreferenceOrder:
     classes: tuple[frozenset, ...]
 
     @cached_property
-    def _ranks(self) -> dict:
+    def ranks(self) -> dict:
+        """Each listed item's rank; unlisted items are absent.  Outcomes are
+        keyed as (house, tenant) tuples, so a plain tuple looks one up."""
         return {x: rank for rank, cls in enumerate(self.classes) for x in cls}
 
     @cached_property
@@ -68,7 +70,7 @@ class PreferenceOrder:
         return len(self.classes)
 
     def rank(self, item) -> int:
-        return self._ranks.get(item, len(self.classes))
+        return self.ranks.get(item, len(self.classes))
 
     def compare(self, a, b) -> int:
         """+1 if ``a`` is strictly preferred, -1 if ``b`` is, 0 on a tie."""

@@ -66,6 +66,8 @@ class PredominantProfile(Market):
         return lex_compare(self, agent, a, b) > 0
 
     def with_report(self, agent: int, report) -> PredominantProfile:
+        if not 0 <= agent < self.n:
+            raise ValueError(f"no agent {agent}")
         primary = list(self.primary)
         primary[agent] = tuple(report)
         return replace(self, primary=tuple(primary))

@@ -83,6 +83,8 @@ class ResponsiveProfile(Market):
         return rs_compare(self, agent, a, b) is RsOrdering.BETTER
 
     def with_report(self, agent: int, report) -> ResponsiveProfile:
+        if not 0 <= agent < self.n:
+            raise ValueError(f"no agent {agent}")
         houses, tenants = report
         hc, tc = list(self.house_classes), list(self.tenant_classes)
         hc[agent] = tuple(frozenset(c) for c in houses)

@@ -11,6 +11,13 @@ leaf, in order.  So they yield the same leaves in the same order, leave the
 same ``Budget.left``, and run out of budget at the same tick.  A search
 without pruning on the m = 2 x3c-core gadget has more than ``NODES`` ticks;
 there both must run out at the same point.
+
+Two more families go through the same checks.  Instances with a permuted
+endowment whose top classes list outcomes no allocation gives (the agent's
+own house with another tenant, another agent's house with the agent as its
+own tenant) exercise the clash tests a candidate passes before it writes.
+An m = 3 x3c-core gadget (45 agents) and random instances of the sizes the
+benchmark's ``search`` workload uses run under their IR limits.
 """
 
 import random
@@ -25,7 +32,7 @@ from tep.axioms import _assignment_search, _improvement_steps, _ir_limits
 from tep.cycles import Budget
 from tep.errors import BudgetExceededError
 from tep.generators import random_instance, random_x3c, x3c_core_instance, x3c_top_instance
-from tep.model import make_instance
+from tep.model import Outcome, make_instance
 
 NODES = 20_000
 
@@ -49,6 +56,49 @@ def search_family():
             x = random_x3c(m, seed)
             out += [x3c_core_instance(x), x3c_top_instance(x)]
     return out
+
+
+def with_impossible_tops(inst, rng):
+    """``inst`` with two outcomes no allocation gives added to each agent's
+    top class: its own house with another tenant, and another agent's house
+    with itself as its own tenant.  Needs n >= 2."""
+    n, endow = inst.n, inst.endowment
+    prefs = []
+    for i, classes in enumerate(inst.prefs):
+        bad = {Outcome(endow[i], rng.choice([t for t in range(n) if t != i])),
+               Outcome(rng.choice([h for h in range(n) if h != endow[i]]), i)}
+        prefs.append([classes[0] | bad] + [cls - bad for cls in classes[1:]])
+    return make_instance(n, prefs, endowment=endow)
+
+
+def clash_family():
+    """A hand-written n = 3 instance and seeded n = 2..6 instances, all with
+    permuted endowments, whose top classes hold outcomes no allocation gives
+    next to ones that some allocation does."""
+    O = Outcome
+    # Agent 0 owns house 1, agent 1 house 2, agent 2 house 0.
+    out = [make_instance(3, [
+        [[O(1, 2), O(2, 0), O(2, 2)], [O(0, 1)]],
+        [[O(2, 0), O(0, 1), O(1, 0)], [O(0, 2)]],
+        [[O(0, 1), O(1, 2)], [O(2, 1), O(1, 0)]],
+    ], endowment=[1, 2, 0])]
+    rng = random.Random(12)
+    for n in range(2, 7):
+        for density, ties in ((0.5, 0.3), (0.9, 0.6)):
+            endowment = rng.sample(range(n), n)
+            if endowment == sorted(endowment):
+                endowment = endowment[1:] + endowment[:1]
+            inst = random_instance(n, density, ties, rng.getrandbits(32))
+            out.append(with_impossible_tops(make_instance(n, inst.prefs, endowment=endowment),
+                                            rng))
+    return out
+
+
+def large_family():
+    """The m = 3 x3c-core gadget of a random exact-cover input (45 agents)
+    and random instances with n = 10 and 11, density 0.2..0.3."""
+    return [x3c_core_instance(random_x3c(3, 0)), random_instance(10, 0.2, 0.3, 101),
+            random_instance(11, 0.3, 0.3, 102)]
 
 
 def limit_sets(inst, rng):
@@ -102,14 +152,19 @@ def run(search, inst, limits, prune, nodes):
 
 def cases():
     rng = random.Random(11)
-    for index, inst in enumerate(search_family()):
-        for name, limits in limit_sets(inst, rng):
-            for prune in (False, True):
-                yield (index, name, prune), inst, limits, prune
+    for family, instances in (("search", search_family()), ("clash", clash_family())):
+        for index, inst in enumerate(instances):
+            for name, limits in limit_sets(inst, rng):
+                for prune in (False, True):
+                    yield (family, index, name, prune), inst, limits, prune
+    for index, inst in enumerate(large_family()):
+        for prune in (False, True):
+            yield ("large", index, "ir", prune), inst, _ir_limits(inst), prune
 
 
 def test_the_search_matches_the_reference_event_for_event(logged_cycle_checks):
-    seen = {"leaves>1": 0, "cycle-found": 0, "no-leaf": 0, "permuted": 0, "gadget": 0}
+    seen = {"leaves>1": 0, "cycle-found": 0, "no-leaf": 0, "permuted": 0, "gadget": 0,
+            "impossible-top": 0, "large": 0}
     for case, inst, limits, prune in cases():
         got = run(_assignment_search, inst, limits, prune, NODES)
         want = run(assignment_search_reference, inst, limits, prune, NODES)
@@ -120,6 +175,8 @@ def test_the_search_matches_the_reference_event_for_event(logged_cycle_checks):
         seen["cycle-found"] += True in want[0]
         seen["permuted"] += not inst.is_canonical() and leaves > 0
         seen["gadget"] += inst.n >= 15 and leaves > 0
+        seen["impossible-top"] += case[0] == "clash" and leaves > 0
+        seen["large"] += case[0] == "large" and (leaves > 0 or want[0][-1] == "exhausted")
     assert min(seen.values()) > 0, seen
 
 
@@ -143,6 +200,15 @@ def test_the_search_runs_out_of_budget_at_the_same_tick(logged_cycle_checks):
             else:
                 assert got == (full, 0), (case, nodes)
     assert exhausted > 100
+
+
+def test_the_clash_family_tops_list_outcomes_no_allocation_gives():
+    for inst in clash_family():
+        assert not inst.is_canonical()
+        for i, classes in enumerate(inst.prefs):
+            own = inst.endowment[i]
+            assert any(o.house == own and o.tenant != i for o in classes[0]), (inst, i)
+            assert any(o.house != own and o.tenant == i for o in classes[0]), (inst, i)
 
 
 def test_the_listing_matches_the_reference_at_every_limit():

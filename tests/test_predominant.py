@@ -164,3 +164,15 @@ def test_no_profitable_primary_misreport_small():
         for agent in range(n):
             assert find_manipulation(ttc, hp, agent, strict_primary_reports(n)) is None
             assert find_manipulation(tttc, tp, agent, strict_primary_reports(n)) is None
+
+
+def test_with_report_checks_the_agent_index():
+    prof = random_predominant_profile(3, HOUSE, 0.3, 1)
+    report = (2, 0, 1)
+    for agent in (-1, 3, 4):
+        with pytest.raises(ValueError, match=f"no agent {agent}"):
+            prof.with_report(agent, report)
+    got = prof.with_report(2, report)
+    assert got.primary == prof.primary[:2] + (report,)
+    assert (got.n, got.endowment, got.mode, got.tiebreak) == (
+        prof.n, prof.endowment, prof.mode, prof.tiebreak)

@@ -621,3 +621,15 @@ def test_refinement_reaches_exactly_the_rs_ir_and_rs_po_allocations():
                            is RsOrdering.INDIFFERENT for i in range(n))
                        for a in reached), (seed, alloc)
     assert states > 5_000 and several >= 5
+
+
+def test_with_report_checks_the_agent_index():
+    prof = random_responsive_profile(3, 0.6, 0.3, 1)
+    report = ([frozenset({0, 1, 2})], [frozenset({0, 1, 2})])  # valid for every agent
+    for agent in (-1, 3, 4):
+        with pytest.raises(ValueError, match=f"no agent {agent}"):
+            prof.with_report(agent, report)
+    got = prof.with_report(0, report)
+    assert got.house_classes == ((frozenset({0, 1, 2}),),) + prof.house_classes[1:]
+    assert got.tenant_classes == ((frozenset({0, 1, 2}),),) + prof.tenant_classes[1:]
+    assert (got.n, got.endowment) == (prof.n, prof.endowment)
