@@ -186,7 +186,8 @@ def rs_aa(n: int, endowment: tuple[int, ...],
           acceptable_houses: list[frozenset[int]] | list[set[int]],
           acceptable_tenants: list[frozenset[int]] | list[set[int]], *,
           start: Allocation | None = None,
-          adj: list[set[int]] | None = None) -> Allocation | None:
+          adj: list[set[int]] | None = None,
+          suspect: int | None = None) -> Allocation | None:
     """An allocation giving every agent an acceptable house and every house
     an acceptable tenant, or None.
 
@@ -202,18 +203,30 @@ def rs_aa(n: int, endowment: tuple[int, ...],
     allocation exists does not depend on ``start``, but which one is
     returned may.
 
-    ``adj``, which needs ``start``, is the symmetrized graph as one set of
-    houses per agent, kept up to date by the caller, so nothing is built
-    and the sets are not read: an intact ``start`` costs O(n), and each
-    broken edge one O(E) search.
+    ``adj`` is the symmetrized graph as one set of houses per agent, kept up
+    to date by the caller, so nothing is built and the sets are not read.
+    It needs ``start`` and ``suspect``: the caller vouches that every edge
+    of ``start`` except perhaps the suspect agent's is in ``adj``.  An
+    intact suspect edge returns ``start`` in O(1); a broken one costs one
+    O(E) search from the suspect.
     """
-    if adj is None:
-        graph = _symmetrized_graph(inverse_permutation(endowment),
-                                   acceptable_houses, acceptable_tenants)
-        if start is None:
-            size, match = max_bipartite_matching(n, n, graph)
-            return Allocation(tuple(match)) if size == n else None
-        adj = [set(row) for row in graph]
+    if adj is not None:
+        if start is None or suspect is None:
+            raise ValueError("adj needs start and suspect")
+        if start.assignment[suspect] in adj[suspect]:
+            return start
+        match, taken = list(start.assignment), list(start.inverse)
+        taken[match[suspect]] = -1
+        match[suspect] = -1
+        return Allocation(tuple(match)) if augment(adj, match, taken, suspect) else None
+    if suspect is not None:
+        raise ValueError("suspect needs adj")
+    graph = _symmetrized_graph(inverse_permutation(endowment),
+                               acceptable_houses, acceptable_tenants)
+    if start is None:
+        size, match = max_bipartite_matching(n, n, graph)
+        return Allocation(tuple(match)) if size == n else None
+    adj = [set(row) for row in graph]
     if all(map(set.__contains__, adj, start.assignment)):
         return start
     match = [h if h in row else -1 for h, row in zip(start.assignment, adj)]
@@ -285,65 +298,65 @@ def pra_rs(prof: ResponsiveProfile, *, order: str = "round-robin",
     The symmetrized agent-house graph is built once.  A drop removes the
     edges it ends, in O(|class|), and a failed drop puts them back.  Each
     feasibility test is :func:`rs_aa` on that graph, warm-started from the
-    current allocation.  A drop breaks at most one edge of the allocation:
-    the agent's own for a house drop, the one into its house for a tenant
-    drop.  So a test costs an O(n) check, plus, when that edge broke, one
-    alternating-path search from the freed agent, which by Berge's theorem
-    decides feasibility.  Failed drops are reverted, so the final sets are
-    those of the last successful test; one cold Hopcroft-Karp run on them
-    fixes the returned allocation, which therefore does not depend on the
-    warm starts taken on the way.  When no drop succeeds, everyone stays
-    put.
+    current allocation, which starts as the endowment.  A drop breaks at
+    most one edge of the allocation: the agent's own for a house drop, the
+    one into its house for a tenant drop.  So a test looks at that edge
+    alone, in O(1), and when it broke runs one alternating-path search from
+    the freed agent, which by Berge's theorem decides feasibility.  Failed
+    drops are reverted, so the final sets are those of the last successful
+    test; one cold Hopcroft-Karp run on them fixes the returned allocation,
+    which therefore does not depend on the warm starts taken on the way.
+    When no drop succeeds, everyone stays put.
     """
     if order not in _POLICIES:
         raise ValueError(f"unknown order policy {order!r}; choose from {_POLICIES}")
-    n = prof.n
+    n, endowment = prof.n, prof.endowment
     house_classes, tenant_classes = acceptable_component_classes(prof)
-    kept = {("H", i): len(house_classes[i]) for i in range(n)}
-    kept.update({("N", i): len(tenant_classes[i]) for i in range(n)})
+    # Pair 2i is agent i's house component, pair 2i + 1 its tenant component.
+    classes = [c for i in range(n) for c in (house_classes[i], tenant_classes[i])]
+    kept = list(map(len, classes))
     sets_h = [set().union(*house_classes[i]) for i in range(n)]
     sets_t = [set().union(*tenant_classes[i]) for i in range(n)]
     adj = [set(row) for row in _symmetrized_graph(prof.owner, sets_h, sets_t)]
 
-    pairs = [(comp, i) for i in range(n) for comp in ("H", "N")]
+    live = list(range(2 * n))  # the unsaturated pairs, in policy order
     if order == "reverse":
-        pairs = list(reversed(pairs))
+        live.reverse()
     rng = SplitMix64(seed if seed is not None else 0)
 
     # Staying put is always feasible at the start: every agent accepts its
     # own house and itself as tenant.
-    allocation = Allocation(tuple(range(n)))
+    allocation = Allocation(endowment)
 
-    saturated: set[tuple[str, int]] = set()
     refined = False
     calls = 0
     cursor = 0
-    while len(saturated) < 2 * n:
+    while live:
         if order == "random":
-            pair = rng.choice([p for p in pairs if p not in saturated])
+            pair = rng.choice(live)
         else:
-            while pairs[cursor % len(pairs)] in saturated:
-                cursor += 1
-            pair = pairs[cursor % len(pairs)]
-            cursor += 1
-        comp, agent = pair
-        classes = house_classes[agent] if comp == "H" else tenant_classes[agent]
+            cursor %= len(live)
+            pair = live[cursor]
+        agent, tenant_drop = divmod(pair, 2)
         remaining = kept[pair]
-        dropped = classes[remaining - 1]
-        cut = _cut(adj, comp, agent, dropped, prof.endowment[agent])
-        target = sets_h if comp == "H" else sets_t
+        dropped = classes[pair][remaining - 1]
+        own = endowment[agent]
+        cut = _cut(adj, "N" if tenant_drop else "H", agent, dropped, own)
+        target = sets_t if tenant_drop else sets_h
         target[agent] -= dropped
         calls += 1
-        result = rs_aa(n, prof.endowment, sets_h, sets_t, start=allocation, adj=adj)
+        result = rs_aa(n, endowment, sets_h, sets_t, start=allocation, adj=adj,
+                       suspect=allocation.inverse[own] if tenant_drop else agent)
         if result is None:
             target[agent] |= dropped
             for i, h in cut:
                 adj[i].add(h)
-            saturated.add(pair)
+            live.remove(pair)  # the round-robin cursor now points at its successor
         else:
             kept[pair] = remaining - 1
             allocation = result
             refined = True
+            cursor += 1
     if refined:
         # This run only pins which allocation is printed: every perfect
         # matching of the final sets is RS-IR and RS-Pareto optimal (tested
@@ -356,6 +369,6 @@ def pra_rs(prof: ResponsiveProfile, *, order: str = "round-robin",
     return PraResult(
         allocation=allocation,
         rs_aa_calls=calls,
-        house_kept=tuple(kept[("H", i)] for i in range(n)),
-        tenant_kept=tuple(kept[("N", i)] for i in range(n)),
+        house_kept=tuple(kept[0::2]),
+        tenant_kept=tuple(kept[1::2]),
     )

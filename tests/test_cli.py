@@ -13,7 +13,8 @@ import pytest
 import tep
 from tep import programs
 from tep.cli import parse_report, run
-from tep.files import serialize_allocation, serialize_instance, serialize_predominant_profile
+from tep.files import (parse_responsive_profile, serialize_allocation, serialize_instance,
+                       serialize_predominant_profile)
 from tep.generators import sp_instance
 from tep.model import identity_allocation, make_instance
 
@@ -92,6 +93,20 @@ def test_solve_exact_and_pra(tmp_path, ring_file):
                         "--order", "random", "--seed", "4"])
     assert code == 0
     assert "rs-aa-calls" in parse_report(out)
+
+
+def test_solve_pra_keeps_a_permuted_endowment(tmp_path):
+    """Agent 0 owns house 1 and agent 1 house 0; each accepts only its own
+    house, so the allocation is the endowment."""
+    rpath = tmp_path / "swap.rtep"
+    rpath.write_text("tep v1\nagents 2\nendow 1 0\n"
+                     "rpref 0: H [1] ; N [0]\nrpref 1: H [0] ; N [1]\n")
+    code, out = invoke(["solve", "--instance", str(rpath), "--method", "pra"])
+    assert code == 0
+    report = parse_report(out)
+    assert (report["allocation"], report["rs-aa-calls"]) == ("1 0", "4")
+    prof = parse_responsive_profile(rpath.read_text())
+    assert tep.is_rs_ir(prof, tep.Allocation(tuple(map(int, report["allocation"].split()))))
 
 
 def test_export_writes_program(tmp_path, ring_file):

@@ -22,6 +22,7 @@ from tep import (
 from tep import responsive
 from tep.generators import random_responsive_profile
 from tep.matching import augment, max_bipartite_matching
+from tep.model import inverse_permutation
 from tep.responsive import _symmetrized_graph, acceptable_component_classes
 from tep.rng import SplitMix64
 
@@ -362,6 +363,57 @@ def test_rs_aa_with_start_is_feasible_exactly_when_cold():
     assert feasible > 30 and infeasible > 30
 
 
+def test_rs_aa_suspect_path_agrees_with_a_cold_run():
+    """Cut edges of one agent (a house drop) or edges into one agent's house
+    (a tenant drop) under a perfect matching, as pra_rs does, and test with
+    only the suspect edge checked."""
+    intact = repaired = infeasible = 0
+    for seed in range(400):
+        n = 1 + seed % 9
+        rng = SplitMix64(9_000 + seed)
+        endowment = list(range(n))
+        if seed % 2:
+            rng.shuffle(endowment)
+        endowment = tuple(endowment)
+        owner = inverse_permutation(endowment)
+        houses, tenants = _random_sets(rng, n, (0.4, 0.6, 0.8)[seed % 3]), _random_sets(rng, n, 0.7)
+        start = rs_aa(n, endowment, houses, tenants)
+        if start is None:
+            continue
+        agent = rng.below(n)
+        if seed // 2 % 2:
+            own = endowment[agent]
+            tenants[agent] = {t for t in tenants[agent] if rng.random() < 0.4}
+            suspect = start.inverse[own]
+        else:
+            houses[agent] = {h for h in houses[agent] if rng.random() < 0.4}
+            suspect = agent
+        adj = [set(row) for row in _symmetrized_graph(owner, houses, tenants)]
+        assert all(start[i] in adj[i] for i in range(n) if i != suspect)
+        cold = rs_aa(n, endowment, houses, tenants)
+        warm = rs_aa(n, endowment, houses, tenants, start=start, adj=adj, suspect=suspect)
+        assert (warm is None) == (cold is None)
+        if warm is None:
+            infeasible += 1
+            continue
+        assert all(warm[i] in adj[i] for i in range(n))
+        if start[suspect] in adj[suspect]:
+            assert warm is start
+            intact += 1
+        else:
+            repaired += 1
+    assert intact > 30 and repaired > 30 and infeasible > 30
+
+
+def test_rs_aa_graph_needs_a_start_and_a_suspect():
+    full = [set(range(3)) for _ in range(3)]
+    start = identity_allocation(3)
+    for kwargs in ({"adj": full}, {"adj": full, "start": start}, {"adj": full, "suspect": 0},
+                   {"start": start, "suspect": 0}):
+        with pytest.raises(ValueError):
+            rs_aa(3, (0, 1, 2), full, full, **kwargs)
+
+
 # ---------------------------------------------------------------- refinement
 
 
@@ -378,6 +430,16 @@ def test_pra_mutual_improvement_returns_swap():
     winners = [a for a in (identity_allocation(2), Allocation((1, 0)))
                if is_rs_ir(prof, a) and is_rs_pareto_optimal(prof, a)]
     assert winners == [Allocation((1, 0))]
+
+
+def test_pra_stays_put_under_a_permuted_endowment():
+    # each agent accepts only its own house and itself, and owns the other's
+    # house number: no drop succeeds, and everyone keeps the house it owns
+    prof = profile(2, [[[1]], [[0]]], [[[0]], [[1]]], endowment=(1, 0))
+    for order, s in (("round-robin", None), ("reverse", None), ("random", 3)):
+        result = pra_rs(prof, order=order, seed=s)
+        assert (result.allocation, result.rs_aa_calls) == (Allocation((1, 0)), 4)
+        assert is_rs_ir(prof, result.allocation)
 
 
 def test_pra_rejects_unknown_policy():
@@ -452,7 +514,7 @@ def _pra_reference(prof, *, order="round-robin", seed=None):
     if order == "reverse":
         pairs = list(reversed(pairs))
     rng = SplitMix64(seed if seed is not None else 0)
-    allocation = identity_allocation(n)
+    allocation = Allocation(prof.endowment)
     saturated = set()
     calls = cursor = 0
     while len(saturated) < 2 * n:
@@ -513,7 +575,10 @@ def test_maintained_graph_equals_the_symmetrized_sets(monkeypatch):
     """pra_rs edits its agent-house graph per drop instead of rebuilding it.
     A spy replays every drop on its own copy of the sets and compares the
     graph with a fresh build of them: before each drop (so after the last
-    one was kept or reverted), at each feasibility test, and on return."""
+    one was kept or reverted), at each feasibility test, and on return.  At
+    each test it also checks the suspect: the dropping agent for a house
+    drop, the tenant of its house for a tenant drop, and the only agent
+    whose edge of the start may be missing from the graph."""
     real_cut, real_rs_aa = responsive._cut, responsive.rs_aa
     state = {}
 
@@ -522,16 +587,18 @@ def test_maintained_graph_equals_the_symmetrized_sets(monkeypatch):
 
     def cut(adj, comp, agent, dropped, own):
         assert adj == fresh(state["owner"])
-        state["adj"], state["drop"] = adj, (comp, agent, dropped)
+        state["adj"], state["drop"] = adj, (comp, agent, dropped, own)
         (state["h"] if comp == "H" else state["t"])[agent] -= dropped
         return real_cut(adj, comp, agent, dropped, own)
 
-    def rs_aa(n, endowment, houses, tenants, *, start=None, adj=None):
+    def rs_aa(n, endowment, houses, tenants, *, start=None, adj=None, suspect=None):
         assert (houses, tenants) == (state["h"], state["t"])
         assert adj is state["adj"] and adj == fresh(state["owner"])
-        result = real_rs_aa(n, endowment, houses, tenants, start=start, adj=adj)
+        comp, agent, dropped, own = state["drop"]
+        assert suspect == (agent if comp == "H" else start.inverse[own])
+        assert all(start[i] in adj[i] for i in range(n) if i != suspect)
+        result = real_rs_aa(n, endowment, houses, tenants, start=start, adj=adj, suspect=suspect)
         if result is None:
-            comp, agent, dropped = state["drop"]
             (state["h"] if comp == "H" else state["t"])[agent] |= dropped
             state["reverted"] += 1
         else:
