@@ -146,6 +146,19 @@ class Market:
     def is_canonical(self) -> bool:
         return all(self.endowment[i] == i for i in range(self.n))
 
+    def checked(self, agent: int, *outcomes) -> tuple[Outcome, ...]:
+        """The ``outcomes`` as :class:`Outcome` values, once ``agent`` and
+        every house and tenant they name are known to exist here; raises
+        ValueError otherwise."""
+        n = self.n
+        if not 0 <= agent < n:
+            raise ValueError(f"no agent {agent}")
+        outcomes = tuple(Outcome(*o) for o in outcomes)
+        for o in outcomes:
+            if not (0 <= o.house < n and 0 <= o.tenant < n):
+                raise ValueError(f"outcome {o.text()} out of range for {n} agents")
+        return outcomes
+
     def prefers(self, agent: int, a: Outcome, b: Outcome) -> bool:
         """Whether the agent strictly prefers outcome ``a`` to ``b``."""
         raise NotImplementedError
@@ -217,8 +230,7 @@ class Instance(Market):
         tuples and, once this instance's :attr:`rank_table` is built, their
         rank rows, so the new instance builds only the reporting agent's row.
         """
-        if not 0 <= agent < self.n:
-            raise ValueError(f"no agent {agent}")
+        self.checked(agent)
         prefs = list(self.prefs)
         prefs[agent] = _normalized_classes(report, self.endowment_outcome(agent))
         new = Instance(n=self.n, endowment=self.endowment, prefs=tuple(prefs))
@@ -255,11 +267,6 @@ def identity_allocation(n: int) -> Allocation:
     return Allocation(tuple(range(n)))
 
 
-def _check_outcome(n: int, o: Outcome) -> None:
-    if not (0 <= o.house < n and 0 <= o.tenant < n):
-        raise ValueError(f"outcome {o.text()} out of range for {n} agents")
-
-
 def compare(inst: Instance, agent: int, a: Outcome, b: Outcome) -> int:
     """Compare outcomes for one agent: +1 if a is strictly preferred to b,
     -1 for the reverse, 0 if the agent is indifferent.
@@ -267,11 +274,7 @@ def compare(inst: Instance, agent: int, a: Outcome, b: Outcome) -> int:
     Two unlisted outcomes compare as indifferent; an unlisted outcome loses
     to every listed one.
     """
-    if not 0 <= agent < inst.n:
-        raise ValueError(f"no agent {agent}")
-    a, b = Outcome(*a), Outcome(*b)
-    _check_outcome(inst.n, a)
-    _check_outcome(inst.n, b)
+    a, b = inst.checked(agent, a, b)
     return inst.orders[agent].compare(a, b)
 
 

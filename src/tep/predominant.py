@@ -66,8 +66,7 @@ class PredominantProfile(Market):
         return lex_compare(self, agent, a, b) > 0
 
     def with_report(self, agent: int, report) -> PredominantProfile:
-        if not 0 <= agent < self.n:
-            raise ValueError(f"no agent {agent}")
+        self.checked(agent)
         primary = list(self.primary)
         primary[agent] = tuple(report)
         return replace(self, primary=tuple(primary))
@@ -75,6 +74,7 @@ class PredominantProfile(Market):
 
 def lex_compare(prof: PredominantProfile, agent: int, a: Outcome, b: Outcome) -> int:
     """+1 if a is lexicographically preferred (primary first), -1 or 0 otherwise."""
+    a, b = prof.checked(agent, a, b)
     ka, kb = prof.outcome_key(agent, a), prof.outcome_key(agent, b)
     return (kb > ka) - (ka > kb)
 

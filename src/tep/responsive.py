@@ -83,8 +83,7 @@ class ResponsiveProfile(Market):
         return rs_compare(self, agent, a, b) is RsOrdering.BETTER
 
     def with_report(self, agent: int, report) -> ResponsiveProfile:
-        if not 0 <= agent < self.n:
-            raise ValueError(f"no agent {agent}")
+        self.checked(agent)
         houses, tenants = report
         hc, tc = list(self.house_classes), list(self.tenant_classes)
         hc[agent] = tuple(frozenset(c) for c in houses)
@@ -96,10 +95,7 @@ def rs_compare(prof: ResponsiveProfile, agent: int, a: Outcome, b: Outcome) -> R
     """Compare two outcomes under the responsive set extension: one outcome
     strictly beats another only when it is weakly better on both the house
     and the tenant component and strictly better on at least one."""
-    a, b = Outcome(*a), Outcome(*b)
-    for o in (a, b):
-        if not (0 <= o.house < prof.n and 0 <= o.tenant < prof.n):
-            raise ValueError(f"outcome {o.text()} out of range")
+    a, b = prof.checked(agent, a, b)
     hc = prof.house_rank(agent, b.house) - prof.house_rank(agent, a.house)
     tc = prof.tenant_rank(agent, b.tenant) - prof.tenant_rank(agent, a.tenant)
     if hc == 0 and tc == 0:
@@ -183,8 +179,8 @@ def _symmetrized_graph(owner: list[int] | tuple[int, ...],
 
 
 def rs_aa(n: int, endowment: tuple[int, ...],
-          acceptable_houses: list[frozenset[int]] | list[set[int]],
-          acceptable_tenants: list[frozenset[int]] | list[set[int]], *,
+          acceptable_houses: list[frozenset[int]] | list[set[int]] | None = None,
+          acceptable_tenants: list[frozenset[int]] | list[set[int]] | None = None, *,
           start: Allocation | None = None,
           adj: list[set[int]] | None = None,
           suspect: int | None = None) -> Allocation | None:
@@ -193,49 +189,35 @@ def rs_aa(n: int, endowment: tuple[int, ...],
 
     Mutual acceptability is symmetrized first: agent i may take house h only
     if h's owner also accepts i as a tenant.  A perfect matching in the
-    resulting agent-house graph is exactly such an allocation.
+    resulting agent-house graph is exactly such an allocation.  Given the
+    two sets, the graph is built and Hopcroft-Karp runs on it.
 
-    ``start`` is an allocation to reuse, typically one feasible for larger
-    sets.  If every one of its agent-house edges is still in the
-    symmetrized graph, ``start`` itself is returned; otherwise the edges
-    that survive are repaired with one augmenting-path search per agent
-    they leave unmatched, and no Hopcroft-Karp phases.  Whether an
-    allocation exists does not depend on ``start``, but which one is
-    returned may.
-
-    ``adj`` is the symmetrized graph as one set of houses per agent, kept up
-    to date by the caller, so nothing is built and the sets are not read.
-    It needs ``start`` and ``suspect``: the caller vouches that every edge
-    of ``start`` except perhaps the suspect agent's is in ``adj``.  An
-    intact suspect edge returns ``start`` in O(1); a broken one costs one
-    O(E) search from the suspect.
+    The maintained form takes ``adj``, ``start`` and ``suspect`` instead of
+    the sets: ``adj`` is the symmetrized graph as one set of houses per
+    agent, kept up to date by the caller, who vouches that every edge of
+    ``start`` except perhaps the suspect agent's is in ``adj``.  An intact
+    suspect edge returns ``start`` in O(1); a broken one costs one O(E)
+    search from the suspect.  Any other mix of arguments raises ValueError.
     """
-    if adj is not None:
-        if start is None or suspect is None:
-            raise ValueError("adj needs start and suspect")
-        if start.assignment[suspect] in adj[suspect]:
-            return start
-        match, taken = list(start.assignment), list(start.inverse)
-        taken[match[suspect]] = -1
-        match[suspect] = -1
-        return Allocation(tuple(match)) if augment(adj, match, taken, suspect) else None
-    if suspect is not None:
-        raise ValueError("suspect needs adj")
-    graph = _symmetrized_graph(inverse_permutation(endowment),
-                               acceptable_houses, acceptable_tenants)
-    if start is None:
+    if adj is None:
+        if start is not None or suspect is not None:
+            raise ValueError("start and suspect need adj")
+        if acceptable_houses is None or acceptable_tenants is None:
+            raise ValueError("need the acceptable houses and tenants, or adj")
+        graph = _symmetrized_graph(inverse_permutation(endowment),
+                                   acceptable_houses, acceptable_tenants)
         size, match = max_bipartite_matching(n, n, graph)
         return Allocation(tuple(match)) if size == n else None
-    adj = [set(row) for row in graph]
-    if all(map(set.__contains__, adj, start.assignment)):
+    if start is None or suspect is None:
+        raise ValueError("adj needs start and suspect")
+    if acceptable_houses is not None or acceptable_tenants is not None:
+        raise ValueError("adj replaces the acceptable houses and tenants")
+    if start.assignment[suspect] in adj[suspect]:
         return start
-    match = [h if h in row else -1 for h, row in zip(start.assignment, adj)]
-    taken = [-1] * n
-    for i, h in enumerate(match):
-        if h != -1:
-            taken[h] = i
-    free = [i for i in range(n) if match[i] == -1]
-    return Allocation(tuple(match)) if all(augment(adj, match, taken, i) for i in free) else None
+    match, taken = list(start.assignment), list(start.inverse)
+    taken[match[suspect]] = -1
+    match[suspect] = -1
+    return Allocation(tuple(match)) if augment(adj, match, taken, suspect) else None
 
 
 def acceptable_component_classes(prof: ResponsiveProfile) -> tuple[ComponentClasses, ComponentClasses]:
@@ -256,8 +238,10 @@ def acceptable_component_classes(prof: ResponsiveProfile) -> tuple[ComponentClas
 @dataclass(frozen=True)
 class PraResult:
     """Outcome of the preference-refinement run: the allocation, how many
-    matching calls it used, and how many classes of each component order
-    survive (counted against :func:`acceptable_component_classes`)."""
+    feasibility tests (:func:`rs_aa` calls, one per tentative drop) it made,
+    and how many classes of each component order survive (counted against
+    :func:`acceptable_component_classes`).  Most tests run no matching, and
+    the final cold matching is not a test."""
 
     allocation: Allocation
     rs_aa_calls: int
@@ -268,16 +252,16 @@ class PraResult:
 _POLICIES = ("round-robin", "reverse", "random")
 
 
-def _cut(adj: list[set[int]], comp: str, agent: int, dropped: frozenset[int],
+def _cut(adj: list[set[int]], tenant_drop: bool, agent: int, dropped: frozenset[int],
          own: int) -> list[tuple[int, int]]:
     """Remove from the symmetrized graph, and return, the edges that the
     agent's drop of class ``dropped`` ends: (agent, h) for each dropped house
-    h, or (t, own) for each dropped tenant t, ``own`` being the agent's
-    house."""
-    if comp == "H":
-        cut = [(agent, h) for h in dropped if h in adj[agent]]
-    else:
+    h, or, for a tenant drop, (t, own) for each dropped tenant t, ``own``
+    being the agent's house."""
+    if tenant_drop:
         cut = [(t, own) for t in dropped if own in adj[t]]
+    else:
+        cut = [(agent, h) for h in dropped if h in adj[agent]]
     for i, h in cut:
         adj[i].remove(h)
     return cut
@@ -295,9 +279,10 @@ def pra_rs(prof: ResponsiveProfile, *, order: str = "round-robin",
     individually rational and Pareto optimal with respect to the responsive
     set extension.
 
-    The symmetrized agent-house graph is built once.  A drop removes the
-    edges it ends, in O(|class|), and a failed drop puts them back.  Each
-    feasibility test is :func:`rs_aa` on that graph, warm-started from the
+    The symmetrized agent-house graph is built once and is then the only
+    record of the sets.  A drop removes the edges it ends, in O(|class|),
+    and a failed drop puts them back.  Each feasibility test is the
+    maintained form of :func:`rs_aa` on that graph, warm-started from the
     current allocation, which starts as the endowment.  A drop breaks at
     most one edge of the allocation: the agent's own for a house drop, the
     one into its house for a tenant drop.  So a test looks at that edge
@@ -315,9 +300,9 @@ def pra_rs(prof: ResponsiveProfile, *, order: str = "round-robin",
     # Pair 2i is agent i's house component, pair 2i + 1 its tenant component.
     classes = [c for i in range(n) for c in (house_classes[i], tenant_classes[i])]
     kept = list(map(len, classes))
-    sets_h = [set().union(*house_classes[i]) for i in range(n)]
-    sets_t = [set().union(*tenant_classes[i]) for i in range(n)]
-    adj = [set(row) for row in _symmetrized_graph(prof.owner, sets_h, sets_t)]
+    adj = [set(row) for row in _symmetrized_graph(
+        prof.owner, [frozenset().union(*c) for c in house_classes],
+        [frozenset().union(*c) for c in tenant_classes])]
 
     live = list(range(2 * n))  # the unsaturated pairs, in policy order
     if order == "reverse":
@@ -341,14 +326,11 @@ def pra_rs(prof: ResponsiveProfile, *, order: str = "round-robin",
         remaining = kept[pair]
         dropped = classes[pair][remaining - 1]
         own = endowment[agent]
-        cut = _cut(adj, "N" if tenant_drop else "H", agent, dropped, own)
-        target = sets_t if tenant_drop else sets_h
-        target[agent] -= dropped
+        cut = _cut(adj, tenant_drop, agent, dropped, own)
         calls += 1
-        result = rs_aa(n, endowment, sets_h, sets_t, start=allocation, adj=adj,
+        result = rs_aa(n, endowment, start=allocation, adj=adj,
                        suspect=allocation.inverse[own] if tenant_drop else agent)
         if result is None:
-            target[agent] |= dropped
             for i, h in cut:
                 adj[i].add(h)
             live.remove(pair)  # the round-robin cursor now points at its successor

@@ -1,5 +1,7 @@
 """Lexicographic predominant preferences and the trading-cycle mechanisms."""
 
+import re
+
 import pytest
 
 from tep import (
@@ -164,6 +166,20 @@ def test_no_profitable_primary_misreport_small():
         for agent in range(n):
             assert find_manipulation(ttc, hp, agent, strict_primary_reports(n)) is None
             assert find_manipulation(tttc, tp, agent, strict_primary_reports(n)) is None
+
+
+@pytest.mark.parametrize("agent, a, b, message", [
+    (-1, (0, 0), (1, 1), "no agent -1"),
+    (3, (0, 0), (1, 1), "no agent 3"),
+    (0, (0, 5), (1, 1), "outcome (0,5) out of range for 3 agents"),
+    (0, (0, 0), (-1, 1), "outcome (-1,1) out of range for 3 agents"),
+])
+def test_lex_compare_checks_the_agent_and_the_outcomes(agent, a, b, message):
+    prof = random_predominant_profile(3, HOUSE, 0.3, 1)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        lex_compare(prof, agent, a, b)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        prof.prefers(agent, a, b)
 
 
 def test_with_report_checks_the_agent_index():

@@ -1,6 +1,7 @@
 """Responsive set extension: comparison, oracles, matching, refinement."""
 
-from itertools import permutations
+import re
+from itertools import permutations, product
 
 import pytest
 
@@ -65,6 +66,20 @@ def test_rs_compare_componentwise():
     assert rs_compare(prof, 0, Outcome(0, 0), Outcome(2, 2)) is RsOrdering.WORSE
     with pytest.raises(ValueError):
         rs_compare(prof, 0, Outcome(5, 0), Outcome(0, 0))
+
+
+@pytest.mark.parametrize("agent, a, b, message", [
+    (-1, (0, 0), (1, 1), "no agent -1"),
+    (3, (0, 0), (1, 1), "no agent 3"),
+    (0, (0, 0), (1, 3), "outcome (1,3) out of range for 3 agents"),
+    (0, (-1, 0), (1, 1), "outcome (-1,0) out of range for 3 agents"),
+])
+def test_rs_compare_checks_the_agent_and_the_outcomes(agent, a, b, message):
+    prof = random_responsive_profile(3, 0.6, 0.3, 1)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        rs_compare(prof, agent, a, b)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        prof.prefers(agent, a, b)
 
 
 def test_rs_compare_is_a_partial_order():
@@ -317,52 +332,6 @@ def _random_sets(rng, n, density):
     return [set(x for x in range(n) if rng.random() < density) for _ in range(n)]
 
 
-def test_rs_aa_returns_a_start_whose_edges_all_survive():
-    hits = 0
-    for seed in range(120):
-        n = 1 + seed % 8
-        rng = SplitMix64(4_000 + seed)
-        houses, tenants = _random_sets(rng, n, 0.6), _random_sets(rng, n, 0.6)
-        p = rs_aa(n, tuple(range(n)), houses, tenants)
-        if p is None:
-            continue
-        hits += 1
-        assert rs_aa(n, tuple(range(n)), houses, tenants, start=p) is p
-        # shrink every set down to p's own edges plus random leftovers
-        inv = p.inverse
-        smaller_h = [{p[i]} | {h for h in houses[i] if rng.random() < 0.5} for i in range(n)]
-        smaller_t = [{inv[i]} | {t for t in tenants[i] if rng.random() < 0.5} for i in range(n)]
-        assert rs_aa(n, tuple(range(n)), smaller_h, smaller_t, start=p) is p
-    assert hits > 30
-
-
-def test_rs_aa_with_start_is_feasible_exactly_when_cold():
-    feasible = infeasible = 0
-    for seed in range(300):
-        n = 1 + seed % 8
-        rng = SplitMix64(5_000 + seed)
-        endowment = list(range(n))
-        rng.shuffle(endowment)
-        endowment = tuple(endowment)
-        density = (0.3, 0.5, 0.8)[seed % 3]
-        houses, tenants = _random_sets(rng, n, density), _random_sets(rng, n, density)
-        assignment = list(range(n))
-        rng.shuffle(assignment)
-        start = Allocation(tuple(assignment))
-        cold = rs_aa(n, endowment, houses, tenants)
-        warm = rs_aa(n, endowment, houses, tenants, start=start)
-        assert (warm is None) == (cold is None)
-        if warm is None:
-            infeasible += 1
-            continue
-        feasible += 1
-        owner = [0] * n
-        for agent, house in enumerate(endowment):
-            owner[house] = agent
-        assert all(warm[i] in houses[i] and i in tenants[owner[warm[i]]] for i in range(n))
-    assert feasible > 30 and infeasible > 30
-
-
 def test_rs_aa_suspect_path_agrees_with_a_cold_run():
     """Cut edges of one agent (a house drop) or edges into one agent's house
     (a tenant drop) under a perfect matching, as pra_rs does, and test with
@@ -391,7 +360,7 @@ def test_rs_aa_suspect_path_agrees_with_a_cold_run():
         adj = [set(row) for row in _symmetrized_graph(owner, houses, tenants)]
         assert all(start[i] in adj[i] for i in range(n) if i != suspect)
         cold = rs_aa(n, endowment, houses, tenants)
-        warm = rs_aa(n, endowment, houses, tenants, start=start, adj=adj, suspect=suspect)
+        warm = rs_aa(n, endowment, start=start, adj=adj, suspect=suspect)
         assert (warm is None) == (cold is None)
         if warm is None:
             infeasible += 1
@@ -406,12 +375,21 @@ def test_rs_aa_suspect_path_agrees_with_a_cold_run():
 
 
 def test_rs_aa_graph_needs_a_start_and_a_suspect():
+    """rs_aa has two forms: the cold one takes both sets and nothing else,
+    the maintained one takes adj, start and suspect and neither set."""
     full = [set(range(3)) for _ in range(3)]
     start = identity_allocation(3)
-    for kwargs in ({"adj": full}, {"adj": full, "start": start}, {"adj": full, "suspect": 0},
-                   {"start": start, "suspect": 0}):
+    sets = ((), (full,), (full, full), (None, full))
+    graph = ({}, {"adj": full})
+    warm = ({}, {"start": start}, {"suspect": 0}, {"start": start, "suspect": 0})
+    valid = [((full, full), {}), ((), {"adj": full, "start": start, "suspect": 0})]
+    for args, g, w in product(sets, graph, warm):
+        kwargs = {**g, **w}
+        if (args, kwargs) in valid:
+            assert rs_aa(3, (0, 1, 2), *args, **kwargs) is not None
+            continue
         with pytest.raises(ValueError):
-            rs_aa(3, (0, 1, 2), full, full, **kwargs)
+            rs_aa(3, (0, 1, 2), *args, **kwargs)
 
 
 # ---------------------------------------------------------------- refinement
@@ -585,21 +563,20 @@ def test_maintained_graph_equals_the_symmetrized_sets(monkeypatch):
     def fresh(owner):
         return [set(row) for row in _symmetrized_graph(owner, state["h"], state["t"])]
 
-    def cut(adj, comp, agent, dropped, own):
+    def cut(adj, tenant_drop, agent, dropped, own):
         assert adj == fresh(state["owner"])
-        state["adj"], state["drop"] = adj, (comp, agent, dropped, own)
-        (state["h"] if comp == "H" else state["t"])[agent] -= dropped
-        return real_cut(adj, comp, agent, dropped, own)
+        state["adj"], state["drop"] = adj, (tenant_drop, agent, dropped, own)
+        (state["t"] if tenant_drop else state["h"])[agent] -= dropped
+        return real_cut(adj, tenant_drop, agent, dropped, own)
 
-    def rs_aa(n, endowment, houses, tenants, *, start=None, adj=None, suspect=None):
-        assert (houses, tenants) == (state["h"], state["t"])
+    def rs_aa(n, endowment, *, start, adj, suspect):
         assert adj is state["adj"] and adj == fresh(state["owner"])
-        comp, agent, dropped, own = state["drop"]
-        assert suspect == (agent if comp == "H" else start.inverse[own])
+        tenant_drop, agent, dropped, own = state["drop"]
+        assert suspect == (start.inverse[own] if tenant_drop else agent)
         assert all(start[i] in adj[i] for i in range(n) if i != suspect)
-        result = real_rs_aa(n, endowment, houses, tenants, start=start, adj=adj, suspect=suspect)
+        result = real_rs_aa(n, endowment, start=start, adj=adj, suspect=suspect)
         if result is None:
-            (state["h"] if comp == "H" else state["t"])[agent] |= dropped
+            (state["t"] if tenant_drop else state["h"])[agent] |= dropped
             state["reverted"] += 1
         else:
             state["kept"] += 1
