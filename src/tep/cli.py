@@ -279,6 +279,18 @@ def _cmd_prove(args, report: _Report) -> int:
     return EXIT_OK
 
 
+def _limit(text: str) -> int:
+    """A --cap, --node-budget or --max-n value: 0 or more (0 allows no
+    work, so any search that needs some exits 3)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be 0 or more, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="tep", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -286,9 +298,9 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--quiet", action="store_true", help="print only the payload")
         p.add_argument("--timing", action="store_true", help="append a wall-clock line")
-        p.add_argument("--max-n", type=int, default=None,
+        p.add_argument("--max-n", type=_limit, default=None,
                        help="bound for full-scan oracles (default 8)")
-        p.add_argument("--node-budget", type=int, default=axioms.DEFAULT_NODE_BUDGET,
+        p.add_argument("--node-budget", type=_limit, default=axioms.DEFAULT_NODE_BUDGET,
                        help="node budget for backtracking searches")
 
     p = sub.add_parser("gen", help="write a named or random instance/profile")
@@ -337,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--agent", type=int, required=True)
     p.add_argument("--space", required=True,
                    help="strict | subsets | file:CANDIDATES")
-    p.add_argument("--cap", type=int, default=100_000)
+    p.add_argument("--cap", type=_limit, default=100_000)
     p.add_argument("--order", choices=["round-robin", "reverse", "random"],
                    default="round-robin")
     p.add_argument("--seed", type=int, default=None)

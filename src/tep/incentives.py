@@ -50,12 +50,25 @@ def find_manipulation(mechanism: Mechanism, truth: Market, agent: int,
     lists), a :class:`PredominantProfile` (reports are strict primary
     orders), or a :class:`ResponsiveProfile` (reports are (house classes,
     tenant classes) pairs).
+
+    Every report counts towards ``max_reports``, but the mechanism runs once
+    per distinct market: a report whose market equals the truth or an
+    earlier report's (say, a sub-list that ends in the endowment outcome
+    and the same sub-list without it) is skipped.  The mechanism is
+    deterministic, so that market's allocation is already known not to
+    improve the agent.  The set of replayed markets holds the truth and at
+    most one market per report tried, so it is bounded by ``max_reports``.
     """
     before = outcome_of(truth, mechanism(truth), agent)
+    replayed = {truth}
     for count, report in enumerate(reports):
         if count >= max_reports:
             raise BudgetExceededError(f"misreport space cap {max_reports} exceeded")
-        after = outcome_of(truth, mechanism(truth.with_report(agent, report)), agent)
+        market = truth.with_report(agent, report)
+        if market in replayed:
+            continue
+        replayed.add(market)
+        after = outcome_of(truth, mechanism(market), agent)
         if truth.prefers(agent, after, before):
             return ManipulationWitness(agent, report, before, after)
     return None

@@ -19,7 +19,7 @@ responsive profiles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import chain
 from typing import Iterable, NamedTuple
@@ -126,8 +126,10 @@ class Market:
     house ``endowment[i]``.
 
     Subclasses add preferences and implement :meth:`prefers` (strict
-    preference between two outcomes) and :meth:`with_report` (the market
-    with one agent's preferences replaced by a report).
+    preference between two outcomes), :meth:`with_report` (the market with
+    one agent's preferences replaced by a report) and :meth:`_check_agents`
+    (the constructor's per-agent validation, which ``with_report`` runs on
+    the reporting agent alone).
     """
 
     n: int
@@ -137,6 +139,10 @@ class Market:
         n = self.n
         if len(self.endowment) != n or sorted(self.endowment) != list(range(n)):
             raise ValueError("endowment must be a bijection onto house indices")
+        self._check_agents(range(n))
+
+    def _check_agents(self, agents) -> None:
+        """Validate the preferences of the given agents; raises ValueError."""
 
     @cached_property
     def owner(self) -> tuple[int, ...]:
@@ -167,6 +173,24 @@ class Market:
         """This market with the agent's preferences replaced by ``report``."""
         raise NotImplementedError
 
+    def _with_entries(self, agent: int, **entries) -> Market:
+        """This market with the agent's entry of each named per-agent field
+        replaced.  Only the agent's new preferences are checked (by
+        :meth:`_check_agents`, with the constructor's messages): the others
+        were checked when this market was built, and markets are frozen.
+        Of the cached values only ``owner`` carries over."""
+        state = {f.name: getattr(self, f.name) for f in fields(self)}
+        for name, value in entries.items():
+            row = list(state[name])
+            row[agent] = value
+            state[name] = tuple(row)
+        if "owner" in self.__dict__:
+            state["owner"] = self.owner
+        new = object.__new__(type(self))
+        new.__dict__.update(state)
+        new._check_agents((agent,))
+        return new
+
 
 @dataclass(frozen=True)
 class Instance(Market):
@@ -182,14 +206,16 @@ class Instance(Market):
     prefs: tuple[PrefClasses, ...]
 
     def __post_init__(self):
-        n = self.n
-        if n < 1:
+        if self.n < 1:
             raise ValueError("need at least one agent")
         super().__post_init__()
+
+    def _check_agents(self, agents) -> None:
+        n = self.n
         if len(self.prefs) != n:
             raise ValueError("need one preference list per agent")
-        for i, classes in enumerate(self.prefs):
-            if self.endowment_outcome(i) not in checked_items(i, classes, n):
+        for i in agents:
+            if self.endowment_outcome(i) not in checked_items(i, self.prefs[i], n):
                 raise ValueError(f"agent {i} does not list its endowment outcome")
 
     @cached_property
@@ -226,17 +252,18 @@ class Instance(Market):
         """Agent's preference classes replaced by ``report`` (the endowment
         outcome is appended when the report omits it).
 
-        Only the report is normalized; the other agents keep their class
-        tuples and, once this instance's :attr:`rank_table` is built, their
-        rank rows, so the new instance builds only the reporting agent's row.
+        Only the report is normalized and checked, with the messages the
+        constructor gives (``checked_items``); the other agents keep their
+        class tuples and, once this instance's :attr:`rank_table` is built,
+        their rank rows, so the new instance builds only the reporting
+        agent's row.
         """
         self.checked(agent)
-        prefs = list(self.prefs)
-        prefs[agent] = _normalized_classes(report, self.endowment_outcome(agent))
-        new = Instance(n=self.n, endowment=self.endowment, prefs=tuple(prefs))
+        classes = _normalized_classes(report, self.endowment_outcome(agent))
+        new = self._with_entries(agent, prefs=classes)
         if "rank_table" in self.__dict__:
             rows = list(self.rank_table)
-            rows[agent] = _rank_row(prefs[agent], self.n)
+            rows[agent] = _rank_row(classes, self.n)
             new.__dict__["rank_table"] = tuple(rows)
         return new
 

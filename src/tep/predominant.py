@@ -10,7 +10,7 @@ materialized instance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 
@@ -35,13 +35,15 @@ class PredominantProfile(Market):
     tiebreak: tuple[tuple[frozenset[int], ...], ...]
 
     def __post_init__(self):
-        n = self.n
         if self.mode not in (HOUSE, TENANT):
             raise ValueError(f"mode must be {HOUSE!r} or {TENANT!r}")
         super().__post_init__()
+
+    def _check_agents(self, agents) -> None:
+        n = self.n
         if len(self.primary) != n or len(self.tiebreak) != n:
             raise ValueError("need one primary order and one tie-break per agent")
-        for i in range(n):
+        for i in agents:
             if sorted(self.primary[i]) != list(range(n)):
                 raise ValueError(f"agent {i}: primary order must rank all {n} items strictly")
             if sorted(chain.from_iterable(self.tiebreak[i])) != list(range(n)):
@@ -66,10 +68,11 @@ class PredominantProfile(Market):
         return lex_compare(self, agent, a, b) > 0
 
     def with_report(self, agent: int, report) -> PredominantProfile:
+        """The agent's primary order replaced by ``report``.  Only the agent
+        is checked, with the constructor's messages: the report must rank
+        all n items strictly."""
         self.checked(agent)
-        primary = list(self.primary)
-        primary[agent] = tuple(report)
-        return replace(self, primary=tuple(primary))
+        return self._with_entries(agent, primary=tuple(report))
 
 
 def lex_compare(prof: PredominantProfile, agent: int, a: Outcome, b: Outcome) -> int:

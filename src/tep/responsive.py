@@ -12,7 +12,7 @@ individually rational, Pareto-optimal allocation under the extension.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 # all_allocations is unused here but stays a module attribute: perfbench/tracer.py wraps it.
@@ -48,15 +48,14 @@ class ResponsiveProfile(Market):
     house_classes: ComponentClasses
     tenant_classes: ComponentClasses
 
-    def __post_init__(self):
-        super().__post_init__()
+    def _check_agents(self, agents) -> None:
         n = self.n
         for label, per_agent, required in (("house", self.house_classes, self.endowment),
                                            ("tenant", self.tenant_classes, range(n))):
             if len(per_agent) != n:
                 raise ValueError(f"need one {label} order per agent")
-            for i, classes in enumerate(per_agent):
-                if required[i] not in checked_items(i, classes, n, label):
+            for i in agents:
+                if required[i] not in checked_items(i, per_agent[i], n, label):
                     raise ValueError(f"agent {i} must find its own {label} acceptable")
 
     @cached_property
@@ -83,12 +82,13 @@ class ResponsiveProfile(Market):
         return rs_compare(self, agent, a, b) is RsOrdering.BETTER
 
     def with_report(self, agent: int, report) -> ResponsiveProfile:
+        """The agent's (house classes, tenant classes) replaced by ``report``.
+        Only the report is checked, with the constructor's messages: both
+        components' classes, the own house and the agent itself listed."""
         self.checked(agent)
         houses, tenants = report
-        hc, tc = list(self.house_classes), list(self.tenant_classes)
-        hc[agent] = tuple(frozenset(c) for c in houses)
-        tc[agent] = tuple(frozenset(c) for c in tenants)
-        return replace(self, house_classes=tuple(hc), tenant_classes=tuple(tc))
+        return self._with_entries(agent, house_classes=tuple(frozenset(c) for c in houses),
+                                  tenant_classes=tuple(frozenset(c) for c in tenants))
 
 
 def rs_compare(prof: ResponsiveProfile, agent: int, a: Outcome, b: Outcome) -> RsOrdering:

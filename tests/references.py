@@ -10,7 +10,8 @@ outcome listing and the backtracking search over listed outcomes
 on each call.  The text-format reader (``parse_*_reference``) and the LP
 writer (``export_*_reference``, ``to_lp_text_reference``) are the
 token-by-token and term-by-term versions the library's fast paths
-replaced.  All are kept as they were.
+replaced.  ``find_manipulation_reference`` is the misreport search that
+ran the mechanism on every report.  All are kept as they were.
 """
 
 from __future__ import annotations
@@ -21,8 +22,9 @@ from typing import Iterator
 from tep import all_allocations, is_core_stable, is_individually_rational, outcome_of
 from tep.axioms import _permutation_search
 from tep.cycles import Budget, Options, has_cycle_through
-from tep.errors import ParseError
+from tep.errors import BudgetExceededError, ParseError
 from tep.generators import X3CInstance
+from tep.incentives import ManipulationWitness
 from tep.model import Allocation, Instance, Market, Outcome, canonicalize_endowment, make_instance
 from tep.predominant import HOUSE, TENANT, PredominantProfile
 from tep.programs import Constraint, MathProgram, WeightTable, _x2, _x3
@@ -636,3 +638,17 @@ def export_qp_reference(inst: Instance, table: WeightTable) -> MathProgram:
     for j in range(n):
         cons.append(Constraint(f"col_{j}", tuple((1, _x2(i, j)) for i in range(n)), "=", 1))
     return MathProgram("qp", variables, tuple(objective), tuple(cons))
+
+
+def find_manipulation_reference(mechanism, truth: Market, agent: int, reports, *,
+                                max_reports: int = 100_000) -> ManipulationWitness | None:
+    """The first report whose replay strictly improves the agent, the
+    mechanism run on every report, equal markets included."""
+    before = outcome_of(truth, mechanism(truth), agent)
+    for count, report in enumerate(reports):
+        if count >= max_reports:
+            raise BudgetExceededError(f"misreport space cap {max_reports} exceeded")
+        after = outcome_of(truth, mechanism(truth.with_report(agent, report)), agent)
+        if truth.prefers(agent, after, before):
+            return ManipulationWitness(agent, report, before, after)
+    return None

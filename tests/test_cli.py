@@ -431,6 +431,38 @@ def test_default_oracle_bounds_exit_3(tmp_path, capsys, command, n):
     assert err.startswith("budget exceeded: ")
 
 
+def _limit_argv(tmp_path, option, value):
+    """An argv in which ``option`` at 0 is hit: the subsets space of the
+    witness market has reports, the ring's core search nodes and its Pareto
+    scan agents."""
+    sp = tmp_path / "sp.tep"
+    sp.write_text(serialize_instance(sp_instance()))
+    ring = tmp_path / "ring.tep"
+    ring.write_text(serialize_instance(make_instance(5, [[] for _ in range(5)])))
+    return {
+        "--cap": ["manipulate", "--instance", str(sp), "--method", "exact", "--agent", "2",
+                  "--space", "subsets"],
+        "--node-budget": ["oracle", "--instance", str(ring), "--enumerate", "core"],
+        "--max-n": ["oracle", "--instance", str(ring), "--enumerate", "po"],
+    }[option] + [option, value]
+
+
+@pytest.mark.parametrize("option", ["--cap", "--node-budget", "--max-n"])
+def test_a_negative_limit_is_bad_input(tmp_path, capsys, option):
+    """A negative cap, node budget or scan bound is refused by the argument
+    parser (exit 2); 0 allows no work, so the search exits 3."""
+    code, out = invoke(_limit_argv(tmp_path, option, "-1"))
+    err = capsys.readouterr().err
+    assert (code, out) == (2, "")
+    assert err.endswith(f"error: argument {option}: must be 0 or more, got -1\n")
+    code, out = invoke(_limit_argv(tmp_path, option, "0"))
+    assert (code, out) == (3, "")
+    assert capsys.readouterr().err.startswith("budget exceeded: ")
+    code, out = invoke(_limit_argv(tmp_path, option, "x"))
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err.endswith(f"error: argument {option}: invalid int value: 'x'\n")
+
+
 def test_report_round_trip_structure(ring_file):
     code, out = invoke(["oracle", "--instance", str(ring_file), "--enumerate", "ir"])
     report = parse_report(out)

@@ -29,6 +29,8 @@ from tep.generators import (
 from tep.incentives import component_order_reports, strict_primary_reports
 from tep.responsive import pra_rs
 
+from references import find_manipulation_reference
+
 SP = sp_instance()
 P = Allocation((1, 2, 3, 0))
 Q = Allocation((3, 2, 1, 0))
@@ -170,3 +172,108 @@ def test_proof_error_propagates_on_wrong_expectations():
             verify_sp_impossibility_tree(tampered)
     finally:
         incentives.sp_instance = original
+
+
+# ------------------------------------------- one replay per distinct market
+
+
+def _exact(inst):
+    from tep.programs import solve_exact_max_weight, weights_from_ranks
+
+    return solve_exact_max_weight(inst, weights_from_ranks(inst))[0]
+
+
+def _answer(search, mechanism, truth, agent, reports, **cap):
+    """The search's witness or None, or the cap it ran into."""
+    try:
+        return search(mechanism, truth, agent, reports, **cap)
+    except BudgetExceededError as exc:
+        return str(exc)
+
+
+def _replay_cases():
+    """(mechanism, truth, agent, report list, cap) on seeded markets: the
+    exact mechanism over every sub-list, ttc and tttc over every strict
+    order, and pra over component orders under a small cap."""
+    from tep.generators import random_instance
+    from tep.predominant import tttc
+
+    for seed in range(6):
+        for n, density in ((3, 0.7), (4, 0.4)):
+            inst = random_instance(n, density, 0.3 * (seed % 3), 500 + seed)
+            for agent in range(n):
+                yield _exact, inst, agent, list(sublist_reports(inst, agent)), {}
+    for seed in range(4):
+        for mode, mechanism in (("house", ttc), ("tenant", tttc)):
+            prof = random_predominant_profile(4, mode, 0.4, 600 + seed)
+            for agent in range(4):
+                yield mechanism, prof, agent, list(strict_primary_reports(4)), {}
+    pra = lambda p: pra_rs(p).allocation
+    for seed in range(6):
+        prof = random_responsive_profile(3, 0.8, 0.3, 700 + seed)
+        for agent in range(3):
+            reports = list(component_order_reports(prof, agent))
+            yield pra, prof, agent, reports, {"max_reports": 40}
+
+
+def test_the_search_returns_what_a_replay_of_every_report_returns():
+    """Skipping markets already replayed changes no answer: the same witness,
+    the same None or the same cap, on every case."""
+    answers = []
+    for mechanism, truth, agent, reports, cap in _replay_cases():
+        want = _answer(find_manipulation_reference, mechanism, truth, agent, reports, **cap)
+        assert _answer(find_manipulation, mechanism, truth, agent, reports, **cap) == want
+        answers.append(want)
+    # witnesses, exhausted spaces and hit caps all occur
+    assert any(a is None for a in answers)
+    assert any(isinstance(a, str) for a in answers)
+    assert sum(a is not None and not isinstance(a, str) for a in answers) >= 5
+
+
+def _strict_truth():
+    """Agent 0 lists five outcomes strictly, its endowment outcome last:
+    L = 6 listed outcomes, 63 sub-lists, 2^(L-1) = 32 distinct markets."""
+    from tep.model import make_instance
+
+    listed = [(1, 1), (2, 0), (1, 2), (3, 3), (2, 2), (0, 0)]
+    return make_instance(4, [[[o] for o in listed], [], [], []])
+
+
+def _counting_identity(calls):
+    """The mechanism that leaves everyone at home, recording its inputs;
+    under it no report improves anyone."""
+
+    def mechanism(market):
+        calls.append(market)
+        return identity_allocation(market.n)
+
+    return mechanism
+
+
+def test_the_mechanism_runs_once_per_distinct_market():
+    truth = _strict_truth()
+    reports = list(sublist_reports(truth, 0))
+    assert len(reports) == 2 ** 6 - 1
+    calls = []
+    assert find_manipulation(_counting_identity(calls), truth, 0, reports) is None
+    assert len(calls) == 2 ** 5 and calls[0] is truth
+    assert set(calls) == {truth} | {truth.with_report(0, r) for r in reports}
+    reference_calls = []
+    assert find_manipulation_reference(_counting_identity(reference_calls), truth, 0,
+                                       reports) is None
+    assert len(reference_calls) == 2 ** 6
+
+
+@pytest.mark.parametrize("cap", [0, 1, 10, 17, 62])
+def test_a_cap_that_is_hit_raises_at_the_same_report(cap):
+    """Skipped reports count towards the cap: report 10 ([o1, e]) gives the
+    market of report 0 ([o1]), and report 62, the full list, the truth."""
+    truth = _strict_truth()
+    taken = {}
+    for name, search in (("skip", find_manipulation), ("replay", find_manipulation_reference)):
+        reports = iter(sublist_reports(truth, 0))
+        with pytest.raises(BudgetExceededError) as info:
+            search(_counting_identity([]), truth, 0, reports, max_reports=cap)
+        assert str(info.value) == f"misreport space cap {cap} exceeded"
+        taken[name] = 2 ** 6 - 1 - sum(1 for _ in reports)
+    assert taken == {"skip": cap + 1, "replay": cap + 1}

@@ -301,33 +301,121 @@ def _full_rebuild(inst, agent, report):
     return make_instance(inst.n, prefs, inst.endowment)
 
 
+def _full_rebuild_responsive(prof, agent, report):
+    """The responsive profile with the agent's components replaced, built
+    and checked in full by the public constructor."""
+    from tep.responsive import ResponsiveProfile
+
+    houses, tenants = list(prof.house_classes), list(prof.tenant_classes)
+    houses[agent] = tuple(frozenset(c) for c in report[0])
+    tenants[agent] = tuple(frozenset(c) for c in report[1])
+    return ResponsiveProfile(prof.n, prof.endowment, tuple(houses), tuple(tenants))
+
+
+def _full_rebuild_predominant(prof, agent, report):
+    """The predominant profile with the agent's primary order replaced,
+    built and checked in full by the public constructor."""
+    from tep.predominant import PredominantProfile
+
+    primary = list(prof.primary)
+    primary[agent] = tuple(report)
+    return PredominantProfile(prof.n, prof.endowment, prof.mode, tuple(primary), prof.tiebreak)
+
+
 def _rotated(inst):
     """The instance's classes under the endowment i -> house i + 1."""
     n = inst.n
     return make_instance(n, inst.prefs, [(i + 1) % n for i in range(n)])
 
 
+def _rotated_responsive(prof):
+    """The profile with house h renamed h + 1, so agent i owns house i + 1."""
+    from tep.responsive import ResponsiveProfile
+
+    n = prof.n
+    houses = tuple(tuple(frozenset((h + 1) % n for h in c) for c in classes)
+                   for classes in prof.house_classes)
+    return ResponsiveProfile(n, tuple((i + 1) % n for i in range(n)), houses,
+                             prof.tenant_classes)
+
+
+def _rotated_predominant(prof):
+    """The profile under the endowment i -> house i + 1."""
+    from tep.predominant import PredominantProfile
+
+    n = prof.n
+    return PredominantProfile(n, tuple((i + 1) % n for i in range(n)), prof.mode,
+                              prof.primary, prof.tiebreak)
+
+
+def _assert_one_agent_replaced(got, want, market, agent, per_agent_fields):
+    """``got`` equals the full rebuild ``want``; the other agents keep this
+    market's class objects, and a cached ``owner`` is handed on."""
+    assert got == want and type(got) is type(want)
+    assert got.owner == want.owner
+    if "owner" in market.__dict__:
+        assert got.owner is market.owner
+    for name in per_agent_fields:
+        assert getattr(got, name) == getattr(want, name)
+        assert all(getattr(got, name)[i] is getattr(market, name)[i]
+                   for i in range(market.n) if i != agent)
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_with_report_equals_a_full_rebuild(seed):
     """Every report of the subsets space, for every agent: on the canonical
     instance before its rank rows are computed (every row built fresh), and
-    on a rotated endowment with its rank rows computed (handed on)."""
-    from tep.incentives import sublist_reports
+    on a rotated endowment with its rank rows computed (handed on).  Every
+    component-order report of a 3-agent responsive profile and every strict
+    order of 4-agent predominant profiles, canonical and rotated, against a
+    rebuild by the public constructor.  The rotated markets have every cache
+    filled, so a stale one handed on shows in the reporting agent's ranks."""
+    from tep.generators import random_predominant_profile, random_responsive_profile
+    from tep.incentives import component_order_reports, strict_primary_reports, sublist_reports
 
     for n, density in ((3, 0.6), (4, 0.35)):
         base = random_instance(n, density, 0.3, 300 + seed)
         rotated = _rotated(base)
-        rotated.rank_table
+        rotated.rank_table, rotated.owner
+        [rotated.listed_outcomes(i) for i in range(n)]
         for inst in (base, rotated):
             for agent in range(n):
                 for report in sublist_reports(inst, agent):
                     got, want = inst.with_report(agent, report), _full_rebuild(inst, agent, report)
-                    assert got == want and got.prefs == want.prefs
+                    _assert_one_agent_replaced(got, want, inst, agent, ["prefs"])
                     assert got.rank_table == want.rank_table
-                    assert got.owner == want.owner
                     for i in range(n):
                         assert got.listed_outcomes(i) == want.listed_outcomes(i)
                         assert got.endowment_rank(i) == want.endowment_rank(i)
+
+    base = random_responsive_profile(3, 0.7, 0.3, 310 + seed)
+    rotated = _rotated_responsive(base)
+    rotated.owner
+    [rotated.house_rank(i, 0) + rotated.tenant_rank(i, 0) for i in range(3)]
+    for prof in (base, rotated):
+        for agent in range(3):
+            for report in component_order_reports(prof, agent):
+                got = prof.with_report(agent, report)
+                want = _full_rebuild_responsive(prof, agent, report)
+                _assert_one_agent_replaced(got, want, prof, agent,
+                                           ["house_classes", "tenant_classes"])
+                for rank in ("house_rank", "tenant_rank"):
+                    assert [[getattr(got, rank)(i, x) for x in range(3)] for i in range(3)] == \
+                        [[getattr(want, rank)(i, x) for x in range(3)] for i in range(3)]
+
+    for mode in ("house", "tenant"):
+        base = random_predominant_profile(4, mode, 0.4, 320 + seed)
+        rotated = _rotated_predominant(base)
+        rotated.owner
+        [rotated.outcome_key(i, (0, 0)) for i in range(4)]
+        for prof in (base, rotated):
+            for agent in range(4):
+                for report in strict_primary_reports(4):
+                    got = prof.with_report(agent, report)
+                    want = _full_rebuild_predominant(prof, agent, report)
+                    _assert_one_agent_replaced(got, want, prof, agent, ["primary", "tiebreak"])
+                    assert [got.outcome_key(agent, (h, t)) for h in range(4) for t in range(4)] == \
+                        [want.outcome_key(agent, (h, t)) for h in range(4) for t in range(4)]
 
 
 def test_with_report_drops_an_empty_class_and_keeps_the_other_agents():
@@ -342,14 +430,38 @@ def test_with_report_drops_an_empty_class_and_keeps_the_other_agents():
         inst.with_report(4, [[O(0, 0)]])
 
 
+def _bad_report_truth(report):
+    """The 4-agent market a bad report for agent 2 is made in, and its full
+    rebuild: the witness market for a list of outcome classes, a responsive
+    profile for a (houses, tenants) pair, a house-primary profile for a
+    tuple of items."""
+    from tep.generators import random_predominant_profile, random_responsive_profile
+
+    if isinstance(report, list):
+        return sp_instance(), _full_rebuild
+    if isinstance(report[0], int):
+        return random_predominant_profile(4, "house", 0.4, 2), _full_rebuild_predominant
+    return random_responsive_profile(4, 0.6, 0.3, 2), _full_rebuild_responsive
+
+
 @pytest.mark.parametrize("report, message", [
     ([[O(3, 3)], [O(4, 2)]], "agent 2 lists out-of-range outcome (4,2)"),
     ([[O(3, -1)]], "agent 2 lists out-of-range outcome (3,-1)"),
     ([[O(3, 3)], [O(2, 2), O(1, 1)], [O(3, 3)]], "agent 2 lists outcome (3,3) twice"),
+    (([[2], []], [[2]]), "agent 2 has an empty house class"),
+    (([[2], [4]], [[2]]), "agent 2 lists out-of-range house 4"),
+    (([[2, 1], [1]], [[2]]), "agent 2 lists house 1 twice"),
+    (([[1]], [[2]]), "agent 2 must find its own house acceptable"),
+    (([[2]], [[2], []]), "agent 2 has an empty tenant class"),
+    (([[2]], [[2, -1]]), "agent 2 lists out-of-range tenant -1"),
+    (([[2]], [[0]]), "agent 2 must find its own tenant acceptable"),
+    ((0, 1, 2), "agent 2: primary order must rank all 4 items strictly"),
+    ((0, 1, 2, 2), "agent 2: primary order must rank all 4 items strictly"),
+    ((0, 1, 2, 4), "agent 2: primary order must rank all 4 items strictly"),
 ])
 def test_a_bad_report_raises_the_message_a_full_rebuild_raises(report, message):
-    inst = sp_instance()
-    for build in (inst.with_report, lambda a, r: _full_rebuild(inst, a, r)):
+    market, rebuild = _bad_report_truth(report)
+    for build in (market.with_report, lambda a, r: rebuild(market, a, r)):
         with pytest.raises(ValueError) as info:
             build(2, report)
         assert str(info.value) == message
