@@ -171,16 +171,11 @@ def _require(cond: bool, message: str) -> None:
         raise ProofError(message)
 
 
-def _check_root(inst: Instance) -> None:
-    if inst != sp_instance():
-        raise ValueError("the case analysis is specific to the 4-agent witness market")
-
-
 def _improves(inst: Instance, agent: int, alloc: Allocation, baseline: Outcome) -> bool:
     return compare(inst, agent, outcome_of(inst, alloc, agent), baseline) > 0
 
 
-def verify_sp_impossibility_tree(inst: Instance | None = None) -> ProofReport:
+def verify_sp_impossibility_tree() -> ProofReport:
     """Exhaust every choice an individually rational, Pareto-optimal
     mechanism could make on the witness market and close each branch with a
     profitable misreport.
@@ -190,8 +185,7 @@ def verify_sp_impossibility_tree(inst: Instance | None = None) -> ProofReport:
     (the {0,3} swap), which the published argument overlooks; that branch
     closes via a further truncation by agent 0.  The report flags it.
     """
-    inst = sp_instance() if inst is None else inst
-    _check_root(inst)
+    inst = sp_instance()
     lines: list[str] = []
 
     root = set(enumerate_ir_pareto_optimal(inst))
@@ -237,12 +231,11 @@ def verify_sp_impossibility_tree(inst: Instance | None = None) -> ProofReport:
     return ProofReport("sp", tuple(lines))
 
 
-def verify_core_consistency_impossibility(inst: Instance | None = None) -> ProofReport:
+def verify_core_consistency_impossibility() -> ProofReport:
     """Same branch structure with core-stable sets at every node: a
     core-consistent mechanism must pick a core-stable allocation whenever
     one exists, and each pick opens a profitable misreport."""
-    inst = sp_instance() if inst is None else inst
-    _check_root(inst)
+    inst = sp_instance()
     lines: list[str] = []
 
     root = set(enumerate_core_stable(inst))

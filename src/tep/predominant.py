@@ -6,6 +6,11 @@ with a weak order over tenants; tenant-primary agents do the reverse.  The
 induced ordering over outcomes is lexicographic, so it is a weak order over
 all n*n outcomes and every oracle in :mod:`tep.axioms` applies to the
 materialized instance.
+
+Both mechanisms are one walk: each remaining agent points at the agent
+behind its best remaining primary item (a house's owner, or the tenant),
+and a pointer cycle trades and leaves: in house mode each agent takes its
+target's house, in tenant mode each target moves into the agent's house.
 """
 
 from __future__ import annotations
@@ -108,72 +113,54 @@ def _strict_order(prof: PredominantProfile, expected_mode: str) -> None:
 def ttc(prof: PredominantProfile, *, start: str = "min") -> Allocation:
     """Top trading cycles driven by the strict house orders.
 
-    Each remaining agent points at its best remaining house and each house
-    at its owner; some cycle always exists, its agents take the houses they
-    point at, and the cycle leaves the market.  Cycles in this pointer graph
-    are vertex-disjoint, so the result does not depend on removal order
-    (``start`` picks the walk's starting agent and exists for the tests that
-    assert exactly that).
+    Each remaining agent points at the owner of its best remaining house;
+    some pointer cycle always exists, each of its agents takes the house of
+    the agent it points at, and the cycle leaves the market.  Cycles in this
+    pointer graph are vertex-disjoint, so the result does not depend on
+    removal order (``start`` picks the walk's starting agent and exists for
+    the tests that assert exactly that).
     """
     _strict_order(prof, HOUSE)
-    return _trade_cycles(prof, start, house_driven=True)[0]
+    return _trade_cycles(prof, start)[0]
 
 
 def tttc(prof: PredominantProfile, *, start: str = "min") -> Allocation:
     """Top trading cycles driven by the owners' strict tenant orders.
 
-    Each remaining agent points at its own house and each house at the agent
-    its owner most prefers as a tenant; within a removed cycle each house is
-    taken by the agent it points at.
+    The same walk as :func:`ttc`, but each remaining agent points at its
+    best remaining tenant, and within a removed cycle each agent's house is
+    taken by the tenant it points at.
     """
     _strict_order(prof, TENANT)
-    return _trade_cycles(prof, start, house_driven=False)[0]
+    return _trade_cycles(prof, start)[0]
 
 
-def _trade_cycles(prof: PredominantProfile, start: str,
-                  house_driven: bool) -> tuple[Allocation, list[list[int]]]:
+def _trade_cycles(prof: PredominantProfile, start: str) -> tuple[Allocation, list[list[int]]]:
     if start not in ("min", "max"):
         raise ValueError("start must be 'min' or 'max'")
     n = prof.n
+    house_mode = prof.mode == HOUSE
+    # The agent behind each primary item: a house's owner, or the tenant itself.
+    behind = prof.owner if house_mode else range(n)
     remaining_agents = set(range(n))
-    remaining_houses = set(range(n))
+    remaining_items = set(range(n))
     assignment = [-1] * n
     rounds: list[list[int]] = []
-
-    def best_house(agent: int) -> int:
-        for h in prof.primary[agent]:
-            if h in remaining_houses:
-                return h
-        raise AssertionError("no remaining house")
-
-    def best_tenant(agent: int) -> int:
-        for t in prof.primary[agent]:
-            if t in remaining_agents:
-                return t
-        raise AssertionError("no remaining agent")
-
-    # House-driven, the walk goes agent -> favourite remaining house -> its
-    # owner; tenant-driven it goes agent -> own house -> owner's favourite
-    # remaining tenant (the agent who will take that house).
     while remaining_agents:
-        pivot = min(remaining_agents) if start == "min" else max(remaining_agents)
+        cur = min(remaining_agents) if start == "min" else max(remaining_agents)
         seen: dict[int, int] = {}
         walk: list[int] = []
-        cur = pivot
         while cur not in seen:
             seen[cur] = len(walk)
             walk.append(cur)
-            cur = prof.owner[best_house(cur)] if house_driven else best_tenant(cur)
+            cur = behind[next(filter(remaining_items.__contains__, prof.primary[cur]))]
         cycle = walk[seen[cur]:]
         rounds.append(cycle)
-        for agent in cycle:
-            if house_driven:
-                assignment[agent] = best_house(agent)
-            else:
-                assignment[best_tenant(agent)] = prof.endowment[agent]
-        for agent in cycle:
+        for agent, target in zip(cycle, cycle[1:] + cycle[:1]):
+            taker, giver = (agent, target) if house_mode else (target, agent)
+            assignment[taker] = prof.endowment[giver]
             remaining_agents.remove(agent)
-            remaining_houses.remove(prof.endowment[agent])
+            remaining_items.remove(prof.endowment[agent] if house_mode else agent)
     return Allocation(tuple(assignment)), rounds
 
 
@@ -181,4 +168,4 @@ def trade_rounds(prof: PredominantProfile) -> list[list[int]]:
     """The cycles removed by :func:`ttc`, in removal order (house mode only);
     exposed for the round-structure checks."""
     _strict_order(prof, HOUSE)
-    return _trade_cycles(prof, "min", house_driven=True)[1]
+    return _trade_cycles(prof, "min")[1]

@@ -11,7 +11,10 @@ on each call.  The text-format reader (``parse_*_reference``) and the LP
 writer (``export_*_reference``, ``to_lp_text_reference``) are the
 token-by-token and term-by-term versions the library's fast paths
 replaced.  ``find_manipulation_reference`` is the misreport search that
-ran the mechanism on every report.  All are kept as they were.
+ran the mechanism on every report.  ``trade_cycles_reference`` is the
+top-trading-cycles walk with one branch per mode that ``ttc`` and ``tttc``
+shared before they became one walk steered by the profile's mode.  All are
+kept as they were.
 """
 
 from __future__ import annotations
@@ -652,3 +655,52 @@ def find_manipulation_reference(mechanism, truth: Market, agent: int, reports, *
         if truth.prefers(agent, after, before):
             return ManipulationWitness(agent, report, before, after)
     return None
+
+
+def trade_cycles_reference(prof: PredominantProfile, start: str,
+                           house_driven: bool) -> tuple[Allocation, list[list[int]]]:
+    """Top trading cycles as two near-copies, ``house_driven`` choosing
+    between them: the allocation and the removed cycles in removal order."""
+    if start not in ("min", "max"):
+        raise ValueError("start must be 'min' or 'max'")
+    n = prof.n
+    remaining_agents = set(range(n))
+    remaining_houses = set(range(n))
+    assignment = [-1] * n
+    rounds: list[list[int]] = []
+
+    def best_house(agent: int) -> int:
+        for h in prof.primary[agent]:
+            if h in remaining_houses:
+                return h
+        raise AssertionError("no remaining house")
+
+    def best_tenant(agent: int) -> int:
+        for t in prof.primary[agent]:
+            if t in remaining_agents:
+                return t
+        raise AssertionError("no remaining agent")
+
+    # House-driven, the walk goes agent -> favourite remaining house -> its
+    # owner; tenant-driven it goes agent -> own house -> owner's favourite
+    # remaining tenant (the agent who will take that house).
+    while remaining_agents:
+        pivot = min(remaining_agents) if start == "min" else max(remaining_agents)
+        seen: dict[int, int] = {}
+        walk: list[int] = []
+        cur = pivot
+        while cur not in seen:
+            seen[cur] = len(walk)
+            walk.append(cur)
+            cur = prof.owner[best_house(cur)] if house_driven else best_tenant(cur)
+        cycle = walk[seen[cur]:]
+        rounds.append(cycle)
+        for agent in cycle:
+            if house_driven:
+                assignment[agent] = best_house(agent)
+            else:
+                assignment[best_tenant(agent)] = prof.endowment[agent]
+        for agent in cycle:
+            remaining_agents.remove(agent)
+            remaining_houses.remove(prof.endowment[agent])
+    return Allocation(tuple(assignment)), rounds

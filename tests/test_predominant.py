@@ -13,6 +13,7 @@ from tep import (
     compare,
     identity_allocation,
     is_core_stable,
+    is_individually_rational,
     is_pareto_optimal,
     lex_compare,
     lex_instance,
@@ -22,6 +23,10 @@ from tep import (
 )
 from tep.generators import random_predominant_profile
 from tep.incentives import find_manipulation, strict_primary_reports
+from tep.predominant import _trade_cycles
+from tep.rng import SplitMix64
+
+from references import trade_cycles_reference
 
 
 def house_profile(primary, tiebreak=None):
@@ -156,6 +161,54 @@ def test_tttc_is_relabeled_ttc_on_the_swapped_problem():
         dual = PredominantProfile(n, tuple(range(n)), HOUSE, tp.primary, tp.tiebreak)
         d = ttc(dual)
         assert tttc(tp).assignment == d.inverse
+
+
+def permuted_profiles():
+    """Seeded profiles in both modes, n = 1..7 and a few at n = 30-60, each
+    with its endowment shuffled (the generator always endows the identity).
+    The generator stops at n = 12, so the large ones draw their primary
+    orders here and break every tie with one class."""
+    sizes = [n for n in range(1, 8) for _ in range(16)] + [30, 45, 60]
+    for k, n in enumerate(sizes):
+        rng = SplitMix64(1500 + k)
+        endowment = list(range(n))
+        rng.shuffle(endowment)
+        for mode in (HOUSE, TENANT):
+            if n <= 12:
+                prof = random_predominant_profile(n, mode, 0.4, 1400 + k)
+                primary, tiebreak = prof.primary, prof.tiebreak
+            else:
+                orders = [list(range(n)) for _ in range(n)]
+                for order in orders:
+                    rng.shuffle(order)
+                primary = tuple(map(tuple, orders))
+                tiebreak = ((frozenset(range(n)),),) * n
+            yield PredominantProfile(n, tuple(endowment), mode, primary, tiebreak)
+
+
+def test_one_walk_matches_the_two_branch_reference_on_permuted_endowments():
+    profiles = list(permuted_profiles())
+    assert sum(not p.is_canonical() for p in profiles) > len(profiles) // 2
+    for prof in profiles:
+        house_mode = prof.mode == HOUSE
+        mechanism = ttc if house_mode else tttc
+        for start in ("min", "max"):
+            alloc, rounds = trade_cycles_reference(prof, start, house_mode)
+            assert _trade_cycles(prof, start) == (alloc, rounds)
+            assert mechanism(prof, start=start) == alloc
+        if house_mode:
+            assert trade_rounds(prof) == trade_cycles_reference(prof, "min", True)[1]
+
+
+def test_outputs_ir_core_stable_and_po_on_permuted_endowments():
+    for prof in permuted_profiles():
+        if not 2 <= prof.n <= 6:
+            continue
+        alloc = (ttc if prof.mode == HOUSE else tttc)(prof)
+        inst = lex_instance(prof)
+        assert is_individually_rational(inst, alloc)
+        assert is_core_stable(inst, alloc)
+        assert is_pareto_optimal(inst, alloc)
 
 
 def test_no_profitable_primary_misreport_small():
