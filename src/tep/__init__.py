@@ -54,7 +54,6 @@ from .incentives import (
     component_order_reports,
     find_manipulation,
     first_ir_pareto_mechanism,
-    replace_prefs,
     strict_primary_reports,
     sublist_reports,
     table_mechanism,

@@ -298,10 +298,12 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--quiet", action="store_true", help="print only the payload")
         p.add_argument("--timing", action="store_true", help="append a wall-clock line")
-        p.add_argument("--max-n", type=_limit, default=None,
-                       help="bound for full-scan oracles (default 8)")
         p.add_argument("--node-budget", type=_limit, default=axioms.DEFAULT_NODE_BUDGET,
                        help="node budget for backtracking searches")
+
+    def max_n(p):  # only the Pareto oracles behind verify and oracle read it
+        p.add_argument("--max-n", type=_limit, default=None,
+                       help=f"bound for full-scan oracles (default {axioms.DEFAULT_MAX_N})")
 
     p = sub.add_parser("gen", help="write a named or random instance/profile")
     p.add_argument("--family", required=True,
@@ -329,11 +331,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instance", required=True)
     p.add_argument("--allocation", required=True)
     p.add_argument("--check", required=True, choices=["ir", "po", "wpo", "core"])
+    max_n(p)
     common(p)
 
     p = sub.add_parser("oracle", help="enumerate IR/PO allocations or search the core")
     p.add_argument("--instance", required=True)
     p.add_argument("--enumerate", required=True, choices=["ir", "po", "core"])
+    max_n(p)
     common(p)
 
     p = sub.add_parser("export", help="write an LP-style 0/1 program")

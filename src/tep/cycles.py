@@ -19,7 +19,8 @@ Options = list[list[tuple[int, int]]]
 
 
 class Budget:
-    """Decrementing node counter; raises once exhausted.  ``None`` = unlimited."""
+    """Decrementing node counter; raises once exhausted.  ``Budget(None)``
+    is the one way to say "unlimited"."""
 
     __slots__ = ("left",)
 
@@ -34,11 +35,12 @@ class Budget:
 
 
 def _cycles_through(options: Options, start: int, low: int, allowed: set[int],
-                    budget: Budget | None) -> Iterator[list[int]]:
+                    budget: Budget) -> Iterator[list[int]]:
     """Yield each simple exchange cycle through ``start`` whose other
     members lie in ``allowed`` and above ``low``, as a list from ``start``
     in trading order, in depth-first order.  One budget tick per option
-    tried."""
+    tried; pass ``Budget(None)`` for no limit."""
+    tick = budget.tick
 
     def extend(closing_prev: int, cur: int, prev: int,
                path: dict[int, None]) -> Iterator[list[int]]:
@@ -47,8 +49,7 @@ def _cycles_through(options: Options, start: int, low: int, allowed: set[int],
         for p, nxt in options[cur]:
             if p != prev:
                 continue
-            if budget is not None:
-                budget.tick()
+            tick()
             if nxt == start:
                 if cur == closing_prev:
                     yield list(path)
@@ -58,8 +59,7 @@ def _cycles_through(options: Options, start: int, low: int, allowed: set[int],
                 del path[nxt]
 
     for p0, n0 in options[start]:
-        if budget is not None:
-            budget.tick()
+        tick()
         if n0 == start:
             if p0 == start:
                 yield [start]
@@ -68,7 +68,7 @@ def _cycles_through(options: Options, start: int, low: int, allowed: set[int],
             yield from extend(p0, n0, start, {start: None, n0: None})
 
 
-def iter_exchange_cycles(options: Options, budget: Budget | None = None) -> Iterator[list[int]]:
+def iter_exchange_cycles(options: Options, budget: Budget) -> Iterator[list[int]]:
     """Yield every simple exchange cycle, smallest member first.
 
     ``options[i]`` lists the (predecessor, successor) pairs agent i accepts.
@@ -80,13 +80,13 @@ def iter_exchange_cycles(options: Options, budget: Budget | None = None) -> Iter
         yield from _cycles_through(options, start, start, allowed, budget)
 
 
-def find_exchange_cycle(options: Options, budget: Budget | None = None) -> list[int] | None:
+def find_exchange_cycle(options: Options, budget: Budget) -> list[int] | None:
     """First exchange cycle in canonical enumeration order, or None."""
     return next(iter_exchange_cycles(options, budget), None)
 
 
 def has_cycle_through(options: Options, pivot: int, allowed: set[int],
-                      budget: Budget | None = None) -> bool:
+                      budget: Budget) -> bool:
     """Whether a simple exchange cycle containing ``pivot`` exists in ``allowed``.
 
     Used for incremental pruning: after one more agent's exchange options

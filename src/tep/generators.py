@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .model import Instance, Outcome, make_instance
-from .predominant import HOUSE, TENANT, PredominantProfile
+from .predominant import PredominantProfile
 from .responsive import ResponsiveProfile
 from .rng import SplitMix64
 
@@ -204,8 +204,6 @@ def random_predominant_profile(n: int, mode: str, tie_rate: float,
     """Seeded random profile with a strict primary order over all items and
     a weak tie-break order over the other dimension."""
     _check_params(n, 1.0, tie_rate)
-    if mode not in (HOUSE, TENANT):
-        raise ValueError(f"mode must be {HOUSE!r} or {TENANT!r}")
     rng = SplitMix64(seed)
     primary = []
     tiebreak = []
@@ -218,17 +216,20 @@ def random_predominant_profile(n: int, mode: str, tie_rate: float,
     return PredominantProfile(n, tuple(range(n)), mode, tuple(primary), tuple(tiebreak))
 
 
-def random_x3c(m: int, seed: int, max_tries: int = 10_000) -> X3CInstance:
+X3C_MAX_TRIES = 10_000
+
+
+def random_x3c(m: int, seed: int) -> X3CInstance:
     """Seeded random exact-cover input: chop three copies of every ground
     element into triples, rejecting draws that repeat an element inside a
-    triple or exceed the retry limit."""
+    triple, up to ``X3C_MAX_TRIES`` draws."""
     if m < 1:
         raise ValueError("need m >= 1")
     rng = SplitMix64(seed)
     slots = [e for e in range(3 * m) for _ in range(3)]
-    for _ in range(max_tries):
+    for _ in range(X3C_MAX_TRIES):
         rng.shuffle(slots)
         triples = [tuple(sorted(slots[k:k + 3])) for k in range(0, len(slots), 3)]
         if all(len(set(tr)) == 3 for tr in triples):
             return X3CInstance(m, tuple(sorted(triples)))
-    raise ValueError(f"no valid draw after {max_tries} tries (m={m}, seed={seed})")
+    raise ValueError(f"no valid draw after {X3C_MAX_TRIES} tries (m={m}, seed={seed})")

@@ -35,11 +35,6 @@ class ManipulationWitness:
     outcome_after: Outcome
 
 
-# The instance with one agent's preference list swapped out (the endowment
-# outcome is appended when the report omits it).
-replace_prefs = Instance.with_report
-
-
 def find_manipulation(mechanism: Mechanism, truth: Market, agent: int,
                       reports: Iterable, *,
                       max_reports: int = 100_000) -> ManipulationWitness | None:
@@ -193,7 +188,7 @@ def verify_sp_impossibility_tree() -> ProofReport:
     lines.append(f"root: IR+PO choices are [{_P.text()}] and [{_Q.text()}]")
 
     # Choice Q: agent 2 truncates.
-    inst2 = replace_prefs(inst, 2, _REPORT_2)
+    inst2 = inst.with_report(2, _REPORT_2)
     cands2 = set(enumerate_ir_pareto_optimal(inst2))
     _require(cands2 == {_B, Allocation((3, 1, 2, 0))},
              f"unexpected IR+PO set after agent 2's report: {sorted(a.text() for a in cands2)}")
@@ -205,7 +200,7 @@ def verify_sp_impossibility_tree() -> ProofReport:
     _require(not _improves(inst, 2, extra, base_q),
              "the overlooked allocation should not help agent 2")
     # Repair: in the truncated instance, agent 0 profits by truncating too.
-    inst20 = replace_prefs(inst2, 0, _REPORT_0)
+    inst20 = inst2.with_report(0, _REPORT_0)
     cands20 = set(enumerate_ir_pareto_optimal(inst20))
     _require(cands20 == {_B}, f"agent 0's repair report is not decisive: {sorted(a.text() for a in cands20)}")
     base_extra = outcome_of(inst2, extra, 0)
@@ -213,14 +208,14 @@ def verify_sp_impossibility_tree() -> ProofReport:
     lines.append(f"choice [{_Q.text()}] -> [{extra.text()}]: agent 0 truncates; unique choice [{_B.text()}] improves 0: closed")
 
     # Choice P: agent 1 truncates.
-    inst1 = replace_prefs(inst, 1, _REPORT_1)
+    inst1 = inst.with_report(1, _REPORT_1)
     cands1 = set(enumerate_ir_pareto_optimal(inst1))
     _require(cands1 == {_Q, _S},
              f"unexpected IR+PO set after agent 1's report: {sorted(a.text() for a in cands1)}")
     base_p = outcome_of(inst, _P, 1)
     _require(_improves(inst, 1, _Q, base_p), "agent 1 fails to improve at the swap choice")
     lines.append(f"choice [{_P.text()}]: agent 1 truncates; choice [{_Q.text()}] improves 1: closed")
-    inst13 = replace_prefs(inst1, 3, _REPORT_3)
+    inst13 = inst1.with_report(3, _REPORT_3)
     cands13 = set(enumerate_ir_pareto_optimal(inst13))
     _require(cands13 == {_Q}, f"agent 3's report is not decisive: {sorted(a.text() for a in cands13)}")
     base_s = outcome_of(inst1, _S, 3)
@@ -242,13 +237,13 @@ def verify_core_consistency_impossibility() -> ProofReport:
     _require(root == {_P, _Q}, f"root core set is {sorted(a.text() for a in root)}")
     lines.append(f"root: core-stable choices are [{_P.text()}] and [{_Q.text()}]")
 
-    inst2 = replace_prefs(inst, 2, _REPORT_2)
+    inst2 = inst.with_report(2, _REPORT_2)
     cands2 = set(enumerate_core_stable(inst2))
     _require(cands2 == {_B}, f"core set after agent 2's report: {sorted(a.text() for a in cands2)}")
     _require(_improves(inst, 2, _B, outcome_of(inst, _Q, 2)), "agent 2 fails to improve")
     lines.append(f"choice [{_Q.text()}]: agent 2 truncates; unique core choice [{_B.text()}] improves 2: closed")
 
-    inst1 = replace_prefs(inst, 1, _REPORT_1)
+    inst1 = inst.with_report(1, _REPORT_1)
     cands1 = set(enumerate_core_stable(inst1))
     _require(cands1 == {_Q}, f"core set after agent 1's report: {sorted(a.text() for a in cands1)}")
     _require(_improves(inst, 1, _Q, outcome_of(inst, _P, 1)), "agent 1 fails to improve")

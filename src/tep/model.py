@@ -228,9 +228,6 @@ class Instance(Market):
         unlisted outcomes hold the sentinel rank ``len(prefs[i])``."""
         return tuple(_rank_row(classes, self.n) for classes in self.prefs)
 
-    def preference(self, agent: int) -> PreferenceOrder:
-        return self.orders[agent]
-
     def endowment_outcome(self, agent: int) -> Outcome:
         return Outcome(self.endowment[agent], agent)
 

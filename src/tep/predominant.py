@@ -110,21 +110,20 @@ def _strict_order(prof: PredominantProfile, expected_mode: str) -> None:
         raise ValueError(f"mechanism needs a {expected_mode}-primary profile, got {prof.mode}")
 
 
-def ttc(prof: PredominantProfile, *, start: str = "min") -> Allocation:
+def ttc(prof: PredominantProfile) -> Allocation:
     """Top trading cycles driven by the strict house orders.
 
     Each remaining agent points at the owner of its best remaining house;
     some pointer cycle always exists, each of its agents takes the house of
     the agent it points at, and the cycle leaves the market.  Cycles in this
     pointer graph are vertex-disjoint, so the result does not depend on
-    removal order (``start`` picks the walk's starting agent and exists for
-    the tests that assert exactly that).
+    removal order.
     """
     _strict_order(prof, HOUSE)
-    return _trade_cycles(prof, start)[0]
+    return _trade_cycles(prof)[0]
 
 
-def tttc(prof: PredominantProfile, *, start: str = "min") -> Allocation:
+def tttc(prof: PredominantProfile) -> Allocation:
     """Top trading cycles driven by the owners' strict tenant orders.
 
     The same walk as :func:`ttc`, but each remaining agent points at its
@@ -132,12 +131,12 @@ def tttc(prof: PredominantProfile, *, start: str = "min") -> Allocation:
     taken by the tenant it points at.
     """
     _strict_order(prof, TENANT)
-    return _trade_cycles(prof, start)[0]
+    return _trade_cycles(prof)[0]
 
 
-def _trade_cycles(prof: PredominantProfile, start: str) -> tuple[Allocation, list[list[int]]]:
-    if start not in ("min", "max"):
-        raise ValueError("start must be 'min' or 'max'")
+def _trade_cycles(prof: PredominantProfile) -> tuple[Allocation, list[list[int]]]:
+    """The allocation and the removed cycles in removal order; each walk
+    starts at the lowest remaining agent."""
     n = prof.n
     house_mode = prof.mode == HOUSE
     # The agent behind each primary item: a house's owner, or the tenant itself.
@@ -147,7 +146,7 @@ def _trade_cycles(prof: PredominantProfile, start: str) -> tuple[Allocation, lis
     assignment = [-1] * n
     rounds: list[list[int]] = []
     while remaining_agents:
-        cur = min(remaining_agents) if start == "min" else max(remaining_agents)
+        cur = min(remaining_agents)
         seen: dict[int, int] = {}
         walk: list[int] = []
         while cur not in seen:
@@ -168,4 +167,4 @@ def trade_rounds(prof: PredominantProfile) -> list[list[int]]:
     """The cycles removed by :func:`ttc`, in removal order (house mode only);
     exposed for the round-structure checks."""
     _strict_order(prof, HOUSE)
-    return _trade_cycles(prof, "min")[1]
+    return _trade_cycles(prof)[1]

@@ -8,11 +8,10 @@ one binary per (agent, house) pair with a bilinear objective.  Programs are
 symbolic and serialize to LP-style text with a deterministic layout, so
 exports are byte-stable and usable as golden files.
 
-The triple encoding needs linking constraints ("agent k is the tenant of
+The triple encoding needs link constraints ("agent k is the tenant of
 agent i's house" must mean "agent k receives that house"); without them the
 three sum families plus the diagonal exclusions admit 0/1 points that match
-no allocation.  ``export_ilp(..., linking=False)`` reproduces that weaker
-variant for regression tests.
+no allocation.
 """
 
 from __future__ import annotations
@@ -164,15 +163,15 @@ def _x2(i: int, j: int) -> str:
     return f"x_{i}_{j}"
 
 
-def export_ilp(inst: Instance, table: WeightTable, *, linking: bool = True) -> MathProgram:
+def export_ilp(inst: Instance, table: WeightTable) -> MathProgram:
     """Linear encoding over binaries x_i_j_k (agent i receives house j and
     agent k is the tenant of i's own house).
 
     Constraints: one triple per agent, each house received once, each agent
     a tenant once, the two self-consistency exclusion families (keeping your
-    house means you are your own tenant, and conversely), and, unless
-    ``linking`` is disabled, the linking equalities that tie "k is tenant of
-    i's house" to "k receives i's house".
+    house means you are your own tenant, and conversely), and last the link
+    equalities ``link_i_k`` that tie "k is tenant of i's house" to "k
+    receives i's house".
     """
     n = inst.n
     names = [_x3(i, j, k) for i in range(n) for j in range(n) for k in range(n)]
@@ -200,15 +199,14 @@ def export_ilp(inst: Instance, table: WeightTable, *, linking: bool = True) -> M
                 continue
             cons.append(Constraint(f"own_tenant_own_house_{i}_{j}",
                                    ((1, names[(i * n + j) * n + i]),), "=", 0))
-    if linking:
-        for i in range(n):
-            own = inst.endowment[i]
-            for k in range(n):
-                if k == i:
-                    continue
-                terms = (*zip(ones, names[i * n * n + k:(i + 1) * n * n:n]),
-                         *zip(minus_ones, names[(k * n + own) * n:(k * n + own + 1) * n]))
-                cons.append(Constraint(f"link_{i}_{k}", terms, "=", 0))
+    for i in range(n):
+        own = inst.endowment[i]
+        for k in range(n):
+            if k == i:
+                continue
+            terms = (*zip(ones, names[i * n * n + k:(i + 1) * n * n:n]),
+                     *zip(minus_ones, names[(k * n + own) * n:(k * n + own + 1) * n]))
+            cons.append(Constraint(f"link_{i}_{k}", terms, "=", 0))
     return MathProgram("ilp", tuple(names), objective, tuple(cons))
 
 

@@ -14,12 +14,14 @@ replaced.  ``find_manipulation_reference`` is the misreport search that
 ran the mechanism on every report.  ``trade_cycles_reference`` is the
 top-trading-cycles walk with one branch per mode that ``ttc`` and ``tttc``
 shared before they became one walk steered by the profile's mode.  All are
-kept as they were.
+kept as they were.  ``without_linking`` gives the weaker triple encoding,
+which the exporter no longer writes, from the linked one.
 """
 
 from __future__ import annotations
 
 import re
+from dataclasses import replace
 from typing import Iterator
 
 from tep import all_allocations, is_core_stable, is_individually_rational, outcome_of
@@ -32,6 +34,16 @@ from tep.model import Allocation, Instance, Market, Outcome, canonicalize_endowm
 from tep.predominant import HOUSE, TENANT, PredominantProfile
 from tep.programs import Constraint, MathProgram, WeightTable, _x2, _x3
 from tep.responsive import ResponsiveProfile, RsOrdering, rs_compare
+
+
+def without_linking(program: MathProgram) -> MathProgram:
+    """The triple encoding minus its linking equalities (the ``link_*``
+    constraints, which the exporter writes last): it admits 0/1 points that
+    describe no allocation."""
+    cons = program.constraints
+    first = next((k for k, con in enumerate(cons) if con.name.startswith("link_")), len(cons))
+    assert all(con.name.startswith("link_") for con in cons[first:]), "link_* must come last"
+    return replace(program, constraints=cons[:first])
 
 
 def iter_candidate_points(program: MathProgram, n: int) -> Iterator[dict[str, int]]:

@@ -20,6 +20,7 @@ from itertools import permutations
 
 from tep import (
     HOUSE,
+    Instance,
     Outcome,
     ResponsiveProfile,
     TENANT,
@@ -44,7 +45,6 @@ from tep import (
     parse_instance,
     pra_rs,
     qp_point,
-    replace_prefs,
     rs_aa,
     serialize_instance,
     solve_exact_max_weight,
@@ -69,7 +69,10 @@ from tep.incentives import strict_primary_reports
 from tep.responsive import acceptable_component_classes
 from tep.rng import SplitMix64
 
-from references import iter_candidate_points
+from references import iter_candidate_points, trade_cycles_reference, without_linking
+
+# test_criterion_8_published_uniqueness_claim stays as written, in this spelling.
+replace_prefs = Instance.with_report
 
 
 def _line(num, name, ok):
@@ -247,7 +250,8 @@ def test_criterion_6_trading_cycles():
             prof = random_predominant_profile(n, mode, 0.4, 30_000 + seed)
             mechanism = ttc if mode == HOUSE else tttc
             alloc = mechanism(prof)
-            assert mechanism(prof, start="max") == alloc  # cycle-order invariance
+            # cycle-order invariance: the reference walk from the highest agent
+            assert trade_cycles_reference(prof, "max", mode == HOUSE)[0] == alloc
             inst = lex_instance(prof)
             assert is_core_stable(inst, alloc)
             assert is_pareto_optimal(inst, alloc)
@@ -309,8 +313,8 @@ def test_criterion_8_impossibility_trees():
         assert {a.assignment for a in enumerate_ir_pareto_optimal(sp)} == \
             {(1, 2, 3, 0), (3, 2, 1, 0)}
         # the second-level sub-instance of the p-branch is decisive as published
-        inst1 = replace_prefs(sp, 1, [[Outcome(2, 2)], [Outcome(1, 1)]])
-        inst13 = replace_prefs(inst1, 3, [[Outcome(0, 0)], [Outcome(3, 3)]])
+        inst1 = sp.with_report(1, [[Outcome(2, 2)], [Outcome(1, 1)]])
+        inst13 = inst1.with_report(3, [[Outcome(0, 0)], [Outcome(3, 3)]])
         assert [a.assignment for a in enumerate_ir_pareto_optimal(inst13)] == \
             [(3, 2, 1, 0)]
         ok = True
@@ -420,8 +424,8 @@ def test_criterion_9_math_programs():
         # regression: without linking constraints a 0/1 point can satisfy
         # everything printed yet describe no allocation
         inst = random_instance(3, 0.5, 0.2, 94)
-        unlinked = export_ilp(inst, weights_from_ranks(inst, "borda"), linking=False)
         repaired = export_ilp(inst, weights_from_ranks(inst, "borda"))
+        unlinked = without_linking(repaired)
         witness = {v: 0 for v in unlinked.variables}
         for i in range(3):
             witness[f"x_{i}_{(i + 1) % 3}_{(i + 1) % 3}"] = 1

@@ -463,6 +463,37 @@ def test_a_negative_limit_is_bad_input(tmp_path, capsys, option):
     assert capsys.readouterr().err.endswith(f"error: argument {option}: invalid int value: 'x'\n")
 
 
+def test_max_n_is_offered_only_where_it_bounds_a_scan(tmp_path, capsys):
+    """--max-n bounds the Pareto scans behind verify and oracle; the other
+    five subcommands never read it, so their parser refuses it (exit 2)."""
+    sp = tmp_path / "sp.tep"
+    sp.write_text(serialize_instance(sp_instance()))
+    alloc = tmp_path / "a.alloc"
+    alloc.write_text(serialize_allocation(identity_allocation(4)))
+    refused = {
+        "gen": ["gen", "--family", "empty-core", "--out", str(tmp_path / "ring.tep")],
+        "solve": ["solve", "--instance", str(sp), "--method", "exact"],
+        "export": ["export", "--instance", str(sp), "--form", "qp",
+                   "--out", str(tmp_path / "sp.lp")],
+        "manipulate": ["manipulate", "--instance", str(sp), "--method", "exact",
+                       "--agent", "2", "--space", "subsets"],
+        "prove": ["prove", "--which", "sp"],
+    }
+    for command, argv in refused.items():
+        assert invoke(argv)[0] in (0, 1), command  # the argv is valid without --max-n
+        capsys.readouterr()
+        assert invoke(argv + ["--max-n", "9"]) == (2, ""), command
+        assert "unrecognized arguments: --max-n 9" in capsys.readouterr().err, command
+    bounded = [["verify", "--instance", str(sp), "--allocation", str(alloc), "--check", "po"],
+               ["oracle", "--instance", str(sp), "--enumerate", "po"]]
+    for argv in bounded:
+        code, out = invoke(argv)
+        code_9, out_9 = invoke(argv + ["--max-n", "9"])
+        assert code_9 == code
+        assert " max_n=9 " in parse_report(out_9)["args"]
+        assert out_9.replace(" max_n=9", "", 1) == out
+
+
 def test_report_round_trip_structure(ring_file):
     code, out = invoke(["oracle", "--instance", str(ring_file), "--enumerate", "ir"])
     report = parse_report(out)

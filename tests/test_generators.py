@@ -156,6 +156,9 @@ def test_random_profiles_deterministic_and_valid():
     q2 = random_predominant_profile(6, "house", 0.4, 22)
     assert q1 == q2
     assert sorted(q1.primary[0]) == list(range(6))
+    # the profile's constructor is the one mode check
+    with pytest.raises(ValueError, match="^mode must be 'house' or 'tenant'$"):
+        random_predominant_profile(6, "diagonal", 0.4, 22)
 
 
 def test_random_x3c_deterministic_and_valid():

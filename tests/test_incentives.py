@@ -14,7 +14,6 @@ from tep import (
     first_ir_pareto_mechanism,
     identity_allocation,
     is_core_stable,
-    replace_prefs,
     sublist_reports,
     table_mechanism,
     ttc,
@@ -102,7 +101,7 @@ def test_refinement_mechanism_search_runs_and_validates():
 def test_table_mechanism_falls_back():
     mech = q_pinning_mechanism()
     assert mech(SP) == Q
-    other = replace_prefs(SP, 2, [[Outcome(3, 3)], [Outcome(2, 2)]])
+    other = SP.with_report(2, [[Outcome(3, 3)], [Outcome(2, 2)]])
     assert mech(other) == enumerate_ir_pareto_optimal(other)[0]
 
 
@@ -135,7 +134,7 @@ def test_sp_instance_root_sets():
 
 def test_misreported_subinstances_match_the_replay():
     report_2 = [[Outcome(3, 3)], [Outcome(2, 2)]]
-    inst2 = replace_prefs(SP, 2, report_2)
+    inst2 = SP.with_report(2, report_2)
     irpo2 = {a.assignment for a in enumerate_ir_pareto_optimal(inst2)}
     # the published analysis expects only (1, 0, 3, 2) here; the {0,3} swap
     # is a second IR+PO allocation it overlooks
@@ -143,12 +142,12 @@ def test_misreported_subinstances_match_the_replay():
     assert {a.assignment for a in enumerate_core_stable(inst2)} == {(1, 0, 3, 2)}
 
     report_1 = [[Outcome(2, 2)], [Outcome(1, 1)]]
-    inst1 = replace_prefs(SP, 1, report_1)
+    inst1 = SP.with_report(1, report_1)
     assert {a.assignment for a in enumerate_ir_pareto_optimal(inst1)} == \
         {(3, 2, 1, 0), (0, 1, 3, 2)}
     assert {a.assignment for a in enumerate_core_stable(inst1)} == {(3, 2, 1, 0)}
 
-    inst13 = replace_prefs(inst1, 3, [[Outcome(0, 0)], [Outcome(3, 3)]])
+    inst13 = inst1.with_report(3, [[Outcome(0, 0)], [Outcome(3, 3)]])
     assert [a.assignment for a in enumerate_ir_pareto_optimal(inst13)] == [(3, 2, 1, 0)]
 
 
@@ -156,7 +155,7 @@ def test_proof_error_propagates_on_wrong_expectations():
     # replaying on a tampered witness market must raise, not silently pass
     import tep.incentives as incentives
 
-    tampered = replace_prefs(SP, 0, [[Outcome(0, 0)]])
+    tampered = SP.with_report(0, [[Outcome(0, 0)]])
     original = incentives.sp_instance
     incentives.sp_instance = lambda: tampered
     try:

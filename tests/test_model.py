@@ -105,7 +105,7 @@ def test_compare_is_total_preorder_on_ring():
     inst = empty_core_instance()
     outcomes = [Outcome(h, t) for h in range(5) for t in range(5)]
     for agent in range(5):
-        order = inst.preference(agent)
+        order = inst.orders[agent]
         ranks = {o: order.rank(o) for o in outcomes}
         # completeness + transitivity via the rank representation itself,
         # checked against compare on every pair
@@ -200,7 +200,7 @@ def test_instance_validation_rejects_bad_inputs():
 
 def test_unacceptable_rank_is_shared_bottom():
     inst = empty_core_instance()
-    order = inst.preference(0)
+    order = inst.orders[0]
     assert order.rank(Outcome(2, 3)) == order.unacceptable_rank
     assert order.rank(Outcome(3, 2)) == order.unacceptable_rank
     listed = [order.rank(o) for o in inst.listed_outcomes(0)]

@@ -28,6 +28,7 @@ from references import (
     export_qp_reference,
     iter_candidate_points,
     to_lp_text_reference,
+    without_linking,
 )
 
 RING = empty_core_instance()
@@ -150,8 +151,8 @@ def test_unlinked_variant_admits_a_non_allocation_point():
     # by the repaired program
     inst = random_instance(3, 0.5, 0.2, 35)
     table = weights_from_ranks(inst, "borda")
-    unlinked = export_ilp(inst, table, linking=False)
     repaired = export_ilp(inst, table)
+    unlinked = without_linking(repaired)
     allocation_points = {ones(ilp_point(inst, a)) for a in all_allocations(3)}
     ghosts = [p for p in iter_candidate_points(unlinked, 3)
               if unlinked.is_feasible(p) and ones(p) not in allocation_points]
@@ -295,7 +296,7 @@ def test_exports_match_the_reference_writer_byte_for_byte(n):
         table = weights_from_ranks(inst, scheme)
         pairs = [(export_qp(inst, table), export_qp_reference(inst, table)),
                  (export_ilp(inst, table), export_ilp_reference(inst, table)),
-                 (export_ilp(inst, table, linking=False),
+                 (without_linking(export_ilp(inst, table)),
                   export_ilp_reference(inst, table, linking=False))]
         for program, reference in pairs:
             assert program == reference
