@@ -17,7 +17,7 @@ enumerations take.  The Pareto enumerations keep the leaves whose rank
 vectors form the skyline: the distinct vectors are taken by rank sum, and
 each is tested against the front kept so far with one AND of per-agent
 rank bitmasks, not member by member.  These oracles refuse to run above
-``max_n``.
+``max_n``, and the IR + Pareto and core enumerations above ``DEFAULT_MAX_N``.
 
 The backtracking search over listed outcomes (:func:`_assignment_search`)
 stays a separate engine: it tries listed outcomes in listed order under a
@@ -228,9 +228,7 @@ def improvement_options(inst: Instance, alloc: Allocation) -> Options:
             for i in range(inst.n)]
 
 
-def find_blocking_coalition(inst: Instance, alloc: Allocation, *,
-                            node_budget: int | None = DEFAULT_NODE_BUDGET
-                            ) -> BlockingWitness | None:
+def find_blocking_coalition(inst: Instance, alloc: Allocation) -> BlockingWitness | None:
     """A minimal-cardinality blocking coalition, or None.
 
     Minimal blocking coalitions are single trading cycles (any blocking
@@ -240,7 +238,7 @@ def find_blocking_coalition(inst: Instance, alloc: Allocation, *,
     internal house vector.
     """
     options = improvement_options(inst, alloc)
-    budget = Budget(node_budget)
+    budget = Budget(DEFAULT_NODE_BUDGET)
     best: tuple | None = None
     best_cycle: list[int] | None = None
     for cycle in iter_exchange_cycles(options, budget):
@@ -377,12 +375,10 @@ def core_exists(inst: Instance, *,
     return None
 
 
-def find_top_allocation(inst: Instance, *,
-                        node_budget: int | None = DEFAULT_NODE_BUDGET
-                        ) -> Allocation | None:
+def find_top_allocation(inst: Instance) -> Allocation | None:
     """An allocation giving every agent a top-class outcome, or None."""
     limits = [0] * inst.n
-    budget = Budget(node_budget)
+    budget = Budget(DEFAULT_NODE_BUDGET)
     return next(_assignment_search(inst, limits, False, budget), None)
 
 
@@ -411,20 +407,19 @@ def enumerate_pareto_optimal(inst: Instance, *,
     return _pareto_front(inst, [len(c) for c in inst.prefs])
 
 
-def enumerate_ir_pareto_optimal(inst: Instance, *,
-                                max_n: int = DEFAULT_MAX_N) -> list[Allocation]:
+def enumerate_ir_pareto_optimal(inst: Instance) -> list[Allocation]:
     """The IR Pareto-optimal allocations, in lexicographic assignment order:
     the front of the IR allocations, since what dominates an IR one is IR."""
-    _check_max_n(inst, max_n)
+    _check_max_n(inst, DEFAULT_MAX_N)
     return _pareto_front(inst, _ir_limits(inst))
 
 
-def enumerate_core_stable(inst: Instance, *, max_n: int = DEFAULT_MAX_N,
+def enumerate_core_stable(inst: Instance, *,
                           node_budget: int | None = DEFAULT_NODE_BUDGET
                           ) -> list[Allocation]:
     """The core-stable allocations, in lexicographic assignment order.  They
     are IR, so only IR ones are checked, each under its own node budget."""
-    _check_max_n(inst, max_n)
+    _check_max_n(inst, DEFAULT_MAX_N)
     leaves = _permutation_search(inst, inst.rank_table, _ir_limits(inst))
     return [a for a in (Allocation(assignment) for assignment, _ in leaves)
             if is_core_stable(inst, a, node_budget=node_budget)]

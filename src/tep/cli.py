@@ -266,7 +266,7 @@ def _cmd_prove(args, report: _Report) -> int:
         if which == "sp":
             proof = incentives.verify_sp_impossibility_tree()
         else:
-            proof = incentives.verify_core_consistency_impossibility()
+            proof = incentives.verify_core_consistency_impossibility(node_budget=args.node_budget)
     except ProofError as exc:
         report.add("proof", which)
         report.add("error", str(exc))

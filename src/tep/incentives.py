@@ -15,10 +15,11 @@ with core consistency, on the 4-agent witness market.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations, permutations
 from typing import Callable, Iterable, Iterator
 
-from .axioms import (DEFAULT_MAX_N, enumerate_core_stable, enumerate_ir_pareto_optimal)
+from .axioms import DEFAULT_NODE_BUDGET, enumerate_core_stable, enumerate_ir_pareto_optimal
 from .errors import BudgetExceededError, ProofError
 from .generators import sp_instance
 from .model import Allocation, Instance, Market, Outcome, compare, outcome_of
@@ -127,12 +128,12 @@ def table_mechanism(cases: dict[Instance, Allocation],
     return mech
 
 
-def first_ir_pareto_mechanism(*, max_n: int = DEFAULT_MAX_N) -> Mechanism:
+def first_ir_pareto_mechanism() -> Mechanism:
     """The mechanism returning the lexicographically first allocation that is
     individually rational and Pareto optimal."""
 
     def mech(inst: Instance) -> Allocation:
-        return enumerate_ir_pareto_optimal(inst, max_n=max_n)[0]
+        return enumerate_ir_pareto_optimal(inst)[0]
 
     return mech
 
@@ -166,8 +167,18 @@ def _require(cond: bool, message: str) -> None:
         raise ProofError(message)
 
 
-def _improves(inst: Instance, agent: int, alloc: Allocation, baseline: Outcome) -> bool:
-    return compare(inst, agent, outcome_of(inst, alloc, agent), baseline) > 0
+def _branch(oracle: Callable, market: Instance, agent: int, report: list[list[Outcome]],
+            want: set[Allocation], pick: Allocation, current: Allocation) -> Instance:
+    """The sub-market after ``agent`` reports ``report`` in ``market``, once
+    ``oracle`` finds exactly ``want`` there and ``pick`` strictly improves the
+    agent (under its true preferences) over its outcome under ``current``."""
+    sub = market.with_report(agent, report)
+    found = set(oracle(sub))
+    _require(found == want, f"unexpected set after agent {agent}'s report: "
+                            f"{sorted(a.text() for a in found)}")
+    _require(compare(market, agent, outcome_of(market, pick, agent),
+                     outcome_of(market, current, agent)) > 0, f"agent {agent} fails to improve")
+    return sub
 
 
 def verify_sp_impossibility_tree() -> ProofReport:
@@ -188,65 +199,44 @@ def verify_sp_impossibility_tree() -> ProofReport:
     lines.append(f"root: IR+PO choices are [{_P.text()}] and [{_Q.text()}]")
 
     # Choice Q: agent 2 truncates.
-    inst2 = inst.with_report(2, _REPORT_2)
-    cands2 = set(enumerate_ir_pareto_optimal(inst2))
-    _require(cands2 == {_B, Allocation((3, 1, 2, 0))},
-             f"unexpected IR+PO set after agent 2's report: {sorted(a.text() for a in cands2)}")
-    base_q = outcome_of(inst, _Q, 2)
-    _require(_improves(inst, 2, _B, base_q), "agent 2 fails to improve at the bold choice")
+    extra = Allocation((3, 1, 2, 0))
+    inst2 = _branch(enumerate_ir_pareto_optimal, inst, 2, _REPORT_2, {_B, extra}, _B, _Q)
     lines.append(f"choice [{_Q.text()}]: agent 2 truncates; choice [{_B.text()}] improves 2: closed")
     lines.append(f"choice [{_Q.text()}]: sub-instance has 2 IR+PO allocations, published analysis expects 1")
-    extra = Allocation((3, 1, 2, 0))
-    _require(not _improves(inst, 2, extra, base_q),
+    _require(compare(inst, 2, outcome_of(inst, extra, 2), outcome_of(inst, _Q, 2)) <= 0,
              "the overlooked allocation should not help agent 2")
     # Repair: in the truncated instance, agent 0 profits by truncating too.
-    inst20 = inst2.with_report(0, _REPORT_0)
-    cands20 = set(enumerate_ir_pareto_optimal(inst20))
-    _require(cands20 == {_B}, f"agent 0's repair report is not decisive: {sorted(a.text() for a in cands20)}")
-    base_extra = outcome_of(inst2, extra, 0)
-    _require(_improves(inst2, 0, _B, base_extra), "agent 0 fails to improve in the repair branch")
+    _branch(enumerate_ir_pareto_optimal, inst2, 0, _REPORT_0, {_B}, _B, extra)
     lines.append(f"choice [{_Q.text()}] -> [{extra.text()}]: agent 0 truncates; unique choice [{_B.text()}] improves 0: closed")
 
     # Choice P: agent 1 truncates.
-    inst1 = inst.with_report(1, _REPORT_1)
-    cands1 = set(enumerate_ir_pareto_optimal(inst1))
-    _require(cands1 == {_Q, _S},
-             f"unexpected IR+PO set after agent 1's report: {sorted(a.text() for a in cands1)}")
-    base_p = outcome_of(inst, _P, 1)
-    _require(_improves(inst, 1, _Q, base_p), "agent 1 fails to improve at the swap choice")
+    inst1 = _branch(enumerate_ir_pareto_optimal, inst, 1, _REPORT_1, {_Q, _S}, _Q, _P)
     lines.append(f"choice [{_P.text()}]: agent 1 truncates; choice [{_Q.text()}] improves 1: closed")
-    inst13 = inst1.with_report(3, _REPORT_3)
-    cands13 = set(enumerate_ir_pareto_optimal(inst13))
-    _require(cands13 == {_Q}, f"agent 3's report is not decisive: {sorted(a.text() for a in cands13)}")
-    base_s = outcome_of(inst1, _S, 3)
-    _require(_improves(inst1, 3, _Q, base_s), "agent 3 fails to improve")
+    _branch(enumerate_ir_pareto_optimal, inst1, 3, _REPORT_3, {_Q}, _Q, _S)
     lines.append(f"choice [{_P.text()}] -> [{_S.text()}]: agent 3 truncates; unique choice [{_Q.text()}] improves 3: closed")
 
     lines.append("all branches closed: no IR + Pareto-optimal mechanism is strategyproof here")
     return ProofReport("sp", tuple(lines))
 
 
-def verify_core_consistency_impossibility() -> ProofReport:
+def verify_core_consistency_impossibility(*, node_budget: int | None = DEFAULT_NODE_BUDGET
+                                          ) -> ProofReport:
     """Same branch structure with core-stable sets at every node: a
     core-consistent mechanism must pick a core-stable allocation whenever
-    one exists, and each pick opens a profitable misreport."""
+    one exists, and each pick opens a profitable misreport.  Every
+    core-stability check runs under its own ``node_budget``."""
+    core = partial(enumerate_core_stable, node_budget=node_budget)
     inst = sp_instance()
     lines: list[str] = []
 
-    root = set(enumerate_core_stable(inst))
+    root = set(core(inst))
     _require(root == {_P, _Q}, f"root core set is {sorted(a.text() for a in root)}")
     lines.append(f"root: core-stable choices are [{_P.text()}] and [{_Q.text()}]")
 
-    inst2 = inst.with_report(2, _REPORT_2)
-    cands2 = set(enumerate_core_stable(inst2))
-    _require(cands2 == {_B}, f"core set after agent 2's report: {sorted(a.text() for a in cands2)}")
-    _require(_improves(inst, 2, _B, outcome_of(inst, _Q, 2)), "agent 2 fails to improve")
+    _branch(core, inst, 2, _REPORT_2, {_B}, _B, _Q)
     lines.append(f"choice [{_Q.text()}]: agent 2 truncates; unique core choice [{_B.text()}] improves 2: closed")
 
-    inst1 = inst.with_report(1, _REPORT_1)
-    cands1 = set(enumerate_core_stable(inst1))
-    _require(cands1 == {_Q}, f"core set after agent 1's report: {sorted(a.text() for a in cands1)}")
-    _require(_improves(inst, 1, _Q, outcome_of(inst, _P, 1)), "agent 1 fails to improve")
+    _branch(core, inst, 1, _REPORT_1, {_Q}, _Q, _P)
     lines.append(f"choice [{_P.text()}]: agent 1 truncates; unique core choice [{_Q.text()}] improves 1: closed")
 
     lines.append("all branches closed: no core-consistent mechanism is strategyproof here")

@@ -35,7 +35,7 @@ DEFAULT_EXACT_MAX_N = 9
 # The CLI refuses to export above this: the weight table and the program grow
 # as n³ (n = 50 writes about 11 MB).
 EXPORT_MAX_N = 50
-EXACT_OPTIMIZER = "exact optimizer"  # how the max_n refusal names it
+EXACT_OPTIMIZER = "exact optimizer"  # how the refusal above DEFAULT_EXACT_MAX_N names it
 
 
 @dataclass(frozen=True)
@@ -252,8 +252,7 @@ def qp_point(inst: Instance, alloc: Allocation) -> dict[str, int]:
     return point
 
 
-def solve_exact_max_weight(inst: Instance, table: WeightTable, *,
-                           max_n: int = DEFAULT_EXACT_MAX_N) -> tuple[Allocation, int]:
+def solve_exact_max_weight(inst: Instance, table: WeightTable) -> tuple[Allocation, int]:
     """Argmax of total weight over all allocations, returning the
     lexicographically smallest assignment among ties.
 
@@ -262,7 +261,7 @@ def solve_exact_max_weight(inst: Instance, table: WeightTable, *,
     best weight strictly beat the best allocation found so far, so a later
     allocation of equal weight never replaces an earlier one.
     """
-    _check_max_n(inst, max_n, EXACT_OPTIMIZER)
+    _check_max_n(inst, DEFAULT_EXACT_MAX_N, EXACT_OPTIMIZER)
     size = inst.n * inst.n
     cost = [[-w for w in table.weights[i * size:(i + 1) * size]] for i in range(inst.n)]
     limits = [max(row) for row in cost]

@@ -149,8 +149,7 @@ def is_rs_pareto_optimal(prof: ResponsiveProfile, alloc: Allocation) -> bool:
     return not any(reach[j] >> k & 1 for k, j in strict)
 
 
-def is_rs_core_stable(prof: ResponsiveProfile, alloc: Allocation, *,
-                      node_budget: int | None = DEFAULT_NODE_BUDGET) -> bool:
+def is_rs_core_stable(prof: ResponsiveProfile, alloc: Allocation) -> bool:
     """No coalition can reallocate its own endowments so that every member
     strictly improves under the set extension."""
     options: Options = []
@@ -163,7 +162,7 @@ def is_rs_core_stable(prof: ResponsiveProfile, alloc: Allocation, *,
             if rs_compare(prof, i, Outcome(h, t), cur) is RsOrdering.BETTER
         ]
         options.append(steps)
-    return find_exchange_cycle(options, Budget(node_budget)) is None
+    return find_exchange_cycle(options, Budget(DEFAULT_NODE_BUDGET)) is None
 
 
 def _symmetrized_graph(owner: list[int] | tuple[int, ...],

@@ -11,10 +11,12 @@ from tep import (
     OracleLimitError,
     all_allocations,
     core_exists,
+    enumerate_core_stable,
     enumerate_ir_allocations,
     enumerate_ir_pareto_optimal,
     find_blocking_coalition,
     find_top_allocation,
+    first_ir_pareto_mechanism,
     identity_allocation,
     is_core_stable,
     is_individually_rational,
@@ -132,6 +134,15 @@ def test_po_bound_is_enforced():
     inst = x3c_core_instance(make_x3c(1, [(0, 1, 2)] * 3))
     with pytest.raises(OracleLimitError):
         is_pareto_optimal(inst, identity_allocation(inst.n))
+
+
+@pytest.mark.parametrize("enumerate_", [enumerate_ir_pareto_optimal, enumerate_core_stable,
+                                        first_ir_pareto_mechanism()],
+                         ids=["ir-pareto", "core", "first-ir-pareto-mechanism"])
+def test_ir_pareto_and_core_enumerations_refuse_n_above_8(enumerate_):
+    """These take no max_n: their bound is the fixed DEFAULT_MAX_N."""
+    with pytest.raises(OracleLimitError, match="needs n <= 8, got n = 9"):
+        enumerate_(make_instance(9, [[] for _ in range(9)]))
 
 
 def test_po_implies_weak_po():

@@ -16,7 +16,7 @@ from tep.cli import parse_report, run
 from tep.files import (parse_responsive_profile, serialize_allocation, serialize_instance,
                        serialize_predominant_profile)
 from tep.generators import sp_instance
-from tep.model import identity_allocation, make_instance
+from tep.model import Outcome, identity_allocation, make_instance
 
 
 def invoke(argv):
@@ -129,6 +129,30 @@ def test_prove_subcommands(tmp_path):
     code, out = invoke(["prove", "--which", "core-consistency"])
     assert code == 0
     assert parse_report(out)["closed"] == "true"
+
+
+def test_prove_core_consistency_runs_under_the_node_budget(capsys):
+    """Each core-stability check of the replay gets --node-budget; 20 nodes
+    are enough for every one of them.  The sp replay runs no budgeted search."""
+    for budget in ("0", "1", "5"):
+        code, out = invoke(["prove", "--which", "core-consistency", "--node-budget", budget])
+        assert (code, out) == (3, ""), budget
+        assert capsys.readouterr().err == "budget exceeded: search node budget exhausted\n"
+    for which, budget in (("core-consistency", "20"), ("sp", "0")):
+        code, out = invoke(["prove", "--which", which, "--node-budget", budget])
+        assert code == 0, which
+        assert parse_report(out)["closed"] == "true"
+
+
+def test_prove_reports_an_open_branch(monkeypatch):
+    """A replay that fails a check prints the error and exits 1."""
+    tampered = sp_instance().with_report(0, [[Outcome(0, 0)]])
+    monkeypatch.setattr(tep.incentives, "sp_instance", lambda: tampered)
+    code, out = invoke(["prove", "--which", "core-consistency"])
+    assert code == 1
+    report = parse_report(out)
+    assert report["error"] == "root core set is ['0 1 3 2']"
+    assert report["closed"] == "false"
 
 
 def test_manipulate_with_candidate_file(tmp_path):

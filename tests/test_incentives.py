@@ -161,8 +161,30 @@ def test_proof_error_propagates_on_wrong_expectations():
     try:
         with pytest.raises(ProofError):
             verify_sp_impossibility_tree()
+        with pytest.raises(ProofError, match=r"^root core set is \['0 1 3 2'\]$"):
+            verify_core_consistency_impossibility()
     finally:
         incentives.sp_instance = original
+
+
+def test_a_branch_needs_its_set_and_a_strict_improvement():
+    """The step both replays take at each misreport: the oracle must find
+    exactly the expected set on the sub-market, and the pick must strictly
+    improve the reporting agent over the current choice."""
+    from tep.incentives import _branch
+
+    report_2 = [[Outcome(3, 3)], [Outcome(2, 2)]]
+    B = Allocation((1, 0, 3, 2))
+    assert _branch(enumerate_core_stable, SP, 2, report_2, {B}, B, Q) == \
+        SP.with_report(2, report_2)
+    for want in (set(), {B, Q}):
+        with pytest.raises(ProofError,
+                           match=r"^unexpected set after agent 2's report: \['1 0 3 2'\]$"):
+            _branch(enumerate_core_stable, SP, 2, report_2, want, B, Q)
+    with pytest.raises(ProofError, match="^agent 2 fails to improve$"):
+        _branch(enumerate_core_stable, SP, 2, report_2, {B}, B, B)
+    with pytest.raises(ProofError, match="^agent 2 fails to improve$"):
+        _branch(enumerate_core_stable, SP, 2, report_2, {B}, Q, B)
 
 
 # ------------------------------------------- one replay per distinct market

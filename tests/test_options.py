@@ -1,0 +1,61 @@
+"""Every option has a caller.
+
+A keyword-only parameter of a function that ``tep`` exports is an option:
+each value it can take is one more configuration to test and to measure.
+The library keeps such an option only when some call inside ``src/tep``
+passes it by name; one that only tests set is a constant in disguise.
+"""
+
+import ast
+import inspect
+from pathlib import Path
+
+import tep
+
+SRC = Path(tep.__file__).parent
+
+
+def _callee(node: ast.expr) -> str | None:
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def keywords_passed(src: Path = SRC) -> set[tuple[str, str]]:
+    """(function name, keyword) for every keyword passed by name in a call
+    under ``src``; ``partial(f, kw=...)`` counts as a call of ``f``."""
+    passed = set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if _callee(func) == "partial" and node.args:
+                func = node.args[0]
+            passed.update((_callee(func), kw.arg) for kw in node.keywords if kw.arg)
+    return passed
+
+
+def test_every_exported_keyword_option_is_passed_inside_the_library():
+    passed = keywords_passed()
+    unused = []
+    for name in sorted(dir(tep)):
+        func = getattr(tep, name)
+        if not inspect.isfunction(func):
+            continue
+        for param in inspect.signature(func).parameters.values():
+            if param.kind is param.KEYWORD_ONLY and (func.__name__, param.name) not in passed:
+                unused.append(f"{func.__module__}.{func.__name__}({param.name}=)")
+    assert unused == []
+
+
+def test_the_scan_sees_direct_calls_and_partials(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "from functools import partial\n"
+        "f(x, a=1)\n"
+        "mod.g(b=2, **extra)\n"
+        "h = partial(mod.k, c=3)\n"
+    )
+    assert keywords_passed(tmp_path) == {("f", "a"), ("g", "b"), ("k", "c")}
