@@ -53,9 +53,7 @@ def all_allocations(n: int) -> Iterator[Allocation]:
 
 def _check_max_n(market: Market, max_n: int, what: str = "exact scan") -> None:
     if market.n > max_n:
-        raise OracleLimitError(
-            f"{what} needs n <= {max_n}, got n = {market.n}; raise the bound explicitly"
-        )
+        raise OracleLimitError(f"{what} needs n <= {max_n}, got n = {market.n}")
 
 
 def _ir_limits(inst: Instance) -> list[int]:
@@ -174,23 +172,22 @@ def is_weakly_pareto_optimal(inst: Instance, alloc: Allocation, *,
 @dataclass(frozen=True)
 class BlockingWitness:
     """A coalition that can strictly improve all of its members by
-    reallocating its own endowments along ``cycle``."""
+    reallocating its own endowments as ``internal`` says."""
 
     coalition: tuple[int, ...]          # sorted members
     internal: tuple[tuple[int, int], ...]  # (member, house) pairs, sorted by member
-    cycle: tuple[int, ...]              # trading order: cycle[t] takes cycle[t+1]'s house
 
     def internal_map(self) -> dict[int, int]:
         return dict(self.internal)
 
 
 def _witness_from_cycle(inst: Instance, cycle: list[int]) -> BlockingWitness:
+    """The witness of a trading cycle: cycle[t] takes cycle[t+1]'s house."""
     k = len(cycle)
     internal = {cycle[t]: inst.endowment[cycle[(t + 1) % k]] for t in range(k)}
     return BlockingWitness(
         coalition=tuple(sorted(cycle)),
         internal=tuple(sorted(internal.items())),
-        cycle=tuple(cycle),
     )
 
 
@@ -238,15 +235,9 @@ def find_blocking_coalition(inst: Instance, alloc: Allocation) -> BlockingWitnes
     internal house vector.
     """
     options = improvement_options(inst, alloc)
-    budget = Budget(DEFAULT_NODE_BUDGET)
-    best: tuple | None = None
-    best_cycle: list[int] | None = None
-    for cycle in iter_exchange_cycles(options, budget):
-        witness = _witness_from_cycle(inst, cycle)
-        key = (len(cycle), witness.coalition, witness.internal)
-        if best is None or key < best:
-            best, best_cycle = key, cycle
-    return _witness_from_cycle(inst, best_cycle) if best_cycle is not None else None
+    cycles = iter_exchange_cycles(options, Budget(DEFAULT_NODE_BUDGET))
+    return min((_witness_from_cycle(inst, cycle) for cycle in cycles), default=None,
+               key=lambda w: (len(w.coalition), w.coalition, w.internal))
 
 
 def is_core_stable(inst: Instance, alloc: Allocation, *,

@@ -30,7 +30,6 @@ Mechanism = Callable
 
 @dataclass(frozen=True)
 class ManipulationWitness:
-    agent: int
     report: object
     outcome_before: Outcome
     outcome_after: Outcome
@@ -66,7 +65,7 @@ def find_manipulation(mechanism: Mechanism, truth: Market, agent: int,
         replayed.add(market)
         after = outcome_of(truth, mechanism(market), agent)
         if truth.prefers(agent, after, before):
-            return ManipulationWitness(agent, report, before, after)
+            return ManipulationWitness(report, before, after)
     return None
 
 
@@ -143,7 +142,6 @@ class ProofReport:
     """Record of an executable case analysis; construction succeeds only if
     every branch closed."""
 
-    name: str
     lines: tuple[str, ...]
 
     def __str__(self) -> str:
@@ -216,7 +214,7 @@ def verify_sp_impossibility_tree() -> ProofReport:
     lines.append(f"choice [{_P.text()}] -> [{_S.text()}]: agent 3 truncates; unique choice [{_Q.text()}] improves 3: closed")
 
     lines.append("all branches closed: no IR + Pareto-optimal mechanism is strategyproof here")
-    return ProofReport("sp", tuple(lines))
+    return ProofReport(tuple(lines))
 
 
 def verify_core_consistency_impossibility(*, node_budget: int | None = DEFAULT_NODE_BUDGET
@@ -240,4 +238,4 @@ def verify_core_consistency_impossibility(*, node_budget: int | None = DEFAULT_N
     lines.append(f"choice [{_P.text()}]: agent 1 truncates; unique core choice [{_Q.text()}] improves 1: closed")
 
     lines.append("all branches closed: no core-consistent mechanism is strategyproof here")
-    return ProofReport("core-consistency", tuple(lines))
+    return ProofReport(tuple(lines))

@@ -43,7 +43,6 @@ class WeightTable:
     """Integer weight for every (agent, house received, tenant) triple."""
 
     n: int
-    scheme: str
     weights: tuple[int, ...]  # flat, index = (i * n + j) * n + k
 
     def weight(self, agent: int, house: int, tenant: int) -> int:
@@ -76,21 +75,22 @@ def weights_from_ranks(inst: Instance, scheme: str = BORDA) -> WeightTable:
         else:
             by_rank = [n ** (num_classes - rank) for rank in range(num_classes + 1)]
         flat.extend(map(by_rank.__getitem__, ranks))
-    return WeightTable(n=n, scheme=scheme, weights=tuple(flat))
+    return WeightTable(n=n, weights=tuple(flat))
 
 
 @dataclass(frozen=True)
 class Constraint:
+    """The equality ``sum(coeff * var for coeff, var in terms) == rhs``."""
+
     name: str
     terms: tuple[tuple[int, str], ...]
-    sense: str  # "=", "<=", ">="
     rhs: int
 
 
 @dataclass(frozen=True)
 class MathProgram:
     """A symbolic 0/1 maximization: linear or bilinear objective terms over
-    declared binary variables, plus linear constraints."""
+    declared binary variables, plus linear equality constraints."""
 
     kind: str  # "ilp" | "qp"
     variables: tuple[str, ...]
@@ -117,15 +117,8 @@ class MathProgram:
     def is_feasible(self, point: Mapping[str, int]) -> bool:
         if any(point[v] not in (0, 1) for v in self.variables):
             return False
-        for con in self.constraints:
-            value = sum(coeff * point[v] for coeff, v in con.terms)
-            if con.sense == "=" and value != con.rhs:
-                return False
-            if con.sense == "<=" and value > con.rhs:
-                return False
-            if con.sense == ">=" and value < con.rhs:
-                return False
-        return True
+        return all(sum(coeff * point[v] for coeff, v in con.terms) == con.rhs
+                   for con in self.constraints)
 
     def to_lp_text(self) -> str:
         """LP-style text: objective, subject-to, binary, end sections."""
@@ -138,7 +131,7 @@ class MathProgram:
         out = ["maximize", " obj: " + (objective if self.objective else "0"), "subject to"]
         for con in self.constraints:
             lhs = _lp_sum(map(itemgetter(0), con.terms), map(itemgetter(1), con.terms))
-            out.append(f" {con.name}: {lhs} {con.sense} {con.rhs}")
+            out.append(f" {con.name}: {lhs} = {con.rhs}")
         out.append("binary")
         out.extend(map(" ".__add__, self.variables))
         out.append("end")
@@ -180,25 +173,25 @@ def export_ilp(inst: Instance, table: WeightTable) -> MathProgram:
     cons: list[Constraint] = []
     for i in range(n):
         terms = tuple(zip(ones, names[i * n * n:(i + 1) * n * n]))
-        cons.append(Constraint(f"agent_{i}", terms, "=", 1))
+        cons.append(Constraint(f"agent_{i}", terms, 1))
     for j in range(n):
         terms = tuple(zip(ones, chain.from_iterable(
             names[(i * n + j) * n:(i * n + j + 1) * n] for i in range(n))))
-        cons.append(Constraint(f"house_{j}", terms, "=", 1))
+        cons.append(Constraint(f"house_{j}", terms, 1))
     for k in range(n):
-        cons.append(Constraint(f"tenant_{k}", tuple(zip(ones, names[k::n])), "=", 1))
+        cons.append(Constraint(f"tenant_{k}", tuple(zip(ones, names[k::n])), 1))
     for i in range(n):
         own = inst.endowment[i]
         for k in range(n):
             if k == i:
                 continue
             cons.append(Constraint(f"own_house_own_tenant_{i}_{k}",
-                                   ((1, names[(i * n + own) * n + k]),), "=", 0))
+                                   ((1, names[(i * n + own) * n + k]),), 0))
         for j in range(n):
             if j == own:
                 continue
             cons.append(Constraint(f"own_tenant_own_house_{i}_{j}",
-                                   ((1, names[(i * n + j) * n + i]),), "=", 0))
+                                   ((1, names[(i * n + j) * n + i]),), 0))
     for i in range(n):
         own = inst.endowment[i]
         for k in range(n):
@@ -206,7 +199,7 @@ def export_ilp(inst: Instance, table: WeightTable) -> MathProgram:
                 continue
             terms = (*zip(ones, names[i * n * n + k:(i + 1) * n * n:n]),
                      *zip(minus_ones, names[(k * n + own) * n:(k * n + own + 1) * n]))
-            cons.append(Constraint(f"link_{i}_{k}", terms, "=", 0))
+            cons.append(Constraint(f"link_{i}_{k}", terms, 0))
     return MathProgram("ilp", tuple(names), objective, tuple(cons))
 
 
@@ -226,10 +219,9 @@ def export_qp(inst: Instance, table: WeightTable) -> MathProgram:
             objective.extend(compress(zip(row, zip(repeat(names[i * n + j]), movers)), row))
     cons: list[Constraint] = []
     for i in range(n):
-        cons.append(Constraint(f"row_{i}", tuple(zip(repeat(1), names[i * n:(i + 1) * n])),
-                               "=", 1))
+        cons.append(Constraint(f"row_{i}", tuple(zip(repeat(1), names[i * n:(i + 1) * n])), 1))
     for j in range(n):
-        cons.append(Constraint(f"col_{j}", tuple(zip(repeat(1), names[j::n])), "=", 1))
+        cons.append(Constraint(f"col_{j}", tuple(zip(repeat(1), names[j::n])), 1))
     return MathProgram("qp", tuple(names), tuple(objective), tuple(cons))
 
 

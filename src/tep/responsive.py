@@ -72,12 +72,6 @@ class ResponsiveProfile(Market):
     def tenant_rank(self, agent: int, tenant: int) -> int:
         return self._tenant_orders[agent].rank(tenant)
 
-    def acceptable_houses(self, agent: int) -> frozenset[int]:
-        return frozenset(h for cls in self.house_classes[agent] for h in cls)
-
-    def acceptable_tenants(self, agent: int) -> frozenset[int]:
-        return frozenset(t for cls in self.tenant_classes[agent] for t in cls)
-
     def prefers(self, agent: int, a: Outcome, b: Outcome) -> bool:
         return rs_compare(self, agent, a, b) is RsOrdering.BETTER
 

@@ -572,7 +572,7 @@ def to_lp_text_reference(program: MathProgram) -> str:
         lhs = " ".join(
             term_text(c, (v,), i == 0) for i, (c, v) in enumerate(con.terms)
         )
-        out.append(f" {con.name}: {lhs} {con.sense} {con.rhs}")
+        out.append(f" {con.name}: {lhs} = {con.rhs}")
     out.append("binary")
     for v in program.variables:
         out.append(f" {v}")
@@ -601,25 +601,25 @@ def export_ilp_reference(inst: Instance, table: WeightTable, *,
     cons: list[Constraint] = []
     for i in range(n):
         terms = tuple((1, _x3(i, j, k)) for j in range(n) for k in range(n))
-        cons.append(Constraint(f"agent_{i}", terms, "=", 1))
+        cons.append(Constraint(f"agent_{i}", terms, 1))
     for j in range(n):
         terms = tuple((1, _x3(i, j, k)) for i in range(n) for k in range(n))
-        cons.append(Constraint(f"house_{j}", terms, "=", 1))
+        cons.append(Constraint(f"house_{j}", terms, 1))
     for k in range(n):
         terms = tuple((1, _x3(i, j, k)) for i in range(n) for j in range(n))
-        cons.append(Constraint(f"tenant_{k}", terms, "=", 1))
+        cons.append(Constraint(f"tenant_{k}", terms, 1))
     for i in range(n):
         own = inst.endowment[i]
         for k in range(n):
             if k == i:
                 continue
             cons.append(Constraint(f"own_house_own_tenant_{i}_{k}",
-                                   ((1, _x3(i, own, k)),), "=", 0))
+                                   ((1, _x3(i, own, k)),), 0))
         for j in range(n):
             if j == own:
                 continue
             cons.append(Constraint(f"own_tenant_own_house_{i}_{j}",
-                                   ((1, _x3(i, j, i)),), "=", 0))
+                                   ((1, _x3(i, j, i)),), 0))
     if linking:
         for i in range(n):
             own = inst.endowment[i]
@@ -628,7 +628,7 @@ def export_ilp_reference(inst: Instance, table: WeightTable, *,
                     continue
                 terms = tuple((1, _x3(i, j, k)) for j in range(n))
                 terms += tuple((-1, _x3(k, own, kk)) for kk in range(n))
-                cons.append(Constraint(f"link_{i}_{k}", terms, "=", 0))
+                cons.append(Constraint(f"link_{i}_{k}", terms, 0))
     return MathProgram("ilp", variables, objective, tuple(cons))
 
 
@@ -649,9 +649,9 @@ def export_qp_reference(inst: Instance, table: WeightTable) -> MathProgram:
                     objective.append((w, (_x2(i, j), _x2(k, own))))
     cons: list[Constraint] = []
     for i in range(n):
-        cons.append(Constraint(f"row_{i}", tuple((1, _x2(i, j)) for j in range(n)), "=", 1))
+        cons.append(Constraint(f"row_{i}", tuple((1, _x2(i, j)) for j in range(n)), 1))
     for j in range(n):
-        cons.append(Constraint(f"col_{j}", tuple((1, _x2(i, j)) for i in range(n)), "=", 1))
+        cons.append(Constraint(f"col_{j}", tuple((1, _x2(i, j)) for i in range(n)), 1))
     return MathProgram("qp", variables, tuple(objective), tuple(cons))
 
 
@@ -665,7 +665,7 @@ def find_manipulation_reference(mechanism, truth: Market, agent: int, reports, *
             raise BudgetExceededError(f"misreport space cap {max_reports} exceeded")
         after = outcome_of(truth, mechanism(truth.with_report(agent, report)), agent)
         if truth.prefers(agent, after, before):
-            return ManipulationWitness(agent, report, before, after)
+            return ManipulationWitness(report, before, after)
     return None
 
 

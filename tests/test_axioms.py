@@ -6,6 +6,7 @@ import pytest
 
 from tep import (
     Allocation,
+    BlockingWitness,
     BudgetExceededError,
     Outcome,
     OracleLimitError,
@@ -166,6 +167,20 @@ def test_ring_identity_blocked_by_adjacent_pair():
     assert witness.coalition == (0, 1)
     assert witness.internal_map() == {0: 1, 1: 0}
     assert witness_blocks(RING, identity_allocation(5), witness)
+
+
+def test_a_tampered_witness_does_not_block():
+    """witness_blocks re-checks a witness against the definitions: each way
+    of spoiling the ring's adjacent-pair witness {0: 1, 1: 0} is refused."""
+    identity = identity_allocation(5)
+    assert witness_blocks(RING, identity, BlockingWitness((0, 1), ((0, 1), (1, 0))))
+    tampered = [
+        BlockingWitness((0, 1), ((0, 1), (2, 0))),  # internal names non-member 2
+        BlockingWitness((0, 1), ((0, 1), (1, 2))),  # house 2 is no member's endowment
+        BlockingWitness((0, 2), ((0, 2), (2, 0))),  # agent 0 gets (2,2), which it does not list
+    ]
+    for witness in tampered:
+        assert not witness_blocks(RING, identity, witness), witness
 
 
 def test_unique_top_instance_has_no_blocking():

@@ -2,6 +2,7 @@
 
 import io
 import os
+import re
 import subprocess
 import sys
 import time
@@ -13,8 +14,8 @@ import pytest
 import tep
 from tep import programs
 from tep.cli import parse_report, run
-from tep.files import (parse_responsive_profile, serialize_allocation, serialize_instance,
-                       serialize_predominant_profile)
+from tep.files import (parse_instance, parse_responsive_profile, serialize_allocation,
+                       serialize_instance, serialize_predominant_profile)
 from tep.generators import sp_instance
 from tep.model import Outcome, identity_allocation, make_instance
 
@@ -220,6 +221,24 @@ def test_quiet_mode_prints_payload_only(ring_file):
     assert out == "enumerate: core\nresult: none\n"
 
 
+def test_timing_appends_one_last_line_and_changes_nothing_else(ring_file):
+    argv = ["oracle", "--instance", str(ring_file), "--enumerate", "ir"]
+    plain = invoke(argv)
+    code, out = invoke(argv + ["--timing"])
+    *report, last = out.splitlines(keepends=True)
+    assert code == plain[0]
+    assert re.fullmatch(r"time-ms: \d+\.\d\n", last)
+    assert "".join(report) == plain[1]
+    # --quiet prints the payload only, so no time line either
+    assert invoke(argv + ["--quiet", "--timing"]) == invoke(argv + ["--quiet"])
+
+
+def test_gen_sp_writes_the_witness_market(tmp_path):
+    path = tmp_path / "sp.tep"
+    assert invoke(["gen", "--family", "sp", "--out", str(path)])[0] == 0
+    assert parse_instance(path.read_text()) == sp_instance()
+
+
 def test_reports_are_byte_deterministic(tmp_path):
     paths = [tmp_path / "a.tep", tmp_path / "b.tep"]
     outs = []
@@ -271,10 +290,19 @@ def _directory_instance(tmp_path):
             "--check", "ir"]
 
 
-def _x3c_with_a_non_integer(tmp_path):
+def _x3c(tmp_path, text):
+    """gen argv for an x3c-core gadget from an exact-cover file holding ``text``."""
     path = tmp_path / "cover.x3c"
-    path.write_text("1\n0 1 x\n0 1 2\n0 1 2\n")
+    path.write_text(text)
     return ["gen", "--family", "x3c-core", "--x3c", str(path), "--out", str(tmp_path / "o.tep")]
+
+
+def _allocation(tmp_path, text):
+    """verify argv checking the allocation file ``text`` on the witness market."""
+    inst, alloc = tmp_path / "sp.tep", tmp_path / "a.alloc"
+    inst.write_text(serialize_instance(sp_instance()))
+    alloc.write_text(text)
+    return ["verify", "--instance", str(inst), "--allocation", str(alloc), "--check", "ir"]
 
 
 def _candidates(tmp_path, line, method="exact"):
@@ -306,35 +334,80 @@ def _profile_with(tmp_path, suffix, text, method):
     return ["solve", "--instance", str(path), "--method", method]
 
 
-@pytest.mark.parametrize("make_argv", [
-    _non_utf8_instance,
-    _directory_instance,
-    lambda tmp: ["gen", "--family", "random", "--n", "50", "--out", str(tmp / "x.tep")],
-    lambda tmp: ["gen", "--family", "random", "--density", "1.5", "--out", str(tmp / "x.tep")],
-    _x3c_with_a_non_integer,
-    lambda tmp: _candidates(tmp, "pref x: [(1,1)]"),
-    lambda tmp: _candidates(tmp, "pref 0: [(9,9)]"),
-    lambda tmp: _candidates(tmp, "porder x 0 1 2", "ttc"),
-    lambda tmp: _candidates(tmp, "porder 0 1 x 2", "ttc"),
-    lambda tmp: _candidates(tmp, "porder 0 1 9 2", "ttc"),
-    lambda tmp: _profile_with(tmp, "rtep", "tep v1\nagents 1\nrpref 0: H [0 0] ; N [0]\n", "pra"),
-    lambda tmp: _profile_with(tmp, "rtep", "tep v1\nagents 1\nrpref 0: H [0] ; N [0 0]\n", "pra"),
-    lambda tmp: _profile_with(tmp, "ptep", "tep v1\nagents 2\nmode house\n"
-                              "ppref 0: P 0 1 ; T [0 0 1]\nppref 1: P 1 0 ; T [1] > [0]\n", "ttc"),
-    lambda tmp: _candidates(tmp, "pref 0: [(1,1) (1,1)] > [(0,0)]"),
-    lambda tmp: _candidates(tmp, "pref 0: [] > [(0,0)]"),
-    _non_utf8_candidates,
+@pytest.mark.parametrize("make_argv,message", [
+    (_non_utf8_instance, "syntax: instance file is not UTF-8 (byte 245)"),
+    (_directory_instance, "Is a directory"),
+    (lambda tmp: ["gen", "--family", "random", "--n", "50", "--out", str(tmp / "x.tep")],
+     "syntax: n must be between 1 and 12"),
+    (lambda tmp: ["gen", "--family", "random", "--density", "1.5", "--out", str(tmp / "x.tep")],
+     "syntax: density and tie rate must lie in [0, 1]"),
+    (lambda tmp: _x3c(tmp, "1\n0 1 x\n0 1 2\n0 1 2\n"),
+     "syntax: expected an integer element, got 'x' (line 2)"),
+    (lambda tmp: _candidates(tmp, "pref x: [(1,1)]"),
+     "syntax: expected an integer agent, got 'x' (line 1)"),
+    (lambda tmp: _candidates(tmp, "pref 0: [(9,9)]"),
+     "index-range: house 9 out of range 0..3 (line 1)"),
+    (lambda tmp: _candidates(tmp, "porder x 0 1 2", "ttc"),
+     "syntax: expected an integer agent, got 'x' (line 1)"),
+    (lambda tmp: _candidates(tmp, "porder 0 1 x 2", "ttc"),
+     "syntax: expected an integer item, got 'x' (line 1)"),
+    (lambda tmp: _candidates(tmp, "porder 0 1 9 2", "ttc"),
+     "index-range: item 9 out of range 0..2 (line 1)"),
+    (lambda tmp: _profile_with(tmp, "rtep", "tep v1\nagents 1\nrpref 0: H [0 0] ; N [0]\n", "pra"),
+     "duplicate-item: agent 0 lists house 0 twice (line 3)"),
+    (lambda tmp: _profile_with(tmp, "rtep", "tep v1\nagents 1\nrpref 0: H [0] ; N [0 0]\n", "pra"),
+     "duplicate-item: agent 0 lists tenant 0 twice (line 3)"),
+    (lambda tmp: _profile_with(tmp, "ptep", "tep v1\nagents 2\nmode house\n"
+                               "ppref 0: P 0 1 ; T [0 0 1]\nppref 1: P 1 0 ; T [1] > [0]\n",
+                               "ttc"),
+     "duplicate-item: agent 0 lists item 0 twice (line 4)"),
+    (lambda tmp: _candidates(tmp, "pref 0: [(1,1) (1,1)] > [(0,0)]"),
+     "duplicate-outcome: agent 0 lists (1,1) twice (line 1)"),
+    (lambda tmp: _candidates(tmp, "pref 0: [] > [(0,0)]"),
+     "syntax: empty indifference class (line 1)"),
+    (_non_utf8_candidates, "syntax: candidate file is not UTF-8 (byte 22)"),
+    (lambda tmp: _profile_with(tmp, "tep", "tep v1\nagents 1\npref 0: [(0,0)] >\n", "exact"),
+     "syntax: empty indifference class list (line 3)"),
+    (lambda tmp: _profile_with(tmp, "ptep", "tep v1\nagents 1\nmode house\n"
+                               "ppref 0: P 0 1 T [0 1]\n", "ttc"),
+     "syntax: ppref body must look like 'P 2 0 1 ; T [..] > [..]' (line 4)"),
+    (lambda tmp: _profile_with(tmp, "tep", "tep v1\nagents 1\npref 0 [(0,0)]\n", "exact"),
+     "syntax: expected 'pref <agent>: [..] > [..]', got 'pref 0 [(0,0)]' (line 3)"),
+    (lambda tmp: _profile_with(tmp, "ptep", "tep v1\nagents 1\nmode both\n"
+                               "ppref 0: P 0 ; T [0]\n", "ttc"),
+     "syntax: expected 'mode house|tenant', got 'mode both' (line 3)"),
+    (lambda tmp: _profile_with(tmp, "tep", "# nothing but a comment\n", "exact"),
+     "syntax: empty instance file (line 1)"),
+    (lambda tmp: _profile_with(tmp, "tep", "tep v1\n", "exact"),
+     "syntax: missing 'agents <n>' line (line 1)"),
+    (lambda tmp: _allocation(tmp, "assign 0\n"),
+     "syntax: expected 'assign <agent> <house>', got 'assign 0' (line 1)"),
+    (lambda tmp: _candidates(tmp, "porder", "ttc"),
+     "syntax: expected 'porder <agent> <item>...' (line 1)"),
+    (lambda tmp: _x3c(tmp, "1 2\n0 1 2\n"),
+     "syntax: exact-cover file: first line must be m (line 1)"),
+    (lambda tmp: ["gen", "--family", "x3c-core", "--out", str(tmp / "o.tep")],
+     "syntax: --family x3c-core needs --x3c FILE"),
+    (lambda tmp: ["manipulate", "--instance", _profile_with(tmp, "tep", "tep v1\nagents 2\n",
+                                                            "exact")[2],
+                  "--method", "exact", "--agent", "5", "--space", "subsets"],
+     "index-range: agent 5 out of range 0..1"),
 ], ids=["non-utf8-instance", "directory-instance", "gen-n-50", "gen-density-1.5",
         "x3c-non-integer", "pref-non-integer-agent", "pref-out-of-range-outcome",
         "porder-non-integer-agent", "porder-non-integer-item", "porder-out-of-range-item",
         "rpref-house-twice", "rpref-tenant-twice", "ppref-item-twice",
-        "pref-candidate-outcome-twice", "pref-candidate-empty-class", "non-utf8-candidates"])
-def test_malformed_input_exits_2_with_an_input_error(tmp_path, capsys, make_argv):
+        "pref-candidate-outcome-twice", "pref-candidate-empty-class", "non-utf8-candidates",
+        "pref-trailing-separator", "ppref-without-semicolon", "pref-without-colon",
+        "mode-both", "comment-only-file", "header-only-file", "assign-without-house",
+        "porder-without-agent", "x3c-first-line-not-m", "x3c-core-without-file",
+        "manipulate-agent-out-of-range"])
+def test_malformed_input_exits_2_with_an_input_error(tmp_path, capsys, make_argv, message):
     code, out = invoke(make_argv(tmp_path))
     err = capsys.readouterr().err
     assert code == 2
     assert out == ""
     assert err.startswith("input error: ") and "Traceback" not in err
+    assert message in err
 
 
 @pytest.mark.parametrize("suffix,body,method,message", [
@@ -580,8 +653,7 @@ def test_exact_bound_is_checked_before_the_weight_table(tmp_path, capsys, monkey
     inst.write_text("tep v1\nagents 150\n")
     code, out = invoke(argv + ["--instance", str(inst)])
     assert (code, out) == (3, "")
-    assert capsys.readouterr().err == (f"budget exceeded: {bound}, "
-                                       "got n = 150; raise the bound explicitly\n")
+    assert capsys.readouterr().err == f"budget exceeded: {bound}, got n = 150\n"
     assert not (tmp_path / "n150.lp").exists()
 
 

@@ -42,7 +42,7 @@ def test_parse_responsive_profile():
     assert prof.n == 3
     assert prof.house_classes[0] == (frozenset({1, 2}), frozenset({0}))
     assert prof.tenant_classes[1] == (frozenset({0}), frozenset({1}))
-    assert prof.acceptable_houses(2) == frozenset({0, 2})
+    assert prof.house_classes[2] == (frozenset({0, 2}),)
 
 
 def test_parse_predominant_profile():

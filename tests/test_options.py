@@ -1,9 +1,13 @@
-"""Every option has a caller.
+"""Every option has a caller, and every field a reader.
 
 A keyword-only parameter of a function that ``tep`` exports is an option:
 each value it can take is one more configuration to test and to measure.
 The library keeps such an option only when some call inside ``src/tep``
 passes it by name; one that only tests set is a constant in disguise.
+
+A field of a dataclass defined in ``src/tep`` is data every instance
+carries; one that neither the library nor its tests ever read is carried
+for nobody.
 """
 
 import ast
@@ -13,6 +17,7 @@ from pathlib import Path
 import tep
 
 SRC = Path(tep.__file__).parent
+TESTS = Path(__file__).parent
 
 
 def _callee(node: ast.expr) -> str | None:
@@ -59,3 +64,55 @@ def test_the_scan_sees_direct_calls_and_partials(tmp_path):
         "h = partial(mod.k, c=3)\n"
     )
     assert keywords_passed(tmp_path) == {("f", "a"), ("g", "b"), ("k", "c")}
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(_callee(d.func if isinstance(d, ast.Call) else d) == "dataclass"
+               for d in node.decorator_list)
+
+
+def dataclass_fields(src: Path = SRC) -> list[tuple[str, str]]:
+    """(class name, field name) for every annotated field of a dataclass
+    defined under ``src``."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                found.extend((node.name, stmt.target.id) for stmt in node.body
+                             if isinstance(stmt, ast.AnnAssign)
+                             and isinstance(stmt.target, ast.Name))
+    return found
+
+
+def attributes_read(*dirs: Path) -> set[str]:
+    """Every name loaded as an attribute (``x.name``) in the files under ``dirs``."""
+    return {node.attr
+            for d in dirs for path in sorted(d.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_dataclass_field_is_read_somewhere():
+    """Matched by name only, so a field passes when any attribute of that
+    name is read: a floor, not a proof that the field itself is read."""
+    read = attributes_read(SRC, TESTS)
+    assert [f"{cls}.{name}" for cls, name in dataclass_fields() if name not in read] == []
+
+
+def test_the_field_scan_sees_decorated_classes_and_loads(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "from dataclasses import dataclass\n"
+        "@dataclass(frozen=True)\n"
+        "class A:\n"
+        "    read: int\n"
+        "    unread: str\n"
+        "    def f(self):\n"
+        "        self.unread_too = self.read\n"
+        "@dataclass\n"
+        "class B:\n"
+        "    b: int\n"
+        "class C:\n"
+        "    c: int\n"
+    )
+    assert dataclass_fields(tmp_path) == [("A", "read"), ("A", "unread"), ("B", "b")]
+    assert attributes_read(tmp_path) == {"read"}

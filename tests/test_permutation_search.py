@@ -103,7 +103,7 @@ def weights_from_ranks_reference(inst, scheme=BORDA):
                 else:
                     value = n ** (num_classes - rank)
                 flat.append(value)
-    return WeightTable(n=n, scheme=scheme, weights=tuple(flat))
+    return WeightTable(n=n, weights=tuple(flat))
 
 
 def all_tied_instance(n):

@@ -272,7 +272,7 @@ def test_program_validates_variable_references():
         MathProgram("ilp", ("x_0_0_0",), ((1, ("ghost",)),), ())
     with pytest.raises(ValueError):
         MathProgram("ilp", ("x_0_0_0",), (),
-                    (Constraint("c", ((1, "ghost"),), "=", 1),))
+                    (Constraint("c", ((1, "ghost"),), 1),))
 
 
 # ------------------------------------------- name-table writer vs. reference
@@ -311,5 +311,5 @@ def test_exports_match_the_reference_writer_byte_for_byte(n):
 ], ids=["empty", "constants-and-zeros", "negative-first", "empty-names"])
 def test_lp_text_of_odd_terms_matches_the_reference(objective, terms):
     program = MathProgram("qp", ("a", "b", ""), objective,
-                          (Constraint("c", terms, "<=", 1), Constraint("d", (), "=", 0)))
+                          (Constraint("c", terms, 1), Constraint("d", (), 0)))
     assert program.to_lp_text() == to_lp_text_reference(program)

@@ -1,13 +1,22 @@
 """The benchmark tracer's seams into the library.
 
 ``perfbench/tracer.py`` wraps library functions by module attribute name,
-so a renamed or moved function breaks every traced benchmark run.  This
+so a renamed or moved function breaks every traced benchmark run.  One
 test installs the tracer and takes it out again: install must find every
 name it wraps, and uninstall must put back the very objects it replaced.
+The other checks that requests pass through the wrapped names: a caller
+that bound a function before the tracer was installed would bypass it.
 """
 
 import importlib.util
+import io
+from contextlib import redirect_stdout
 from pathlib import Path
+
+from tep import cli
+from tep.cli import parse_report
+from tep.files import serialize_predominant_profile, serialize_responsive_profile
+from tep.generators import random_predominant_profile, random_responsive_profile
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -36,3 +45,35 @@ def test_install_wraps_every_seam_and_uninstall_restores_it():
     for (owner, attr), original in originals.items():
         assert getattr(owner, attr) is original, f"{owner.__name__}.{attr} not restored"
     assert not tracer._patches
+
+
+def test_solve_requests_pass_through_the_wrapped_mechanisms(tmp_path):
+    """Each solve opens exactly one span of its mechanism's wrapper, and the
+    rs-aa-calls that pra prints counts the traced rs_aa calls."""
+    profiles = {
+        "pra": serialize_responsive_profile(random_responsive_profile(6, 0.7, 0.3, 3)),
+        "ttc": serialize_predominant_profile(random_predominant_profile(5, "house", 0.3, 3)),
+        "tttc": serialize_predominant_profile(random_predominant_profile(5, "tenant", 0.3, 3)),
+    }
+    span = {"pra": "cli.pra_rs:calls", "ttc": "cli.ttc:calls", "tttc": "cli.tttc:calls"}
+    tracer_module = load_tracer()
+    tracer = tracer_module.Tracer()
+    opened, reports = {}, {}
+    try:
+        tracer_module.install(tracer)
+        for method, text in profiles.items():
+            path = tmp_path / f"{method}.txt"
+            path.write_text(text)
+            before = tracer.counts.copy()
+            out = io.StringIO()
+            with redirect_stdout(out):
+                # through the module attribute, which the tracer wrapped
+                assert cli.run(["solve", "--instance", str(path), "--method", method]) == 0
+            opened[method] = tracer.counts - before
+            reports[method] = parse_report(out.getvalue())
+    finally:
+        tracer.uninstall()
+    for method, counts in opened.items():
+        assert {name: counts[name] for name in span.values() if counts[name]} == \
+            {span[method]: 1}, method
+    assert opened["pra"]["responsive.rs_aa:calls"] == int(reports["pra"]["rs-aa-calls"]) == 34
