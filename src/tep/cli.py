@@ -393,13 +393,16 @@ def run(argv: list[str]) -> int:
     started = time.monotonic()
     try:
         code = _HANDLERS[args.command](args, report)
-    except (ParseError, OSError) as exc:
+    except ParseError as exc:
         print(f"input error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except OSError as exc:
+        print(f"input error: io: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (OracleLimitError, BudgetExceededError) as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except RecursionError:  # the searches recurse once per agent or cycle member
+    except RecursionError:  # the outcome backtracking recurses once per agent
         print("budget exceeded: search deeper than the interpreter's recursion limit "
               f"({sys.getrecursionlimit()})", file=sys.stderr)
         return EXIT_BUDGET

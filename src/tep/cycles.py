@@ -7,6 +7,10 @@ the agent would accept; a simple cycle consistent with those options is
 exactly a coalition that can reallocate its own endowments to the stated
 effect.  Blocking-coalition searches build options from strict-improvement
 sets, so any cycle found here is a blocking witness.
+
+The depth-first search keeps its path on an explicit stack of (member,
+predecessor, untried options) frames, not on Python's call stack, so the
+length of a cycle it can follow is bounded by the node budget alone.
 """
 
 from __future__ import annotations
@@ -41,31 +45,35 @@ def _cycles_through(options: Options, start: int, low: int, allowed: set[int],
     in trading order, in depth-first order.  One budget tick per option
     tried; pass ``Budget(None)`` for no limit."""
     tick = budget.tick
-
-    def extend(closing_prev: int, cur: int, prev: int,
-               path: dict[int, None]) -> Iterator[list[int]]:
-        # ``path`` holds the members in trading order (dicts keep insertion
-        # order, and members leave it last in, first out).
-        for p, nxt in options[cur]:
-            if p != prev:
-                continue
-            tick()
-            if nxt == start:
-                if cur == closing_prev:
-                    yield list(path)
-            elif nxt > low and nxt in allowed and nxt not in path:
-                path[nxt] = None
-                yield from extend(closing_prev, nxt, cur, path)
-                del path[nxt]
-
-    for p0, n0 in options[start]:
+    for closing_prev, first in options[start]:
         tick()
-        if n0 == start:
-            if p0 == start:
+        if first == start:
+            if closing_prev == start:
                 yield [start]
             continue
-        if n0 > low and p0 > low and n0 in allowed and p0 in allowed:
-            yield from extend(p0, n0, start, {start: None, n0: None})
+        if not (first > low and closing_prev > low
+                and first in allowed and closing_prev in allowed):
+            continue
+        # ``path`` holds the members in trading order (dicts keep insertion
+        # order, and members leave it last in, first out, as their frames).
+        path = {start: None, first: None}
+        stack = [(first, start, iter(options[first]))]
+        while stack:
+            cur, prev, untried = stack[-1]
+            for p, nxt in untried:
+                if p != prev:
+                    continue
+                tick()
+                if nxt == start:
+                    if cur == closing_prev:
+                        yield list(path)
+                elif nxt > low and nxt in allowed and nxt not in path:
+                    path[nxt] = None
+                    stack.append((nxt, cur, iter(options[nxt])))
+                    break
+            else:
+                stack.pop()
+                path.popitem()
 
 
 def iter_exchange_cycles(options: Options, budget: Budget) -> Iterator[list[int]]:

@@ -44,14 +44,31 @@ def max_bipartite_matching(n_left: int, n_right: int,
                     queue.append(w)
         return found
 
-    def dfs(u: int) -> bool:
-        for v in adj[u]:
-            w = match_right[v]
-            if w == _INF or (dist[w] == dist[u] + 1 and dfs(w)):
-                match_left[u] = v
-                match_right[v] = u
-                return True
-        dist[u] = _INF
+    def dfs(root: int) -> bool:
+        # Depth-first along the BFS layers from the free vertex ``root``: a
+        # frame is a left vertex and its edges not yet tried, ``via[k]`` the
+        # right vertex through which frame k reached frame k + 1.
+        stack = [(root, iter(adj[root]))]
+        via: list[int] = []
+        while stack:
+            u, untried = stack[-1]
+            for v in untried:
+                w = match_right[v]
+                if w == _INF:  # flip the path: each frame takes its edge
+                    via.append(v)
+                    for (left, _), right in zip(stack, via):
+                        match_left[left] = right
+                        match_right[right] = left
+                    return True
+                if dist[w] == dist[u] + 1:
+                    via.append(v)
+                    stack.append((w, iter(adj[w])))
+                    break
+            else:
+                dist[u] = _INF
+                stack.pop()
+                if via:
+                    via.pop()
         return False
 
     size = 0

@@ -13,14 +13,17 @@ token-by-token and term-by-term versions the library's fast paths
 replaced.  ``find_manipulation_reference`` is the misreport search that
 ran the mechanism on every report.  ``trade_cycles_reference`` is the
 top-trading-cycles walk with one branch per mode that ``ttc`` and ``tttc``
-shared before they became one walk steered by the profile's mode.  All are
-kept as they were.  ``without_linking`` gives the weaker triple encoding,
+shared before they became one walk steered by the profile's mode.
+``max_bipartite_matching_reference`` is Hopcroft-Karp with the recursive
+augmenting-path search that ``max_bipartite_matching`` ran before it walked
+an explicit stack.  All are kept as they were.  ``without_linking`` gives the weaker triple encoding,
 which the exporter no longer writes, from the linked one.
 """
 
 from __future__ import annotations
 
 import re
+from collections import deque
 from dataclasses import replace
 from typing import Iterator
 
@@ -716,3 +719,49 @@ def trade_cycles_reference(prof: PredominantProfile, start: str,
             remaining_agents.remove(agent)
             remaining_houses.remove(prof.endowment[agent])
     return Allocation(tuple(assignment)), rounds
+
+
+def max_bipartite_matching_reference(n_left: int, n_right: int,
+                                     adj: list[list[int]]) -> tuple[int, list[int]]:
+    """Hopcroft-Karp whose ``dfs`` recurses once per vertex of an
+    augmenting path: (matching size, each left vertex's partner or -1)."""
+    match_left = [-1] * n_left
+    match_right = [-1] * n_right
+    dist = [0] * n_left
+
+    def bfs() -> bool:
+        queue: deque[int] = deque()
+        for u in range(n_left):
+            if match_left[u] == -1:
+                dist[u] = 0
+                queue.append(u)
+            else:
+                dist[u] = -1
+        found = False
+        while queue:
+            u = queue.popleft()
+            for v in adj[u]:
+                w = match_right[v]
+                if w == -1:
+                    found = True
+                elif dist[w] == -1:
+                    dist[w] = dist[u] + 1
+                    queue.append(w)
+        return found
+
+    def dfs(u: int) -> bool:
+        for v in adj[u]:
+            w = match_right[v]
+            if w == -1 or (dist[w] == dist[u] + 1 and dfs(w)):
+                match_left[u] = v
+                match_right[v] = u
+                return True
+        dist[u] = -1
+        return False
+
+    size = 0
+    while bfs():
+        for u in range(n_left):
+            if match_left[u] == -1 and dfs(u):
+                size += 1
+    return size, match_left

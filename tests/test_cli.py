@@ -290,6 +290,11 @@ def _directory_instance(tmp_path):
             "--check", "ir"]
 
 
+def _missing_instance(tmp_path):
+    return ["verify", "--instance", str(tmp_path / "missing.tep"), "--allocation",
+            _identity_file(tmp_path), "--check", "ir"]
+
+
 def _x3c(tmp_path, text):
     """gen argv for an x3c-core gadget from an exact-cover file holding ``text``."""
     path = tmp_path / "cover.x3c"
@@ -336,7 +341,8 @@ def _profile_with(tmp_path, suffix, text, method):
 
 @pytest.mark.parametrize("make_argv,message", [
     (_non_utf8_instance, "syntax: instance file is not UTF-8 (byte 245)"),
-    (_directory_instance, "Is a directory"),
+    (_directory_instance, "input error: io: [Errno 21] Is a directory: "),
+    (_missing_instance, "input error: io: [Errno 2] No such file or directory: "),
     (lambda tmp: ["gen", "--family", "random", "--n", "50", "--out", str(tmp / "x.tep")],
      "syntax: n must be between 1 and 12"),
     (lambda tmp: ["gen", "--family", "random", "--density", "1.5", "--out", str(tmp / "x.tep")],
@@ -392,7 +398,7 @@ def _profile_with(tmp_path, suffix, text, method):
                                                             "exact")[2],
                   "--method", "exact", "--agent", "5", "--space", "subsets"],
      "index-range: agent 5 out of range 0..1"),
-], ids=["non-utf8-instance", "directory-instance", "gen-n-50", "gen-density-1.5",
+], ids=["non-utf8-instance", "directory-instance", "missing-instance", "gen-n-50", "gen-density-1.5",
         "x3c-non-integer", "pref-non-integer-agent", "pref-out-of-range-outcome",
         "porder-non-integer-agent", "porder-non-integer-item", "porder-out-of-range-item",
         "rpref-house-twice", "rpref-tenant-twice", "ppref-item-twice",
@@ -655,6 +661,46 @@ def test_exact_bound_is_checked_before_the_weight_table(tmp_path, capsys, monkey
     assert (code, out) == (3, "")
     assert capsys.readouterr().err == f"budget exceeded: {bound}, got n = 150\n"
     assert not (tmp_path / "n150.lp").exists()
+
+
+def test_a_blocking_ring_longer_than_the_recursion_limit_is_found(tmp_path, capsys):
+    """Every agent of a 1,500-agent ring prefers its successor's house with
+    its predecessor as tenant, so the whole ring blocks the identity; the
+    cycle search walks it on its own stack."""
+    n = 1500
+    inst, alloc = tmp_path / "ring.tep", tmp_path / "id.alloc"
+    inst.write_text(f"tep v1\nagents {n}\n" + "".join(
+        f"pref {i}: [({(i + 1) % n},{(i - 1) % n})] > [({i},{i})]\n" for i in range(n)))
+    alloc.write_text(serialize_allocation(identity_allocation(n)))
+    code, out = invoke(["verify", "--instance", str(inst), "--allocation", str(alloc),
+                        "--check", "core"])
+    assert capsys.readouterr().err == ""
+    assert (code, parse_report(out)["holds"]) == (1, "false")
+
+
+def test_pra_on_a_chain_longer_than_the_recursion_limit_answers(tmp_path, capsys):
+    """Agents u < 1,200 own house 1,199 - u and accept their own house or
+    the next agent's, and their own tenancy or the previous agent's; agents
+    1,200 and 1,201 strictly prefer to swap.  The final matching augments
+    along the whole chain, which Hopcroft-Karp walks on its own stack."""
+    m = 1200
+    lines = ["tep v1", f"agents {m + 2}",
+             "endow " + " ".join(str(h) for h in [m - 1 - u for u in range(m)] + [m, m + 1])]
+    for u in range(m):
+        houses = [m - 1 - u] + ([m - 2 - u] if u + 1 < m else [])
+        tenants = [u] + ([u - 1] if u > 0 else [])
+        lines.append(f"rpref {u}: H [{' '.join(map(str, houses))}] ; "
+                     f"N [{' '.join(map(str, tenants))}]")
+    lines += [f"rpref {m}: H [{m + 1}] > [{m}] ; N [{m + 1}] > [{m}]",
+              f"rpref {m + 1}: H [{m}] > [{m + 1}] ; N [{m}] > [{m + 1}]"]
+    rpath = tmp_path / "chain.rtep"
+    rpath.write_text("\n".join(lines) + "\n")
+    code, out = invoke(["solve", "--instance", str(rpath), "--method", "pra"])
+    assert capsys.readouterr().err == ""
+    report = parse_report(out)
+    assert (code, report["rs-aa-calls"]) == (0, "2408")
+    prof = parse_responsive_profile(rpath.read_text())
+    assert tep.is_rs_ir(prof, tep.Allocation(tuple(map(int, report["allocation"].split()))))
 
 
 @pytest.mark.parametrize("enumerate_", ["ir", "core"])

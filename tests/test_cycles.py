@@ -6,13 +6,16 @@ those routines, kept verbatim apart from their names.  On seeded random
 option lists under several budgets (the pivot search also within member
 subsets), the new search must give the same cycles in the same order, the
 same answers, the same ``Budget.left`` after each call, and run out of
-budget at the same point.
+budget at the same point.  Rings and chains of 30-60 members with a few
+chords are compared the same way, since the search keeps its path on a
+stack of its own; the references still fit Python's call stack at that
+size, and rings of thousands of members are checked for their answer.
 """
 
 import random
 from typing import Iterator
 
-from tep.cycles import Budget, has_cycle_through, iter_exchange_cycles
+from tep.cycles import Budget, find_exchange_cycle, has_cycle_through, iter_exchange_cycles
 from tep.errors import BudgetExceededError
 
 
@@ -96,6 +99,28 @@ def _outcome(fn):
         return "exhausted", seen
 
 
+def _ring_or_chain(rng: random.Random) -> list[list[tuple[int, int]]]:
+    """A ring of 30-60 members in shuffled order, or the same ring cut open
+    into a chain, plus up to three chords that skip part of it and a few
+    random options: one long cycle, or none, beside a few shorter ones."""
+    m = rng.randint(30, 60)
+    ring = rng.sample(range(m), m)
+    options = [[] for _ in range(m)]
+    cut = rng.randrange(m) if rng.random() < 0.5 else None
+    for k, member in enumerate(ring):
+        if k != cut:
+            options[member].append((ring[k - 1], ring[(k + 1) % m]))
+    for _ in range(rng.randint(0, 3)):
+        a, b = sorted(rng.sample(range(m), 2))
+        options[ring[a]].append((ring[a - 1], ring[b]))
+        options[ring[b]].append((ring[a], ring[(b + 1) % m]))
+    for _ in range(rng.randint(0, 3)):
+        options[rng.randrange(m)].append((rng.randrange(m), rng.randrange(m)))
+    for row in options:
+        rng.shuffle(row)
+    return options
+
+
 def _family():
     rng = random.Random(20261018)
     for case in range(3000):
@@ -105,9 +130,19 @@ def _family():
         yield case, options, members, rng.choice([None, 5, 50, 500])
 
 
-def test_cycle_enumeration_matches_the_reference():
+def _long_family():
+    rng = random.Random(20261019)
+    for case in range(300):
+        options = _ring_or_chain(rng)
+        n = len(options)
+        members = None if case % 2 else set(range(n)) - set(rng.sample(range(n), rng.randint(0, 2)))
+        yield case, options, members, rng.choice([None, 5, 50, 500])
+
+
+def _compare_enumerations(family) -> tuple[int, int]:
+    """Both enumerations on each case: (cases exhausted, longest cycle)."""
     exhausted = longest = 0
-    for case, options, _, nodes in _family():
+    for case, options, _, nodes in family:
         runs = []
         for enumerate_ in (iter_exchange_cycles_reference, iter_exchange_cycles):
             budget = Budget(nodes)
@@ -116,12 +151,13 @@ def test_cycle_enumeration_matches_the_reference():
         assert runs[0] == runs[1], (case, options, nodes)
         exhausted += runs[0][0] == "exhausted"
         longest = max([longest] + [len(cycle) for cycle in runs[0][1]])
-    assert exhausted > 0 and longest >= 5
+    return exhausted, longest
 
 
-def test_cycle_through_a_pivot_matches_the_reference():
+def _compare_pivot_searches(family) -> dict:
+    """Both pivot searches on each case and pivot: the count of each answer."""
     answers = {True: 0, False: 0, "exhausted": 0}
-    for case, options, members, nodes in _family():
+    for case, options, members, nodes in family:
         n = len(options)
         allowed = members if members is not None else set(range(n))
         for pivot in range(n):
@@ -132,4 +168,33 @@ def test_cycle_through_a_pivot_matches_the_reference():
                 runs.append((result, budget.left))
             assert runs[0] == runs[1], (case, options, pivot, allowed, nodes)
             answers[runs[0][0]] += 1
+    return answers
+
+
+def test_cycle_enumeration_matches_the_reference():
+    exhausted, longest = _compare_enumerations(_family())
+    assert exhausted > 0 and longest >= 5
+
+
+def test_cycle_through_a_pivot_matches_the_reference():
+    answers = _compare_pivot_searches(_family())
     assert min(answers.values()) > 0, answers
+
+
+def test_ring_and_chain_enumeration_matches_the_reference():
+    exhausted, longest = _compare_enumerations(_long_family())
+    assert exhausted > 0 and longest >= 30
+
+
+def test_ring_and_chain_pivot_search_matches_the_reference():
+    answers = _compare_pivot_searches(_long_family())
+    assert min(answers.values()) > 0, answers
+
+
+def test_a_ring_longer_than_the_recursion_limit_is_found_whole():
+    n = 3000
+    ring = [[((i - 1) % n, (i + 1) % n)] for i in range(n)]
+    budget = Budget(10_000)
+    assert find_exchange_cycle(ring, budget) == list(range(n))
+    assert budget.left == 10_000 - n  # one tick per member
+    assert has_cycle_through(ring, n // 2, set(range(n)), Budget(None))

@@ -8,6 +8,11 @@ passes it by name; one that only tests set is a constant in disguise.
 A field of a dataclass defined in ``src/tep`` is data every instance
 carries; one that neither the library nor its tests ever read is carried
 for nobody.
+
+The cycle search and Hopcroft-Karp keep their paths on stacks of their
+own, so how long a cycle or an augmenting path they can follow does not
+depend on Python's recursion limit; no function in those modules calls
+itself.
 """
 
 import ast
@@ -116,3 +121,38 @@ def test_the_field_scan_sees_decorated_classes_and_loads(tmp_path):
     )
     assert dataclass_fields(tmp_path) == [("A", "read"), ("A", "unread"), ("B", "b")]
     assert attributes_read(tmp_path) == {"read"}
+
+
+def self_calling_functions(*paths: Path) -> list[str]:
+    """Every function, nested ones included, whose body calls a function of
+    its own name, directly or through ``yield from``."""
+    found = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                    isinstance(sub, ast.Call) and _callee(sub.func) == node.name
+                    for sub in ast.walk(node)):
+                found.append(node.name)
+    return found
+
+
+def test_the_cycle_search_and_matching_do_not_recurse():
+    assert self_calling_functions(SRC / "cycles.py", SRC / "matching.py") == []
+
+
+def test_the_recursion_scan_sees_nested_generators_and_methods(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "def f(n):\n"
+        "    return f(n - 1)\n"
+        "def outer():\n"
+        "    def walk(k):\n"
+        "        yield k\n"
+        "        yield from walk(k + 1)\n"
+        "    return walk(0)\n"
+        "class A:\n"
+        "    def m(self):\n"
+        "        return self.m()\n"
+        "def g():\n"
+        "    return f(1)\n"
+    )
+    assert self_calling_functions(tmp_path / "m.py") == ["f", "walk", "m"]

@@ -27,7 +27,7 @@ from tep.model import inverse_permutation
 from tep.responsive import _symmetrized_graph, acceptable_component_classes
 from tep.rng import SplitMix64
 
-from references import is_rs_pareto_optimal_reference
+from references import is_rs_pareto_optimal_reference, max_bipartite_matching_reference
 from test_acceptance import _big_responsive_profile
 
 
@@ -326,6 +326,42 @@ def test_warm_started_matching_grows_to_the_cold_size():
             assert n_left - match_left.count(-1) == cold_size
     assert with_perfect and without_perfect
     assert found > 100 and missing > 100
+
+
+def _shift_chain(m):
+    """Left u < m - 1 lists right u + 1, then u; the last lists only m - 1.
+    The first phase matches u to u + 1 and leaves the last vertex free, and
+    the second augments along all m vertices."""
+    return [[u + 1, u] for u in range(m - 1)] + [[m - 1]]
+
+
+def test_hopcroft_karp_matches_the_recursive_reference():
+    """The explicit-stack search tries the same edges in the same order as
+    the recursive one, so both give the same matching, not only the same
+    size: on seeded random graphs with rows sorted and shuffled, and on a
+    chain whose augmenting path is 500 vertices long."""
+    rng = SplitMix64(20261019)
+    graphs = [(500, _shift_chain(500))]
+    for seed in range(1500):
+        n_left, n_right = 1 + seed % 12, 1 + (seed // 12) % 12
+        adj = _random_graph(rng, n_left, n_right, (0.1, 0.25, 0.5, 0.8)[seed % 4])
+        shuffled = [list(row) for row in adj]
+        for row in shuffled:
+            rng.shuffle(row)
+        graphs += [(n_right, adj), (n_right, shuffled)]
+    perfect = 0
+    for n_right, adj in graphs:
+        n_left = len(adj)
+        got = max_bipartite_matching(n_left, n_right, adj)
+        assert got == max_bipartite_matching_reference(n_left, n_right, adj), adj
+        _check_matching(adj, n_right, *got)
+        perfect += got[0] == n_left
+    assert 100 < perfect < len(graphs) - 100
+
+
+def test_hopcroft_karp_augments_along_a_path_longer_than_the_recursion_limit():
+    size, match = max_bipartite_matching(3000, 3000, _shift_chain(3000))
+    assert (size, match) == (3000, list(range(3000)))
 
 
 def _random_sets(rng, n, density):
