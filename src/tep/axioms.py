@@ -23,10 +23,15 @@ The backtracking search over listed outcomes (:func:`_assignment_search`)
 stays a separate engine: it tries listed outcomes in listed order under a
 node budget, which suits sparse large-n gadgets, and ``core_exists`` (its
 first leaf) and the exit-3 points depend on that order and that budget.
-Each candidate ticks the budget once and is tested against the facts
-already fixed before it writes any; a newly fixed agent's rank is read from
-its order's rank dict, and its improvement steps are built once per rank
-and search.
+Each candidate costs one budget tick.  An agent tries the candidates that
+match its house or tenant if one is already fixed, from groups by house
+and by tenant built the first time it needs them.  A group keeps only the
+candidates that can fit, with their positions, and its full length, so
+the ticks of the candidates passed over are charged in one
+``Budget.tick`` before the next one is written or when the group runs
+out: every exit-3 point and ``Budget.left`` stay those of one tick per
+candidate.  A newly fixed agent's rank is read from its order's rank dict,
+and its improvement steps are built once per rank and search.
 """
 
 from __future__ import annotations
@@ -247,6 +252,28 @@ def is_core_stable(inst: Instance, alloc: Allocation, *,
     return find_exchange_cycle(options, Budget(node_budget)) is None
 
 
+def _fitting(cands: list[tuple[int, int, int]], agent: int) -> tuple[tuple, int]:
+    """The candidates an allocation can give ``agent``, each as (position,
+    house, tenant, owner of the house), and how many candidates there are in
+    all.  An outcome fits only if the house is the agent's own exactly when
+    the agent is its own tenant."""
+    return (tuple((p, h, t, o) for p, (h, t, o) in enumerate(cands)
+                  if (o == agent) == (t == agent)), len(cands))
+
+
+def _fitting_by(cands: list[tuple[int, int, int]], agent: int,
+                part: int) -> dict[int, tuple[tuple, int]]:
+    """The candidates grouped by house (``part`` 0) or by tenant (1), each
+    group as :func:`_fitting` gives it."""
+    groups: dict[int, list[tuple[int, int, int]]] = {}
+    for cand in cands:
+        groups.setdefault(cand[part], []).append(cand)
+    return {key: _fitting(group, agent) for key, group in groups.items()}
+
+
+_NO_CANDIDATE: tuple[tuple, int] = ((), 0)
+
+
 def _assignment_search(inst: Instance, rank_limits: list[int],
                        prune_blocking: bool, budget: Budget) -> Iterator[Allocation]:
     """Backtracking over agents in index order, assigning each a listed
@@ -261,8 +288,11 @@ def _assignment_search(inst: Instance, rank_limits: list[int],
     got = [-1] * n  # house received
     ten = [-1] * n  # tenant of own house
     # Each agent's candidates as (house, tenant, owner of the house), in listed order.
-    candidates = [[(h, t, owner[h]) for h, t in inst.listed_outcomes(i, rank_limits[i])]
-                  for i in range(n)]
+    listed = [[(h, t, owner[h]) for h, t in inst.listed_outcomes(i, rank_limits[i])]
+              for i in range(n)]
+    every = [_fitting(cands, i) for i, cands in enumerate(listed)]
+    by_house: list[dict[int, tuple[tuple, int]] | None] = [None] * n
+    by_tenant: list[dict[int, tuple[tuple, int]] | None] = [None] * n
     ranks = [order.ranks for order in inst.orders]
     unlisted = [order.unacceptable_rank for order in inst.orders]
     steps: list[dict[int, list[tuple[int, int]]]] = [{} for _ in range(n)]
@@ -298,29 +328,43 @@ def _assignment_search(inst: Instance, rank_limits: list[int],
         return added
 
     def assign(i: int) -> Iterator[Allocation]:
+        while i < n and got[i] >= 0 and ten[i] >= 0:
+            i += 1
         if i == n:
             yield Allocation(tuple(got))
             return
         gi, ti = got[i], ten[i]
-        if gi >= 0 and ti >= 0:
-            yield from assign(i + 1)
-            return
+        if gi < 0 and ti < 0:
+            fits, size = every[i]
+        elif gi >= 0:
+            groups = by_house[i]
+            if groups is None:
+                groups = by_house[i] = _fitting_by(listed[i], i, 0)
+            fits, size = groups.get(gi, _NO_CANDIDATE)
+        else:
+            groups = by_tenant[i]
+            if groups is None:
+                groups = by_tenant[i] = _fitting_by(listed[i], i, 1)
+            fits, size = groups.get(ti, _NO_CANDIDATE)
         own = endow[i]
-        for h, t, o in candidates[i]:
-            if (gi >= 0 and gi != h) or (ti >= 0 and ti != t):
-                continue
-            tick()
+        # Every candidate in the group costs one tick, in order, whether it
+        # fits or not; the ticks up to a candidate are charged just before it
+        # is written, and the rest when the group runs out.
+        charged = 0
+        for p, h, t, o in fits:
             # The candidate fixes got[i] = h, ten[i] = t, ten[o] = i and
             # got[t] = own; a clash with a fact already fixed ends it unwritten.
-            if o == i:  # h is i's own house, so i must be its own tenant
-                if t != i:
-                    continue
+            if o == i:  # h is i's own house, and i its own tenant
+                tick(p + 1 - charged)
+                charged = p + 1
                 got[i], ten[i] = h, i
                 fixed = [i]
             else:
                 ten_o, got_t = ten[o], got[t]
-                if t == i or (ten_o >= 0 and ten_o != i) or (got_t >= 0 and got_t != own):
+                if (ten_o >= 0 and ten_o != i) or (got_t >= 0 and got_t != own):
                     continue
+                tick(p + 1 - charged)
+                charged = p + 1
                 got[i], ten[i], ten[o], got[t] = h, t, i, own
                 # Now fixed: i, and o and t unless already determined or
                 # still missing their other fact.
@@ -337,6 +381,8 @@ def _assignment_search(inst: Instance, rank_limits: list[int],
             if o != i:
                 ten[o], got[t] = ten_o, got_t
             got[i], ten[i] = gi, ti
+        if charged < size:
+            tick(size - charged)
 
     return assign(0)
 

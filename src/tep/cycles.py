@@ -10,12 +10,17 @@ sets, so any cycle found here is a blocking witness.
 
 The depth-first search keeps its path on an explicit stack of (member,
 predecessor, untried options) frames, not on Python's call stack, so the
-length of a cycle it can follow is bounded by the node budget alone.
+length of a cycle it can follow is bounded by the node budget alone.  One
+step, ``_close``, walks that stack to the next cycle and can be resumed
+after it: the enumeration loops it inside a generator, so a partly
+consumed enumeration still yields the cycles found before the budget runs
+out, and ``has_cycle_through`` calls it once per first option, as a plain
+function.  Every option tried ticks the budget once.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .errors import BudgetExceededError
 
@@ -31,11 +36,45 @@ class Budget:
     def __init__(self, nodes: int | None):
         self.left = nodes
 
-    def tick(self) -> None:
+    def tick(self, nodes: int = 1) -> None:
+        """Charge ``nodes`` ticks at once.  A charge that runs out leaves
+        ``left`` at -1, as the same ticks charged one at a time would."""
         if self.left is not None:
-            self.left -= 1
+            self.left -= nodes
             if self.left < 0:
+                self.left = -1
                 raise BudgetExceededError("search node budget exhausted")
+
+
+def _close(options: Options, start: int, closing_prev: int, low: int, allowed: set[int],
+           path: dict[int, None], stack: list[tuple[int, int, Iterator[tuple[int, int]]]],
+           tick: Callable[[], None]) -> bool:
+    """Continue the depth-first walk held in ``path`` and ``stack`` to the
+    next cycle back to ``start``.
+
+    ``path`` holds the members in trading order (dicts keep insertion order,
+    and members leave it last in, first out, as their frames) and ``stack``
+    their (member, predecessor, untried options) frames.  Returns True with
+    ``path`` holding a cycle whose last member is ``closing_prev``, and the
+    state left so that the next call resumes after it; False once the walk
+    is done.  One tick per option tried."""
+    while stack:
+        cur, prev, untried = stack[-1]
+        for p, nxt in untried:
+            if p != prev:
+                continue
+            tick()
+            if nxt == start:
+                if cur == closing_prev:
+                    return True
+            elif nxt > low and nxt in allowed and nxt not in path:
+                path[nxt] = None
+                stack.append((nxt, cur, iter(options[nxt])))
+                break
+        else:
+            stack.pop()
+            path.popitem()
+    return False
 
 
 def _cycles_through(options: Options, start: int, low: int, allowed: set[int],
@@ -54,26 +93,10 @@ def _cycles_through(options: Options, start: int, low: int, allowed: set[int],
         if not (first > low and closing_prev > low
                 and first in allowed and closing_prev in allowed):
             continue
-        # ``path`` holds the members in trading order (dicts keep insertion
-        # order, and members leave it last in, first out, as their frames).
         path = {start: None, first: None}
         stack = [(first, start, iter(options[first]))]
-        while stack:
-            cur, prev, untried = stack[-1]
-            for p, nxt in untried:
-                if p != prev:
-                    continue
-                tick()
-                if nxt == start:
-                    if cur == closing_prev:
-                        yield list(path)
-                elif nxt > low and nxt in allowed and nxt not in path:
-                    path[nxt] = None
-                    stack.append((nxt, cur, iter(options[nxt])))
-                    break
-            else:
-                stack.pop()
-                path.popitem()
+        while _close(options, start, closing_prev, low, allowed, path, stack, tick):
+            yield list(path)
 
 
 def iter_exchange_cycles(options: Options, budget: Budget) -> Iterator[list[int]]:
@@ -99,5 +122,18 @@ def has_cycle_through(options: Options, pivot: int, allowed: set[int],
 
     Used for incremental pruning: after one more agent's exchange options
     become known, any newly completed cycle must pass through that agent.
+    The first cycle found ends the search, so it ticks the budget as far
+    as ``_cycles_through`` would before yielding that cycle.
     """
-    return next(_cycles_through(options, pivot, -1, allowed, budget), None) is not None
+    tick = budget.tick
+    for closing_prev, first in options[pivot]:
+        tick()
+        if first == pivot:
+            if closing_prev == pivot:
+                return True
+            continue
+        if (first in allowed and closing_prev in allowed
+                and _close(options, pivot, closing_prev, -1, allowed, {pivot: None, first: None},
+                           [(first, pivot, iter(options[first]))], tick)):
+            return True
+    return False

@@ -364,6 +364,7 @@ def serialize_instance(inst: Instance) -> str:
 
 def parse_allocation(text: str, n: int) -> Allocation:
     assignment: dict[int, int] = {}
+    holder: dict[int, int] = {}  # house -> the agent assigned it
     for lineno, line in _meaningful_lines(text):
         parts = line.split()
         if len(parts) != 3 or parts[0] != "assign":
@@ -372,14 +373,17 @@ def parse_allocation(text: str, n: int) -> Allocation:
         house = _check_index(_parse_int(parts[2], lineno, "house"), n, lineno, "house")
         if agent in assignment:
             raise _syntax(f"duplicate assignment for agent {agent}", lineno)
+        if house in holder:
+            raise ParseError("duplicate-item", f"house {house} is assigned to agents "
+                             f"{holder[house]} and {agent}", lineno)
         assignment[agent] = house
+        holder[house] = agent
+    # n distinct houses in range for n distinct agents: a bijection, once
+    # no agent is missing.
     missing = [i for i in range(n) if i not in assignment]
     if missing:
         raise _syntax(f"missing assignment for agents {missing}", 1)
-    houses = [assignment[i] for i in range(n)]
-    if sorted(houses) != list(range(n)):
-        raise _syntax("assignment is not a bijection", 1)
-    return Allocation(tuple(houses))
+    return Allocation(tuple(assignment[i] for i in range(n)))
 
 
 def serialize_allocation(alloc: Allocation) -> str:

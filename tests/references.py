@@ -16,8 +16,11 @@ top-trading-cycles walk with one branch per mode that ``ttc`` and ``tttc``
 shared before they became one walk steered by the profile's mode.
 ``max_bipartite_matching_reference`` is Hopcroft-Karp with the recursive
 augmenting-path search that ``max_bipartite_matching`` ran before it walked
-an explicit stack.  All are kept as they were.  ``without_linking`` gives the weaker triple encoding,
-which the exporter no longer writes, from the linked one.
+an explicit stack.  All are kept as they were, except that
+``parse_allocation_reference`` refuses a house assigned twice at the line
+of its second assignment, as the reader does.  ``without_linking`` gives
+the weaker triple encoding, which the exporter no longer writes, from the
+linked one.
 """
 
 from __future__ import annotations
@@ -475,6 +478,7 @@ def parse_instance_reference(text: str) -> Instance:
 
 def parse_allocation_reference(text: str, n: int) -> Allocation:
     assignment: dict[int, int] = {}
+    holder: dict[int, int] = {}  # house -> the agent assigned it
     for lineno, line in _meaningful_lines(text):
         parts = line.split()
         if len(parts) != 3 or parts[0] != "assign":
@@ -483,14 +487,17 @@ def parse_allocation_reference(text: str, n: int) -> Allocation:
         house = _check_index(_parse_int(parts[2], lineno, "house"), n, lineno, "house")
         if agent in assignment:
             raise _syntax(f"duplicate assignment for agent {agent}", lineno)
+        if house in holder:
+            raise ParseError("duplicate-item", f"house {house} is assigned to agents "
+                             f"{holder[house]} and {agent}", lineno)
         assignment[agent] = house
+        holder[house] = agent
+    # n distinct houses in range for n distinct agents: a bijection, once
+    # no agent is missing.
     missing = [i for i in range(n) if i not in assignment]
     if missing:
         raise _syntax(f"missing assignment for agents {missing}", 1)
-    houses = [assignment[i] for i in range(n)]
-    if sorted(houses) != list(range(n)):
-        raise _syntax("assignment is not a bijection", 1)
-    return Allocation(tuple(houses))
+    return Allocation(tuple(assignment[i] for i in range(n)))
 
 
 def parse_responsive_profile_reference(text: str) -> ResponsiveProfile:

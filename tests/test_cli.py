@@ -388,6 +388,8 @@ def _profile_with(tmp_path, suffix, text, method):
      "syntax: missing 'agents <n>' line (line 1)"),
     (lambda tmp: _allocation(tmp, "assign 0\n"),
      "syntax: expected 'assign <agent> <house>', got 'assign 0' (line 1)"),
+    (lambda tmp: _allocation(tmp, "assign 0 1\nassign 1 1\n"),
+     "duplicate-item: house 1 is assigned to agents 0 and 1 (line 2)"),
     (lambda tmp: _candidates(tmp, "porder", "ttc"),
      "syntax: expected 'porder <agent> <item>...' (line 1)"),
     (lambda tmp: _x3c(tmp, "1 2\n0 1 2\n"),
@@ -405,6 +407,7 @@ def _profile_with(tmp_path, suffix, text, method):
         "pref-candidate-outcome-twice", "pref-candidate-empty-class", "non-utf8-candidates",
         "pref-trailing-separator", "ppref-without-semicolon", "pref-without-colon",
         "mode-both", "comment-only-file", "header-only-file", "assign-without-house",
+        "house-assigned-twice",
         "porder-without-agent", "x3c-first-line-not-m", "x3c-core-without-file",
         "manipulate-agent-out-of-range"])
 def test_malformed_input_exits_2_with_an_input_error(tmp_path, capsys, make_argv, message):

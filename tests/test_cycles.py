@@ -10,6 +10,11 @@ budget at the same point.  Rings and chains of 30-60 members with a few
 chords are compared the same way, since the search keeps its path on a
 stack of its own; the references still fit Python's call stack at that
 size, and rings of thousands of members are checked for their answer.
+
+Pivots with no options and pivots whose options all leave the member set
+are compared under every budget, an enumeration taken one cycle at a time
+must resume inside a frame, and ``Budget.tick`` must charge several ticks
+at once exactly as single ticks would run out.
 """
 
 import random
@@ -198,3 +203,104 @@ def test_a_ring_longer_than_the_recursion_limit_is_found_whole():
     assert find_exchange_cycle(ring, budget) == list(range(n))
     assert budget.left == 10_000 - n  # one tick per member
     assert has_cycle_through(ring, n // 2, set(range(n)), Budget(None))
+
+
+def _pivot_family():
+    """Random option lists in which some pivots have no options and others
+    have only options with an end outside ``allowed``, beside ordinary
+    ones: (case, options, pivot, allowed, kind)."""
+    rng = random.Random(20261020)
+    for case in range(400):
+        n = rng.randint(2, 7)
+        options = _random_options(rng, n)
+        pivot = rng.randrange(n)
+        outside = rng.sample([v for v in range(n) if v != pivot], rng.randint(1, n - 1))
+        allowed = set(range(n)) - set(outside)
+        kind = ("no-options", "all-leave", "any")[case % 3]
+        if kind == "no-options":
+            options[pivot] = []
+        elif kind == "all-leave":
+            options[pivot] = [(p, rng.choice(outside)) if rng.random() < 0.5
+                              else (rng.choice(outside), s)
+                              for p, s in options[pivot] or [(pivot, pivot)]]
+        yield case, options, pivot, allowed, kind
+
+
+def test_pivot_checks_match_the_reference_under_every_budget():
+    """A pivot with no options ticks nothing, and one whose options all
+    leave ``allowed`` ticks once per option and answers False; under every
+    budget from 0 to the full tick count, the answer and ``Budget.left``
+    are the reference's."""
+    seen = {"no-options": 0, "all-leave": 0, "any": 0, "exhausted": 0, "found": 0}
+    for case, options, pivot, allowed, kind in _pivot_family():
+        full = Budget(10_000)
+        answer = has_cycle_through_reference(options, pivot, allowed, full)
+        ticks = 10_000 - full.left
+        if kind == "no-options":
+            assert (answer, ticks) == (False, 0), case
+        elif kind == "all-leave":
+            assert (answer, ticks) == (False, len(options[pivot])), case
+        for nodes in range(ticks + 1):
+            runs = []
+            for has_cycle in (has_cycle_through_reference, has_cycle_through):
+                budget = Budget(nodes)
+                result, _ = _outcome(lambda seen: has_cycle(options, pivot, allowed, budget))
+                runs.append((result, budget.left))
+            assert runs[0] == runs[1], (case, options, pivot, allowed, nodes)
+            seen["exhausted"] += runs[0][0] == "exhausted"
+        seen[kind] += 1
+        seen["found"] += answer
+    assert min(seen.values()) > 0, seen
+
+
+def test_a_partly_consumed_enumeration_resumes_mid_walk():
+    """0 -> 1 -> 2 -> 4 -> 0 and 0 -> 1 -> 3 -> 4 -> 0 share the first
+    option (4, 1) of agent 0: the second cycle is found by resuming the walk
+    inside agent 1's frame.  Taken one cycle at a time, the enumeration
+    leaves the reference's ``Budget.left`` after each cycle, and under every
+    budget it yields the cycles found before the budget ran out."""
+    ring = [[(4, 1)], [(0, 2), (0, 3)], [(1, 4)], [(1, 4)], [(2, 0), (3, 0)]]
+    want = [[0, 1, 2, 4], [0, 1, 3, 4]]
+    steps = []
+    for enumerate_ in (iter_exchange_cycles_reference, iter_exchange_cycles):
+        budget = Budget(1_000)
+        cycles = enumerate_(ring, budget)
+        steps.append([(next(cycles), budget.left), (next(cycles), budget.left),
+                      (next(cycles, None), budget.left)])
+    assert steps[0] == steps[1]
+    assert [cycle for cycle, _ in steps[1]] == want + [None]
+    ticks = 1_000 - steps[1][-1][1]
+    yielded = set()
+    for nodes in range(ticks + 1):
+        runs = []
+        for enumerate_ in (iter_exchange_cycles_reference, iter_exchange_cycles):
+            budget = Budget(nodes)
+            result, seen = _outcome(lambda seen: seen.extend(enumerate_(ring, budget)))
+            runs.append((result, seen, budget.left))
+        assert runs[0] == runs[1], nodes
+        yielded.add(len(runs[1][1]))
+        assert runs[1][0] == "exhausted" or nodes == ticks
+    assert yielded == {0, 1, 2}
+
+
+def test_a_charge_of_several_ticks_runs_out_as_single_ticks_would():
+    """``tick(k)`` raises where the k-th of k single ticks would, and leaves
+    ``left`` at -1 whatever it overshot by; ``Budget(None)`` never changes
+    and ``tick(0)`` charges nothing."""
+    for nodes in range(5):
+        for charge in range(8):
+            single, bulk = Budget(nodes), Budget(nodes)
+            single_result, _ = _outcome(lambda seen: [single.tick() for _ in range(charge)])
+            bulk_result, _ = _outcome(lambda seen: bulk.tick(charge))
+            assert ((single_result == "exhausted", single.left)
+                    == (bulk_result == "exhausted", bulk.left)), (nodes, charge)
+            assert bulk.left == (-1 if charge > nodes else nodes - charge)
+    unlimited = Budget(None)
+    unlimited.tick(10 ** 9)
+    unlimited.tick()
+    assert unlimited.left is None
+    empty = Budget(0)
+    empty.tick(0)
+    assert empty.left == 0
+    empty.tick(0)
+    assert empty.left == 0

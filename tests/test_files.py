@@ -88,8 +88,12 @@ def test_allocation_round_trip_and_errors():
     assert parse_allocation(serialize_allocation(alloc), 3) == alloc
     with pytest.raises(ParseError):
         parse_allocation("assign 0 1\n", 2)  # agent 1 missing
-    with pytest.raises(ParseError):
-        parse_allocation("assign 0 1\nassign 1 1\n", 2)  # not a bijection
+    with pytest.raises(ParseError) as twice:
+        parse_allocation("assign 0 1\n# comment\nassign 1 1\n", 2)
+    assert str(twice.value) == "duplicate-item: house 1 is assigned to agents 0 and 1 (line 3)"
+    with pytest.raises(ParseError) as missing:
+        parse_allocation("assign 0 1\nassign 2 0\n", 3)
+    assert str(missing.value) == "syntax: missing assignment for agents [1] (line 1)"
     with pytest.raises(ParseError):
         parse_allocation("assign 0 5\nassign 1 0\n", 2)  # house out of range
 

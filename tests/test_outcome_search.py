@@ -18,6 +18,11 @@ own house with another tenant, another agent's house with the agent as its
 own tenant) exercise the clash tests a candidate passes before it writes.
 An m = 3 x3c-core gadget (45 agents) and random instances of the sizes the
 benchmark's ``search`` workload uses run under their IR limits.
+
+The search charges the ticks of candidates it skips in bulk, so on the
+small instances every budget from 0 to the full tick count is tried too:
+wherever the budget ends, also inside a charge of several ticks, the log
+must stop at the reference's tick.
 """
 
 import random
@@ -35,6 +40,8 @@ from tep.generators import random_instance, random_x3c, x3c_core_instance, x3c_t
 from tep.model import Outcome, make_instance
 
 NODES = 20_000
+# The largest reference tick count swept budget by budget.
+SWEEP_TICKS = 1_000
 
 
 def search_family():
@@ -111,15 +118,16 @@ def limit_sets(inst, rng):
 
 
 class LoggedBudget(Budget):
-    """A budget that writes each tick into an event log."""
+    """A budget that writes each tick into an event log; a charge of k ticks
+    is logged as k ticks, up to the one that runs out."""
 
     def __init__(self, nodes, log):
         super().__init__(nodes)
         self.log = log
 
-    def tick(self):
-        self.log.append("tick")
-        super().tick()
+    def tick(self, nodes=1):
+        self.log += ["tick"] * (nodes if self.left is None else min(nodes, self.left + 1))
+        super().tick(nodes)
 
 
 @pytest.fixture()
@@ -200,6 +208,47 @@ def test_the_search_runs_out_of_budget_at_the_same_tick(logged_cycle_checks):
             else:
                 assert got == (full, 0), (case, nodes)
     assert exhausted > 100
+
+
+class ChargeLog(LoggedBudget):
+    """A logged budget that also keeps the size of each charge."""
+
+    def __init__(self, nodes, log):
+        super().__init__(nodes, log)
+        self.charges = []
+
+    def tick(self, nodes=1):
+        self.charges.append(nodes)
+        super().tick(nodes)
+
+
+def test_every_budget_runs_out_at_the_reference_tick(logged_cycle_checks):
+    """Every budget from 0 to the full tick count, on the search and clash
+    instances with n <= 5 whose reference search ticks at most
+    ``SWEEP_TICKS`` times (202 of their 208 cases).  The search charges the
+    ticks of candidates that cannot fit or that clash in bulk, so most
+    budgets here run out inside a charge of several ticks: the log must
+    still stop at the reference's tick, with ``Budget.left`` at -1."""
+    swept = inside = 0
+    for case, inst, limits, prune in cases():
+        if case[0] == "large" or inst.n > 5:
+            continue
+        full, _ = run(assignment_search_reference, inst, limits, prune, NODES)
+        at = [k for k, event in enumerate(full) if event == "tick"]
+        if len(at) > SWEEP_TICKS:
+            continue
+        for nodes in range(len(at)):
+            assert (run(_assignment_search, inst, limits, prune, nodes)
+                    == (full[:at[nodes] + 1] + ["exhausted"], -1)), (case, nodes)
+        assert run(_assignment_search, inst, limits, prune, len(at)) == (full, 0), case
+        budget = ChargeLog(None, [])
+        assert [a.assignment for a in _assignment_search(inst, limits, prune, budget)] == [
+            e for e in full if isinstance(e, tuple) and e[0] != "cycle"], case
+        # A budget of b ends inside a charge (not at its last tick) for k - 1
+        # of the budgets that reach a charge of k.
+        swept += 1
+        inside += sum(k - 1 for k in budget.charges)
+    assert swept == 202 and inside > 1000, (swept, inside)
 
 
 def test_the_clash_family_tops_list_outcomes_no_allocation_gives():
