@@ -24,14 +24,15 @@ stays a separate engine: it tries listed outcomes in listed order under a
 node budget, which suits sparse large-n gadgets, and ``core_exists`` (its
 first leaf) and the exit-3 points depend on that order and that budget.
 Each candidate costs one budget tick.  An agent tries the candidates that
-match its house or tenant if one is already fixed, from groups by house
-and by tenant built the first time it needs them.  A group keeps only the
-candidates that can fit, with their positions, and its full length, so
-the ticks of the candidates passed over are charged in one
-``Budget.tick`` before the next one is written or when the group runs
-out: every exit-3 point and ``Budget.left`` stay those of one tick per
-candidate.  A newly fixed agent's rank is read from its order's rank dict,
-and its improvement steps are built once per rank and search.
+match its house or tenant if one is already fixed, from one table of
+groups by the fixed fact; an agent's groups by house, or by tenant, are
+built the first time it needs them.  A group keeps only the candidates
+that can fit, with their positions, and its full length, so the ticks of
+the candidates passed over are charged in one ``Budget.tick`` before the
+next one is written or when the group runs out: every exit-3 point and
+``Budget.left`` stay those of one tick per candidate.  A newly fixed
+agent's rank is read from its order's rank dict, and its improvement
+steps are built once per rank and search.
 """
 
 from __future__ import annotations
@@ -246,7 +247,7 @@ def find_blocking_coalition(inst: Instance, alloc: Allocation) -> BlockingWitnes
 
 
 def is_core_stable(inst: Instance, alloc: Allocation, *,
-                   node_budget: int | None = DEFAULT_NODE_BUDGET) -> bool:
+                   node_budget: int = DEFAULT_NODE_BUDGET) -> bool:
     """No coalition can strictly improve all members with an internal exchange."""
     options = improvement_options(inst, alloc)
     return find_exchange_cycle(options, Budget(node_budget)) is None
@@ -291,8 +292,8 @@ def _assignment_search(inst: Instance, rank_limits: list[int],
     listed = [[(h, t, owner[h]) for h, t in inst.listed_outcomes(i, rank_limits[i])]
               for i in range(n)]
     every = [_fitting(cands, i) for i, cands in enumerate(listed)]
-    by_house: list[dict[int, tuple[tuple, int]] | None] = [None] * n
-    by_tenant: list[dict[int, tuple[tuple, int]] | None] = [None] * n
+    # by_fact[part][i]: agent i's groups by house (part 0) or by tenant (1).
+    by_fact: list[list[dict[int, tuple[tuple, int]] | None]] = [[None] * n, [None] * n]
     ranks = [order.ranks for order in inst.orders]
     unlisted = [order.unacceptable_rank for order in inst.orders]
     steps: list[dict[int, list[tuple[int, int]]]] = [{} for _ in range(n)]
@@ -336,16 +337,13 @@ def _assignment_search(inst: Instance, rank_limits: list[int],
         gi, ti = got[i], ten[i]
         if gi < 0 and ti < 0:
             fits, size = every[i]
-        elif gi >= 0:
-            groups = by_house[i]
-            if groups is None:
-                groups = by_house[i] = _fitting_by(listed[i], i, 0)
-            fits, size = groups.get(gi, _NO_CANDIDATE)
         else:
-            groups = by_tenant[i]
+            # One fact is fixed: the house if gi is, else the tenant.
+            part, fact = (0, gi) if gi >= 0 else (1, ti)
+            groups = by_fact[part][i]
             if groups is None:
-                groups = by_tenant[i] = _fitting_by(listed[i], i, 1)
-            fits, size = groups.get(ti, _NO_CANDIDATE)
+                groups = by_fact[part][i] = _fitting_by(listed[i], i, part)
+            fits, size = groups.get(fact, _NO_CANDIDATE)
         own = endow[i]
         # Every candidate in the group costs one tick, in order, whether it
         # fits or not; the ticks up to a candidate are charged just before it
@@ -388,15 +386,14 @@ def _assignment_search(inst: Instance, rank_limits: list[int],
 
 
 def enumerate_ir_allocations(inst: Instance, *,
-                             node_budget: int | None = DEFAULT_NODE_BUDGET
-                             ) -> list[Allocation]:
+                             node_budget: int = DEFAULT_NODE_BUDGET) -> list[Allocation]:
     """Exactly the allocations giving every agent an outcome weakly above
     its endowment outcome, found by backtracking over listed outcomes."""
     return list(_assignment_search(inst, _ir_limits(inst), False, Budget(node_budget)))
 
 
 def core_exists(inst: Instance, *,
-                node_budget: int | None = DEFAULT_NODE_BUDGET) -> Allocation | None:
+                node_budget: int = DEFAULT_NODE_BUDGET) -> Allocation | None:
     """A core-stable allocation if one exists, else None.
 
     Core-stable allocations are individually rational (a singleton coalition
@@ -452,8 +449,7 @@ def enumerate_ir_pareto_optimal(inst: Instance) -> list[Allocation]:
 
 
 def enumerate_core_stable(inst: Instance, *,
-                          node_budget: int | None = DEFAULT_NODE_BUDGET
-                          ) -> list[Allocation]:
+                          node_budget: int = DEFAULT_NODE_BUDGET) -> list[Allocation]:
     """The core-stable allocations, in lexicographic assignment order.  They
     are IR, so only IR ones are checked, each under its own node budget."""
     _check_max_n(inst, DEFAULT_MAX_N)

@@ -10,9 +10,12 @@ sets, so any cycle found here is a blocking witness.
 
 The depth-first search keeps its path on an explicit stack of (member,
 predecessor, untried options) frames, not on Python's call stack, so the
-length of a cycle it can follow is bounded by the node budget alone.  One
+length of a cycle it can follow is bounded by the node budget alone.  The
+members other than the start are restricted one way, to those in
+``allowed``: the enumeration passes the range above the start, so each
+cycle is found once, and ``has_cycle_through`` the set it is given.  One
 step, ``_close``, walks that stack to the next cycle and can be resumed
-after it: the enumeration loops it inside a generator, so a partly
+after it: the enumeration loops it inside its generator, so a partly
 consumed enumeration still yields the cycles found before the budget runs
 out, and ``has_cycle_through`` calls it once per first option, as a plain
 function.  Every option tried ticks the budget once.
@@ -20,7 +23,7 @@ function.  Every option tried ticks the budget once.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from typing import Callable, Container, Iterator
 
 from .errors import BudgetExceededError
 
@@ -28,29 +31,27 @@ Options = list[list[tuple[int, int]]]
 
 
 class Budget:
-    """Decrementing node counter; raises once exhausted.  ``Budget(None)``
-    is the one way to say "unlimited"."""
+    """Decrementing node counter; raises once exhausted."""
 
     __slots__ = ("left",)
 
-    def __init__(self, nodes: int | None):
+    def __init__(self, nodes: int):
         self.left = nodes
 
     def tick(self, nodes: int = 1) -> None:
         """Charge ``nodes`` ticks at once.  A charge that runs out leaves
         ``left`` at -1, as the same ticks charged one at a time would."""
-        if self.left is not None:
-            self.left -= nodes
-            if self.left < 0:
-                self.left = -1
-                raise BudgetExceededError("search node budget exhausted")
+        self.left -= nodes
+        if self.left < 0:
+            self.left = -1
+            raise BudgetExceededError("search node budget exhausted")
 
 
-def _close(options: Options, start: int, closing_prev: int, low: int, allowed: set[int],
+def _close(options: Options, start: int, closing_prev: int, allowed: Container[int],
            path: dict[int, None], stack: list[tuple[int, int, Iterator[tuple[int, int]]]],
            tick: Callable[[], None]) -> bool:
     """Continue the depth-first walk held in ``path`` and ``stack`` to the
-    next cycle back to ``start``.
+    next cycle back to ``start`` whose other members lie in ``allowed``.
 
     ``path`` holds the members in trading order (dicts keep insertion order,
     and members leave it last in, first out, as their frames) and ``stack``
@@ -67,7 +68,7 @@ def _close(options: Options, start: int, closing_prev: int, low: int, allowed: s
             if nxt == start:
                 if cur == closing_prev:
                     return True
-            elif nxt > low and nxt in allowed and nxt not in path:
+            elif nxt in allowed and nxt not in path:
                 path[nxt] = None
                 stack.append((nxt, cur, iter(options[nxt])))
                 break
@@ -77,38 +78,30 @@ def _close(options: Options, start: int, closing_prev: int, low: int, allowed: s
     return False
 
 
-def _cycles_through(options: Options, start: int, low: int, allowed: set[int],
-                    budget: Budget) -> Iterator[list[int]]:
-    """Yield each simple exchange cycle through ``start`` whose other
-    members lie in ``allowed`` and above ``low``, as a list from ``start``
-    in trading order, in depth-first order.  One budget tick per option
-    tried; pass ``Budget(None)`` for no limit."""
-    tick = budget.tick
-    for closing_prev, first in options[start]:
-        tick()
-        if first == start:
-            if closing_prev == start:
-                yield [start]
-            continue
-        if not (first > low and closing_prev > low
-                and first in allowed and closing_prev in allowed):
-            continue
-        path = {start: None, first: None}
-        stack = [(first, start, iter(options[first]))]
-        while _close(options, start, closing_prev, low, allowed, path, stack, tick):
-            yield list(path)
-
-
 def iter_exchange_cycles(options: Options, budget: Budget) -> Iterator[list[int]]:
     """Yield every simple exchange cycle, smallest member first.
 
     ``options[i]`` lists the (predecessor, successor) pairs agent i accepts.
     Cycles are canonical: position 0 holds the smallest member, so each
-    cycle appears exactly once.
+    cycle appears exactly once.  Cycles through one start come in
+    depth-first order; one budget tick per option tried.
     """
-    allowed = set(range(len(options)))
-    for start in range(len(options)):
-        yield from _cycles_through(options, start, start, allowed, budget)
+    tick = budget.tick
+    n = len(options)
+    for start in range(n):
+        allowed = range(start + 1, n)
+        for closing_prev, first in options[start]:
+            tick()
+            if first == start:
+                if closing_prev == start:
+                    yield [start]
+                continue
+            if not (first in allowed and closing_prev in allowed):
+                continue
+            path = {start: None, first: None}
+            stack = [(first, start, iter(options[first]))]
+            while _close(options, start, closing_prev, allowed, path, stack, tick):
+                yield list(path)
 
 
 def find_exchange_cycle(options: Options, budget: Budget) -> list[int] | None:
@@ -123,7 +116,7 @@ def has_cycle_through(options: Options, pivot: int, allowed: set[int],
     Used for incremental pruning: after one more agent's exchange options
     become known, any newly completed cycle must pass through that agent.
     The first cycle found ends the search, so it ticks the budget as far
-    as ``_cycles_through`` would before yielding that cycle.
+    as ``iter_exchange_cycles`` would before yielding that cycle.
     """
     tick = budget.tick
     for closing_prev, first in options[pivot]:
@@ -133,7 +126,7 @@ def has_cycle_through(options: Options, pivot: int, allowed: set[int],
                 return True
             continue
         if (first in allowed and closing_prev in allowed
-                and _close(options, pivot, closing_prev, -1, allowed, {pivot: None, first: None},
+                and _close(options, pivot, closing_prev, allowed, {pivot: None, first: None},
                            [(first, pivot, iter(options[first]))], tick)):
             return True
     return False

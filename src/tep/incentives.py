@@ -217,7 +217,7 @@ def verify_sp_impossibility_tree() -> ProofReport:
     return ProofReport(tuple(lines))
 
 
-def verify_core_consistency_impossibility(*, node_budget: int | None = DEFAULT_NODE_BUDGET
+def verify_core_consistency_impossibility(*, node_budget: int = DEFAULT_NODE_BUDGET
                                           ) -> ProofReport:
     """Same branch structure with core-stable sets at every node: a
     core-consistent mechanism must pick a core-stable allocation whenever

@@ -18,9 +18,11 @@ shared before they became one walk steered by the profile's mode.
 augmenting-path search that ``max_bipartite_matching`` ran before it walked
 an explicit stack.  All are kept as they were, except that
 ``parse_allocation_reference`` refuses a house assigned twice at the line
-of its second assignment, as the reader does.  ``without_linking`` gives
-the weaker triple encoding, which the exporter no longer writes, from the
-linked one.
+of its second assignment, and that the reference reader quotes what it
+refuses through ``tep.files._quote``, which cuts a long quote to a prefix
+and its length, as the reader does.  ``without_linking`` gives the weaker
+triple encoding, which the exporter no longer writes, from the linked
+one.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from tep import all_allocations, is_core_stable, is_individually_rational, outco
 from tep.axioms import _permutation_search
 from tep.cycles import Budget, Options, has_cycle_through
 from tep.errors import BudgetExceededError, ParseError
+from tep.files import _quote
 from tep.generators import X3CInstance
 from tep.incentives import ManipulationWitness
 from tep.model import Allocation, Instance, Market, Outcome, canonicalize_endowment, make_instance
@@ -121,10 +124,10 @@ def pareto_front_reference(inst, limits):
     return [Allocation(assignment) for assignment, ranks in leaves if ranks in optimal]
 
 
-def enumerate_core_stable_reference(inst, node_budget=None):
+def enumerate_core_stable_reference(inst):
     """Every allocation that passes ``is_core_stable``, in lexicographic
     order."""
-    return [a for a in all_allocations(inst.n) if is_core_stable(inst, a, node_budget=node_budget)]
+    return [a for a in all_allocations(inst.n) if is_core_stable(inst, a)]
 
 
 def is_rs_pareto_optimal_reference(prof, alloc):
@@ -287,7 +290,7 @@ def _parse_int(token: str, lineno: int, what: str) -> int:
             return int(token)
         except ValueError:  # '--5', '²', or more digits than int() converts
             pass
-    raise _syntax(f"expected an integer {what}, got {token!r}", lineno)
+    raise _syntax(f"expected an integer {what}, got {_quote(token)}", lineno)
 
 
 def _check_index(value: int, n: int, lineno: int, what: str) -> int:
@@ -396,8 +399,8 @@ def _agent_line(line: str, lineno: int, keyword: str, n: int) -> tuple[int, str]
     head, _, body = line.partition(":")
     parts = head.split()
     if len(parts) != 2 or parts[0] != keyword or not body:
-        raise _syntax(f"expected '{keyword} <agent>: {_FORMATS[keyword][1]}', got {line!r}",
-                      lineno)
+        raise _syntax(f"expected '{keyword} <agent>: {_FORMATS[keyword][1]}', "
+                      f"got {_quote(line)}", lineno)
     return _check_index(_parse_int(parts[1], lineno, "agent"), n, lineno, "agent"), body
 
 
@@ -414,7 +417,7 @@ def _parse_endow(line: str, n: int, lineno: int) -> tuple[int, ...]:
 def _parse_mode(line: str, n: int, lineno: int) -> str:
     parts = line.split()
     if len(parts) != 2 or parts[1] not in (HOUSE, TENANT):
-        raise _syntax(f"expected 'mode {HOUSE}|{TENANT}', got {line!r}", lineno)
+        raise _syntax(f"expected 'mode {HOUSE}|{TENANT}', got {_quote(line)}", lineno)
     return parts[1]
 
 
@@ -439,7 +442,7 @@ def _read_agent_lines(text: str, keyword: str, parse_body, directives: dict | No
         raise _syntax("missing 'agents <n>' line", 1)
     parts = line.split()
     if len(parts) != 2 or parts[0] != "agents":
-        raise _syntax(f"expected 'agents <n>', got {line!r}", lineno)
+        raise _syntax(f"expected 'agents <n>', got {_quote(line)}", lineno)
     n = _parse_int(parts[1], lineno, "agent count")
     if n < 1:
         raise _syntax("need at least one agent", lineno)
@@ -460,7 +463,7 @@ def _read_agent_lines(text: str, keyword: str, parse_body, directives: dict | No
                 raise _syntax(f"duplicate {keyword} line for agent {agent}", lineno)
             bodies[agent] = parse_body(body, n, lineno, line, agent)
         else:
-            raise _syntax(f"unknown directive {word!r}", lineno)
+            raise _syntax(f"unknown directive {_quote(word)}", lineno)
     missing = [i for i in range(n) if i not in bodies]
     if complete and missing:
         raise _syntax(f"missing {keyword} line for agents {missing}", 1)
@@ -482,7 +485,7 @@ def parse_allocation_reference(text: str, n: int) -> Allocation:
     for lineno, line in _meaningful_lines(text):
         parts = line.split()
         if len(parts) != 3 or parts[0] != "assign":
-            raise _syntax(f"expected 'assign <agent> <house>', got {line!r}", lineno)
+            raise _syntax(f"expected 'assign <agent> <house>', got {_quote(line)}", lineno)
         agent = _check_index(_parse_int(parts[1], lineno, "agent"), n, lineno, "agent")
         house = _check_index(_parse_int(parts[2], lineno, "house"), n, lineno, "house")
         if agent in assignment:
@@ -556,7 +559,7 @@ def parse_x3c_reference(text: str, agents_per_m: int) -> X3CInstance:
     triples = []
     for lineno, r in rows[1:]:
         if len(r) != 3:
-            raise _syntax(f"expected 3 elements per triple, got {r}", lineno)
+            raise _syntax(f"expected 3 elements per triple, got {_quote(r)}", lineno)
         triples.append(tuple(sorted(_parse_int(x, lineno, "element") for x in r)))
     return _build(X3CInstance, m, tuple(triples))
 

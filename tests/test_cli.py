@@ -394,6 +394,7 @@ def _profile_with(tmp_path, suffix, text, method):
      "syntax: expected 'porder <agent> <item>...' (line 1)"),
     (lambda tmp: _x3c(tmp, "1 2\n0 1 2\n"),
      "syntax: exact-cover file: first line must be m (line 1)"),
+    (lambda tmp: _x3c(tmp, "0\n"), "input error: syntax: need m >= 1\n"),
     (lambda tmp: ["gen", "--family", "x3c-core", "--out", str(tmp / "o.tep")],
      "syntax: --family x3c-core needs --x3c FILE"),
     (lambda tmp: ["manipulate", "--instance", _profile_with(tmp, "tep", "tep v1\nagents 2\n",
@@ -408,7 +409,7 @@ def _profile_with(tmp_path, suffix, text, method):
         "pref-trailing-separator", "ppref-without-semicolon", "pref-without-colon",
         "mode-both", "comment-only-file", "header-only-file", "assign-without-house",
         "house-assigned-twice",
-        "porder-without-agent", "x3c-first-line-not-m", "x3c-core-without-file",
+        "porder-without-agent", "x3c-first-line-not-m", "x3c-m-0", "x3c-core-without-file",
         "manipulate-agent-out-of-range"])
 def test_malformed_input_exits_2_with_an_input_error(tmp_path, capsys, make_argv, message):
     code, out = invoke(make_argv(tmp_path))
@@ -488,7 +489,34 @@ def test_a_token_int_cannot_read_exits_2(tmp_path, capsys, where, token):
     err = capsys.readouterr().err
     assert (code, out) == (2, "")
     assert err.startswith("input error: syntax: expected an integer ")
-    assert f"got {token!r} (line " in err
+    quoted = repr(token)
+    if len(quoted) > 80:  # a long quote keeps 80 characters and states its length
+        quoted = f"{quoted[:80]}... ({len(quoted)} characters)"
+    assert f"got {quoted} (line " in err
+
+
+_MB = 1_000_000
+
+
+@pytest.mark.parametrize("make_argv", [
+    lambda tmp: _profile_with(tmp, "tep", "tep v1\nagents " + "1" * _MB + "\n", "exact"),
+    lambda tmp: _profile_with(tmp, "tep", "tep v1\nagents 1\npref 0 " + "[(0,0)] " * (_MB // 8)
+                              + "\n", "exact"),
+    lambda tmp: _profile_with(tmp, "ptep", "tep v1\nagents 1\nmode " + "h" * _MB + "\n", "ttc"),
+    lambda tmp: _profile_with(tmp, "tep", "tep v1\nagents 1 " + "1 " * (_MB // 2) + "\n",
+                              "exact"),
+    lambda tmp: _profile_with(tmp, "tep", "tep v1\nagents 1\n" + "x" * _MB + "\n", "exact"),
+    lambda tmp: _allocation(tmp, "assign 0 " + "1 " * (_MB // 2) + "\n"),
+    lambda tmp: _x3c(tmp, "1\n" + "0 " * (_MB // 2) + "\n"),
+], ids=["integer", "agent-line", "mode", "agents", "unknown-directive", "assign", "x3c-triple"])
+def test_a_megabyte_line_is_refused_with_a_short_message(tmp_path, capsys, make_argv):
+    """Each refusal that quotes a line or a token quotes at most 80
+    characters of it, and states the length of the whole quote."""
+    code, out = invoke(make_argv(tmp_path))
+    err = capsys.readouterr().err
+    assert (code, out) == (2, "")
+    assert err.startswith("input error: syntax: ") and len(err) < 250, err[:250]
+    assert re.search(r"\.\.\. \([0-9]{6,} characters\) \(line [0-9]\)\n$", err), err
 
 
 @pytest.mark.parametrize("family,text,agents", [

@@ -2,11 +2,12 @@
 `has_cycle_through`, cross-checked against the two routines it replaced.
 
 ``iter_exchange_cycles_reference`` and ``has_cycle_through_reference`` are
-those routines, kept verbatim apart from their names.  On seeded random
-option lists under several budgets (the pivot search also within member
-subsets), the new search must give the same cycles in the same order, the
-same answers, the same ``Budget.left`` after each call, and run out of
-budget at the same point.  Rings and chains of 30-60 members with a few
+those routines, kept verbatim apart from their names and a budget that is
+always given, as a budget is always a count.  On seeded random option
+lists under several budgets (the pivot search also within member subsets),
+the new search must give the same cycles in the same order, the same
+answers, the same ``Budget.left`` after each call, and run out of budget
+at the same point.  Rings and chains of 30-60 members with a few
 chords are compared the same way, since the search keeps its path on a
 stack of its own; the references still fit Python's call stack at that
 size, and rings of thousands of members are checked for their answer.
@@ -24,7 +25,7 @@ from tep.cycles import Budget, find_exchange_cycle, has_cycle_through, iter_exch
 from tep.errors import BudgetExceededError
 
 
-def iter_exchange_cycles_reference(options, budget=None, members=None) -> Iterator[list[int]]:
+def iter_exchange_cycles_reference(options, budget, members=None) -> Iterator[list[int]]:
     allowed = members if members is not None else set(range(len(options)))
 
     def extend(start: int, closing_prev: int, cur: int, prev: int,
@@ -32,8 +33,7 @@ def iter_exchange_cycles_reference(options, budget=None, members=None) -> Iterat
         for p, nxt in options[cur]:
             if p != prev:
                 continue
-            if budget is not None:
-                budget.tick()
+            budget.tick()
             if nxt == start:
                 if cur == closing_prev:
                     yield path.copy()
@@ -46,8 +46,7 @@ def iter_exchange_cycles_reference(options, budget=None, members=None) -> Iterat
 
     for start in sorted(allowed):
         for p0, n0 in options[start]:
-            if budget is not None:
-                budget.tick()
+            budget.tick()
             if n0 == start:
                 if p0 == start:
                     yield [start]
@@ -57,14 +56,13 @@ def iter_exchange_cycles_reference(options, budget=None, members=None) -> Iterat
             yield from extend(start, p0, n0, start, [start, n0], {start, n0})
 
 
-def has_cycle_through_reference(options, pivot, allowed, budget=None) -> bool:
+def has_cycle_through_reference(options, pivot, allowed, budget) -> bool:
 
     def extend(cur: int, prev: int, closing_prev: int, on_path: set[int]) -> bool:
         for p, nxt in options[cur]:
             if p != prev:
                 continue
-            if budget is not None:
-                budget.tick()
+            budget.tick()
             if nxt == pivot:
                 if cur == closing_prev:
                     return True
@@ -76,8 +74,7 @@ def has_cycle_through_reference(options, pivot, allowed, budget=None) -> bool:
         return False
 
     for p0, n0 in options[pivot]:
-        if budget is not None:
-            budget.tick()
+        budget.tick()
         if n0 == pivot:
             if p0 == pivot:
                 return True
@@ -132,7 +129,7 @@ def _family():
         n = rng.randint(1, 7)
         options = _random_options(rng, n)
         members = None if case % 2 else set(rng.sample(range(n), rng.randint(1, n)))
-        yield case, options, members, rng.choice([None, 5, 50, 500])
+        yield case, options, members, rng.choice([10 ** 9, 5, 50, 500])
 
 
 def _long_family():
@@ -141,7 +138,7 @@ def _long_family():
         options = _ring_or_chain(rng)
         n = len(options)
         members = None if case % 2 else set(range(n)) - set(rng.sample(range(n), rng.randint(0, 2)))
-        yield case, options, members, rng.choice([None, 5, 50, 500])
+        yield case, options, members, rng.choice([10 ** 9, 5, 50, 500])
 
 
 def _compare_enumerations(family) -> tuple[int, int]:
@@ -202,7 +199,7 @@ def test_a_ring_longer_than_the_recursion_limit_is_found_whole():
     budget = Budget(10_000)
     assert find_exchange_cycle(ring, budget) == list(range(n))
     assert budget.left == 10_000 - n  # one tick per member
-    assert has_cycle_through(ring, n // 2, set(range(n)), Budget(None))
+    assert has_cycle_through(ring, n // 2, set(range(n)), Budget(10_000))
 
 
 def _pivot_family():
@@ -285,8 +282,8 @@ def test_a_partly_consumed_enumeration_resumes_mid_walk():
 
 def test_a_charge_of_several_ticks_runs_out_as_single_ticks_would():
     """``tick(k)`` raises where the k-th of k single ticks would, and leaves
-    ``left`` at -1 whatever it overshot by; ``Budget(None)`` never changes
-    and ``tick(0)`` charges nothing."""
+    ``left`` at -1 whatever it overshot by, and ``tick(0)`` charges
+    nothing."""
     for nodes in range(5):
         for charge in range(8):
             single, bulk = Budget(nodes), Budget(nodes)
@@ -295,10 +292,6 @@ def test_a_charge_of_several_ticks_runs_out_as_single_ticks_would():
             assert ((single_result == "exhausted", single.left)
                     == (bulk_result == "exhausted", bulk.left)), (nodes, charge)
             assert bulk.left == (-1 if charge > nodes else nodes - charge)
-    unlimited = Budget(None)
-    unlimited.tick(10 ** 9)
-    unlimited.tick()
-    assert unlimited.left is None
     empty = Budget(0)
     empty.tick(0)
     assert empty.left == 0

@@ -24,6 +24,7 @@ from tep.generators import (
     x3c_has_cover,
     x3c_top_instance,
 )
+from tep.rng import SplitMix64
 
 YES1 = make_x3c(1, [(0, 1, 2)] * 3)
 
@@ -51,7 +52,7 @@ def test_sp_instance_shape():
     assert outcome_of(inst, Allocation((1, 2, 3, 0)), 2) == Outcome(3, 1)
 
 
-def test_x3c_validation():
+def test_x3c_validation(monkeypatch):
     with pytest.raises(ValueError):
         make_x3c(1, [(0, 1, 2)] * 2)  # occurrences != 3
     with pytest.raises(ValueError):
@@ -60,6 +61,13 @@ def test_x3c_validation():
         make_x3c(1, [(0, 1, 3)] * 3)  # out of range
     with pytest.raises(ValueError):
         X3CInstance(1, ((2, 1, 0),) * 3)  # unsorted storage
+    with pytest.raises(ValueError, match="^need m >= 1$"):
+        X3CInstance(0, ())
+    with pytest.raises(ValueError, match="^need m >= 1$"):
+        random_x3c(0, 5)
+    monkeypatch.setattr("tep.generators.X3C_MAX_TRIES", 0)
+    with pytest.raises(ValueError, match=r"^no valid draw after 0 tries \(m=2, seed=5\)$"):
+        random_x3c(2, 5)
 
 
 def test_core_gadget_preferences():
@@ -159,6 +167,14 @@ def test_random_profiles_deterministic_and_valid():
     # the profile's constructor is the one mode check
     with pytest.raises(ValueError, match="^mode must be 'house' or 'tenant'$"):
         random_predominant_profile(6, "diagonal", 0.4, 22)
+
+
+def test_the_seeded_generator_refuses_an_empty_range():
+    rng = SplitMix64(1)
+    with pytest.raises(ValueError, match=r"^below\(\) needs a positive bound$"):
+        rng.below(0)
+    with pytest.raises(ValueError, match=r"^choice\(\) from an empty sequence$"):
+        rng.choice([])
 
 
 def test_random_x3c_deterministic_and_valid():

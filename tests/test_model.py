@@ -196,6 +196,10 @@ def test_instance_validation_rejects_bad_inputs():
         make_instance(2, [[[Outcome(2, 0)]], []])
     with pytest.raises(ValueError):
         Allocation((0, 0))
+    with pytest.raises(ValueError, match="^need at least one agent$"):
+        Instance(0, (), ())
+    with pytest.raises(ValueError, match="^need one preference list per agent$"):
+        Instance(2, (0, 1), ((frozenset({Outcome(0, 0)}),),))
 
 
 def test_unacceptable_rank_is_shared_bottom():

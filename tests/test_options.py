@@ -13,6 +13,17 @@ The cycle search and Hopcroft-Karp keep their paths on stacks of their
 own, so how long a cycle or an augmenting path they can follow does not
 depend on Python's recursion limit; no function in those modules calls
 itself.
+
+Three more scans keep the library's layers apart:
+- no module calls ``all_allocations``, which visits all n! allocations: the
+  library answers with pruned or polynomial searches, and the walk is kept
+  for the references in ``tests/`` only;
+- no module but ``tep.files`` uses a private name of it, so every text
+  format, candidate and exact-cover files included, is read by its public
+  parsers;
+- no module but ``tep.cycles`` assigns to an attribute ``left``: the tracer
+  counts a search's nodes as initial - left, and the event-log tests spy on
+  ``Budget.tick``, so a budget charged any other way would escape both.
 """
 
 import ast
@@ -33,18 +44,26 @@ def _callee(node: ast.expr) -> str | None:
     return None
 
 
+def _nodes(src: Path, skip: str = ""):
+    """(file name, node) for every syntax-tree node of the modules under
+    ``src`` except the one named ``skip``."""
+    for path in sorted(src.glob("*.py")):
+        if path.name != skip:
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                yield path.name, node
+
+
 def keywords_passed(src: Path = SRC) -> set[tuple[str, str]]:
     """(function name, keyword) for every keyword passed by name in a call
     under ``src``; ``partial(f, kw=...)`` counts as a call of ``f``."""
     passed = set()
-    for path in sorted(src.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            if _callee(func) == "partial" and node.args:
-                func = node.args[0]
-            passed.update((_callee(func), kw.arg) for kw in node.keywords if kw.arg)
+    for _, node in _nodes(src):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if _callee(func) == "partial" and node.args:
+            func = node.args[0]
+        passed.update((_callee(func), kw.arg) for kw in node.keywords if kw.arg)
     return passed
 
 
@@ -80,20 +99,16 @@ def dataclass_fields(src: Path = SRC) -> list[tuple[str, str]]:
     """(class name, field name) for every annotated field of a dataclass
     defined under ``src``."""
     found = []
-    for path in sorted(src.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
-                found.extend((node.name, stmt.target.id) for stmt in node.body
-                             if isinstance(stmt, ast.AnnAssign)
-                             and isinstance(stmt.target, ast.Name))
+    for _, node in _nodes(src):
+        if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+            found.extend((node.name, stmt.target.id) for stmt in node.body
+                         if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name))
     return found
 
 
 def attributes_read(*dirs: Path) -> set[str]:
     """Every name loaded as an attribute (``x.name``) in the files under ``dirs``."""
-    return {node.attr
-            for d in dirs for path in sorted(d.glob("*.py"))
-            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+    return {node.attr for d in dirs for _, node in _nodes(d)
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
 
 
@@ -156,3 +171,73 @@ def test_the_recursion_scan_sees_nested_generators_and_methods(tmp_path):
         "    return f(1)\n"
     )
     assert self_calling_functions(tmp_path / "m.py") == ["f", "walk", "m"]
+
+
+def all_allocations_calls(src: Path = SRC) -> list[str]:
+    """Every call of a function named ``all_allocations``, as file:line."""
+    return [f"{name}:{node.lineno}" for name, node in _nodes(src)
+            if isinstance(node, ast.Call) and _callee(node.func) == "all_allocations"]
+
+
+def private_files_uses(src: Path = SRC) -> list[str]:
+    """Every ``files._name`` and every ``from .files import _name`` outside
+    ``files.py``, as file:line."""
+    found = []
+    for name, node in _nodes(src, skip="files.py"):
+        if isinstance(node, ast.Attribute):
+            private = (node.attr.startswith("_") and isinstance(node.value, ast.Name)
+                       and node.value.id == "files")
+        elif isinstance(node, ast.ImportFrom):
+            private = (node.module or "").rpartition(".")[2] == "files" and any(
+                alias.name.startswith("_") for alias in node.names)
+        else:
+            private = False
+        if private:
+            found.append(f"{name}:{node.lineno}")
+    return found
+
+
+def left_assignments(src: Path = SRC) -> list[str]:
+    """Every assignment to an attribute named ``left`` (plain, augmented,
+    annotated or unpacked) outside ``cycles.py``, as file:line."""
+    return [f"{name}:{node.lineno}" for name, node in _nodes(src, skip="cycles.py")
+            if isinstance(node, ast.Attribute) and node.attr == "left"
+            and isinstance(node.ctx, ast.Store)]
+
+
+def test_the_library_makes_no_n_factorial_walk():
+    assert all_allocations_calls() == []
+
+
+def test_text_formats_are_parsed_only_in_tep_files():
+    assert private_files_uses() == []
+
+
+def test_budgets_are_charged_only_through_budget_tick():
+    assert left_assignments() == []
+
+
+def test_the_layer_scans_see_calls_private_names_and_assignments(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "from .files import parse_instance\n"
+        "from .files import _meaningful_lines\n"
+        "from tep.files import serialize_instance, _syntax\n"
+        "def all_allocations(n):\n"
+        "    return []\n"
+        "walk = all_allocations\n"
+        "axioms.all_allocations(3)\n"
+        "files.parse_x3c(text, 3)\n"
+        "files._FORMATS\n"
+        "left = budget.left - 1\n"
+        "budget.left -= 1\n"
+        "budget.left = 0\n"
+        "budget.left: int = 0\n"
+        "budget.left, x = 0, 1\n"
+        "all_allocations(2)\n"
+    )
+    for other in ("files.py", "cycles.py"):
+        (tmp_path / other).write_text("all_allocations(1)\nfiles._x\nbudget.left -= 1\n")
+    assert all_allocations_calls(tmp_path) == ["cycles.py:1", "files.py:1", "m.py:7", "m.py:15"]
+    assert private_files_uses(tmp_path) == ["cycles.py:2", "m.py:2", "m.py:3", "m.py:9"]
+    assert left_assignments(tmp_path) == ["files.py:3", "m.py:11", "m.py:12", "m.py:13",
+                                          "m.py:14"]

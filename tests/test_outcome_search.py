@@ -126,7 +126,7 @@ class LoggedBudget(Budget):
         self.log = log
 
     def tick(self, nodes=1):
-        self.log += ["tick"] * (nodes if self.left is None else min(nodes, self.left + 1))
+        self.log += ["tick"] * min(nodes, self.left + 1)
         super().tick(nodes)
 
 
@@ -135,7 +135,7 @@ def logged_cycle_checks(monkeypatch):
     """Make both searches log each has_cycle_through call and its answer."""
     real = axioms.has_cycle_through
 
-    def logged(options, pivot, allowed, budget=None):
+    def logged(options, pivot, allowed, budget):
         budget.log.append(("cycle", pivot, tuple(sorted(allowed))))
         found = real(options, pivot, allowed, budget)
         budget.log.append(found)
@@ -241,7 +241,7 @@ def test_every_budget_runs_out_at_the_reference_tick(logged_cycle_checks):
             assert (run(_assignment_search, inst, limits, prune, nodes)
                     == (full[:at[nodes] + 1] + ["exhausted"], -1)), (case, nodes)
         assert run(_assignment_search, inst, limits, prune, len(at)) == (full, 0), case
-        budget = ChargeLog(None, [])
+        budget = ChargeLog(NODES, [])
         assert [a.assignment for a in _assignment_search(inst, limits, prune, budget)] == [
             e for e in full if isinstance(e, tuple) and e[0] != "cycle"], case
         # A budget of b ends inside a charge (not at its last tick) for k - 1

@@ -276,6 +276,6 @@ def test_core_enumeration_checks_each_ir_allocation_once_in_order(monkeypatch):
 
 def test_core_enumeration_passes_its_node_budget_to_each_check():
     inst = sp_instance()
-    assert enumerate_core_stable(inst, node_budget=None) == enumerate_core_stable_reference(inst)
+    assert enumerate_core_stable(inst) == enumerate_core_stable_reference(inst)
     with pytest.raises(BudgetExceededError):
         enumerate_core_stable(inst, node_budget=1)

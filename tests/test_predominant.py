@@ -57,6 +57,10 @@ def test_profile_validation():
                            ((frozenset({0, 1}),), (frozenset({0, 1}),)))
     with pytest.raises(ValueError):
         house_profile([[0, 1], [1, 0]], tiebreak=[[[0]], [[0, 1]]])  # not a partition
+    both = (frozenset({0, 1}),)
+    for primary, tiebreak in ((((0, 1),), (both, both)), (((0, 1), (0, 1)), (both,))):
+        with pytest.raises(ValueError, match="^need one primary order and one tie-break per"):
+            PredominantProfile(2, (0, 1), HOUSE, primary, tiebreak)  # one list short
 
 
 def test_lex_instance_orders_outcomes():

@@ -107,6 +107,7 @@ def test_ilp_single_agent():
     assert program.variables == ("x_0_0_0",)
     assert program.is_feasible({"x_0_0_0": 1})
     assert not program.is_feasible({"x_0_0_0": 0})
+    assert not program.is_feasible({"x_0_0_0": 2})  # not a 0/1 point
 
 
 def test_ilp_feasible_points_biject_with_allocations_n3():
