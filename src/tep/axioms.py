@@ -32,7 +32,10 @@ the candidates passed over are charged in one ``Budget.tick`` before the
 next one is written or when the group runs out: every exit-3 point and
 ``Budget.left`` stay those of one tick per candidate.  A newly fixed
 agent's rank is read from its order's rank dict, and its improvement
-steps are built once per rank and search.
+steps are built once per rank and search.  The search keeps one frame per
+written candidate on a stack of its own, so only the node budget bounds
+how many agents it can reach; :func:`_permutation_search` recurses once
+per agent, up to a ``max_n`` that the CLI caps at ``MAX_N_CEILING``.
 """
 
 from __future__ import annotations
@@ -48,6 +51,9 @@ from .errors import OracleLimitError
 from .model import Allocation, Instance, Market, Outcome, outcome_of
 
 DEFAULT_MAX_N = 8
+# The largest --max-n the CLI accepts: _permutation_search recurses once per
+# agent, and a scan's n³ rank table already takes about 230 MB at n = 300.
+MAX_N_CEILING = 300
 DEFAULT_NODE_BUDGET = 10_000_000
 
 
@@ -328,61 +334,81 @@ def _assignment_search(inst: Instance, rank_limits: list[int],
                     return None
         return added
 
-    def assign(i: int) -> Iterator[Allocation]:
-        while i < n and got[i] >= 0 and ten[i] >= 0:
-            i += 1
-        if i == n:
-            yield Allocation(tuple(got))
-            return
-        gi, ti = got[i], ten[i]
-        if gi < 0 and ti < 0:
-            fits, size = every[i]
-        else:
-            # One fact is fixed: the house if gi is, else the tenant.
-            part, fact = (0, gi) if gi >= 0 else (1, ti)
-            groups = by_fact[part][i]
-            if groups is None:
-                groups = by_fact[part][i] = _fitting_by(listed[i], i, part)
-            fits, size = groups.get(fact, _NO_CANDIDATE)
-        own = endow[i]
-        # Every candidate in the group costs one tick, in order, whether it
-        # fits or not; the ticks up to a candidate are charged just before it
-        # is written, and the rest when the group runs out.
-        charged = 0
-        for p, h, t, o in fits:
-            # The candidate fixes got[i] = h, ten[i] = t, ten[o] = i and
-            # got[t] = own; a clash with a fact already fixed ends it unwritten.
-            if o == i:  # h is i's own house, and i its own tenant
-                tick(p + 1 - charged)
-                charged = p + 1
-                got[i], ten[i] = h, i
-                fixed = [i]
-            else:
-                ten_o, got_t = ten[o], got[t]
-                if (ten_o >= 0 and ten_o != i) or (got_t >= 0 and got_t != own):
-                    continue
-                tick(p + 1 - charged)
-                charged = p + 1
-                got[i], ten[i], ten[o], got[t] = h, t, i, own
-                # Now fixed: i, and o and t unless already determined or
-                # still missing their other fact.
-                fixed = [i]
-                if o not in determined and got[o] >= 0:
-                    fixed.append(o)
-                if t != o and t not in determined and ten[t] >= 0:
-                    fixed.append(t)
-                fixed.sort()
-            added = settle(fixed)
-            if added is not None:
-                yield from assign(i + 1)
+    def walk() -> Iterator[Allocation]:
+        # One frame per written candidate that settled: its agent, the
+        # agent's two facts before the write, the rest of its group, the
+        # ticks charged so far and what the write replaced and settled.  A
+        # leaf and an exhausted group both pop the last frame, undo its write
+        # and go on with the next candidate of its group.
+        stack: list[tuple] = []
+        i, resume = 0, False
+        while True:
+            if resume:
+                if not stack:
+                    return
+                i, gi, ti, cands, size, charged, o, t, ten_o, got_t, added = stack.pop()
                 undo(added)
-            if o != i:
                 ten[o], got[t] = ten_o, got_t
-            got[i], ten[i] = gi, ti
-        if charged < size:
-            tick(size - charged)
+                got[i], ten[i] = gi, ti
+            else:
+                while i < n and got[i] >= 0 and ten[i] >= 0:
+                    i += 1
+                if i == n:
+                    yield Allocation(tuple(got))
+                    resume = True
+                    continue
+                gi, ti = got[i], ten[i]
+                if gi < 0 and ti < 0:
+                    fits, size = every[i]
+                else:
+                    # One fact is fixed: the house if gi is, else the tenant.
+                    part, fact = (0, gi) if gi >= 0 else (1, ti)
+                    groups = by_fact[part][i]
+                    if groups is None:
+                        groups = by_fact[part][i] = _fitting_by(listed[i], i, part)
+                    fits, size = groups.get(fact, _NO_CANDIDATE)
+                cands, charged = iter(fits), 0
+            own = endow[i]
+            resume = True
+            # Every candidate in the group costs one tick, in order, whether
+            # it fits or not; the ticks up to a candidate are charged just
+            # before it is written, and the rest when the group runs out.
+            for p, h, t, o in cands:
+                # The candidate fixes got[i] = h, ten[i] = t, ten[o] = i and
+                # got[t] = own; a clash with a fact already fixed ends it
+                # unwritten.  With o == i, t is i too and nothing can clash.
+                ten_o, got_t = ten[o], got[t]
+                if o == i:  # h is i's own house, and i its own tenant
+                    tick(p + 1 - charged)
+                    charged = p + 1
+                    got[i], ten[i] = h, i
+                    fixed = [i]
+                else:
+                    if (ten_o >= 0 and ten_o != i) or (got_t >= 0 and got_t != own):
+                        continue
+                    tick(p + 1 - charged)
+                    charged = p + 1
+                    got[i], ten[i], ten[o], got[t] = h, t, i, own
+                    # Now fixed: i, and o and t unless already determined or
+                    # still missing their other fact.
+                    fixed = [i]
+                    if o not in determined and got[o] >= 0:
+                        fixed.append(o)
+                    if t != o and t not in determined and ten[t] >= 0:
+                        fixed.append(t)
+                    fixed.sort()
+                added = settle(fixed)
+                if added is not None:
+                    stack.append((i, gi, ti, cands, size, charged, o, t, ten_o, got_t, added))
+                    i, resume = i + 1, False
+                    break
+                ten[o], got[t] = ten_o, got_t
+                got[i], ten[i] = gi, ti
+            else:
+                if charged < size:
+                    tick(size - charged)
 
-    return assign(0)
+    return walk()
 
 
 def enumerate_ir_allocations(inst: Instance, *,

@@ -285,9 +285,17 @@ def _limit(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        raise argparse.ArgumentTypeError(f"invalid int value: {files.quote(text)}") from None
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be 0 or more, got {value}")
+    return value
+
+
+def _max_n(text: str) -> int:
+    """A --max-n value: 0 up to ``axioms.MAX_N_CEILING``."""
+    value = _limit(text)
+    if value > axioms.MAX_N_CEILING:
+        raise argparse.ArgumentTypeError(f"must be {axioms.MAX_N_CEILING} or less, got {value}")
     return value
 
 
@@ -302,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="node budget for backtracking searches")
 
     def max_n(p):  # only the Pareto oracles behind verify and oracle read it
-        p.add_argument("--max-n", type=_limit, default=None,
+        p.add_argument("--max-n", type=_max_n, default=None,
                        help=f"bound for full-scan oracles (default {axioms.DEFAULT_MAX_N})")
 
     p = sub.add_parser("gen", help="write a named or random instance/profile")
@@ -400,11 +408,10 @@ def run(argv: list[str]) -> int:
         print(f"input error: io: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (OracleLimitError, BudgetExceededError) as exc:
+        # A size bound, the node budget or the report cap: the searches keep
+        # their paths on stacks of their own, and the one that recurses runs
+        # only below the --max-n ceiling, so the call stack bounds nothing.
         print(f"budget exceeded: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except RecursionError:  # the outcome backtracking recurses once per agent
-        print("budget exceeded: search deeper than the interpreter's recursion limit "
-              f"({sys.getrecursionlimit()})", file=sys.stderr)
         return EXIT_BUDGET
     except TepError as exc:
         print(f"error: {exc}", file=sys.stderr)

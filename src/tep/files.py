@@ -67,11 +67,19 @@ def _syntax(message: str, lineno: int, column: int | None = None) -> ParseError:
     return ParseError("syntax", message, lineno, column)
 
 
-def _quote(value: str | list[str]) -> str:
+def quote(value: str | list[str]) -> str:
     """``repr(value)``, cut to its first 80 characters and its length when
     longer, so that a refusal never echoes a megabyte line back whole."""
     text = repr(value)
     return text if len(text) <= 80 else f"{text[:80]}... ({len(text)} characters)"
+
+
+def _agent_list(agents: list[int]) -> str:
+    """The agents of a refusal: all of them up to ten, else the first ten
+    and how many there are, so that a refusal stays one short line."""
+    if len(agents) <= 10:
+        return str(agents)
+    return f"{str(agents[:10])[:-1]}, ...] ({len(agents)} agents)"
 
 
 def _parse_int(token: str, lineno: int, what: str) -> int:
@@ -80,7 +88,7 @@ def _parse_int(token: str, lineno: int, what: str) -> int:
             return int(token)
         except ValueError:  # '--5', '²', or more digits than int() converts
             pass
-    raise _syntax(f"expected an integer {what}, got {_quote(token)}", lineno)
+    raise _syntax(f"expected an integer {what}, got {quote(token)}", lineno)
 
 
 def _check_index(value: int, n: int, lineno: int, what: str) -> int:
@@ -269,7 +277,7 @@ def _agent_line(line: str, lineno: int, keyword: str, n: int) -> tuple[int, str]
     parts = head.split()
     if len(parts) != 2 or parts[0] != keyword or not body:
         raise _syntax(f"expected '{keyword} <agent>: {_FORMATS[keyword][1]}', "
-                      f"got {_quote(line)}", lineno)
+                      f"got {quote(line)}", lineno)
     return _check_index(_parse_int(parts[1], lineno, "agent"), n, lineno, "agent"), body
 
 
@@ -286,7 +294,7 @@ def _parse_endow(line: str, n: int, lineno: int) -> tuple[int, ...]:
 def _parse_mode(line: str, n: int, lineno: int) -> str:
     parts = line.split()
     if len(parts) != 2 or parts[1] not in (HOUSE, TENANT):
-        raise _syntax(f"expected 'mode {HOUSE}|{TENANT}', got {_quote(line)}", lineno)
+        raise _syntax(f"expected 'mode {HOUSE}|{TENANT}', got {quote(line)}", lineno)
     return parts[1]
 
 
@@ -311,7 +319,7 @@ def _read_agent_lines(text: str, keyword: str, parse_body, directives: dict | No
         raise _syntax("missing 'agents <n>' line", 1)
     parts = line.split()
     if len(parts) != 2 or parts[0] != "agents":
-        raise _syntax(f"expected 'agents <n>', got {_quote(line)}", lineno)
+        raise _syntax(f"expected 'agents <n>', got {quote(line)}", lineno)
     n = _parse_int(parts[1], lineno, "agent count")
     if n < 1:
         raise _syntax("need at least one agent", lineno)
@@ -332,10 +340,10 @@ def _read_agent_lines(text: str, keyword: str, parse_body, directives: dict | No
                 raise _syntax(f"duplicate {keyword} line for agent {agent}", lineno)
             bodies[agent] = parse_body(body, n, lineno, line, agent)
         else:
-            raise _syntax(f"unknown directive {_quote(word)}", lineno)
+            raise _syntax(f"unknown directive {quote(word)}", lineno)
     missing = [i for i in range(n) if i not in bodies]
     if complete and missing:
-        raise _syntax(f"missing {keyword} line for agents {missing}", 1)
+        raise _syntax(f"missing {keyword} line for agents {_agent_list(missing)}", 1)
     found.setdefault("endow", tuple(range(n)))
     return n, found, [bodies.get(i, []) for i in range(n)]
 
@@ -375,7 +383,7 @@ def parse_allocation(text: str, n: int) -> Allocation:
     for lineno, line in _meaningful_lines(text):
         parts = line.split()
         if len(parts) != 3 or parts[0] != "assign":
-            raise _syntax(f"expected 'assign <agent> <house>', got {_quote(line)}", lineno)
+            raise _syntax(f"expected 'assign <agent> <house>', got {quote(line)}", lineno)
         agent = _check_index(_parse_int(parts[1], lineno, "agent"), n, lineno, "agent")
         house = _check_index(_parse_int(parts[2], lineno, "house"), n, lineno, "house")
         if agent in assignment:
@@ -389,7 +397,7 @@ def parse_allocation(text: str, n: int) -> Allocation:
     # no agent is missing.
     missing = [i for i in range(n) if i not in assignment]
     if missing:
-        raise _syntax(f"missing assignment for agents {missing}", 1)
+        raise _syntax(f"missing assignment for agents {_agent_list(missing)}", 1)
     return Allocation(tuple(assignment[i] for i in range(n)))
 
 
@@ -469,6 +477,6 @@ def parse_x3c(text: str, agents_per_m: int) -> X3CInstance:
     triples = []
     for lineno, r in rows[1:]:
         if len(r) != 3:
-            raise _syntax(f"expected 3 elements per triple, got {_quote(r)}", lineno)
+            raise _syntax(f"expected 3 elements per triple, got {quote(r)}", lineno)
         triples.append(tuple(sorted(_parse_int(x, lineno, "element") for x in r)))
     return _build(X3CInstance, m, tuple(triples))

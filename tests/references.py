@@ -19,8 +19,10 @@ augmenting-path search that ``max_bipartite_matching`` ran before it walked
 an explicit stack.  All are kept as they were, except that
 ``parse_allocation_reference`` refuses a house assigned twice at the line
 of its second assignment, and that the reference reader quotes what it
-refuses through ``tep.files._quote``, which cuts a long quote to a prefix
-and its length, as the reader does.  ``without_linking`` gives the weaker
+refuses through ``tep.files.quote``, which cuts a long quote to a prefix
+and its length, and lists missing agents through ``tep.files._agent_list``,
+which keeps the first ten and their count, as the reader does.
+``without_linking`` gives the weaker
 triple encoding, which the exporter no longer writes, from the linked
 one.
 """
@@ -36,7 +38,7 @@ from tep import all_allocations, is_core_stable, is_individually_rational, outco
 from tep.axioms import _permutation_search
 from tep.cycles import Budget, Options, has_cycle_through
 from tep.errors import BudgetExceededError, ParseError
-from tep.files import _quote
+from tep.files import _agent_list, quote
 from tep.generators import X3CInstance
 from tep.incentives import ManipulationWitness
 from tep.model import Allocation, Instance, Market, Outcome, canonicalize_endowment, make_instance
@@ -290,7 +292,7 @@ def _parse_int(token: str, lineno: int, what: str) -> int:
             return int(token)
         except ValueError:  # '--5', '²', or more digits than int() converts
             pass
-    raise _syntax(f"expected an integer {what}, got {_quote(token)}", lineno)
+    raise _syntax(f"expected an integer {what}, got {quote(token)}", lineno)
 
 
 def _check_index(value: int, n: int, lineno: int, what: str) -> int:
@@ -400,7 +402,7 @@ def _agent_line(line: str, lineno: int, keyword: str, n: int) -> tuple[int, str]
     parts = head.split()
     if len(parts) != 2 or parts[0] != keyword or not body:
         raise _syntax(f"expected '{keyword} <agent>: {_FORMATS[keyword][1]}', "
-                      f"got {_quote(line)}", lineno)
+                      f"got {quote(line)}", lineno)
     return _check_index(_parse_int(parts[1], lineno, "agent"), n, lineno, "agent"), body
 
 
@@ -417,7 +419,7 @@ def _parse_endow(line: str, n: int, lineno: int) -> tuple[int, ...]:
 def _parse_mode(line: str, n: int, lineno: int) -> str:
     parts = line.split()
     if len(parts) != 2 or parts[1] not in (HOUSE, TENANT):
-        raise _syntax(f"expected 'mode {HOUSE}|{TENANT}', got {_quote(line)}", lineno)
+        raise _syntax(f"expected 'mode {HOUSE}|{TENANT}', got {quote(line)}", lineno)
     return parts[1]
 
 
@@ -442,7 +444,7 @@ def _read_agent_lines(text: str, keyword: str, parse_body, directives: dict | No
         raise _syntax("missing 'agents <n>' line", 1)
     parts = line.split()
     if len(parts) != 2 or parts[0] != "agents":
-        raise _syntax(f"expected 'agents <n>', got {_quote(line)}", lineno)
+        raise _syntax(f"expected 'agents <n>', got {quote(line)}", lineno)
     n = _parse_int(parts[1], lineno, "agent count")
     if n < 1:
         raise _syntax("need at least one agent", lineno)
@@ -463,10 +465,10 @@ def _read_agent_lines(text: str, keyword: str, parse_body, directives: dict | No
                 raise _syntax(f"duplicate {keyword} line for agent {agent}", lineno)
             bodies[agent] = parse_body(body, n, lineno, line, agent)
         else:
-            raise _syntax(f"unknown directive {_quote(word)}", lineno)
+            raise _syntax(f"unknown directive {quote(word)}", lineno)
     missing = [i for i in range(n) if i not in bodies]
     if complete and missing:
-        raise _syntax(f"missing {keyword} line for agents {missing}", 1)
+        raise _syntax(f"missing {keyword} line for agents {_agent_list(missing)}", 1)
     found.setdefault("endow", tuple(range(n)))
     return n, found, [bodies.get(i, []) for i in range(n)]
 
@@ -485,7 +487,7 @@ def parse_allocation_reference(text: str, n: int) -> Allocation:
     for lineno, line in _meaningful_lines(text):
         parts = line.split()
         if len(parts) != 3 or parts[0] != "assign":
-            raise _syntax(f"expected 'assign <agent> <house>', got {_quote(line)}", lineno)
+            raise _syntax(f"expected 'assign <agent> <house>', got {quote(line)}", lineno)
         agent = _check_index(_parse_int(parts[1], lineno, "agent"), n, lineno, "agent")
         house = _check_index(_parse_int(parts[2], lineno, "house"), n, lineno, "house")
         if agent in assignment:
@@ -499,7 +501,7 @@ def parse_allocation_reference(text: str, n: int) -> Allocation:
     # no agent is missing.
     missing = [i for i in range(n) if i not in assignment]
     if missing:
-        raise _syntax(f"missing assignment for agents {missing}", 1)
+        raise _syntax(f"missing assignment for agents {_agent_list(missing)}", 1)
     return Allocation(tuple(assignment[i] for i in range(n)))
 
 
@@ -559,7 +561,7 @@ def parse_x3c_reference(text: str, agents_per_m: int) -> X3CInstance:
     triples = []
     for lineno, r in rows[1:]:
         if len(r) != 3:
-            raise _syntax(f"expected 3 elements per triple, got {_quote(r)}", lineno)
+            raise _syntax(f"expected 3 elements per triple, got {quote(r)}", lineno)
         triples.append(tuple(sorted(_parse_int(x, lineno, "element") for x in r)))
     return _build(X3CInstance, m, tuple(triples))
 

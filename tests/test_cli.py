@@ -584,7 +584,9 @@ def _limit_argv(tmp_path, option, value):
 @pytest.mark.parametrize("option", ["--cap", "--node-budget", "--max-n"])
 def test_a_negative_limit_is_bad_input(tmp_path, capsys, option):
     """A negative cap, node budget or scan bound is refused by the argument
-    parser (exit 2); 0 allows no work, so the search exits 3."""
+    parser (exit 2); 0 allows no work, so the search exits 3.  A scan bound
+    above the ceiling is refused too, and a value that is no integer is
+    quoted as the file readers quote a token: at most 80 characters."""
     code, out = invoke(_limit_argv(tmp_path, option, "-1"))
     err = capsys.readouterr().err
     assert (code, out) == (2, "")
@@ -595,6 +597,17 @@ def test_a_negative_limit_is_bad_input(tmp_path, capsys, option):
     code, out = invoke(_limit_argv(tmp_path, option, "x"))
     assert (code, out) == (2, "")
     assert capsys.readouterr().err.endswith(f"error: argument {option}: invalid int value: 'x'\n")
+    code, out = invoke(_limit_argv(tmp_path, option, "x" * 100_000))
+    err = capsys.readouterr().err
+    assert (code, out) == (2, "") and len(err) < 600, err[:600]
+    assert err.endswith(f"error: argument {option}: invalid int value: "
+                        f"'{'x' * 79}... (100002 characters)\n")
+    if option == "--max-n":
+        code, out = invoke(_limit_argv(tmp_path, option, "301"))
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err.endswith(
+            "error: argument --max-n: must be 300 or less, got 301\n")
+        assert invoke(_limit_argv(tmp_path, option, "300"))[0] == 0
 
 
 def test_max_n_is_offered_only_where_it_bounds_a_scan(tmp_path, capsys):
@@ -735,13 +748,62 @@ def test_pra_on_a_chain_longer_than_the_recursion_limit_answers(tmp_path, capsys
 
 
 @pytest.mark.parametrize("enumerate_", ["ir", "core"])
-def test_search_deeper_than_the_recursion_limit_exits_3(tmp_path, capsys, enumerate_):
+def test_search_deeper_than_the_recursion_limit_answers(tmp_path, capsys, enumerate_):
+    """Each of 1,500 agents lists only its own outcome, so the outcome
+    backtracking makes a choice at every agent; it keeps them on its own
+    stack and finds the one allocation."""
     inst = tmp_path / "n1500.tep"
     inst.write_text("tep v1\nagents 1500\n")
     code, out = invoke(["oracle", "--instance", str(inst), "--enumerate", enumerate_])
+    assert capsys.readouterr().err == ""
+    report = parse_report(out)
+    assert code == 0
+    if enumerate_ == "ir":
+        assert report["count"] == "1"
+    assert report["allocation"] == identity_allocation(1500).text()
+
+
+def _under_frames(depth, call):
+    """``call()``, run ``depth`` frames further down the stack."""
+    return call() if depth == 0 else _under_frames(depth - 1, call)
+
+
+def test_an_answer_does_not_depend_on_the_callers_stack(tmp_path, capsys):
+    """The same runs give the same exit codes and bytes at the top of the
+    stack and under 500 more caller frames: no search recurses once per
+    agent, so no recursion limit is a hidden bound."""
+    runs = []
+    for n in (500, 900, 1500):
+        inst = tmp_path / f"n{n}.tep"
+        inst.write_text(f"tep v1\nagents {n}\n")
+        runs += [["oracle", "--instance", str(inst), "--enumerate", e] for e in ("ir", "core")]
+    for argv in runs:
+        top = invoke(argv)
+        assert top[0] == 0, argv
+        assert _under_frames(500, lambda: invoke(argv)) == top, argv
+    assert capsys.readouterr().err == ""
+
+
+def _missing_assignments(tmp_path):
+    """verify argv whose allocation file assigns only agent 0 of 10,000."""
+    inst, alloc = tmp_path / "n10000.tep", tmp_path / "a.alloc"
+    inst.write_text("tep v1\nagents 10000\n")
+    alloc.write_text("assign 0 0\n")
+    return ["verify", "--instance", str(inst), "--allocation", str(alloc), "--check", "ir"]
+
+
+@pytest.mark.parametrize("make_argv,what", [
+    (lambda tmp: _profile_with(tmp, "rtep", "tep v1\nagents 10000\nrpref 0: H [0] ; N [0]\n",
+                               "pra"), "rpref line"),
+    (_missing_assignments, "assignment"),
+], ids=["rpref-lines", "assignments"])
+def test_many_missing_agents_are_refused_with_a_short_message(tmp_path, capsys, make_argv, what):
+    """A refusal lists at most ten missing agents, then how many there are."""
+    code, out = invoke(make_argv(tmp_path))
     err = capsys.readouterr().err
-    assert (code, out) == (3, "")
-    assert err.startswith("budget exceeded: ") and "recursion limit" in err
+    assert (code, out) == (2, "") and len(err) < 300, err[:300]
+    assert err == (f"input error: syntax: missing {what} for agents "
+                   "[1, 2, 3, 4, 5, 6, 7, 8, 9, 10, ...] (9999 agents) (line 1)\n")
 
 
 @pytest.mark.parametrize("suffix,argv", [
