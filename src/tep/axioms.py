@@ -93,6 +93,11 @@ def _permutation_search(inst: Instance, cost: Sequence[Sequence[int]], limits: S
     every leaf yielded before are yielded, and a subtree is cut as soon as
     its fixed costs plus each undetermined agent's least cost reach the
     lowest of these totals.
+
+    ``place`` recurses through its own closure cell, a reference cycle that
+    would keep the cost tables alive until the cyclic collector runs; the
+    cell is cleared when the walk ends or is dropped, so refcounting frees
+    everything (``tep.cli.run`` runs requests with that collector paused).
     """
     n = inst.n
     endow, owner = inst.endowment, inst.owner
@@ -136,7 +141,10 @@ def _permutation_search(inst: Instance, cost: Sequence[Sequence[int]], limits: S
             yield from place(k + 1, a, r)
             taker[h] = -1
 
-    return place(0, 0, sum(low))
+    try:
+        yield from place(0, 0, sum(low))
+    finally:
+        place = None
 
 
 def is_individually_rational(inst: Instance, alloc: Allocation) -> bool:

@@ -5,11 +5,14 @@ run prints a small structured report (stable field order, deterministic for
 fixed inputs and seeds; wall-clock timing only appears under ``--timing``).
 Exit codes: 0 the property holds or an object was found, 1 it fails or none
 exists, 2 bad input, 3 an oracle bound or search budget was exceeded.
+A request runs with Python's cyclic collector paused: it builds many
+short-lived acyclic containers and leaves no cycles, so refcounting frees it.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import sys
 import time
@@ -287,7 +290,7 @@ def _limit(text: str) -> int:
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {files.quote(text)}") from None
     if value < 0:
-        raise argparse.ArgumentTypeError(f"must be 0 or more, got {value}")
+        raise argparse.ArgumentTypeError(f"must be 0 or more, got {files.quote(value)}")
     return value
 
 
@@ -295,7 +298,8 @@ def _max_n(text: str) -> int:
     """A --max-n value: 0 up to ``axioms.MAX_N_CEILING``."""
     value = _limit(text)
     if value > axioms.MAX_N_CEILING:
-        raise argparse.ArgumentTypeError(f"must be {axioms.MAX_N_CEILING} or less, got {value}")
+        raise argparse.ArgumentTypeError(
+            f"must be {axioms.MAX_N_CEILING} or less, got {files.quote(value)}")
     return value
 
 
@@ -399,6 +403,8 @@ def run(argv: list[str]) -> int:
                if k not in ("command", "quiet", "timing") and v is not None}
     report = _Report(args.command, options)
     started = time.monotonic()
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         code = _HANDLERS[args.command](args, report)
     except ParseError as exc:
@@ -416,6 +422,9 @@ def run(argv: list[str]) -> int:
     except TepError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    finally:
+        if collecting:
+            gc.enable()
     elapsed_ms = (time.monotonic() - started) * 1000.0
     sys.stdout.write(report.text(args.quiet, elapsed_ms if args.timing else None))
     return code

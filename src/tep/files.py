@@ -67,9 +67,10 @@ def _syntax(message: str, lineno: int, column: int | None = None) -> ParseError:
     return ParseError("syntax", message, lineno, column)
 
 
-def quote(value: str | list[str]) -> str:
+def quote(value: str | int | list[str]) -> str:
     """``repr(value)``, cut to its first 80 characters and its length when
-    longer, so that a refusal never echoes a megabyte line back whole."""
+    longer, so that a refusal never echoes a megabyte line (or a 4,000-digit
+    integer) back whole."""
     text = repr(value)
     return text if len(text) <= 80 else f"{text[:80]}... ({len(text)} characters)"
 

@@ -586,11 +586,17 @@ def test_a_negative_limit_is_bad_input(tmp_path, capsys, option):
     """A negative cap, node budget or scan bound is refused by the argument
     parser (exit 2); 0 allows no work, so the search exits 3.  A scan bound
     above the ceiling is refused too, and a value that is no integer is
-    quoted as the file readers quote a token: at most 80 characters."""
+    quoted as the file readers quote a token: at most 80 characters, as is
+    an integer out of range."""
     code, out = invoke(_limit_argv(tmp_path, option, "-1"))
     err = capsys.readouterr().err
     assert (code, out) == (2, "")
     assert err.endswith(f"error: argument {option}: must be 0 or more, got -1\n")
+    code, out = invoke(_limit_argv(tmp_path, option, "-" + "1" * 4000))
+    err = capsys.readouterr().err
+    assert (code, out) == (2, "") and len(err) < 600, err[:600]
+    assert err.endswith(f"error: argument {option}: must be 0 or more, "
+                        f"got -{'1' * 79}... (4001 characters)\n")
     code, out = invoke(_limit_argv(tmp_path, option, "0"))
     assert (code, out) == (3, "")
     assert capsys.readouterr().err.startswith("budget exceeded: ")
@@ -607,6 +613,11 @@ def test_a_negative_limit_is_bad_input(tmp_path, capsys, option):
         assert (code, out) == (2, "")
         assert capsys.readouterr().err.endswith(
             "error: argument --max-n: must be 300 or less, got 301\n")
+        code, out = invoke(_limit_argv(tmp_path, option, "9" * 4000))
+        err = capsys.readouterr().err
+        assert (code, out) == (2, "") and len(err) < 600, err[:600]
+        assert err.endswith("error: argument --max-n: must be 300 or less, "
+                            f"got {'9' * 80}... (4000 characters)\n")
         assert invoke(_limit_argv(tmp_path, option, "300"))[0] == 0
 
 

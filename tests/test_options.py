@@ -16,7 +16,7 @@ recursion limit; no function in those modules calls itself, except the
 permutation search of ``tep.axioms``, whose depth the ``--max-n`` ceiling
 bounds.
 
-Three more scans keep the library's layers apart:
+Four more scans keep the library's layers apart:
 - no module calls ``all_allocations``, which visits all n! allocations: the
   library answers with pruned or polynomial searches, and the walk is kept
   for the references in ``tests/`` only;
@@ -25,7 +25,9 @@ Three more scans keep the library's layers apart:
   parsers;
 - no module but ``tep.cycles`` assigns to an attribute ``left``: the tracer
   counts a search's nodes as initial - left, and the event-log tests spy on
-  ``Budget.tick``, so a budget charged any other way would escape both.
+  ``Budget.tick``, so a budget charged any other way would escape both;
+- no module but ``tep.cli`` imports or calls ``gc``: ``cli.run`` pauses the
+  cyclic collector around a request, and that policy lives in one place.
 """
 
 import ast
@@ -211,6 +213,24 @@ def left_assignments(src: Path = SRC) -> list[str]:
             and isinstance(node.ctx, ast.Store)]
 
 
+def gc_uses(src: Path = SRC) -> list[str]:
+    """Every ``import gc``, ``from gc import ...`` and ``gc.<name>`` outside
+    ``cli.py``, as file:line in line order."""
+    found = []
+    for name, node in _nodes(src, skip="cli.py"):
+        if isinstance(node, ast.Import):
+            used = any(alias.name == "gc" for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            used = node.module == "gc"
+        elif isinstance(node, ast.Attribute):
+            used = isinstance(node.value, ast.Name) and node.value.id == "gc"
+        else:
+            used = False
+        if used:
+            found.append((name, node.lineno))
+    return [f"{name}:{line}" for name, line in sorted(found)]
+
+
 def test_the_library_makes_no_n_factorial_walk():
     assert all_allocations_calls() == []
 
@@ -221,6 +241,10 @@ def test_text_formats_are_parsed_only_in_tep_files():
 
 def test_budgets_are_charged_only_through_budget_tick():
     assert left_assignments() == []
+
+
+def test_only_the_cli_touches_the_cyclic_collector():
+    assert gc_uses() == []
 
 
 def test_the_layer_scans_see_calls_private_names_and_assignments(tmp_path):
@@ -247,3 +271,18 @@ def test_the_layer_scans_see_calls_private_names_and_assignments(tmp_path):
     assert private_files_uses(tmp_path) == ["cycles.py:2", "m.py:2", "m.py:3", "m.py:9"]
     assert left_assignments(tmp_path) == ["files.py:3", "m.py:11", "m.py:12", "m.py:13",
                                           "m.py:14"]
+
+
+def test_the_collector_scan_sees_imports_and_calls(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "import gc\n"
+        "import os, gc as collector\n"
+        "from gc import disable\n"
+        "gc.collect()\n"
+        "x = gc.isenabled\n"
+        "import gcd\n"
+        "from . import gc_stats\n"
+        "self.gc.collect\n"
+    )
+    (tmp_path / "cli.py").write_text("import gc\ngc.disable()\n")
+    assert gc_uses(tmp_path) == ["m.py:1", "m.py:2", "m.py:3", "m.py:4", "m.py:5"]

@@ -8,6 +8,7 @@ lexicographic order and compare rank vectors or weights read through
 ``Instance.rank``.
 """
 
+import gc
 import random
 
 import pytest
@@ -279,3 +280,22 @@ def test_core_enumeration_passes_its_node_budget_to_each_check():
     assert enumerate_core_stable(inst) == enumerate_core_stable_reference(inst)
     with pytest.raises(BudgetExceededError):
         enumerate_core_stable(inst, node_budget=1)
+
+
+@pytest.mark.parametrize("leaves", [1, None], ids=["one-leaf-then-dropped", "exhausted"])
+def test_a_search_leaves_no_cyclic_garbage(leaves):
+    """The recursive walk refers to itself through its closure cell; the
+    search clears the cell when the walk ends or is dropped, so refcounting
+    frees the walk and its tables (requests run with the collector paused)."""
+    inst = sp_instance()
+    table, limits = inst.rank_table, [len(order) for order in inst.prefs]
+    gc.disable()
+    try:
+        gc.collect()
+        search = axioms._permutation_search(inst, table, limits)
+        taken = [next(search)] if leaves else list(search)
+        del search
+        garbage = gc.collect()
+    finally:
+        gc.enable()
+    assert len(taken) == (leaves or 24) and garbage == 0
