@@ -1,8 +1,8 @@
 """Exact, desk-scale oracles for allocation axioms.
 
 Everything here is exponential-time by nature (the underlying existence
-questions are NP-hard), so each oracle carries an explicit bound and is
-exact within it.
+questions are NP-hard), so each oracle is exact within a node budget: a
+search that would need more nodes raises ``BudgetExceededError``.
 
 The Pareto oracles and ``programs.solve_exact_max_weight`` share one
 branch and bound over partial assignments (:func:`_permutation_search`):
@@ -16,8 +16,8 @@ it yields exactly the IR allocations, which the IR + Pareto and core
 enumerations take.  The Pareto enumerations keep the leaves whose rank
 vectors form the skyline: the distinct vectors are taken by rank sum, and
 each is tested against the front kept so far with one AND of per-agent
-rank bitmasks, not member by member.  These oracles refuse to run above
-``max_n``, and the IR + Pareto and core enumerations above ``DEFAULT_MAX_N``.
+rank bitmasks, not member by member.  Each internal node of this search
+charges its budget one tick per house its loop looks at, n in all.
 
 The backtracking search over listed outcomes (:func:`_assignment_search`)
 stays a separate engine: it tries listed outcomes in listed order under a
@@ -35,7 +35,8 @@ agent's rank is read from its order's rank dict, and its improvement
 steps are built once per rank and search.  The search keeps one frame per
 written candidate on a stack of its own, so only the node budget bounds
 how many agents it can reach; :func:`_permutation_search` recurses once
-per agent, up to a ``max_n`` that the CLI caps at ``MAX_N_CEILING``.
+per agent, and the CLI refuses n above ``MAX_N_CEILING`` before it builds
+the n³ tables that search reads.
 """
 
 from __future__ import annotations
@@ -47,12 +48,10 @@ from operator import and_
 from typing import Iterator, Sequence
 
 from .cycles import Budget, Options, find_exchange_cycle, has_cycle_through, iter_exchange_cycles
-from .errors import OracleLimitError
-from .model import Allocation, Instance, Market, Outcome, outcome_of
+from .model import Allocation, Instance, Outcome, outcome_of
 
-DEFAULT_MAX_N = 8
-# The largest --max-n the CLI accepts: _permutation_search recurses once per
-# agent, and a scan's n³ rank table already takes about 230 MB at n = 300.
+# The largest n the CLI runs _permutation_search on: it recurses once per
+# agent, and its n³ rank or weight table already takes about 230 MB at n = 300.
 MAX_N_CEILING = 300
 DEFAULT_NODE_BUDGET = 10_000_000
 
@@ -61,11 +60,6 @@ def all_allocations(n: int) -> Iterator[Allocation]:
     """All n! allocations in lexicographic assignment order."""
     for perm in permutations(range(n)):
         yield Allocation(perm)
-
-
-def _check_max_n(market: Market, max_n: int, what: str = "exact scan") -> None:
-    if market.n > max_n:
-        raise OracleLimitError(f"{what} needs n <= {max_n}, got n = {market.n}")
 
 
 def _ir_limits(inst: Instance) -> list[int]:
@@ -79,7 +73,7 @@ def _rank_vector(inst: Instance, alloc: Allocation) -> tuple[int, ...]:
 
 
 def _permutation_search(inst: Instance, cost: Sequence[Sequence[int]], limits: Sequence[int],
-                        bound: float | None = None
+                        node_budget: int, bound: float | None = None
                         ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Depth-first search over partial assignments, yielding (assignment,
     per-agent costs) leaves in lexicographic assignment order.
@@ -92,7 +86,9 @@ def _permutation_search(inst: Instance, cost: Sequence[Sequence[int]], limits: S
     With it, only leaves whose total is strictly below ``bound`` and below
     every leaf yielded before are yielded, and a subtree is cut as soon as
     its fixed costs plus each undetermined agent's least cost reach the
-    lowest of these totals.
+    lowest of these totals.  Each internal node charges ``node_budget`` one
+    tick per house its loop looks at, n at once, whether the house is free
+    and fits or not.
 
     ``place`` recurses through its own closure cell, a reference cycle that
     would keep the cost tables alive until the cyclic collector runs; the
@@ -106,6 +102,7 @@ def _permutation_search(inst: Instance, cost: Sequence[Sequence[int]], limits: S
     taker = [-1] * n  # agent that took each house
     val = [0] * n     # cost of each agent's fixed outcome
     best = bound
+    tick = Budget(node_budget).tick
 
     def place(k: int, acc, rest) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
         nonlocal best
@@ -114,6 +111,7 @@ def _permutation_search(inst: Instance, cost: Sequence[Sequence[int]], limits: S
                 best = acc
             yield tuple(got), tuple(val)
             return
+        tick(n)
         row, limit, own = cost[k], limits[k], endow[k]
         for h in range(n):
             if taker[h] >= 0:
@@ -167,26 +165,24 @@ def pareto_dominates(inst: Instance, q: Allocation, p: Allocation) -> bool:
 
 
 def is_pareto_optimal(inst: Instance, alloc: Allocation, *,
-                      max_n: int = DEFAULT_MAX_N) -> bool:
+                      node_budget: int = DEFAULT_NODE_BUDGET) -> bool:
     """No other allocation weakly improves every agent and strictly one.
 
     Searches the allocations ranked at most p's rank vector for one with a
     smaller rank sum; one with the same sum would have p's rank vector.
     """
-    _check_max_n(inst, max_n)
     p_ranks = _rank_vector(inst, alloc)
-    leaves = _permutation_search(inst, inst.rank_table, p_ranks, sum(p_ranks))
+    leaves = _permutation_search(inst, inst.rank_table, p_ranks, node_budget, sum(p_ranks))
     return next(leaves, None) is None
 
 
 def is_weakly_pareto_optimal(inst: Instance, alloc: Allocation, *,
-                             max_n: int = DEFAULT_MAX_N) -> bool:
+                             node_budget: int = DEFAULT_NODE_BUDGET) -> bool:
     """No other allocation strictly improves every agent at once."""
-    _check_max_n(inst, max_n)
     limits = [r - 1 for r in _rank_vector(inst, alloc)]
     if min(limits) < 0:  # an agent at rank 0 cannot improve
         return True
-    return next(_permutation_search(inst, inst.rank_table, limits), None) is None
+    return next(_permutation_search(inst, inst.rank_table, limits, node_budget), None) is None
 
 
 @dataclass(frozen=True)
@@ -450,9 +446,9 @@ def find_top_allocation(inst: Instance) -> Allocation | None:
     return next(_assignment_search(inst, limits, False, budget), None)
 
 
-def _pareto_front(inst: Instance, limits: Sequence[int]) -> list[Allocation]:
+def _pareto_front(inst: Instance, limits: Sequence[int], node_budget: int) -> list[Allocation]:
     """The allocations within ``limits`` that none of them dominates, lexicographically."""
-    leaves = list(_permutation_search(inst, inst.rank_table, limits))
+    leaves = list(_permutation_search(inst, inst.rank_table, limits, node_budget))
     # Skyline of the distinct rank vectors: taken by rank sum, a vector is
     # dominated iff an undominated vector of smaller sum lies below it.  Bit j
     # of masks[i][r] is set when front member j ranks agent i at r or better,
@@ -469,24 +465,23 @@ def _pareto_front(inst: Instance, limits: Sequence[int]) -> list[Allocation]:
 
 
 def enumerate_pareto_optimal(inst: Instance, *,
-                             max_n: int = DEFAULT_MAX_N) -> list[Allocation]:
+                             node_budget: int = DEFAULT_NODE_BUDGET) -> list[Allocation]:
     """All Pareto-optimal allocations, in lexicographic assignment order."""
-    _check_max_n(inst, max_n)
-    return _pareto_front(inst, [len(c) for c in inst.prefs])
+    return _pareto_front(inst, [len(c) for c in inst.prefs], node_budget)
 
 
-def enumerate_ir_pareto_optimal(inst: Instance) -> list[Allocation]:
+def enumerate_ir_pareto_optimal(inst: Instance, *,
+                                node_budget: int = DEFAULT_NODE_BUDGET) -> list[Allocation]:
     """The IR Pareto-optimal allocations, in lexicographic assignment order:
     the front of the IR allocations, since what dominates an IR one is IR."""
-    _check_max_n(inst, DEFAULT_MAX_N)
-    return _pareto_front(inst, _ir_limits(inst))
+    return _pareto_front(inst, _ir_limits(inst), node_budget)
 
 
 def enumerate_core_stable(inst: Instance, *,
                           node_budget: int = DEFAULT_NODE_BUDGET) -> list[Allocation]:
     """The core-stable allocations, in lexicographic assignment order.  They
-    are IR, so only IR ones are checked, each under its own node budget."""
-    _check_max_n(inst, DEFAULT_MAX_N)
-    leaves = _permutation_search(inst, inst.rank_table, _ir_limits(inst))
+    are IR, so only IR ones are checked; the search for them and each check
+    run under a node budget of their own."""
+    leaves = _permutation_search(inst, inst.rank_table, _ir_limits(inst), node_budget)
     return [a for a in (Allocation(assignment) for assignment, _ in leaves)
             if is_core_stable(inst, a, node_budget=node_budget)]

@@ -4,7 +4,8 @@ Subcommands: gen, solve, verify, oracle, export, manipulate, prove.  Every
 run prints a small structured report (stable field order, deterministic for
 fixed inputs and seeds; wall-clock timing only appears under ``--timing``).
 Exit codes: 0 the property holds or an object was found, 1 it fails or none
-exists, 2 bad input, 3 an oracle bound or search budget was exceeded.
+exists, 2 bad input, 3 a size bound, the node budget or the report cap was
+exceeded.
 A request runs with Python's cyclic collector paused: it builds many
 short-lived acyclic containers and leaves no cycles, so refcounting frees it.
 """
@@ -91,8 +92,14 @@ def _write(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _oracle_max_n(args) -> int:
-    return axioms.DEFAULT_MAX_N if args.max_n is None else args.max_n
+def _check_size(inst, bound: int = axioms.MAX_N_CEILING,
+                what: str = "permutation search") -> None:
+    """Refuse an instance above ``bound`` agents before any of its n³ tables
+    is built.  The default is the ceiling of the permutation search, whose
+    rank or weight table and recursion depth grow with n; its node budget
+    bounds its time."""
+    if inst.n > bound:
+        raise OracleLimitError(f"{what} needs n <= {bound}, got n = {inst.n}")
 
 
 def _cmd_gen(args, report: _Report) -> int:
@@ -130,10 +137,10 @@ def _cmd_gen(args, report: _Report) -> int:
     return EXIT_OK
 
 
-def _solve_exact(inst, weights: str):
-    # The bound first: the weight table has n³ entries.
-    axioms._check_max_n(inst, programs.DEFAULT_EXACT_MAX_N, programs.EXACT_OPTIMIZER)
-    return programs.solve_exact_max_weight(inst, programs.weights_from_ranks(inst, weights))
+def _solve_exact(inst, weights: str, node_budget: int):
+    _check_size(inst)
+    return programs.solve_exact_max_weight(inst, programs.weights_from_ranks(inst, weights),
+                                           node_budget=node_budget)
 
 
 def _predominant(text: str, method: str):
@@ -159,7 +166,7 @@ def _cmd_solve(args, report: _Report) -> int:
         report.add("allocation", result.allocation.text())
         report.add("rs-aa-calls", result.rs_aa_calls)
     else:
-        alloc, value = _solve_exact(files.parse_instance(text), args.weights)
+        alloc, value = _solve_exact(files.parse_instance(text), args.weights, args.node_budget)
         report.add("allocation", alloc.text())
         report.add("value", value)
     return EXIT_OK
@@ -168,13 +175,14 @@ def _cmd_solve(args, report: _Report) -> int:
 def _cmd_verify(args, report: _Report) -> int:
     inst = files.parse_instance(_read(args.instance, report))
     alloc = files.parse_allocation(_read(args.allocation, report, "allocation"), inst.n)
-    max_n = _oracle_max_n(args)
     if args.check == "ir":
         holds = axioms.is_individually_rational(inst, alloc)
     elif args.check == "po":
-        holds = axioms.is_pareto_optimal(inst, alloc, max_n=max_n)
+        _check_size(inst)
+        holds = axioms.is_pareto_optimal(inst, alloc, node_budget=args.node_budget)
     elif args.check == "wpo":
-        holds = axioms.is_weakly_pareto_optimal(inst, alloc, max_n=max_n)
+        _check_size(inst)
+        holds = axioms.is_weakly_pareto_optimal(inst, alloc, node_budget=args.node_budget)
     else:
         holds = axioms.is_core_stable(inst, alloc, node_budget=args.node_budget)
     report.add("check", args.check)
@@ -188,7 +196,8 @@ def _cmd_oracle(args, report: _Report) -> int:
     if args.enumerate == "ir":
         allocs = axioms.enumerate_ir_allocations(inst, node_budget=args.node_budget)
     elif args.enumerate == "po":
-        allocs = axioms.enumerate_pareto_optimal(inst, max_n=_oracle_max_n(args))
+        _check_size(inst)
+        allocs = axioms.enumerate_pareto_optimal(inst, node_budget=args.node_budget)
     else:
         found = axioms.core_exists(inst, node_budget=args.node_budget)
         if found is None:
@@ -205,7 +214,7 @@ def _cmd_oracle(args, report: _Report) -> int:
 def _cmd_export(args, report: _Report) -> int:
     inst = files.parse_instance(_read(args.instance, report))
     # The bound first: the weight table has n³ entries and the program n³ terms.
-    axioms._check_max_n(inst, programs.EXPORT_MAX_N, "export")
+    _check_size(inst, programs.EXPORT_MAX_N, "export")
     table = programs.weights_from_ranks(inst, args.weights)
     program = (programs.export_ilp(inst, table) if args.form == "ilp"
                else programs.export_qp(inst, table))
@@ -237,7 +246,7 @@ def _cmd_manipulate(args, report: _Report) -> int:
         fmt = lambda rep: f"H {files.format_classes(rep[0])} ; N {files.format_classes(rep[1])}"
     else:
         truth = files.parse_instance(text)
-        mechanism = lambda inst: _solve_exact(inst, args.weights)[0]
+        mechanism = lambda inst: _solve_exact(inst, args.weights, args.node_budget)[0]
         space, hint = "subsets", "instance mechanisms support --space subsets or file:"
         built_in = lambda: incentives.sublist_reports(truth, agent)
         keyword = "pref"
@@ -267,7 +276,7 @@ def _cmd_prove(args, report: _Report) -> int:
     which = args.which
     try:
         if which == "sp":
-            proof = incentives.verify_sp_impossibility_tree()
+            proof = incentives.verify_sp_impossibility_tree(node_budget=args.node_budget)
         else:
             proof = incentives.verify_core_consistency_impossibility(node_budget=args.node_budget)
     except ProofError as exc:
@@ -283,23 +292,14 @@ def _cmd_prove(args, report: _Report) -> int:
 
 
 def _limit(text: str) -> int:
-    """A --cap, --node-budget or --max-n value: 0 or more (0 allows no
-    work, so any search that needs some exits 3)."""
+    """A --cap or --node-budget value: 0 or more (0 allows no work, so any
+    search that needs some exits 3)."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {files.quote(text)}") from None
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be 0 or more, got {files.quote(value)}")
-    return value
-
-
-def _max_n(text: str) -> int:
-    """A --max-n value: 0 up to ``axioms.MAX_N_CEILING``."""
-    value = _limit(text)
-    if value > axioms.MAX_N_CEILING:
-        raise argparse.ArgumentTypeError(
-            f"must be {axioms.MAX_N_CEILING} or less, got {files.quote(value)}")
     return value
 
 
@@ -311,11 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--quiet", action="store_true", help="print only the payload")
         p.add_argument("--timing", action="store_true", help="append a wall-clock line")
         p.add_argument("--node-budget", type=_limit, default=axioms.DEFAULT_NODE_BUDGET,
-                       help="node budget for backtracking searches")
-
-    def max_n(p):  # only the Pareto oracles behind verify and oracle read it
-        p.add_argument("--max-n", type=_max_n, default=None,
-                       help=f"bound for full-scan oracles (default {axioms.DEFAULT_MAX_N})")
+                       help="node budget for the exact searches")
 
     p = sub.add_parser("gen", help="write a named or random instance/profile")
     p.add_argument("--family", required=True,
@@ -343,13 +339,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instance", required=True)
     p.add_argument("--allocation", required=True)
     p.add_argument("--check", required=True, choices=["ir", "po", "wpo", "core"])
-    max_n(p)
     common(p)
 
     p = sub.add_parser("oracle", help="enumerate IR/PO allocations or search the core")
     p.add_argument("--instance", required=True)
     p.add_argument("--enumerate", required=True, choices=["ir", "po", "core"])
-    max_n(p)
     common(p)
 
     p = sub.add_parser("export", help="write an LP-style 0/1 program")
@@ -416,7 +410,7 @@ def run(argv: list[str]) -> int:
     except (OracleLimitError, BudgetExceededError) as exc:
         # A size bound, the node budget or the report cap: the searches keep
         # their paths on stacks of their own, and the one that recurses runs
-        # only below the --max-n ceiling, so the call stack bounds nothing.
+        # only up to MAX_N_CEILING agents, so the call stack bounds nothing.
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except TepError as exc:

@@ -179,38 +179,40 @@ def _branch(oracle: Callable, market: Instance, agent: int, report: list[list[Ou
     return sub
 
 
-def verify_sp_impossibility_tree() -> ProofReport:
+def verify_sp_impossibility_tree(*, node_budget: int = DEFAULT_NODE_BUDGET) -> ProofReport:
     """Exhaust every choice an individually rational, Pareto-optimal
     mechanism could make on the witness market and close each branch with a
-    profitable misreport.
+    profitable misreport.  Every IR + Pareto enumeration runs under its own
+    ``node_budget``.
 
     One branch goes beyond the published analysis: after agent 2's
     truncation the sub-instance has a second IR + Pareto-optimal allocation
     (the {0,3} swap), which the published argument overlooks; that branch
     closes via a further truncation by agent 0.  The report flags it.
     """
+    ir_po = partial(enumerate_ir_pareto_optimal, node_budget=node_budget)
     inst = sp_instance()
     lines: list[str] = []
 
-    root = set(enumerate_ir_pareto_optimal(inst))
+    root = set(ir_po(inst))
     _require(root == {_P, _Q}, f"root IR+PO set is {sorted(a.text() for a in root)}")
     lines.append(f"root: IR+PO choices are [{_P.text()}] and [{_Q.text()}]")
 
     # Choice Q: agent 2 truncates.
     extra = Allocation((3, 1, 2, 0))
-    inst2 = _branch(enumerate_ir_pareto_optimal, inst, 2, _REPORT_2, {_B, extra}, _B, _Q)
+    inst2 = _branch(ir_po, inst, 2, _REPORT_2, {_B, extra}, _B, _Q)
     lines.append(f"choice [{_Q.text()}]: agent 2 truncates; choice [{_B.text()}] improves 2: closed")
     lines.append(f"choice [{_Q.text()}]: sub-instance has 2 IR+PO allocations, published analysis expects 1")
     _require(compare(inst, 2, outcome_of(inst, extra, 2), outcome_of(inst, _Q, 2)) <= 0,
              "the overlooked allocation should not help agent 2")
     # Repair: in the truncated instance, agent 0 profits by truncating too.
-    _branch(enumerate_ir_pareto_optimal, inst2, 0, _REPORT_0, {_B}, _B, extra)
+    _branch(ir_po, inst2, 0, _REPORT_0, {_B}, _B, extra)
     lines.append(f"choice [{_Q.text()}] -> [{extra.text()}]: agent 0 truncates; unique choice [{_B.text()}] improves 0: closed")
 
     # Choice P: agent 1 truncates.
-    inst1 = _branch(enumerate_ir_pareto_optimal, inst, 1, _REPORT_1, {_Q, _S}, _Q, _P)
+    inst1 = _branch(ir_po, inst, 1, _REPORT_1, {_Q, _S}, _Q, _P)
     lines.append(f"choice [{_P.text()}]: agent 1 truncates; choice [{_Q.text()}] improves 1: closed")
-    _branch(enumerate_ir_pareto_optimal, inst1, 3, _REPORT_3, {_Q}, _Q, _S)
+    _branch(ir_po, inst1, 3, _REPORT_3, {_Q}, _Q, _S)
     lines.append(f"choice [{_P.text()}] -> [{_S.text()}]: agent 3 truncates; unique choice [{_Q.text()}] improves 3: closed")
 
     lines.append("all branches closed: no IR + Pareto-optimal mechanism is strategyproof here")
@@ -221,8 +223,9 @@ def verify_core_consistency_impossibility(*, node_budget: int = DEFAULT_NODE_BUD
                                           ) -> ProofReport:
     """Same branch structure with core-stable sets at every node: a
     core-consistent mechanism must pick a core-stable allocation whenever
-    one exists, and each pick opens a profitable misreport.  Every
-    core-stability check runs under its own ``node_budget``."""
+    one exists, and each pick opens a profitable misreport.  Every core
+    enumeration, and each core-stability check in it, runs under its own
+    ``node_budget``."""
     core = partial(enumerate_core_stable, node_budget=node_budget)
     inst = sp_instance()
     lines: list[str] = []

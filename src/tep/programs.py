@@ -24,18 +24,16 @@ from operator import add, itemgetter
 from typing import Mapping
 
 # all_allocations is unused here but stays a module attribute: perfbench/tracer.py wraps it.
-from .axioms import _check_max_n, _permutation_search, all_allocations  # noqa: F401
+from .axioms import DEFAULT_NODE_BUDGET, _permutation_search, all_allocations  # noqa: F401
 from .model import Allocation, Instance, outcome_of
 
 BORDA = "borda"
 EXPONENTIAL = "exponential"
 WEIGHT_SCHEMES = (BORDA, EXPONENTIAL)
 
-DEFAULT_EXACT_MAX_N = 9
 # The CLI refuses to export above this: the weight table and the program grow
 # as n³ (n = 50 writes about 11 MB).
 EXPORT_MAX_N = 50
-EXACT_OPTIMIZER = "exact optimizer"  # how the refusal above DEFAULT_EXACT_MAX_N names it
 
 
 @dataclass(frozen=True)
@@ -244,19 +242,24 @@ def qp_point(inst: Instance, alloc: Allocation) -> dict[str, int]:
     return point
 
 
-def solve_exact_max_weight(inst: Instance, table: WeightTable) -> tuple[Allocation, int]:
+def solve_exact_max_weight(inst: Instance, table: WeightTable, *,
+                           node_budget: int = DEFAULT_NODE_BUDGET) -> tuple[Allocation, int]:
     """Argmax of total weight over all allocations, returning the
     lexicographically smallest assignment among ties.
 
-    Branch and bound over partial assignments in lexicographic order: a
-    subtree is cut unless its fixed weights plus each undetermined agent's
-    best weight strictly beat the best allocation found so far, so a later
-    allocation of equal weight never replaces an earlier one.
+    Branch and bound over partial assignments in lexicographic order, under
+    ``node_budget``: a subtree is cut unless its fixed weights plus each
+    undetermined agent's best weight strictly beat the best allocation found
+    so far, so a later allocation of equal weight never replaces an earlier
+    one.
     """
-    _check_max_n(inst, DEFAULT_EXACT_MAX_N, EXACT_OPTIMIZER)
     size = inst.n * inst.n
-    cost = [[-w for w in table.weights[i * size:(i + 1) * size]] for i in range(inst.n)]
+    # One negated int per distinct weight, shared by every entry that has it:
+    # the n³ costs would otherwise each be a new object.
+    negated = {w: -w for w in set(table.weights)}
+    cost = [list(map(negated.__getitem__, table.weights[i * size:(i + 1) * size]))
+            for i in range(inst.n)]
     limits = [max(row) for row in cost]
-    *_, (assignment, costs) = _permutation_search(inst, cost, limits, math.inf)
+    *_, (assignment, costs) = _permutation_search(inst, cost, limits, node_budget, math.inf)
     return Allocation(assignment), -sum(costs)
 

@@ -22,6 +22,10 @@ of its second assignment, and that the reference reader quotes what it
 refuses through ``tep.files.quote``, which cuts a long quote to a prefix
 and its length, and lists missing agents through ``tep.files._agent_list``,
 which keeps the first ten and their count, as the reader does.
+``permutation_search_reference`` is ``axioms._permutation_search`` with
+no budget, recomputing every fixed cost of a partial assignment from
+scratch at each step; it logs the n ticks each internal node charges
+between the leaves, so a budgeted run can be checked tick by tick.
 ``without_linking`` gives the weaker
 triple encoding, which the exporter no longer writes, from the linked
 one.
@@ -35,7 +39,7 @@ from dataclasses import replace
 from typing import Iterator
 
 from tep import all_allocations, is_core_stable, is_individually_rational, outcome_of
-from tep.axioms import _permutation_search
+from tep.axioms import DEFAULT_NODE_BUDGET, _permutation_search
 from tep.cycles import Budget, Options, has_cycle_through
 from tep.errors import BudgetExceededError, ParseError
 from tep.files import _agent_list, quote
@@ -117,13 +121,57 @@ def pareto_front_reference(inst, limits):
     """``axioms._pareto_front`` with the pairwise skyline it had before the
     rank masks: the same walk, each rank vector taken by rank sum and
     compared with every undominated vector kept before it."""
-    leaves = list(_permutation_search(inst, inst.rank_table, limits))
+    leaves = list(_permutation_search(inst, inst.rank_table, limits, DEFAULT_NODE_BUDGET))
     front: list[tuple[int, ...]] = []
     for vec in sorted(set(ranks for _, ranks in leaves), key=sum):
         if not any(all(a <= b for a, b in zip(u, vec)) for u in front):
             front.append(vec)
     optimal = set(front)
     return [Allocation(assignment) for assignment, ranks in leaves if ranks in optimal]
+
+
+def permutation_search_reference(inst: Instance, cost, limits, bound=None) -> list:
+    """The events of ``axioms._permutation_search`` run without a budget, in
+    order: an int for the ticks an internal node charges (n, one per house
+    its loop looks at) and an (assignment, per-agent costs) pair per leaf.
+
+    An agent's cost is fixed once it holds a house and its own house has a
+    receiver.  A child is cut when a fixed cost exceeds its agent's limit,
+    or, with ``bound``, when its fixed costs plus every other agent's least
+    cost reach the total of the last leaf (``bound`` before the first).
+    """
+    n = inst.n
+    low = [min(row) for row in cost]
+    events: list = []
+    best = bound
+
+    def fixed(got: list[int]) -> list[int | None]:
+        taker = {h: a for a, h in enumerate(got)}
+        return [cost[a][got[a] * n + taker[inst.endowment[a]]]
+                if a < len(got) and inst.endowment[a] in taker else None for a in range(n)]
+
+    def visit(got: list[int]) -> None:
+        nonlocal best
+        if len(got) == n:
+            costs = tuple(fixed(got))
+            events.append((tuple(got), costs))
+            if best is not None:
+                best = sum(costs)
+            return
+        events.append(n)
+        for h in range(n):
+            if h in got:
+                continue
+            costs = fixed(got + [h])
+            if any(c is not None and c > limit for c, limit in zip(costs, limits)):
+                continue
+            if best is not None and sum(low[a] if c is None else c
+                                        for a, c in enumerate(costs)) >= best:
+                continue
+            visit(got + [h])
+
+    visit([])
+    return events
 
 
 def enumerate_core_stable_reference(inst):

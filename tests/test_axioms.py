@@ -9,7 +9,6 @@ from tep import (
     BlockingWitness,
     BudgetExceededError,
     Outcome,
-    OracleLimitError,
     all_allocations,
     core_exists,
     enumerate_core_stable,
@@ -132,18 +131,33 @@ def test_ring_identity_is_not_po():
 
 
 def test_po_bound_is_enforced():
+    """The node budget bounds the Pareto check: the 15-agent gadget answers
+    within the default budget, and a budget of 0 stops it at its root."""
     inst = x3c_core_instance(make_x3c(1, [(0, 1, 2)] * 3))
-    with pytest.raises(OracleLimitError):
-        is_pareto_optimal(inst, identity_allocation(inst.n))
+    assert not is_pareto_optimal(inst, identity_allocation(inst.n))
+    with pytest.raises(BudgetExceededError):
+        is_pareto_optimal(inst, identity_allocation(inst.n), node_budget=0)
 
 
 @pytest.mark.parametrize("enumerate_", [enumerate_ir_pareto_optimal, enumerate_core_stable,
                                         first_ir_pareto_mechanism()],
                          ids=["ir-pareto", "core", "first-ir-pareto-mechanism"])
-def test_ir_pareto_and_core_enumerations_refuse_n_above_8(enumerate_):
-    """These take no max_n: their bound is the fixed DEFAULT_MAX_N."""
-    with pytest.raises(OracleLimitError, match="needs n <= 8, got n = 9"):
-        enumerate_(make_instance(9, [[] for _ in range(9)]))
+def test_ir_pareto_and_core_enumerations_answer_above_n_8(enumerate_):
+    """No agent count bounds these: at n = 9 the identity is the one IR
+    allocation, found within the default node budget."""
+    found = enumerate_(unique_top_instance(9))
+    assert found in ([identity_allocation(9)], identity_allocation(9))
+
+
+@pytest.mark.parametrize("enumerate_", [enumerate_ir_pareto_optimal, enumerate_core_stable],
+                         ids=["ir-pareto", "core"])
+def test_ir_pareto_and_core_enumerations_run_under_the_node_budget(enumerate_):
+    """The search for the IR allocations charges n ticks at each internal
+    node: at n = 9 it needs 14,337 in all, and one fewer stops it."""
+    inst = unique_top_instance(9)
+    with pytest.raises(BudgetExceededError):
+        enumerate_(inst, node_budget=14_336)
+    assert enumerate_(inst, node_budget=14_337) == [identity_allocation(9)]
 
 
 def test_po_implies_weak_po():

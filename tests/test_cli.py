@@ -12,12 +12,12 @@ from pathlib import Path
 import pytest
 
 import tep
-from tep import programs
+from tep import cli, programs
 from tep.cli import parse_report, run
 from tep.files import (parse_instance, parse_responsive_profile, serialize_allocation,
                        serialize_instance, serialize_predominant_profile)
 from tep.generators import sp_instance
-from tep.model import Outcome, identity_allocation, make_instance
+from tep.model import Allocation, Outcome, identity_allocation, make_instance
 
 
 def invoke(argv):
@@ -133,14 +133,15 @@ def test_prove_subcommands(tmp_path):
 
 
 def test_prove_core_consistency_runs_under_the_node_budget(capsys):
-    """Each core-stability check of the replay gets --node-budget; 20 nodes
-    are enough for every one of them.  The sp replay runs no budgeted search."""
-    for budget in ("0", "1", "5"):
-        code, out = invoke(["prove", "--which", "core-consistency", "--node-budget", budget])
-        assert (code, out) == (3, ""), budget
-        assert capsys.readouterr().err == "budget exceeded: search node budget exhausted\n"
-    for which, budget in (("core-consistency", "20"), ("sp", "0")):
-        code, out = invoke(["prove", "--which", which, "--node-budget", budget])
+    """Each enumeration of either replay, and each core-stability check in
+    the core-consistency one, gets --node-budget; the largest search for
+    the IR allocations needs 108 nodes, more than any core check."""
+    for which in ("sp", "core-consistency"):
+        for budget in ("0", "1", "5", "107"):
+            code, out = invoke(["prove", "--which", which, "--node-budget", budget])
+            assert (code, out) == (3, ""), (which, budget)
+            assert capsys.readouterr().err == "budget exceeded: search node budget exhausted\n"
+        code, out = invoke(["prove", "--which", which, "--node-budget", "108"])
         assert code == 0, which
         assert parse_report(out)["closed"] == "true"
 
@@ -264,11 +265,11 @@ def test_exit_codes_for_bad_inputs(tmp_path, ring_file):
     assert code == 2
     code, _ = invoke(["nonsense"])
     assert code == 2
-    # oracle bound exceeded: --max-n forces a tiny scan limit
+    # search budget exceeded: a node budget of 0 stops the Pareto check at once
     alloc_path = tmp_path / "id.alloc"
     alloc_path.write_text(serialize_allocation(identity_allocation(5)))
     code, _ = invoke(["verify", "--instance", str(ring_file),
-                      "--allocation", str(alloc_path), "--check", "po", "--max-n", "2"])
+                      "--allocation", str(alloc_path), "--check", "po", "--node-budget", "0"])
     assert code == 3
 
 
@@ -542,13 +543,19 @@ def test_an_x3c_gadget_above_the_agent_limit_is_refused_at_once(tmp_path, capsys
 
 
 def _unlisted_instance_argv(tmp_path, n, command):
+    """An argv whose instance lists only each agent's own outcome.  The wpo
+    check gets the rotation, under which every agent could improve (at the
+    identity it would need no search), the po check the identity."""
     inst = tmp_path / f"n{n}.tep"
-    inst.write_text(serialize_instance(make_instance(n, [[] for _ in range(n)])))
+    inst.write_text(f"tep v1\nagents {n}\n")
     alloc = tmp_path / f"id{n}.alloc"
     alloc.write_text(serialize_allocation(identity_allocation(n)))
+    rotation = tmp_path / f"rot{n}.alloc"
+    rotation.write_text(serialize_allocation(Allocation(tuple((i + 1) % n for i in range(n)))))
     return {
         "po": ["verify", "--instance", str(inst), "--allocation", str(alloc), "--check", "po"],
-        "wpo": ["verify", "--instance", str(inst), "--allocation", str(alloc), "--check", "wpo"],
+        "wpo": ["verify", "--instance", str(inst), "--allocation", str(rotation),
+                "--check", "wpo"],
         "enumerate-po": ["oracle", "--instance", str(inst), "--enumerate", "po"],
         "exact": ["solve", "--instance", str(inst), "--method", "exact"],
     }[command]
@@ -556,19 +563,27 @@ def _unlisted_instance_argv(tmp_path, n, command):
 
 @pytest.mark.parametrize("command,n", [("po", 9), ("wpo", 9), ("enumerate-po", 9), ("exact", 10)])
 def test_default_oracle_bounds_exit_3(tmp_path, capsys, command, n):
-    """The pruned searches still refuse instances above the default bounds
-    (max_n 8 for the Pareto oracles, 9 for the exact optimizer)."""
-    code, out = invoke(_unlisted_instance_argv(tmp_path, n, command))
-    err = capsys.readouterr().err
-    assert code == 3
-    assert out == ""
-    assert err.startswith("budget exceeded: ")
+    """The node budget and the ceiling are the bounds of these searches, not
+    an agent count: past the sizes they used to refuse (n = 9 for the Pareto
+    oracles, 10 for the exact optimizer) a budget too small exits 3, and so
+    does n above MAX_N_CEILING at the default budget, before any n³ table is
+    built.  The checks and the exact optimizer answer at the default budget;
+    the PO enumeration is a full walk of 9! leaves, not run here."""
+    argv = _unlisted_instance_argv(tmp_path, n, command)
+    code, out = invoke(argv + ["--node-budget", str(n - 1)])  # less than the root's n ticks
+    assert (code, out) == (3, "")
+    assert capsys.readouterr().err == "budget exceeded: search node budget exhausted\n"
+    if command != "enumerate-po":
+        assert invoke(argv)[0] == {"po": 0, "wpo": 1, "exact": 0}[command]
+    code, out = invoke(_unlisted_instance_argv(tmp_path, 301, command))
+    assert (code, out) == (3, "")
+    assert capsys.readouterr().err == (
+        "budget exceeded: permutation search needs n <= 300, got n = 301\n")
 
 
 def _limit_argv(tmp_path, option, value):
     """An argv in which ``option`` at 0 is hit: the subsets space of the
-    witness market has reports, the ring's core search nodes and its Pareto
-    scan agents."""
+    witness market has reports, and the ring's core search nodes."""
     sp = tmp_path / "sp.tep"
     sp.write_text(serialize_instance(sp_instance()))
     ring = tmp_path / "ring.tep"
@@ -577,17 +592,15 @@ def _limit_argv(tmp_path, option, value):
         "--cap": ["manipulate", "--instance", str(sp), "--method", "exact", "--agent", "2",
                   "--space", "subsets"],
         "--node-budget": ["oracle", "--instance", str(ring), "--enumerate", "core"],
-        "--max-n": ["oracle", "--instance", str(ring), "--enumerate", "po"],
     }[option] + [option, value]
 
 
-@pytest.mark.parametrize("option", ["--cap", "--node-budget", "--max-n"])
+@pytest.mark.parametrize("option", ["--cap", "--node-budget"])
 def test_a_negative_limit_is_bad_input(tmp_path, capsys, option):
-    """A negative cap, node budget or scan bound is refused by the argument
-    parser (exit 2); 0 allows no work, so the search exits 3.  A scan bound
-    above the ceiling is refused too, and a value that is no integer is
-    quoted as the file readers quote a token: at most 80 characters, as is
-    an integer out of range."""
+    """A negative cap or node budget is refused by the argument parser
+    (exit 2); 0 allows no work, so the search exits 3.  A value that is no
+    integer is quoted as the file readers quote a token: at most 80
+    characters, as is an integer out of range."""
     code, out = invoke(_limit_argv(tmp_path, option, "-1"))
     err = capsys.readouterr().err
     assert (code, out) == (2, "")
@@ -608,48 +621,60 @@ def test_a_negative_limit_is_bad_input(tmp_path, capsys, option):
     assert (code, out) == (2, "") and len(err) < 600, err[:600]
     assert err.endswith(f"error: argument {option}: invalid int value: "
                         f"'{'x' * 79}... (100002 characters)\n")
-    if option == "--max-n":
-        code, out = invoke(_limit_argv(tmp_path, option, "301"))
-        assert (code, out) == (2, "")
-        assert capsys.readouterr().err.endswith(
-            "error: argument --max-n: must be 300 or less, got 301\n")
-        code, out = invoke(_limit_argv(tmp_path, option, "9" * 4000))
-        err = capsys.readouterr().err
-        assert (code, out) == (2, "") and len(err) < 600, err[:600]
-        assert err.endswith("error: argument --max-n: must be 300 or less, "
-                            f"got {'9' * 80}... (4000 characters)\n")
-        assert invoke(_limit_argv(tmp_path, option, "300"))[0] == 0
 
 
-def test_max_n_is_offered_only_where_it_bounds_a_scan(tmp_path, capsys):
-    """--max-n bounds the Pareto scans behind verify and oracle; the other
-    five subcommands never read it, so their parser refuses it (exit 2)."""
+def _permutation_search_argvs(tmp_path):
+    """Per path that runs the permutation search, a valid argv that needs
+    some of its work: the witness market, with the identity (under which an
+    agent could improve) to check."""
     sp = tmp_path / "sp.tep"
     sp.write_text(serialize_instance(sp_instance()))
     alloc = tmp_path / "a.alloc"
     alloc.write_text(serialize_allocation(identity_allocation(4)))
-    refused = {
-        "gen": ["gen", "--family", "empty-core", "--out", str(tmp_path / "ring.tep")],
-        "solve": ["solve", "--instance", str(sp), "--method", "exact"],
-        "export": ["export", "--instance", str(sp), "--form", "qp",
-                   "--out", str(tmp_path / "sp.lp")],
-        "manipulate": ["manipulate", "--instance", str(sp), "--method", "exact",
-                       "--agent", "2", "--space", "subsets"],
-        "prove": ["prove", "--which", "sp"],
+    return {
+        "verify-po": ["verify", "--instance", str(sp), "--allocation", str(alloc),
+                      "--check", "po"],
+        "verify-wpo": ["verify", "--instance", str(sp), "--allocation", str(alloc),
+                       "--check", "wpo"],
+        "oracle-po": ["oracle", "--instance", str(sp), "--enumerate", "po"],
+        "solve-exact": ["solve", "--instance", str(sp), "--method", "exact"],
+        "manipulate-exact": ["manipulate", "--instance", str(sp), "--method", "exact",
+                             "--agent", "2", "--space", "subsets"],
+        "prove-sp": ["prove", "--which", "sp"],
+        "prove-core-consistency": ["prove", "--which", "core-consistency"],
     }
-    for command, argv in refused.items():
+
+
+def test_max_n_is_an_unrecognized_argument(tmp_path, capsys):
+    """The node budget bounds the permutation search, and no agent count
+    does: every subcommand refuses --max-n (exit 2)."""
+    argvs = _permutation_search_argvs(tmp_path)
+    argvs = {
+        "gen": ["gen", "--family", "empty-core", "--out", str(tmp_path / "ring.tep")],
+        "solve": argvs["solve-exact"],
+        "verify": argvs["verify-po"],
+        "oracle": argvs["oracle-po"],
+        "export": ["export", "--instance", str(tmp_path / "sp.tep"), "--form", "qp",
+                   "--out", str(tmp_path / "sp.lp")],
+        "manipulate": argvs["manipulate-exact"],
+        "prove": argvs["prove-sp"],
+    }
+    assert sorted(argvs) == sorted(cli._HANDLERS)
+    for command, argv in argvs.items():
         assert invoke(argv)[0] in (0, 1), command  # the argv is valid without --max-n
         capsys.readouterr()
         assert invoke(argv + ["--max-n", "9"]) == (2, ""), command
         assert "unrecognized arguments: --max-n 9" in capsys.readouterr().err, command
-    bounded = [["verify", "--instance", str(sp), "--allocation", str(alloc), "--check", "po"],
-               ["oracle", "--instance", str(sp), "--enumerate", "po"]]
-    for argv in bounded:
-        code, out = invoke(argv)
-        code_9, out_9 = invoke(argv + ["--max-n", "9"])
-        assert code_9 == code
-        assert " max_n=9 " in parse_report(out_9)["args"]
-        assert out_9.replace(" max_n=9", "", 1) == out
+
+
+def test_a_zero_node_budget_stops_every_permutation_search(tmp_path, capsys):
+    """Every path that runs the permutation search reads --node-budget: at 0
+    it exits 3 with nothing on stdout, and at the default it answers."""
+    for path, argv in _permutation_search_argvs(tmp_path).items():
+        assert invoke(argv)[0] in (0, 1), path
+        capsys.readouterr()
+        assert invoke(argv + ["--node-budget", "0"]) == (3, ""), path
+        assert capsys.readouterr().err == "budget exceeded: search node budget exhausted\n", path
 
 
 def test_report_round_trip_structure(ring_file):
@@ -698,10 +723,10 @@ def test_faulty_rpref_candidate_reports_its_own_line(tmp_path, capsys, candidate
 
 
 @pytest.mark.parametrize("argv,bound", [
-    (["solve", "--method", "exact"], "exact optimizer needs n <= 9"),
+    (["solve", "--method", "exact"], "permutation search needs n <= 300"),
     (["manipulate", "--method", "exact", "--agent", "0", "--space", "subsets"],
-     "exact optimizer needs n <= 9"),
-    (["export", "--form", "ilp", "--out", "n150.lp"], "export needs n <= 50"),
+     "permutation search needs n <= 300"),
+    (["export", "--form", "ilp", "--out", "n301.lp"], "export needs n <= 50"),
 ], ids=["solve", "manipulate", "export"])
 def test_exact_bound_is_checked_before_the_weight_table(tmp_path, capsys, monkeypatch, argv,
                                                         bound):
@@ -710,12 +735,12 @@ def test_exact_bound_is_checked_before_the_weight_table(tmp_path, capsys, monkey
 
     monkeypatch.setattr(programs, "weights_from_ranks", weights_from_ranks)
     monkeypatch.chdir(tmp_path)
-    inst = tmp_path / "n150.tep"
-    inst.write_text("tep v1\nagents 150\n")
+    inst = tmp_path / "n301.tep"
+    inst.write_text("tep v1\nagents 301\n")
     code, out = invoke(argv + ["--instance", str(inst)])
     assert (code, out) == (3, "")
-    assert capsys.readouterr().err == f"budget exceeded: {bound}, got n = 150\n"
-    assert not (tmp_path / "n150.lp").exists()
+    assert capsys.readouterr().err == f"budget exceeded: {bound}, got n = 301\n"
+    assert not (tmp_path / "n301.lp").exists()
 
 
 def test_a_blocking_ring_longer_than_the_recursion_limit_is_found(tmp_path, capsys):

@@ -47,6 +47,7 @@ def inputs(tmp_path_factory):
     (d / "rpref.txt").write_text("rpref 0: H [0] ; N [0]\n")
     (d / "cover.x3c").write_text("1\n0 1 2\n0 1 2\n0 1 2\n")
     (d / "bad.tep").write_text("garbage\n")
+    (d / "n51.tep").write_text("tep v1\nagents 51\n")
     return d
 
 
@@ -91,8 +92,7 @@ REQUESTS = {  # id: (exit code, argv with @-named inputs)
                               "--agent", "0", "--space", "strict")),
     "node-budget": (3, ("oracle", "--instance", "@ring.tep", "--enumerate", "core",
                         "--node-budget", "0")),
-    "size-bound": (3, ("oracle", "--instance", "@ring.tep", "--enumerate", "po",
-                       "--max-n", "2")),
+    "size-bound": (3, ("export", "--instance", "@n51.tep", "--form", "ilp", "--out", "@o.lp")),
     "report-cap": (3, ("manipulate", "--instance", "@sp.tep", "--method", "exact",
                        "--agent", "2", "--space", "subsets", "--cap", "0")),
 }

@@ -13,8 +13,8 @@ The cycle search, Hopcroft-Karp and the outcome backtracking keep their
 paths on stacks of their own, so how long a cycle, an augmenting path or a
 run of agents with a choice they can follow does not depend on Python's
 recursion limit; no function in those modules calls itself, except the
-permutation search of ``tep.axioms``, whose depth the ``--max-n`` ceiling
-bounds.
+permutation search of ``tep.axioms``, whose depth the CLI bounds with
+``axioms.MAX_N_CEILING``, checked before any n³ table is built.
 
 Four more scans keep the library's layers apart:
 - no module calls ``all_allocations``, which visits all n! allocations: the
@@ -157,9 +157,9 @@ def self_calling_functions(*paths: Path) -> list[str]:
 
 def test_the_cycle_search_and_matching_do_not_recurse():
     assert self_calling_functions(SRC / "cycles.py", SRC / "matching.py") == []
-    # The permutation search recurses once per agent, but only up to max_n,
-    # which the CLI caps at axioms.MAX_N_CEILING; an explicit-stack version
-    # of it made the scan workload about 11% slower.
+    # The permutation search recurses once per agent, but the CLI runs it
+    # only up to axioms.MAX_N_CEILING agents; an explicit-stack version of
+    # it made the scan workload about 11% slower.
     assert self_calling_functions(SRC / "axioms.py") == ["place"]
 
 

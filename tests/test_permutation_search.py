@@ -6,10 +6,19 @@ The ``*_reference`` functions are those scans (the IR + Pareto and core
 ones live in ``references.py``): they walk every allocation in
 lexicographic order and compare rank vectors or weights read through
 ``Instance.rank``.
+
+The search runs under a node budget, charging n ticks at each internal
+node.  On small seeded instances, under every kind of limits and bound its
+callers use, every budget from 0 to the full tick count is tried against
+``references.permutation_search_reference``: the charges and leaves must
+come in the reference's order, and the search must run out at the
+reference's charge.
 """
 
 import gc
+import math
 import random
+from functools import partial
 
 import pytest
 
@@ -29,6 +38,7 @@ from tep import (
     make_instance,
     outcome_of,
 )
+from tep.cycles import Budget
 from tep.generators import random_instance, sp_instance
 from tep.programs import (
     BORDA,
@@ -42,7 +52,11 @@ from references import (
     enumerate_core_stable_reference,
     enumerate_ir_pareto_optimal_reference,
     pareto_front_reference,
+    permutation_search_reference,
 )
+
+# The largest reference tick count swept budget by budget.
+SWEEP_TICKS = 800
 
 
 def _rank_vector_reference(inst, alloc):
@@ -192,13 +206,14 @@ def _skyline_cases(n, seeds):
                                       (5, range(4)), (6, range(3)), (7, range(1))])
 def test_mask_skyline_matches_the_pairwise_skyline(n, seeds):
     for inst, limits in _skyline_cases(n, seeds):
-        assert axioms._pareto_front(inst, limits) == pareto_front_reference(inst, limits), inst
+        assert (axioms._pareto_front(inst, limits, axioms.DEFAULT_NODE_BUDGET)
+                == pareto_front_reference(inst, limits)), inst
 
 
 def test_mask_skyline_matches_the_pairwise_skyline_at_n8():
     inst = random_instance(8, 0.3, 0.3, 3)
     limits = [len(c) for c in inst.prefs]
-    front = axioms._pareto_front(inst, limits)
+    front = axioms._pareto_front(inst, limits, axioms.DEFAULT_NODE_BUDGET)
     assert front == pareto_front_reference(inst, limits)
     assert len(front) > 100
 
@@ -292,10 +307,109 @@ def test_a_search_leaves_no_cyclic_garbage(leaves):
     gc.disable()
     try:
         gc.collect()
-        search = axioms._permutation_search(inst, table, limits)
+        search = axioms._permutation_search(inst, table, limits, axioms.DEFAULT_NODE_BUDGET)
         taken = [next(search)] if leaves else list(search)
         del search
         garbage = gc.collect()
     finally:
         gc.enable()
     assert len(taken) == (leaves or 24) and garbage == 0
+
+
+def search_cases():
+    """(kind, instance, costs, limits, bound, oracle) as the callers of the
+    search make them, on ``family(max_n=6)``: the sentinel limits of the PO
+    enumeration, the IR limits of the IR + PO one, the PO check's bound and
+    the WPO check's limits at the allocations ``allocations_to_check``
+    picks (the WPO ones only where no agent is at rank 0), and the exact
+    optimizer's negated weights under both schemes.  ``oracle(budget)``
+    runs the caller under a node budget."""
+    rng = random.Random(12)
+    for inst in family(max_n=6):
+        n, ranks = inst.n, inst.rank_table
+        yield ("sentinel", inst, ranks, [len(c) for c in inst.prefs], None,
+               partial(enumerate_pareto_optimal, inst))
+        yield ("ir", inst, ranks, axioms._ir_limits(inst), None,
+               partial(enumerate_ir_pareto_optimal, inst))
+        for alloc in allocations_to_check(inst, rng):
+            p_ranks = _rank_vector_reference(inst, alloc)
+            yield "po", inst, ranks, p_ranks, sum(p_ranks), partial(is_pareto_optimal, inst, alloc)
+            if min(p_ranks) > 0:
+                yield ("wpo", inst, ranks, [r - 1 for r in p_ranks], None,
+                       partial(is_weakly_pareto_optimal, inst, alloc))
+        for scheme in WEIGHT_SCHEMES:
+            table = weights_from_ranks(inst, scheme)
+            cost = [[-w for w in table.weights[i * n * n:(i + 1) * n * n]] for i in range(n)]
+            yield ("exact", inst, cost, [max(row) for row in cost], math.inf,
+                   partial(solve_exact_max_weight, inst, table))
+
+
+class LoggedBudget(Budget):
+    """A budget that appends each charge to ``LoggedBudget.events``."""
+
+    events: list = []
+
+    def tick(self, nodes=1):
+        self.events.append(nodes)
+        super().tick(nodes)
+
+
+def budgeted_events(inst, cost, limits, bound, nodes):
+    """The charges and leaves of one search under ``LoggedBudget``, in
+    order, and how it ended."""
+    events = LoggedBudget.events = []
+    try:
+        events.extend(axioms._permutation_search(inst, cost, limits, nodes, bound))
+        events.append("end")
+    except BudgetExceededError:
+        events.append("exhausted")
+    return events
+
+
+def cut_at(reference, nodes):
+    """The reference events a budget of ``nodes`` allows: up to the charge
+    that exceeds it, then "exhausted"; or all of them, then "end"."""
+    spent = 0
+    for k, event in enumerate(reference):
+        if isinstance(event, int):
+            spent += event
+            if spent > nodes:
+                return reference[:k + 1] + ["exhausted"]
+    return reference + ["end"]
+
+
+def test_every_budget_runs_out_at_the_reference_charge(monkeypatch):
+    """Every budget from 0 to the full tick count, on the cases whose
+    reference search ticks at most ``SWEEP_TICKS`` times."""
+    monkeypatch.setattr(axioms, "Budget", LoggedBudget)
+    swept = dict.fromkeys(["sentinel", "ir", "po", "wpo", "exact"], 0)
+    largest = 0
+    for kind, inst, cost, limits, bound, _ in search_cases():
+        reference = permutation_search_reference(inst, cost, limits, bound)
+        total = sum(e for e in reference if isinstance(e, int))
+        if total > SWEEP_TICKS:
+            continue
+        for nodes in range(total + 1):
+            assert (budgeted_events(inst, cost, limits, bound, nodes)
+                    == cut_at(reference, nodes)), (kind, inst, nodes)
+        swept[kind] += 1
+        largest = max(largest, inst.n)
+    assert (swept, largest) == ({"sentinel": 12, "ir": 15, "po": 73, "wpo": 26, "exact": 35},
+                                6)
+
+
+def test_enough_budget_gives_the_default_answers():
+    """With exactly the ticks its search needs, each caller answers as at
+    the default budget (list order, and the argmax tie-broken to the first
+    allocation); one tick fewer exits.  The checks need only the ticks up
+    to the first leaf, which settles them."""
+    for kind, inst, cost, limits, bound, oracle in search_cases():
+        reference = permutation_search_reference(inst, cost, limits, bound)
+        if kind in ("po", "wpo"):
+            leaf = next((k for k, e in enumerate(reference) if isinstance(e, tuple)),
+                        len(reference))
+            reference = reference[:leaf]
+        needed = sum(e for e in reference if isinstance(e, int))
+        assert oracle(node_budget=needed) == oracle(), (kind, inst)
+        with pytest.raises(BudgetExceededError):
+            oracle(node_budget=needed - 1)

@@ -7,7 +7,7 @@ import pytest
 from tep import (
     Allocation,
     Outcome,
-    OracleLimitError,
+    BudgetExceededError,
     all_allocations,
     compare,
     export_ilp,
@@ -247,9 +247,15 @@ def test_max_weight_allocations_are_pareto_optimal():
 
 
 def test_exact_bound():
+    """The node budget bounds the exact optimizer, not an agent count.  At
+    n = 10 with every allocation tied, the first leaf is the identity, and
+    every other subtree is cut, so the search makes the 10 internal nodes
+    of that path, 10 ticks each."""
     inst = make_instance(10, [[] for _ in range(10)])
-    with pytest.raises(OracleLimitError):
-        solve_exact_max_weight(inst, weights_from_ranks(inst, "borda"))
+    table = weights_from_ranks(inst, "borda")
+    with pytest.raises(BudgetExceededError):
+        solve_exact_max_weight(inst, table, node_budget=99)
+    assert solve_exact_max_weight(inst, table, node_budget=100) == (identity_allocation(10), 0)
 
 
 # ---------------------------------------------------------------- export text
