@@ -3,7 +3,6 @@ house they receive and about who moves into their own."""
 
 from .axioms import (
     BlockingWitness,
-    all_allocations,
     core_exists,
     enumerate_core_stable,
     enumerate_ir_allocations,
@@ -15,8 +14,6 @@ from .axioms import (
     is_individually_rational,
     is_pareto_optimal,
     is_weakly_pareto_optimal,
-    pareto_dominates,
-    witness_blocks,
 )
 from .errors import (
     BudgetExceededError,
@@ -42,10 +39,8 @@ from .generators import (
     random_instance,
     random_predominant_profile,
     random_responsive_profile,
-    random_x3c,
     sp_instance,
     x3c_core_instance,
-    x3c_has_cover,
     x3c_top_instance,
 )
 from .incentives import (
@@ -53,10 +48,8 @@ from .incentives import (
     ProofReport,
     component_order_reports,
     find_manipulation,
-    first_ir_pareto_mechanism,
     strict_primary_reports,
     sublist_reports,
-    table_mechanism,
     verify_core_consistency_impossibility,
     verify_sp_impossibility_tree,
 )
@@ -68,7 +61,6 @@ from .model import (
     PreferenceOrder,
     canonicalize_endowment,
     compare,
-    identity_allocation,
     make_instance,
     outcome_of,
 )
@@ -77,8 +69,6 @@ from .predominant import (
     TENANT,
     PredominantProfile,
     lex_compare,
-    lex_instance,
-    trade_rounds,
     ttc,
     tttc,
 )
@@ -89,8 +79,6 @@ from .programs import (
     WeightTable,
     export_ilp,
     export_qp,
-    ilp_point,
-    qp_point,
     solve_exact_max_weight,
     weights_from_ranks,
 )

@@ -48,7 +48,7 @@ from operator import and_
 from typing import Iterator, Sequence
 
 from .cycles import Budget, Options, find_exchange_cycle, has_cycle_through, iter_exchange_cycles
-from .model import Allocation, Instance, Outcome, outcome_of
+from .model import Allocation, Instance, outcome_of
 
 # The largest n the CLI runs _permutation_search on: it recurses once per
 # agent, and its n³ rank or weight table already takes about 230 MB at n = 300.
@@ -151,19 +151,6 @@ def is_individually_rational(inst: Instance, alloc: Allocation) -> bool:
                for i, limit in enumerate(_ir_limits(inst)))
 
 
-def pareto_dominates(inst: Instance, q: Allocation, p: Allocation) -> bool:
-    """True when q weakly improves every agent and strictly improves one."""
-    strict = False
-    for i in range(inst.n):
-        rq = inst.rank(i, outcome_of(inst, q, i))
-        rp = inst.rank(i, outcome_of(inst, p, i))
-        if rq > rp:
-            return False
-        if rq < rp:
-            strict = True
-    return strict
-
-
 def is_pareto_optimal(inst: Instance, alloc: Allocation, *,
                       node_budget: int = DEFAULT_NODE_BUDGET) -> bool:
     """No other allocation weakly improves every agent and strictly one.
@@ -193,9 +180,6 @@ class BlockingWitness:
     coalition: tuple[int, ...]          # sorted members
     internal: tuple[tuple[int, int], ...]  # (member, house) pairs, sorted by member
 
-    def internal_map(self) -> dict[int, int]:
-        return dict(self.internal)
-
 
 def _witness_from_cycle(inst: Instance, cycle: list[int]) -> BlockingWitness:
     """The witness of a trading cycle: cycle[t] takes cycle[t+1]'s house."""
@@ -205,25 +189,6 @@ def _witness_from_cycle(inst: Instance, cycle: list[int]) -> BlockingWitness:
         coalition=tuple(sorted(cycle)),
         internal=tuple(sorted(internal.items())),
     )
-
-
-def witness_blocks(inst: Instance, alloc: Allocation, witness: BlockingWitness) -> bool:
-    """Re-check a witness against the definitions (used by tests and callers
-    that do not trust the search)."""
-    members = set(witness.coalition)
-    internal = witness.internal_map()
-    if set(internal) != members:
-        return False
-    houses = sorted(internal.values())
-    if houses != sorted(inst.endowment[m] for m in members):
-        return False
-    receiver = {house: member for member, house in internal.items()}
-    for m in members:
-        new = Outcome(internal[m], receiver[inst.endowment[m]])
-        old = outcome_of(inst, alloc, m)
-        if inst.rank(m, new) >= inst.rank(m, old):
-            return False
-    return True
 
 
 def _improvement_steps(inst: Instance, agent: int, cur: int) -> list[tuple[int, int]]:

@@ -9,7 +9,6 @@ whose core is empty on its own.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .model import Instance, Outcome, make_instance
 from .predominant import PredominantProfile
@@ -79,15 +78,6 @@ class X3CInstance:
 
 def make_x3c(m: int, triples) -> X3CInstance:
     return X3CInstance(m, tuple(tuple(sorted(tr)) for tr in triples))
-
-
-def x3c_has_cover(x: X3CInstance) -> bool:
-    """Brute-force decision: does some sub-collection partition the ground set?"""
-    ground = frozenset(range(x.ground_size))
-    for chosen in combinations(range(len(x.triples)), x.m):
-        if frozenset(e for i in chosen for e in x.triples[i]) == ground:
-            return True
-    return False
 
 
 def _oriented(triple: tuple[int, int, int]) -> dict[int, tuple[int, int]]:
@@ -214,22 +204,3 @@ def random_predominant_profile(n: int, mode: str, tie_rate: float,
         classes = _classes_from_pool(rng, list(range(n)), 1.0, tie_rate)
         tiebreak.append(tuple(frozenset(cls) for cls in classes))
     return PredominantProfile(n, tuple(range(n)), mode, tuple(primary), tuple(tiebreak))
-
-
-X3C_MAX_TRIES = 10_000
-
-
-def random_x3c(m: int, seed: int) -> X3CInstance:
-    """Seeded random exact-cover input: chop three copies of every ground
-    element into triples, rejecting draws that repeat an element inside a
-    triple, up to ``X3C_MAX_TRIES`` draws."""
-    if m < 1:
-        raise ValueError("need m >= 1")
-    rng = SplitMix64(seed)
-    slots = [e for e in range(3 * m) for _ in range(3)]
-    for _ in range(X3C_MAX_TRIES):
-        rng.shuffle(slots)
-        triples = [tuple(sorted(slots[k:k + 3])) for k in range(0, len(slots), 3)]
-        if all(len(set(tr)) == 3 for tr in triples):
-            return X3CInstance(m, tuple(sorted(triples)))
-    raise ValueError(f"no valid draw after {X3C_MAX_TRIES} tries (m={m}, seed={seed})")

@@ -115,28 +115,6 @@ def component_order_reports(prof: ResponsiveProfile, agent: int) -> Iterator[tup
             yield (houses, tenants)
 
 
-def table_mechanism(cases: dict[Instance, Allocation],
-                    fallback: Mechanism) -> Mechanism:
-    """Mechanism stub that answers from a lookup table and defers to a
-    fallback elsewhere; used to pin a mechanism's choice in case replays."""
-
-    def mech(inst: Instance) -> Allocation:
-        hit = cases.get(inst)
-        return hit if hit is not None else fallback(inst)
-
-    return mech
-
-
-def first_ir_pareto_mechanism() -> Mechanism:
-    """The mechanism returning the lexicographically first allocation that is
-    individually rational and Pareto optimal."""
-
-    def mech(inst: Instance) -> Allocation:
-        return enumerate_ir_pareto_optimal(inst)[0]
-
-    return mech
-
-
 @dataclass(frozen=True)
 class ProofReport:
     """Record of an executable case analysis; construction succeeds only if

@@ -287,10 +287,6 @@ class Allocation:
         return inverse_permutation(self.assignment)
 
 
-def identity_allocation(n: int) -> Allocation:
-    return Allocation(tuple(range(n)))
-
-
 def compare(inst: Instance, agent: int, a: Outcome, b: Outcome) -> int:
     """Compare outcomes for one agent: +1 if a is strictly preferred to b,
     -1 for the reverse, 0 if the agent is indifferent.

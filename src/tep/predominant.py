@@ -4,8 +4,9 @@ top-trading-cycle mechanisms they support.
 House-primary agents hold a strict total order over houses and break ties
 with a weak order over tenants; tenant-primary agents do the reverse.  The
 induced ordering over outcomes is lexicographic, so it is a weak order over
-all n*n outcomes and every oracle in :mod:`tep.axioms` applies to the
-materialized instance.
+all n*n outcomes: an instance that lists its classes in order is an
+ordinary market for the oracles of :mod:`tep.axioms`, which is how the
+tests check the mechanisms below.
 
 Both mechanisms are one walk: each remaining agent points at the agent
 behind its best remaining primary item (a house's owner, or the tenant),
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 
-from .model import Allocation, Instance, Market, Outcome, PreferenceOrder, make_instance
+from .model import Allocation, Market, Outcome, PreferenceOrder
 
 HOUSE = "house"
 TENANT = "tenant"
@@ -87,24 +88,6 @@ def lex_compare(prof: PredominantProfile, agent: int, a: Outcome, b: Outcome) ->
     return (kb > ka) - (ka > kb)
 
 
-def lex_instance(prof: PredominantProfile) -> Instance:
-    """Materialize the full weak order over outcomes as an ordinary instance.
-
-    Every outcome is listed (the order is total), grouped into classes by
-    (primary rank, tie-break rank).
-    """
-    n = prof.n
-    prefs = []
-    for i in range(n):
-        buckets: dict[tuple[int, int], set[Outcome]] = {}
-        for h in range(n):
-            for t in range(n):
-                o = Outcome(h, t)
-                buckets.setdefault(prof.outcome_key(i, o), set()).add(o)
-        prefs.append([buckets[key] for key in sorted(buckets)])
-    return make_instance(n, prefs, prof.endowment)
-
-
 def _strict_order(prof: PredominantProfile, expected_mode: str) -> None:
     if prof.mode != expected_mode:
         raise ValueError(f"mechanism needs a {expected_mode}-primary profile, got {prof.mode}")
@@ -120,7 +103,7 @@ def ttc(prof: PredominantProfile) -> Allocation:
     removal order.
     """
     _strict_order(prof, HOUSE)
-    return _trade_cycles(prof)[0]
+    return _trade_cycles(prof)
 
 
 def tttc(prof: PredominantProfile) -> Allocation:
@@ -131,12 +114,12 @@ def tttc(prof: PredominantProfile) -> Allocation:
     taken by the tenant it points at.
     """
     _strict_order(prof, TENANT)
-    return _trade_cycles(prof)[0]
+    return _trade_cycles(prof)
 
 
-def _trade_cycles(prof: PredominantProfile) -> tuple[Allocation, list[list[int]]]:
-    """The allocation and the removed cycles in removal order; each walk
-    starts at the lowest remaining agent."""
+def _trade_cycles(prof: PredominantProfile) -> Allocation:
+    """The allocation the walk trades to; each walk starts at the lowest
+    remaining agent."""
     n = prof.n
     house_mode = prof.mode == HOUSE
     # The agent behind each primary item: a house's owner, or the tenant itself.
@@ -144,7 +127,6 @@ def _trade_cycles(prof: PredominantProfile) -> tuple[Allocation, list[list[int]]
     remaining_agents = set(range(n))
     remaining_items = set(range(n))
     assignment = [-1] * n
-    rounds: list[list[int]] = []
     while remaining_agents:
         cur = min(remaining_agents)
         seen: dict[int, int] = {}
@@ -154,17 +136,9 @@ def _trade_cycles(prof: PredominantProfile) -> tuple[Allocation, list[list[int]]
             walk.append(cur)
             cur = behind[next(filter(remaining_items.__contains__, prof.primary[cur]))]
         cycle = walk[seen[cur]:]
-        rounds.append(cycle)
         for agent, target in zip(cycle, cycle[1:] + cycle[:1]):
             taker, giver = (agent, target) if house_mode else (target, agent)
             assignment[taker] = prof.endowment[giver]
             remaining_agents.remove(agent)
             remaining_items.remove(prof.endowment[agent] if house_mode else agent)
-    return Allocation(tuple(assignment)), rounds
-
-
-def trade_rounds(prof: PredominantProfile) -> list[list[int]]:
-    """The cycles removed by :func:`ttc`, in removal order (house mode only);
-    exposed for the round-structure checks."""
-    _strict_order(prof, HOUSE)
-    return _trade_cycles(prof)[1]
+    return Allocation(tuple(assignment))

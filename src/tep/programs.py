@@ -21,11 +21,10 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import chain, compress, filterfalse, repeat
 from operator import add, itemgetter
-from typing import Mapping
 
 # all_allocations is unused here but stays a module attribute: perfbench/tracer.py wraps it.
 from .axioms import DEFAULT_NODE_BUDGET, _permutation_search, all_allocations  # noqa: F401
-from .model import Allocation, Instance, outcome_of
+from .model import Allocation, Instance
 
 BORDA = "borda"
 EXPONENTIAL = "exponential"
@@ -43,14 +42,6 @@ class WeightTable:
     n: int
     weights: tuple[int, ...]  # flat, index = (i * n + j) * n + k
 
-    def weight(self, agent: int, house: int, tenant: int) -> int:
-        return self.weights[(agent * self.n + house) * self.n + tenant]
-
-    def allocation_value(self, inst: Instance, alloc: Allocation) -> int:
-        return sum(
-            self.weight(i, *outcome_of(inst, alloc, i)) for i in range(self.n)
-        )
-
 
 def weights_from_ranks(inst: Instance, scheme: str = BORDA) -> WeightTable:
     """Order-consistent weights from the preference classes.
@@ -64,16 +55,18 @@ def weights_from_ranks(inst: Instance, scheme: str = BORDA) -> WeightTable:
     if scheme not in WEIGHT_SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; choose from {WEIGHT_SCHEMES}")
     n = inst.n
-    flat: list[int] = []
-    for classes, ranks in zip(inst.prefs, inst.rank_table):
-        num_classes = len(classes)
+
+    def row(num_classes: int, ranks: tuple[int, ...]) -> map:
         if scheme == BORDA:
             by_rank = [num_classes - 1 - rank for rank in range(num_classes)]
             by_rank.append(-n * num_classes)
         else:
             by_rank = [n ** (num_classes - rank) for rank in range(num_classes + 1)]
-        flat.extend(map(by_rank.__getitem__, ranks))
-    return WeightTable(n=n, weights=tuple(flat))
+        return map(by_rank.__getitem__, ranks)
+
+    # One pass into the tuple: a list first would hold a second copy of the n³ weights.
+    rows = map(row, map(len, inst.prefs), inst.rank_table)
+    return WeightTable(n=n, weights=tuple(chain.from_iterable(rows)))
 
 
 @dataclass(frozen=True)
@@ -102,21 +95,6 @@ class MathProgram:
         for con in self.constraints:
             for v in undeclared(map(itemgetter(1), con.terms)):
                 raise ValueError(f"constraint {con.name} references undeclared variable {v}")
-
-    def objective_value(self, point: Mapping[str, int]) -> int:
-        total = 0
-        for coeff, names in self.objective:
-            term = coeff
-            for v in names:
-                term *= point[v]
-            total += term
-        return total
-
-    def is_feasible(self, point: Mapping[str, int]) -> bool:
-        if any(point[v] not in (0, 1) for v in self.variables):
-            return False
-        return all(sum(coeff * point[v] for coeff, v in con.terms) == con.rhs
-                   for con in self.constraints)
 
     def to_lp_text(self) -> str:
         """LP-style text: objective, subject-to, binary, end sections."""
@@ -221,25 +199,6 @@ def export_qp(inst: Instance, table: WeightTable) -> MathProgram:
     for j in range(n):
         cons.append(Constraint(f"col_{j}", tuple(zip(repeat(1), names[j::n])), 1))
     return MathProgram("qp", tuple(names), tuple(objective), tuple(cons))
-
-
-def ilp_point(inst: Instance, alloc: Allocation) -> dict[str, int]:
-    """The 0/1 point of the triple encoding describing an allocation."""
-    n = inst.n
-    point = {_x3(i, j, k): 0 for i in range(n) for j in range(n) for k in range(n)}
-    for i in range(n):
-        o = outcome_of(inst, alloc, i)
-        point[_x3(i, o.house, o.tenant)] = 1
-    return point
-
-
-def qp_point(inst: Instance, alloc: Allocation) -> dict[str, int]:
-    """The 0/1 point of the pair encoding describing an allocation."""
-    n = inst.n
-    point = {_x2(i, j): 0 for i in range(n) for j in range(n)}
-    for i in range(n):
-        point[_x2(i, alloc[i])] = 1
-    return point
 
 
 def solve_exact_max_weight(inst: Instance, table: WeightTable, *,

@@ -29,6 +29,14 @@ between the leaves, so a budgeted run can be checked tick by tick.
 ``without_linking`` gives the weaker
 triple encoding, which the exporter no longer writes, from the linked
 one.
+
+The last group are evaluators that nothing in the library calls, so they
+live here: Pareto dominance, a blocking witness re-checked against the
+definitions, the materialized lexicographic instance of a predominant
+profile, the brute-force exact-cover decision and a seeded exact-cover
+draw, the 0/1 point of an allocation in either encoding, a program's
+objective and feasibility at a point, and a weight table's entry and
+allocation value.
 """
 
 from __future__ import annotations
@@ -36,10 +44,11 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import replace
-from typing import Iterator
+from itertools import combinations
+from typing import Iterator, Mapping
 
-from tep import all_allocations, is_core_stable, is_individually_rational, outcome_of
-from tep.axioms import DEFAULT_NODE_BUDGET, _permutation_search
+from tep import is_core_stable, is_individually_rational, outcome_of
+from tep.axioms import DEFAULT_NODE_BUDGET, BlockingWitness, _permutation_search, all_allocations
 from tep.cycles import Budget, Options, has_cycle_through
 from tep.errors import BudgetExceededError, ParseError
 from tep.files import _agent_list, quote
@@ -49,6 +58,7 @@ from tep.model import Allocation, Instance, Market, Outcome, canonicalize_endowm
 from tep.predominant import HOUSE, TENANT, PredominantProfile
 from tep.programs import Constraint, MathProgram, WeightTable, _x2, _x3
 from tep.responsive import ResponsiveProfile, RsOrdering, rs_compare
+from tep.rng import SplitMix64
 
 
 def without_linking(program: MathProgram) -> MathProgram:
@@ -657,9 +667,9 @@ def export_ilp_reference(inst: Instance, table: WeightTable, *,
     n = inst.n
     variables = tuple(_x3(i, j, k) for i in range(n) for j in range(n) for k in range(n))
     objective = tuple(
-        (table.weight(i, j, k), (_x3(i, j, k),))
+        (weight(table, i, j, k), (_x3(i, j, k),))
         for i in range(n) for j in range(n) for k in range(n)
-        if table.weight(i, j, k) != 0
+        if weight(table, i, j, k) != 0
     )
     cons: list[Constraint] = []
     for i in range(n):
@@ -707,7 +717,7 @@ def export_qp_reference(inst: Instance, table: WeightTable) -> MathProgram:
         own = inst.endowment[i]
         for j in range(n):
             for k in range(n):
-                w = table.weight(i, j, k)
+                w = weight(table, i, j, k)
                 if w != 0:
                     objective.append((w, (_x2(i, j), _x2(k, own))))
     cons: list[Constraint] = []
@@ -825,3 +835,125 @@ def max_bipartite_matching_reference(n_left: int, n_right: int,
             if match_left[u] == -1 and dfs(u):
                 size += 1
     return size, match_left
+
+
+def pareto_dominates(inst: Instance, q: Allocation, p: Allocation) -> bool:
+    """True when q weakly improves every agent and strictly improves one."""
+    strict = False
+    for i in range(inst.n):
+        rq = inst.rank(i, outcome_of(inst, q, i))
+        rp = inst.rank(i, outcome_of(inst, p, i))
+        if rq > rp:
+            return False
+        if rq < rp:
+            strict = True
+    return strict
+
+
+def witness_blocks(inst: Instance, alloc: Allocation, witness: BlockingWitness) -> bool:
+    """Re-check a witness against the definitions: the coalition trades its
+    own houses among its members, and each member strictly improves."""
+    members = set(witness.coalition)
+    internal = dict(witness.internal)
+    if set(internal) != members:
+        return False
+    houses = sorted(internal.values())
+    if houses != sorted(inst.endowment[m] for m in members):
+        return False
+    receiver = {house: member for member, house in internal.items()}
+    for m in members:
+        new = Outcome(internal[m], receiver[inst.endowment[m]])
+        old = outcome_of(inst, alloc, m)
+        if inst.rank(m, new) >= inst.rank(m, old):
+            return False
+    return True
+
+
+def lex_instance(prof: PredominantProfile) -> Instance:
+    """Materialize the full weak order over outcomes as an ordinary instance.
+
+    Every outcome is listed (the order is total), grouped into classes by
+    (primary rank, tie-break rank).
+    """
+    n = prof.n
+    prefs = []
+    for i in range(n):
+        buckets: dict[tuple[int, int], set[Outcome]] = {}
+        for h in range(n):
+            for t in range(n):
+                o = Outcome(h, t)
+                buckets.setdefault(prof.outcome_key(i, o), set()).add(o)
+        prefs.append([buckets[key] for key in sorted(buckets)])
+    return make_instance(n, prefs, prof.endowment)
+
+
+def x3c_has_cover(x: X3CInstance) -> bool:
+    """Brute-force decision: does some sub-collection partition the ground set?"""
+    ground = frozenset(range(x.ground_size))
+    for chosen in combinations(range(len(x.triples)), x.m):
+        if frozenset(e for i in chosen for e in x.triples[i]) == ground:
+            return True
+    return False
+
+
+X3C_MAX_TRIES = 10_000
+
+
+def random_x3c(m: int, seed: int) -> X3CInstance:
+    """Seeded random exact-cover input: chop three copies of every ground
+    element into triples, rejecting draws that repeat an element inside a
+    triple, up to ``X3C_MAX_TRIES`` draws."""
+    if m < 1:
+        raise ValueError("need m >= 1")
+    rng = SplitMix64(seed)
+    slots = [e for e in range(3 * m) for _ in range(3)]
+    for _ in range(X3C_MAX_TRIES):
+        rng.shuffle(slots)
+        triples = [tuple(sorted(slots[k:k + 3])) for k in range(0, len(slots), 3)]
+        if all(len(set(tr)) == 3 for tr in triples):
+            return X3CInstance(m, tuple(sorted(triples)))
+    raise ValueError(f"no valid draw after {X3C_MAX_TRIES} tries (m={m}, seed={seed})")
+
+
+def ilp_point(inst: Instance, alloc: Allocation) -> dict[str, int]:
+    """The 0/1 point of the triple encoding describing an allocation."""
+    n = inst.n
+    point = {_x3(i, j, k): 0 for i in range(n) for j in range(n) for k in range(n)}
+    for i in range(n):
+        o = outcome_of(inst, alloc, i)
+        point[_x3(i, o.house, o.tenant)] = 1
+    return point
+
+
+def qp_point(inst: Instance, alloc: Allocation) -> dict[str, int]:
+    """The 0/1 point of the pair encoding describing an allocation."""
+    n = inst.n
+    point = {_x2(i, j): 0 for i in range(n) for j in range(n)}
+    for i in range(n):
+        point[_x2(i, alloc[i])] = 1
+    return point
+
+
+def objective_value(program: MathProgram, point: Mapping[str, int]) -> int:
+    total = 0
+    for coeff, names in program.objective:
+        term = coeff
+        for v in names:
+            term *= point[v]
+        total += term
+    return total
+
+
+def is_feasible(program: MathProgram, point: Mapping[str, int]) -> bool:
+    if any(point[v] not in (0, 1) for v in program.variables):
+        return False
+    return all(sum(coeff * point[v] for coeff, v in con.terms) == con.rhs
+               for con in program.constraints)
+
+
+def weight(table: WeightTable, agent: int, house: int, tenant: int) -> int:
+    return table.weights[(agent * table.n + house) * table.n + tenant]
+
+
+def allocation_value(table: WeightTable, inst: Instance, alloc: Allocation) -> int:
+    return sum(weight(table, i, *outcome_of(inst, alloc, i)) for i in range(table.n))

@@ -19,12 +19,12 @@ from contextlib import redirect_stdout
 from itertools import permutations
 
 from tep import (
+    Allocation,
     HOUSE,
     Instance,
     Outcome,
     ResponsiveProfile,
     TENANT,
-    all_allocations,
     core_exists,
     enumerate_ir_allocations,
     enumerate_ir_pareto_optimal,
@@ -32,8 +32,6 @@ from tep import (
     export_qp,
     find_manipulation,
     find_top_allocation,
-    identity_allocation,
-    ilp_point,
     is_core_stable,
     is_individually_rational,
     is_pareto_optimal,
@@ -41,10 +39,8 @@ from tep import (
     is_rs_ir,
     is_rs_pareto_optimal,
     is_weakly_pareto_optimal,
-    lex_instance,
     parse_instance,
     pra_rs,
-    qp_point,
     rs_aa,
     serialize_instance,
     solve_exact_max_weight,
@@ -52,6 +48,7 @@ from tep import (
     tttc,
     weights_from_ranks,
 )
+from tep.axioms import all_allocations
 from tep.cli import parse_report, run
 from tep.generators import (
     empty_core_instance,
@@ -59,17 +56,27 @@ from tep.generators import (
     random_instance,
     random_predominant_profile,
     random_responsive_profile,
-    random_x3c,
     sp_instance,
     x3c_core_instance,
-    x3c_has_cover,
     x3c_top_instance,
 )
 from tep.incentives import strict_primary_reports
 from tep.responsive import acceptable_component_classes
 from tep.rng import SplitMix64
 
-from references import iter_candidate_points, trade_cycles_reference, without_linking
+from references import (
+    allocation_value,
+    ilp_point,
+    is_feasible,
+    iter_candidate_points,
+    lex_instance,
+    objective_value,
+    qp_point,
+    random_x3c,
+    trade_cycles_reference,
+    without_linking,
+    x3c_has_cover,
+)
 
 # test_criterion_8_published_uniqueness_claim stays as written, in this spelling.
 replace_prefs = Instance.with_report
@@ -136,7 +143,7 @@ def test_criterion_3_top_allocation_reduction():
             started = time.monotonic()
             found = find_top_allocation(inst)
             endowment_weakly_po = is_weakly_pareto_optimal(
-                inst, identity_allocation(inst.n))
+                inst, Allocation(tuple(range(inst.n))))
             assert time.monotonic() - started < 60.0
             assert (found is not None) == expected
             if found is not None:
@@ -388,13 +395,13 @@ def test_criterion_9_math_programs():
                 feasible = set()
                 for bits in product((0, 1), repeat=len(program.variables)):
                     point = dict(zip(program.variables, bits))
-                    if program.is_feasible(point):
+                    if is_feasible(program, point):
                         feasible.add(frozenset(k for k, v in point.items() if v))
             else:
                 feasible = {
                     frozenset(k for k, v in p.items() if v)
                     for p in iter_candidate_points(program, n)
-                    if program.is_feasible(p)
+                    if is_feasible(program, p)
                 }
             assert feasible == allocation_points
 
@@ -406,9 +413,9 @@ def test_criterion_9_math_programs():
                 ilp = export_ilp(inst, table)
                 qp = export_qp(inst, table)
                 _, exact = solve_exact_max_weight(inst, table)
-                assert exact == max(ilp.objective_value(ilp_point(inst, a))
+                assert exact == max(objective_value(ilp, ilp_point(inst, a))
                                     for a in all_allocations(n))
-                assert exact == max(qp.objective_value(qp_point(inst, a))
+                assert exact == max(objective_value(qp, qp_point(inst, a))
                                     for a in all_allocations(n))
 
         # every max-weight allocation is Pareto optimal, n <= 6
@@ -418,7 +425,7 @@ def test_criterion_9_math_programs():
                 table = weights_from_ranks(inst, scheme)
                 _, best = solve_exact_max_weight(inst, table)
                 for alloc in all_allocations(n):
-                    if table.allocation_value(inst, alloc) == best:
+                    if allocation_value(table, inst, alloc) == best:
                         assert is_pareto_optimal(inst, alloc)
 
         # regression: without linking constraints a 0/1 point can satisfy
@@ -433,9 +440,9 @@ def test_criterion_9_math_programs():
             frozenset(k for k, v in ilp_point(inst, a).items() if v)
             for a in all_allocations(3)
         }
-        assert unlinked.is_feasible(witness)
+        assert is_feasible(unlinked, witness)
         assert frozenset(k for k, v in witness.items() if v) not in allocation_points
-        assert not repaired.is_feasible(witness)
+        assert not is_feasible(repaired, witness)
         ok = True
     finally:
         _line(9, "math programs", ok)

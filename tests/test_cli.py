@@ -17,7 +17,7 @@ from tep.cli import parse_report, run
 from tep.files import (parse_instance, parse_responsive_profile, serialize_allocation,
                        serialize_instance, serialize_predominant_profile)
 from tep.generators import sp_instance
-from tep.model import Allocation, Outcome, identity_allocation, make_instance
+from tep.model import Allocation, Outcome, make_instance
 
 
 def invoke(argv):
@@ -66,7 +66,7 @@ def test_solve_ttc_swap(tmp_path):
 
 def test_verify_identity_is_ir(ring_file, tmp_path):
     alloc_path = tmp_path / "id.alloc"
-    alloc_path.write_text(serialize_allocation(identity_allocation(5)))
+    alloc_path.write_text(serialize_allocation(Allocation((0, 1, 2, 3, 4))))
     code, out = invoke(["verify", "--instance", str(ring_file),
                         "--allocation", str(alloc_path), "--check", "ir"])
     assert code == 0
@@ -267,7 +267,7 @@ def test_exit_codes_for_bad_inputs(tmp_path, ring_file):
     assert code == 2
     # search budget exceeded: a node budget of 0 stops the Pareto check at once
     alloc_path = tmp_path / "id.alloc"
-    alloc_path.write_text(serialize_allocation(identity_allocation(5)))
+    alloc_path.write_text(serialize_allocation(Allocation((0, 1, 2, 3, 4))))
     code, _ = invoke(["verify", "--instance", str(ring_file),
                       "--allocation", str(alloc_path), "--check", "po", "--node-budget", "0"])
     assert code == 3
@@ -275,7 +275,7 @@ def test_exit_codes_for_bad_inputs(tmp_path, ring_file):
 
 def _identity_file(tmp_path):
     path = tmp_path / "id4.alloc"
-    path.write_text(serialize_allocation(identity_allocation(4)))
+    path.write_text(serialize_allocation(Allocation((0, 1, 2, 3))))
     return str(path)
 
 
@@ -549,7 +549,7 @@ def _unlisted_instance_argv(tmp_path, n, command):
     inst = tmp_path / f"n{n}.tep"
     inst.write_text(f"tep v1\nagents {n}\n")
     alloc = tmp_path / f"id{n}.alloc"
-    alloc.write_text(serialize_allocation(identity_allocation(n)))
+    alloc.write_text(serialize_allocation(Allocation(tuple(range(n)))))
     rotation = tmp_path / f"rot{n}.alloc"
     rotation.write_text(serialize_allocation(Allocation(tuple((i + 1) % n for i in range(n)))))
     return {
@@ -630,7 +630,7 @@ def _permutation_search_argvs(tmp_path):
     sp = tmp_path / "sp.tep"
     sp.write_text(serialize_instance(sp_instance()))
     alloc = tmp_path / "a.alloc"
-    alloc.write_text(serialize_allocation(identity_allocation(4)))
+    alloc.write_text(serialize_allocation(Allocation((0, 1, 2, 3))))
     return {
         "verify-po": ["verify", "--instance", str(sp), "--allocation", str(alloc),
                       "--check", "po"],
@@ -751,7 +751,7 @@ def test_a_blocking_ring_longer_than_the_recursion_limit_is_found(tmp_path, caps
     inst, alloc = tmp_path / "ring.tep", tmp_path / "id.alloc"
     inst.write_text(f"tep v1\nagents {n}\n" + "".join(
         f"pref {i}: [({(i + 1) % n},{(i - 1) % n})] > [({i},{i})]\n" for i in range(n)))
-    alloc.write_text(serialize_allocation(identity_allocation(n)))
+    alloc.write_text(serialize_allocation(Allocation(tuple(range(n)))))
     code, out = invoke(["verify", "--instance", str(inst), "--allocation", str(alloc),
                         "--check", "core"])
     assert capsys.readouterr().err == ""
@@ -796,7 +796,7 @@ def test_search_deeper_than_the_recursion_limit_answers(tmp_path, capsys, enumer
     assert code == 0
     if enumerate_ == "ir":
         assert report["count"] == "1"
-    assert report["allocation"] == identity_allocation(1500).text()
+    assert report["allocation"] == Allocation(tuple(range(1500))).text()
 
 
 def _under_frames(depth, call):

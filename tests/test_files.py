@@ -205,7 +205,7 @@ def _reader_cases(seed):
     files of every format, candidate files and exact-cover files."""
     import references as ref
     from tep.files import parse_candidates, parse_instance, parse_x3c
-    from tep.generators import random_instance, random_x3c
+    from tep.generators import random_instance
     from tep.rng import SplitMix64
 
     rng = SplitMix64(seed)
@@ -215,7 +215,7 @@ def _reader_cases(seed):
     inst_text = serialize_instance(random_instance(n, 0.6, 0.4, seed))
     rprof = random_responsive_profile(n, 0.7, 0.4, seed)
     pprof = random_predominant_profile(n, "house" if seed % 2 else "tenant", 0.4, seed)
-    x3c = random_x3c(1 + rng.below(3), seed)
+    x3c = ref.random_x3c(1 + rng.below(3), seed)
     agent = rng.below(n)
     other = serialize_instance(random_instance(n, 0.6, 0.4, seed + 99)).splitlines()[2 + agent]
     rother = serialize_responsive_profile(rprof).splitlines()[2 + (agent + 1) % n]

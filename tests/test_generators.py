@@ -3,10 +3,10 @@
 import pytest
 
 from tep import (
+    Allocation,
     Outcome,
     core_exists,
     find_top_allocation,
-    identity_allocation,
     is_weakly_pareto_optimal,
     make_instance,
     outcome_of,
@@ -18,13 +18,14 @@ from tep.generators import (
     random_instance,
     random_predominant_profile,
     random_responsive_profile,
-    random_x3c,
     sp_instance,
     x3c_core_instance,
-    x3c_has_cover,
     x3c_top_instance,
 )
 from tep.rng import SplitMix64
+
+import references
+from references import random_x3c, x3c_has_cover
 
 YES1 = make_x3c(1, [(0, 1, 2)] * 3)
 
@@ -47,8 +48,6 @@ def test_sp_instance_shape():
     assert inst.prefs[0][0] == frozenset({Outcome(1, 3)})
     assert inst.prefs[1][0] == frozenset({Outcome(2, 2)})
     # the four-way trade hands agent 2 house 3 with agent 1 in its own house
-    from tep.model import Allocation
-
     assert outcome_of(inst, Allocation((1, 2, 3, 0)), 2) == Outcome(3, 1)
 
 
@@ -65,7 +64,7 @@ def test_x3c_validation(monkeypatch):
         X3CInstance(0, ())
     with pytest.raises(ValueError, match="^need m >= 1$"):
         random_x3c(0, 5)
-    monkeypatch.setattr("tep.generators.X3C_MAX_TRIES", 0)
+    monkeypatch.setattr(references, "X3C_MAX_TRIES", 0)
     with pytest.raises(ValueError, match=r"^no valid draw after 0 tries \(m=2, seed=5\)$"):
         random_x3c(2, 5)
 
@@ -129,7 +128,7 @@ def test_reduction_equivalence_curated_mix():
         top = x3c_top_instance(x)
         assert (find_top_allocation(top) is not None) == expected
         if not expected:
-            assert is_weakly_pareto_optimal(top, identity_allocation(top.n))
+            assert is_weakly_pareto_optimal(top, Allocation(tuple(range(top.n))))
 
 
 def test_random_instance_determinism_and_extremes():

@@ -1,4 +1,4 @@
-"""Misreport search, mechanism stubs, and the impossibility replays."""
+"""Misreport search and the impossibility replays."""
 
 import pytest
 
@@ -11,11 +11,8 @@ from tep import (
     enumerate_core_stable,
     enumerate_ir_pareto_optimal,
     find_manipulation,
-    first_ir_pareto_mechanism,
-    identity_allocation,
     is_core_stable,
     sublist_reports,
-    table_mechanism,
     ttc,
     verify_core_consistency_impossibility,
     verify_sp_impossibility_tree,
@@ -35,20 +32,27 @@ P = Allocation((1, 2, 3, 0))
 Q = Allocation((3, 2, 1, 0))
 
 
-def q_pinning_mechanism():
-    return table_mechanism({SP: Q}, first_ir_pareto_mechanism())
+def first_ir_pareto_mechanism(inst):
+    """The lexicographically first IR + Pareto-optimal allocation."""
+    return enumerate_ir_pareto_optimal(inst)[0]
+
+
+def q_pinning_mechanism(inst):
+    """Q on the witness market, the first IR + Pareto-optimal allocation on
+    every other market."""
+    return Q if inst == SP else first_ir_pareto_mechanism(inst)
 
 
 def test_single_agent_market_has_no_manipulation():
     from tep.model import make_instance
 
     inst = make_instance(1, [[]])
-    mech = first_ir_pareto_mechanism()
+    mech = first_ir_pareto_mechanism
     assert find_manipulation(mech, inst, 0, sublist_reports(inst, 0)) is None
 
 
 def test_replayed_truncation_beats_q_pinning_mechanism():
-    mech = q_pinning_mechanism()
+    mech = q_pinning_mechanism
     candidates = [[[Outcome(3, 3)], [Outcome(2, 2)]]]
     witness = find_manipulation(mech, SP, 2, candidates)
     assert witness is not None
@@ -59,7 +63,7 @@ def test_replayed_truncation_beats_q_pinning_mechanism():
 
 
 def test_manipulation_search_is_deterministic():
-    mech = q_pinning_mechanism()
+    mech = q_pinning_mechanism
     reports = list(sublist_reports(SP, 2))
     first = find_manipulation(mech, SP, 2, reports)
     second = find_manipulation(mech, SP, 2, reports)
@@ -98,13 +102,6 @@ def test_refinement_mechanism_search_runs_and_validates():
         assert rs_compare(prof, 0, w1.outcome_after, w1.outcome_before) is RsOrdering.BETTER
 
 
-def test_table_mechanism_falls_back():
-    mech = q_pinning_mechanism()
-    assert mech(SP) == Q
-    other = SP.with_report(2, [[Outcome(3, 3)], [Outcome(2, 2)]])
-    assert mech(other) == enumerate_ir_pareto_optimal(other)[0]
-
-
 # ---------------------------------------------------------------- proof replays
 
 
@@ -129,7 +126,7 @@ def test_sp_instance_root_sets():
     core = set(enumerate_core_stable(SP))
     assert core == {P, Q}
     assert core <= irpo
-    assert not is_core_stable(SP, identity_allocation(4))
+    assert not is_core_stable(SP, Allocation((0, 1, 2, 3)))
 
 
 def test_misreported_subinstances_match_the_replay():
@@ -258,7 +255,7 @@ def _counting_identity(calls):
 
     def mechanism(market):
         calls.append(market)
-        return identity_allocation(market.n)
+        return Allocation(tuple(range(market.n)))
 
     return mechanism
 

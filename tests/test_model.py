@@ -10,7 +10,6 @@ from tep import (
     PreferenceOrder,
     canonicalize_endowment,
     compare,
-    identity_allocation,
     make_instance,
     outcome_of,
     parse_instance,
@@ -117,7 +116,7 @@ def test_compare_is_total_preorder_on_ring():
 
 def test_outcome_of_identity_and_swap():
     inst = empty_core_instance()
-    ident = identity_allocation(5)
+    ident = Allocation((0, 1, 2, 3, 4))
     for i in range(5):
         assert outcome_of(inst, ident, i) == Outcome(i, i)
     two = make_instance(2, [[], []])

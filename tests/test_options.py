@@ -16,6 +16,10 @@ recursion limit; no function in those modules calls itself, except the
 permutation search of ``tep.axioms``, whose depth the CLI bounds with
 ``axioms.MAX_N_CEILING``, checked before any n³ table is built.
 
+Every top-level function and method of ``src/tep`` has a caller there,
+or a named reason to stay without one (``UNCALLED``): an evaluator that
+only tests call lives in ``tests/references.py``.
+
 Four more scans keep the library's layers apart:
 - no module calls ``all_allocations``, which visits all n! allocations: the
   library answers with pruned or polynomial searches, and the walk is kept
@@ -32,12 +36,16 @@ Four more scans keep the library's layers apart:
 
 import ast
 import inspect
+import re
+from collections import Counter
 from pathlib import Path
 
 import tep
+from test_tracer_seams import load_tracer
 
 SRC = Path(tep.__file__).parent
 TESTS = Path(__file__).parent
+ROOT = TESTS.parent
 
 
 def _callee(node: ast.expr) -> str | None:
@@ -140,6 +148,105 @@ def test_the_field_scan_sees_decorated_classes_and_loads(tmp_path):
     )
     assert dataclass_fields(tmp_path) == [("A", "read"), ("A", "unread"), ("B", "b")]
     assert attributes_read(tmp_path) == {"read"}
+
+
+def _loaded_names(node: ast.AST) -> list[str]:
+    """Every name loaded under ``node``, as a name or as an attribute."""
+    return [sub.id if isinstance(sub, ast.Name) else sub.attr for sub in ast.walk(node)
+            if isinstance(sub, (ast.Name, ast.Attribute)) and isinstance(sub.ctx, ast.Load)]
+
+
+def uncalled_functions(src: Path = SRC) -> set[str]:
+    """Every top-level function, and every method of a top-level class,
+    defined under ``src`` whose name no code under ``src`` loads outside its
+    own body.  Dunder methods are skipped: Python calls them.  An import is
+    not a load, so a function that ``__init__.py`` only re-exports has no
+    caller."""
+    loads = Counter()
+    defs = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        loads.update(_loaded_names(tree))
+        for stmt in tree.body:
+            if isinstance(stmt, ast.ClassDef):
+                defs.extend((stmt.name + ".", node) for node in stmt.body)
+            else:
+                defs.append(("", stmt))
+    return {prefix + node.name for prefix, node in defs
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (node.name.startswith("__") and node.name.endswith("__"))
+            and loads[node.name] == _loaded_names(node).count(node.name)}
+
+
+TRACED = "perfbench/tracer.py wraps it"
+WORKLOAD = "perfbench/workloads.py imports it"
+DOCUMENTED = "README documents it"
+ORACLE = "one of the paper's oracles, exported by tep"
+
+# The functions of src/tep that nothing in src/tep calls, each with the
+# reason it stays; test_every_uncalled_function_keeps_its_reason checks them.
+UNCALLED = {
+    "all_allocations": TRACED,
+    "find_top_allocation": TRACED,
+    "serialize_allocation": TRACED,
+    "make_x3c": WORKLOAD,
+    "parse_report": DOCUMENTED,
+    "is_rs_ir": ORACLE,
+    "is_rs_pareto_optimal": ORACLE,
+    "is_rs_core_stable": ORACLE,
+    "find_blocking_coalition": ORACLE,
+}
+
+
+def test_every_function_in_the_library_has_a_caller_or_a_reason():
+    assert uncalled_functions() == set(UNCALLED)
+
+
+def test_every_uncalled_function_keeps_its_reason():
+    tracer_module = load_tracer()
+    tracer = tracer_module.Tracer()
+    try:
+        tracer_module.install(tracer)
+        wrapped = {attr for _, attr, _ in tracer._patches}
+    finally:
+        tracer.uninstall()
+    texts = {WORKLOAD: (ROOT / "perfbench" / "workloads.py").read_text(encoding="utf-8"),
+             DOCUMENTED: (ROOT / "README.md").read_text(encoding="utf-8")}
+    holds = {
+        TRACED: wrapped.__contains__,
+        WORKLOAD: lambda name: re.search(rf"\b{name}\(", texts[WORKLOAD]) is not None,
+        DOCUMENTED: lambda name: f"`tep.cli.{name}`" in texts[DOCUMENTED],
+        ORACLE: lambda name: inspect.isfunction(getattr(tep, name, None)),
+    }
+    assert [name for name, reason in UNCALLED.items() if not holds[reason](name)] == []
+
+
+def test_the_caller_scan_sees_functions_methods_and_self_calls(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "from .n import exported\n"
+        "def used():\n"
+        "    return 1\n"
+        "def recursive(k):\n"
+        "    return recursive(k - 1)\n"
+        "def passed():\n"
+        "    pass\n"
+        "def unused():\n"
+        "    return used() + helper\n"
+        "class A:\n"
+        "    def __init__(self):\n"
+        "        self.m = sorted([], key=passed)\n"
+        "    def method(self):\n"
+        "        return self.m\n"
+        "    def lonely(self):\n"
+        "        return self.lonely\n"
+        "    @property\n"
+        "    def prop(self):\n"
+        "        def nested():\n"
+        "            return 0\n"
+        "        return nested()\n"
+    )
+    (tmp_path / "n.py").write_text("def exported():\n    pass\nA().method().prop\n")
+    assert uncalled_functions(tmp_path) == {"recursive", "unused", "A.lonely", "exported"}
 
 
 def self_calling_functions(*paths: Path) -> list[str]:

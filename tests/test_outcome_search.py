@@ -30,13 +30,13 @@ import random
 import pytest
 import references
 from references import (assignment_search_reference, improvement_steps_reference,
-                        listed_outcomes_reference)
+                        listed_outcomes_reference, random_x3c)
 
 from tep import axioms
 from tep.axioms import _assignment_search, _improvement_steps, _ir_limits
 from tep.cycles import Budget
 from tep.errors import BudgetExceededError
-from tep.generators import random_instance, random_x3c, x3c_core_instance, x3c_top_instance
+from tep.generators import random_instance, x3c_core_instance, x3c_top_instance
 from tep.model import Outcome, make_instance
 
 NODES = 20_000

@@ -11,13 +11,10 @@ from tep import (
     Outcome,
     PredominantProfile,
     compare,
-    identity_allocation,
     is_core_stable,
     is_individually_rational,
     is_pareto_optimal,
     lex_compare,
-    lex_instance,
-    trade_rounds,
     ttc,
     tttc,
 )
@@ -26,7 +23,7 @@ from tep.incentives import find_manipulation, strict_primary_reports
 from tep.predominant import _trade_cycles
 from tep.rng import SplitMix64
 
-from references import trade_cycles_reference
+from references import lex_instance, trade_cycles_reference
 
 
 def house_profile(primary, tiebreak=None):
@@ -91,7 +88,7 @@ def test_lex_instance_matches_direct_lexicographic_compare():
 
 def test_ttc_self_loving_agents_stay_home():
     prof = house_profile([[0, 1, 2], [1, 0, 2], [2, 1, 0]])
-    assert ttc(prof) == identity_allocation(3)
+    assert ttc(prof) == Allocation((0, 1, 2))
 
 
 def test_ttc_two_agent_swap():
@@ -109,7 +106,7 @@ def test_ttc_requires_house_mode():
 
 def test_tttc_self_loving_owners_stay_home():
     prof = tenant_profile([[0, 1, 2], [1, 0, 2], [2, 1, 0]])
-    assert tttc(prof) == identity_allocation(3)
+    assert tttc(prof) == Allocation((0, 1, 2))
 
 
 def test_tttc_two_agent_swap():
@@ -143,21 +140,26 @@ def test_cycle_selection_order_does_not_matter():
         assert tttc(tp) == trade_cycles_reference(tp, "max", False)[0]
 
 
+def check_round_structure(prof, alloc, rounds):
+    """The rounds partition the agents, and an agent removed in round k gets
+    a house it weakly prefers to every house removed in round k or later."""
+    n = prof.n
+    assert sorted(a for cycle in rounds for a in cycle) == list(range(n))
+    rank = [{h: r for r, h in enumerate(prof.primary[i])} for i in range(n)]
+    for k, cycle in enumerate(rounds):
+        later_houses = [prof.endowment[a] for c in rounds[k:] for a in c]
+        for agent in cycle:
+            assert all(rank[agent][alloc[agent]] <= rank[agent][h] for h in later_houses)
+
+
 def test_round_structure():
-    # an agent removed in round k gets a house it weakly prefers to every
-    # house removed in round k or later
+    # the rounds are the reference walk's, once its allocation is ttc's
     for seed in range(15):
         n = 3 + seed % 4
         prof = random_predominant_profile(n, HOUSE, 0.4, 1000 + seed)
-        alloc = ttc(prof)
-        rounds = trade_rounds(prof)
-        assert sorted(a for cycle in rounds for a in cycle) == list(range(n))
-        rank = [{h: r for r, h in enumerate(prof.primary[i])} for i in range(n)]
-        for k, cycle in enumerate(rounds):
-            later_houses = [prof.endowment[a] for c in rounds[k:] for a in c]
-            for agent in cycle:
-                assert all(rank[agent][alloc[agent]] <= rank[agent][h]
-                           for h in later_houses)
+        alloc, rounds = trade_cycles_reference(prof, "min", True)
+        assert ttc(prof) == alloc
+        check_round_structure(prof, alloc, rounds)
 
 
 def test_tttc_is_relabeled_ttc_on_the_swapped_problem():
@@ -199,11 +201,11 @@ def test_one_walk_matches_the_two_branch_reference_on_permuted_endowments():
         house_mode = prof.mode == HOUSE
         mechanism = ttc if house_mode else tttc
         alloc, rounds = trade_cycles_reference(prof, "min", house_mode)
-        assert _trade_cycles(prof) == (alloc, rounds)
+        assert _trade_cycles(prof) == alloc
         assert mechanism(prof) == alloc
         assert trade_cycles_reference(prof, "max", house_mode)[0] == alloc
         if house_mode:
-            assert trade_rounds(prof) == rounds
+            check_round_structure(prof, alloc, rounds)
 
 
 def test_outputs_ir_core_stable_and_po_on_permuted_endowments():

@@ -11,7 +11,6 @@ from tep import (
     PraResult,
     ResponsiveProfile,
     RsOrdering,
-    identity_allocation,
     is_rs_core_stable,
     is_rs_ir,
     is_rs_pareto_optimal,
@@ -140,7 +139,7 @@ def test_strict_dominance_survives_lexicographic_completion():
 
 def test_rs_ir_basics():
     prof = mutual_improvement_2()
-    assert is_rs_ir(prof, identity_allocation(2))
+    assert is_rs_ir(prof, Allocation((0, 1)))
     assert is_rs_ir(prof, Allocation((1, 0)))
     # a profile where agent 0 finds house 1 unacceptable
     prof2 = profile(2, [[[0]], [[1], [0]]], [[[0], [1]], [[1]]])
@@ -148,8 +147,8 @@ def test_rs_ir_basics():
 
 
 def test_rs_po_basics():
-    assert is_rs_pareto_optimal(everyone_top(3), identity_allocation(3))
-    assert not is_rs_pareto_optimal(mutual_improvement_2(), identity_allocation(2))
+    assert is_rs_pareto_optimal(everyone_top(3), Allocation((0, 1, 2)))
+    assert not is_rs_pareto_optimal(mutual_improvement_2(), Allocation((0, 1)))
     assert is_rs_pareto_optimal(mutual_improvement_2(), Allocation((1, 0)))
 
 
@@ -164,7 +163,7 @@ def _rs_po_cases():
                                          (0.0, 0.35, 0.9)[seed // 7 % 3], 90_000 + seed)
         if seed // 3 % 2:
             prof = _permuted_endowment(prof, rng)
-        allocs = [pra_rs(prof).allocation, identity_allocation(n)]
+        allocs = [pra_rs(prof).allocation, Allocation(tuple(range(n)))]
         for _ in range(3):
             perm = list(range(n))
             rng.shuffle(perm)
@@ -188,7 +187,7 @@ def test_rs_po_ignores_a_cycle_of_indifferent_swaps():
     """Both agents are indifferent between the two houses and the two
     tenants, so swapping changes nothing and the identity stays optimal."""
     prof = profile(2, [[[0, 1]], [[0, 1]]], [[[0, 1]], [[0, 1]]])
-    assert is_rs_pareto_optimal(prof, identity_allocation(2))
+    assert is_rs_pareto_optimal(prof, Allocation((0, 1)))
     assert is_rs_pareto_optimal(prof, Allocation((1, 0)))
 
 
@@ -196,14 +195,14 @@ def test_rs_po_sees_a_three_way_trade():
     """Only the rotation 0 -> 1 -> 2 -> 0 improves on the identity, strictly
     for agent 0's house and indifferently for everything else."""
     prof = profile(3, [[[1], [0]], [[1, 2]], [[2, 0]]], [[[0, 2]], [[1, 0]], [[2, 1]]])
-    assert not is_rs_pareto_optimal(prof, identity_allocation(3))
+    assert not is_rs_pareto_optimal(prof, Allocation((0, 1, 2)))
     assert is_rs_pareto_optimal(prof, Allocation((1, 2, 0)))
 
 
 def test_rs_core_basics():
-    assert not is_rs_core_stable(mutual_improvement_2(), identity_allocation(2))
+    assert not is_rs_core_stable(mutual_improvement_2(), Allocation((0, 1)))
     assert is_rs_core_stable(mutual_improvement_2(), Allocation((1, 0)))
-    assert is_rs_core_stable(everyone_top(3), identity_allocation(3))
+    assert is_rs_core_stable(everyone_top(3), Allocation((0, 1, 2)))
 
 
 # ---------------------------------------------------------------- matching
@@ -414,7 +413,7 @@ def test_rs_aa_graph_needs_a_start_and_a_suspect():
     """rs_aa has two forms: the cold one takes both sets and nothing else,
     the maintained one takes adj, start and suspect and neither set."""
     full = [set(range(3)) for _ in range(3)]
-    start = identity_allocation(3)
+    start = Allocation((0, 1, 2))
     sets = ((), (full,), (full, full), (None, full))
     graph = ({}, {"adj": full})
     warm = ({}, {"start": start}, {"suspect": 0}, {"start": start, "suspect": 0})
@@ -433,7 +432,7 @@ def test_rs_aa_graph_needs_a_start_and_a_suspect():
 
 def test_pra_everyone_top_returns_identity():
     result = pra_rs(everyone_top(4))
-    assert result.allocation == identity_allocation(4)
+    assert result.allocation == Allocation((0, 1, 2, 3))
 
 
 def test_pra_mutual_improvement_returns_swap():
@@ -441,7 +440,7 @@ def test_pra_mutual_improvement_returns_swap():
     assert result.allocation == Allocation((1, 0))
     # the swap is the unique RS-IR + RS-PO allocation here
     prof = mutual_improvement_2()
-    winners = [a for a in (identity_allocation(2), Allocation((1, 0)))
+    winners = [a for a in (Allocation((0, 1)), Allocation((1, 0)))
                if is_rs_ir(prof, a) and is_rs_pareto_optimal(prof, a)]
     assert winners == [Allocation((1, 0))]
 
