@@ -17,7 +17,6 @@ from .axioms import (
 )
 from .errors import (
     BudgetExceededError,
-    OracleLimitError,
     ParseError,
     ProofError,
     TepError,

@@ -32,11 +32,10 @@ the candidates passed over are charged in one ``Budget.tick`` before the
 next one is written or when the group runs out: every exit-3 point and
 ``Budget.left`` stay those of one tick per candidate.  A newly fixed
 agent's rank is read from its order's rank dict, and its improvement
-steps are built once per rank and search.  The search keeps one frame per
-written candidate on a stack of its own, so only the node budget bounds
-how many agents it can reach; :func:`_permutation_search` recurses once
-per agent, and the CLI refuses n above ``MAX_N_CEILING`` before it builds
-the n³ tables that search reads.
+steps are built once per rank and search.  Both searches keep their
+paths on stacks of their own, so only the node budget bounds how many
+agents they reach; the CLI refuses n above ``MAX_N_CEILING`` before it
+builds the n³ tables the permutation search reads.
 """
 
 from __future__ import annotations
@@ -50,8 +49,8 @@ from typing import Iterator, Sequence
 from .cycles import Budget, Options, find_exchange_cycle, has_cycle_through, iter_exchange_cycles
 from .model import Allocation, Instance, outcome_of
 
-# The largest n the CLI runs _permutation_search on: it recurses once per
-# agent, and its n³ rank or weight table already takes about 230 MB at n = 300.
+# The largest n the CLI runs _permutation_search on, a memory bound: its n³
+# rank or weight table already takes about 230 MB at n = 300.
 MAX_N_CEILING = 300
 DEFAULT_NODE_BUDGET = 10_000_000
 
@@ -90,10 +89,10 @@ def _permutation_search(inst: Instance, cost: Sequence[Sequence[int]], limits: S
     tick per house its loop looks at, n at once, whether the house is free
     and fits or not.
 
-    ``place`` recurses through its own closure cell, a reference cycle that
-    would keep the cost tables alive until the cyclic collector runs; the
-    cell is cleared when the walk ends or is dropped, so refcounting frees
-    everything (``tep.cli.run`` runs requests with that collector paused).
+    The walk keeps a stack of its own, one frame per agent before the one
+    it is placing: that agent, the houses it has yet to try, the cost sums
+    before it, and its cost row, limit and own house.  The last agent yields
+    its leaves from its own loop; an agent out of houses pops a frame.
     """
     n = inst.n
     endow, owner = inst.endowment, inst.owner
@@ -103,17 +102,13 @@ def _permutation_search(inst: Instance, cost: Sequence[Sequence[int]], limits: S
     val = [0] * n     # cost of each agent's fixed outcome
     best = bound
     tick = Budget(node_budget).tick
-
-    def place(k: int, acc, rest) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-        nonlocal best
-        if k == n:
-            if best is not None:
-                best = acc
-            yield tuple(got), tuple(val)
-            return
-        tick(n)
-        row, limit, own = cost[k], limits[k], endow[k]
-        for h in range(n):
+    last = n - 1      # the agent whose placements are leaves
+    stack: list[tuple] = []
+    k, acc, rest = 0, 0, sum(low)
+    tick(n)
+    houses, row, limit, own = iter(range(n)), cost[0], limits[0], endow[0]
+    while True:
+        for h in houses:
             if taker[h] >= 0:
                 continue
             a, r = acc, rest
@@ -135,14 +130,23 @@ def _permutation_search(inst: Instance, cost: Sequence[Sequence[int]], limits: S
                 val[o] = c
             if best is not None and a + r >= best:
                 continue
-            got[k], taker[h] = h, k
-            yield from place(k + 1, a, r)
-            taker[h] = -1
-
-    try:
-        yield from place(0, 0, sum(low))
-    finally:
-        place = None
+            got[k] = h
+            if k == last:
+                if best is not None:
+                    best = a
+                yield tuple(got), tuple(val)
+                continue
+            taker[h] = k
+            stack.append((k, houses, acc, rest, row, limit, own))
+            k, acc, rest = k + 1, a, r
+            tick(n)
+            houses, row, limit, own = iter(range(n)), cost[k], limits[k], endow[k]
+            break
+        else:
+            if not stack:
+                return
+            k, houses, acc, rest, row, limit, own = stack.pop()
+            taker[got[k]] = -1
 
 
 def is_individually_rational(inst: Instance, alloc: Allocation) -> bool:

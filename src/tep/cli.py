@@ -19,7 +19,7 @@ import sys
 import time
 
 from . import axioms, files, generators, incentives, programs
-from .errors import BudgetExceededError, OracleLimitError, ParseError, ProofError, TepError
+from .errors import BudgetExceededError, ParseError, ProofError, TepError
 from .predominant import HOUSE, TENANT, ttc, tttc
 from .responsive import pra_rs
 
@@ -96,10 +96,10 @@ def _check_size(inst, bound: int = axioms.MAX_N_CEILING,
                 what: str = "permutation search") -> None:
     """Refuse an instance above ``bound`` agents before any of its n³ tables
     is built.  The default is the ceiling of the permutation search, whose
-    rank or weight table and recursion depth grow with n; its node budget
-    bounds its time."""
+    rank or weight table bounds its memory; its node budget bounds its
+    time."""
     if inst.n > bound:
-        raise OracleLimitError(f"{what} needs n <= {bound}, got n = {inst.n}")
+        raise BudgetExceededError(f"{what} needs n <= {bound}, got n = {inst.n}")
 
 
 def _cmd_gen(args, report: _Report) -> int:
@@ -407,10 +407,9 @@ def run(argv: list[str]) -> int:
     except OSError as exc:
         print(f"input error: io: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (OracleLimitError, BudgetExceededError) as exc:
-        # A size bound, the node budget or the report cap: the searches keep
-        # their paths on stacks of their own, and the one that recurses runs
-        # only up to MAX_N_CEILING agents, so the call stack bounds nothing.
+    except BudgetExceededError as exc:
+        # A size bound, the node budget or the report cap: every search keeps
+        # its path on a stack of its own, so the call stack bounds nothing.
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except TepError as exc:

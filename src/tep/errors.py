@@ -24,12 +24,10 @@ class ParseError(TepError):
         super().__init__(f"{code}: {message}{where}")
 
 
-class OracleLimitError(TepError):
-    """A problem is larger than the configured bound for an exact scan."""
-
-
 class BudgetExceededError(TepError):
-    """A search exhausted its node budget or report-space cap."""
+    """A search exhausted its node budget or report-space cap, or an
+    instance is above a size bound: ``axioms.MAX_N_CEILING`` agents for the
+    permutation search, ``programs.EXPORT_MAX_N`` for the LP export."""
 
 
 class ProofError(TepError):

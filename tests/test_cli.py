@@ -804,19 +804,32 @@ def _under_frames(depth, call):
     return call() if depth == 0 else _under_frames(depth - 1, call)
 
 
+def _stack_depth():
+    """How many frames the calling frame stands on, itself included."""
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
 def test_an_answer_does_not_depend_on_the_callers_stack(tmp_path, capsys):
     """The same runs give the same exit codes and bytes at the top of the
-    stack and under 500 more caller frames: no search recurses once per
-    agent, so no recursion limit is a hidden bound."""
+    stack and with about 100 frames left below the recursion limit: no
+    search recurses once per agent, so no recursion limit is a hidden
+    bound."""
     runs = []
-    for n in (500, 900, 1500):
+    for n in (120, 500, 900, 1500):
         inst = tmp_path / f"n{n}.tep"
         inst.write_text(f"tep v1\nagents {n}\n")
-        runs += [["oracle", "--instance", str(inst), "--enumerate", e] for e in ("ir", "core")]
+        if n == 120:  # the permutation search, under its 300-agent ceiling
+            runs.append(["solve", "--instance", str(inst), "--method", "exact"])
+        else:
+            runs += [["oracle", "--instance", str(inst), "--enumerate", e] for e in ("ir", "core")]
     for argv in runs:
         top = invoke(argv)
         assert top[0] == 0, argv
-        assert _under_frames(500, lambda: invoke(argv)) == top, argv
+        deep = sys.getrecursionlimit() - _stack_depth() - 100
+        assert _under_frames(deep, lambda: invoke(argv)) == top, argv
     assert capsys.readouterr().err == ""
 
 

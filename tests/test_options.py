@@ -9,12 +9,11 @@ A field of a dataclass defined in ``src/tep`` is data every instance
 carries; one that neither the library nor its tests ever read is carried
 for nobody.
 
-The cycle search, Hopcroft-Karp and the outcome backtracking keep their
-paths on stacks of their own, so how long a cycle, an augmenting path or a
-run of agents with a choice they can follow does not depend on Python's
-recursion limit; no function in those modules calls itself, except the
-permutation search of ``tep.axioms``, whose depth the CLI bounds with
-``axioms.MAX_N_CEILING``, checked before any n³ table is built.
+The cycle search, Hopcroft-Karp, the outcome backtracking and the
+permutation search keep their paths on stacks of their own, so how long a
+cycle, an augmenting path or a run of agents with a choice they can follow
+does not depend on Python's recursion limit; no function in those modules,
+or in ``tep.responsive`` and ``tep.programs``, calls itself.
 
 Every top-level function and method of ``src/tep`` has a caller there,
 or a named reason to stay without one (``UNCALLED``): an evaluator that
@@ -262,12 +261,10 @@ def self_calling_functions(*paths: Path) -> list[str]:
     return found
 
 
-def test_the_cycle_search_and_matching_do_not_recurse():
-    assert self_calling_functions(SRC / "cycles.py", SRC / "matching.py") == []
-    # The permutation search recurses once per agent, but the CLI runs it
-    # only up to axioms.MAX_N_CEILING agents; an explicit-stack version of
-    # it made the scan workload about 11% slower.
-    assert self_calling_functions(SRC / "axioms.py") == ["place"]
+def test_no_search_recurses():
+    # tep.predominant stays out: the scan reads super().__post_init__() as a self-call.
+    modules = ("cycles.py", "matching.py", "axioms.py", "responsive.py", "programs.py")
+    assert self_calling_functions(*(SRC / name for name in modules)) == []
 
 
 def test_the_recursion_scan_sees_nested_generators_and_methods(tmp_path):

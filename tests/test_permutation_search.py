@@ -299,9 +299,9 @@ def test_core_enumeration_passes_its_node_budget_to_each_check():
 
 @pytest.mark.parametrize("leaves", [1, None], ids=["one-leaf-then-dropped", "exhausted"])
 def test_a_search_leaves_no_cyclic_garbage(leaves):
-    """The recursive walk refers to itself through its closure cell; the
-    search clears the cell when the walk ends or is dropped, so refcounting
-    frees the walk and its tables (requests run with the collector paused)."""
+    """A search that ends or is dropped after one leaf leaves nothing for
+    the cyclic collector: refcounting frees the walk and its tables, as it
+    must while requests run with the collector paused."""
     inst = sp_instance()
     table, limits = inst.rank_table, [len(order) for order in inst.prefs]
     gc.disable()
