@@ -34,8 +34,9 @@ next one is written or when the group runs out: every exit-3 point and
 agent's rank is read from its order's rank dict, and its improvement
 steps are built once per rank and search.  Both searches keep their
 paths on stacks of their own, so only the node budget bounds how many
-agents they reach; the CLI refuses n above ``MAX_N_CEILING`` before it
-builds the n³ tables the permutation search reads.
+agents they reach; ``Instance.rank_table``, from which every n³ table the
+permutation search reads is built, refuses n above
+``model.MAX_N_CEILING``.
 """
 
 from __future__ import annotations
@@ -49,9 +50,6 @@ from typing import Iterator, Sequence
 from .cycles import Budget, Options, find_exchange_cycle, has_cycle_through, iter_exchange_cycles
 from .model import Allocation, Instance, outcome_of
 
-# The largest n the CLI runs _permutation_search on, a memory bound: its n³
-# rank or weight table already takes about 230 MB at n = 300.
-MAX_N_CEILING = 300
 DEFAULT_NODE_BUDGET = 10_000_000
 
 

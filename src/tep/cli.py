@@ -5,7 +5,7 @@ run prints a small structured report (stable field order, deterministic for
 fixed inputs and seeds; wall-clock timing only appears under ``--timing``).
 Exit codes: 0 the property holds or an object was found, 1 it fails or none
 exists, 2 bad input, 3 a size bound, the node budget or the report cap was
-exceeded.
+exceeded (``Instance.rank_table`` itself refuses n above ``model.MAX_N_CEILING``).
 A request runs with Python's cyclic collector paused: it builds many
 short-lived acyclic containers and leaves no cycles, so refcounting frees it.
 """
@@ -92,16 +92,6 @@ def _write(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _check_size(inst, bound: int = axioms.MAX_N_CEILING,
-                what: str = "permutation search") -> None:
-    """Refuse an instance above ``bound`` agents before any of its n³ tables
-    is built.  The default is the ceiling of the permutation search, whose
-    rank or weight table bounds its memory; its node budget bounds its
-    time."""
-    if inst.n > bound:
-        raise BudgetExceededError(f"{what} needs n <= {bound}, got n = {inst.n}")
-
-
 def _cmd_gen(args, report: _Report) -> int:
     family = args.family
     if family in ("x3c-core", "x3c-top"):
@@ -137,38 +127,36 @@ def _cmd_gen(args, report: _Report) -> int:
     return EXIT_OK
 
 
-def _solve_exact(inst, weights: str, node_budget: int):
-    _check_size(inst)
-    return programs.solve_exact_max_weight(inst, programs.weights_from_ranks(inst, weights),
-                                           node_budget=node_budget)
+def _market(args, text: str):
+    """The market in ``text`` that ``--method`` reads, and its mechanism: a
+    function from a market to (allocation, the (key, value) report lines
+    after it).  ttc needs a house-primary profile, tttc a tenant-primary one.
+    Mechanisms are looked up as they run, where a tracer may wrap them."""
+    method = args.method
+    if method in ("ttc", "tttc"):
+        market, mode = files.parse_predominant_profile(text), HOUSE if method == "ttc" else TENANT
+        if market.mode != mode:
+            raise ParseError("syntax", f"--method {method} needs a profile with 'mode {mode}', "
+                             f"got 'mode {market.mode}'")
+        return market, lambda prof: ((ttc if method == "ttc" else tttc)(prof), ())
+    if method == "pra":
+        def mechanism(prof):
+            result = pra_rs(prof, order=args.order, seed=args.seed)
+            return result.allocation, (("rs-aa-calls", result.rs_aa_calls),)
+        return files.parse_responsive_profile(text), mechanism
 
-
-def _predominant(text: str, method: str):
-    """The profile in ``text`` and the mechanism ``method`` names, which
-    needs the profile's mode: ttc a house-primary one, tttc a tenant-primary
-    one."""
-    prof = files.parse_predominant_profile(text)
-    mechanism, mode = (ttc, HOUSE) if method == "ttc" else (tttc, TENANT)
-    if prof.mode != mode:
-        raise ParseError("syntax", f"--method {method} needs a profile with 'mode {mode}', "
-                         f"got 'mode {prof.mode}'")
-    return prof, mechanism
+    def mechanism(inst):
+        alloc, value = programs.solve_exact_max_weight(
+            inst, programs.weights_from_ranks(inst, args.weights), node_budget=args.node_budget)
+        return alloc, (("value", value),)
+    return files.parse_instance(text), mechanism
 
 
 def _cmd_solve(args, report: _Report) -> int:
-    text = _read(args.instance, report)
-    if args.method in ("ttc", "tttc"):
-        prof, mechanism = _predominant(text, args.method)
-        report.add("allocation", mechanism(prof).text())
-    elif args.method == "pra":
-        prof = files.parse_responsive_profile(text)
-        result = pra_rs(prof, order=args.order, seed=args.seed)
-        report.add("allocation", result.allocation.text())
-        report.add("rs-aa-calls", result.rs_aa_calls)
-    else:
-        alloc, value = _solve_exact(files.parse_instance(text), args.weights, args.node_budget)
-        report.add("allocation", alloc.text())
-        report.add("value", value)
+    market, mechanism = _market(args, _read(args.instance, report))
+    alloc, lines = mechanism(market)
+    for key, value in (("allocation", alloc.text()), *lines):
+        report.add(key, value)
     return EXIT_OK
 
 
@@ -178,10 +166,8 @@ def _cmd_verify(args, report: _Report) -> int:
     if args.check == "ir":
         holds = axioms.is_individually_rational(inst, alloc)
     elif args.check == "po":
-        _check_size(inst)
         holds = axioms.is_pareto_optimal(inst, alloc, node_budget=args.node_budget)
     elif args.check == "wpo":
-        _check_size(inst)
         holds = axioms.is_weakly_pareto_optimal(inst, alloc, node_budget=args.node_budget)
     else:
         holds = axioms.is_core_stable(inst, alloc, node_budget=args.node_budget)
@@ -196,7 +182,6 @@ def _cmd_oracle(args, report: _Report) -> int:
     if args.enumerate == "ir":
         allocs = axioms.enumerate_ir_allocations(inst, node_budget=args.node_budget)
     elif args.enumerate == "po":
-        _check_size(inst)
         allocs = axioms.enumerate_pareto_optimal(inst, node_budget=args.node_budget)
     else:
         found = axioms.core_exists(inst, node_budget=args.node_budget)
@@ -214,7 +199,8 @@ def _cmd_oracle(args, report: _Report) -> int:
 def _cmd_export(args, report: _Report) -> int:
     inst = files.parse_instance(_read(args.instance, report))
     # The bound first: the weight table has n³ entries and the program n³ terms.
-    _check_size(inst, programs.EXPORT_MAX_N, "export")
+    if inst.n > programs.EXPORT_MAX_N:
+        raise BudgetExceededError(f"export needs n <= {programs.EXPORT_MAX_N}, got n = {inst.n}")
     table = programs.weights_from_ranks(inst, args.weights)
     program = (programs.export_ilp(inst, table) if args.form == "ilp"
                else programs.export_qp(inst, table))
@@ -227,26 +213,21 @@ def _cmd_export(args, report: _Report) -> int:
 
 
 def _cmd_manipulate(args, report: _Report) -> int:
-    # Per method: the truth, the mechanism, the one built-in report space
-    # (with the hint shown when another is asked for), the candidate-line
-    # keyword and the witness formatter.
-    text = _read(args.instance, report)
+    # Per method: the one built-in report space (with the hint shown when
+    # another is asked for), the candidate-line keyword and the witness
+    # formatter.
+    truth, mechanism = _market(args, _read(args.instance, report))
     agent = args.agent
     if args.method in ("ttc", "tttc"):
-        truth, mechanism = _predominant(text, args.method)
         space, hint = "strict", "predominant mechanisms support --space strict or file:"
         built_in = lambda: incentives.strict_primary_reports(truth.n)
         keyword, fmt = "porder", lambda rep: " ".join(map(str, rep))
     elif args.method == "pra":
-        truth = files.parse_responsive_profile(text)
-        mechanism = lambda prof: pra_rs(prof, order=args.order, seed=args.seed).allocation
         space, hint = "strict", "pra supports --space strict (component orders) or file:"
         built_in = lambda: incentives.component_order_reports(truth, agent)
         keyword = "rpref"
         fmt = lambda rep: f"H {files.format_classes(rep[0])} ; N {files.format_classes(rep[1])}"
     else:
-        truth = files.parse_instance(text)
-        mechanism = lambda inst: _solve_exact(inst, args.weights, args.node_budget)[0]
         space, hint = "subsets", "instance mechanisms support --space subsets or file:"
         built_in = lambda: incentives.sublist_reports(truth, agent)
         keyword = "pref"
@@ -260,8 +241,8 @@ def _cmd_manipulate(args, report: _Report) -> int:
         reports = built_in()
     else:
         raise ParseError("syntax", hint)
-    witness = incentives.find_manipulation(mechanism, truth, agent, reports,
-                                           max_reports=args.cap)
+    witness = incentives.find_manipulation(lambda market: mechanism(market)[0], truth, agent,
+                                           reports, max_reports=args.cap)
     report.add("agent", agent)
     if witness is None:
         report.add("result", "none")
@@ -313,6 +294,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--node-budget", type=_limit, default=axioms.DEFAULT_NODE_BUDGET,
                        help="node budget for the exact searches")
 
+    def mechanism_options(p):  # what pra and exact read beside --method
+        p.add_argument("--order", choices=["round-robin", "reverse", "random"],
+                       default="round-robin")
+        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--weights", choices=list(programs.WEIGHT_SCHEMES),
+                       default=programs.BORDA)
+
     p = sub.add_parser("gen", help="write a named or random instance/profile")
     p.add_argument("--family", required=True,
                    choices=["empty-core", "x3c-core", "x3c-top", "sp", "random",
@@ -329,10 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="run a mechanism on an instance/profile file")
     p.add_argument("--instance", required=True)
     p.add_argument("--method", required=True, choices=["ttc", "tttc", "pra", "exact"])
-    p.add_argument("--order", choices=["round-robin", "reverse", "random"],
-                   default="round-robin")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--weights", choices=list(programs.WEIGHT_SCHEMES), default=programs.BORDA)
+    mechanism_options(p)
     common(p)
 
     p = sub.add_parser("verify", help="check one axiom for a given allocation")
@@ -360,10 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--space", required=True,
                    help="strict | subsets | file:CANDIDATES")
     p.add_argument("--cap", type=_limit, default=100_000)
-    p.add_argument("--order", choices=["round-robin", "reverse", "random"],
-                   default="round-robin")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--weights", choices=list(programs.WEIGHT_SCHEMES), default=programs.BORDA)
+    mechanism_options(p)
     common(p)
 
     p = sub.add_parser("prove", help="replay an impossibility case analysis")

@@ -26,8 +26,8 @@ class ParseError(TepError):
 
 class BudgetExceededError(TepError):
     """A search exhausted its node budget or report-space cap, or an
-    instance is above a size bound: ``axioms.MAX_N_CEILING`` agents for the
-    permutation search, ``programs.EXPORT_MAX_N`` for the LP export."""
+    instance is above a size bound: ``Instance.rank_table`` refuses n above
+    ``model.MAX_N_CEILING``, the LP export n above ``programs.EXPORT_MAX_N``."""
 
 
 class ProofError(TepError):

@@ -24,6 +24,12 @@ from functools import cached_property
 from itertools import chain
 from typing import Iterable, NamedTuple
 
+from .errors import BudgetExceededError
+
+# The most agents a rank table is built for, a memory bound: the n³ table
+# that the permutation search reads already takes about 230 MB at n = 300.
+MAX_N_CEILING = 300
+
 
 class Outcome(NamedTuple):
     house: int
@@ -225,7 +231,11 @@ class Instance(Market):
     @cached_property
     def rank_table(self) -> tuple[tuple[int, ...], ...]:
         """rank_table[i][h * n + t] is agent i's rank of outcome (h, t);
-        unlisted outcomes hold the sentinel rank ``len(prefs[i])``."""
+        unlisted outcomes hold the sentinel rank ``len(prefs[i])``.  Above
+        ``MAX_N_CEILING`` agents, BudgetExceededError before any row."""
+        if self.n > MAX_N_CEILING:
+            raise BudgetExceededError(f"permutation search needs n <= {MAX_N_CEILING}, "
+                                      f"got n = {self.n}")
         return tuple(_rank_row(classes, self.n) for classes in self.prefs)
 
     def endowment_outcome(self, agent: int) -> Outcome:

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import tep
-from tep import cli, programs
+from tep import cli, model
 from tep.cli import parse_report, run
 from tep.files import (parse_instance, parse_responsive_profile, serialize_allocation,
                        serialize_instance, serialize_predominant_profile)
@@ -730,10 +730,10 @@ def test_faulty_rpref_candidate_reports_its_own_line(tmp_path, capsys, candidate
 ], ids=["solve", "manipulate", "export"])
 def test_exact_bound_is_checked_before_the_weight_table(tmp_path, capsys, monkeypatch, argv,
                                                         bound):
-    def weights_from_ranks(*args):
-        raise AssertionError("the n³ weight table was built")
+    def rank_row(*args):
+        raise AssertionError("a row of the n³ rank table was built")
 
-    monkeypatch.setattr(programs, "weights_from_ranks", weights_from_ranks)
+    monkeypatch.setattr(model, "_rank_row", rank_row)
     monkeypatch.chdir(tmp_path)
     inst = tmp_path / "n301.tep"
     inst.write_text("tep v1\nagents 301\n")

@@ -1,0 +1,204 @@
+"""The CLI's exit-code contract under a seeded fuzzer.
+
+Every request ends in exit 0 (holds or found), 1 (fails or none), 2 (bad
+input) or 3 (a bound or budget exceeded).  On exits 2 and 3 stdout is
+empty and stderr is one line that starts ``input error:`` or ``budget
+exceeded:``.  The requests mutate generated markets in ways that mostly
+still parse:
+- ``endow`` lines that permute the houses (now and then not a bijection);
+- agent lines dropped, shuffled or repeated;
+- indifference classes split, merged, reordered or dropped, and items
+  moved between them;
+- allocations that are not permutations;
+- n = 1 and the agent index n.
+
+Each request runs twice.  The second run must repeat the first byte for
+byte, written files included, and leave nothing for the collector.
+"""
+
+import gc
+import io
+import random
+import re
+from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
+
+from tep import cli
+from tep.files import (serialize_instance, serialize_predominant_profile,
+                       serialize_responsive_profile)
+from tep.generators import random_instance, random_predominant_profile, random_responsive_profile
+from tep.programs import WEIGHT_SCHEMES
+
+SEED = 1
+REQUESTS = 500
+CLASS = re.compile(r"\[[^\]]*\]")
+COMMANDS = [("verify", "--check", c) for c in ("ir", "po", "wpo", "core")] + \
+    [("oracle", "--enumerate", e) for e in ("ir", "po", "core")] + \
+    [("solve", "--method", m) for m in ("exact", "pra", "ttc", "tttc")] + \
+    [("export", "--form", f) for f in ("ilp", "qp")] + \
+    [("manipulate", "--method", m) for m in ("exact", "pra", "ttc", "tttc")]
+SPACES = {"exact": "subsets", "pra": "strict", "ttc": "strict", "tttc": "strict"}
+
+
+def mutate_classes(rng, text):
+    """A class list '[a b] > [c]' with one class split, two merged, all of
+    them reordered, one dropped or one item moved to another class."""
+    classes = [c[1:-1].split() for c in CLASS.findall(text)]
+    move = rng.randrange(5)
+    wide = [i for i, c in enumerate(classes) if len(c) > 1]
+    if move == 0 and wide:
+        i = rng.choice(wide)
+        cut = rng.randrange(1, len(classes[i]))
+        classes[i:i + 1] = [classes[i][:cut], classes[i][cut:]]
+    elif move == 1 and len(classes) > 1:
+        i = rng.randrange(len(classes) - 1)
+        classes[i:i + 2] = [classes[i] + classes[i + 1]]
+    elif move == 2:
+        rng.shuffle(classes)
+    elif move == 3 and classes:
+        del classes[rng.randrange(len(classes))]
+    elif move == 4 and wide and len(classes) > 1:
+        source = classes[rng.choice(wide)]
+        rng.choice([c for c in classes if c is not source]).append(source.pop())
+    return " > ".join("[" + " ".join(c) + "]" for c in classes)
+
+
+def mutate_line(rng, line):
+    """An agent line with the class lists of its body mutated; a ppref
+    line's primary order may be permuted."""
+    head, _, body = line.partition(": ")
+    parts = []
+    for part in body.split(" ; "):
+        tag, rest = (part[0], part[2:]) if part[0].isalpha() else ("", part)
+        if tag == "P":
+            items = rest.split()
+            rng.shuffle(items)
+            rest = " ".join(items)
+        else:
+            rest = mutate_classes(rng, rest)
+        parts.append(f"{tag} {rest}" if tag else rest)
+    return f"{head}: {' ; '.join(parts)}"
+
+
+def mutate_market(rng, text):
+    header, agents, *rest = text.splitlines()
+    n = int(agents.split()[1])
+    directives = [line for line in rest if line.startswith("mode")]
+    lines = [mutate_line(rng, line) if rng.random() < 0.5 else line
+             for line in rest if not line.startswith("mode")]
+    if lines and rng.random() < 0.25:
+        del lines[rng.randrange(len(lines))]
+    if rng.random() < 0.25:
+        rng.shuffle(lines)
+    if lines and rng.random() < 0.05:
+        lines.append(rng.choice(lines))
+    if rng.random() < 0.4:
+        endow = list(range(n))
+        rng.shuffle(endow)
+        if rng.random() < 0.1:
+            endow[0] = endow[-1]
+        directives.append("endow " + " ".join(map(str, endow)))
+    return "\n".join([header, agents, *directives, *lines]) + "\n"
+
+
+def allocation(rng, n):
+    houses = list(range(n))
+    rng.shuffle(houses)
+    lines = [f"assign {i} {h}" for i, h in enumerate(houses)]
+    move = rng.random()
+    if move < 0.1:
+        lines[0] = f"assign 0 {houses[-1]}"  # a house twice when n > 1
+    elif move < 0.2:
+        del lines[rng.randrange(n)]
+    elif move < 0.25:
+        lines.append(f"assign {n} 0")
+    elif move < 0.3:
+        lines[-1] = f"assign {n - 1} {n}"
+    return "\n".join(lines) + "\n"
+
+
+def market(rng, n, method):
+    """A generated market of the kind ``method`` reads, now and then of
+    another kind."""
+    if rng.random() < 0.05:
+        method = rng.choice(("exact", "pra", "ttc", "tttc"))
+    seed, density, ties = rng.randrange(10**6), rng.choice((0.3, 0.6, 1.0)), rng.choice((0, 0.3))
+    if method == "pra":
+        return serialize_responsive_profile(random_responsive_profile(n, density, ties, seed))
+    if method in ("ttc", "tttc"):
+        mode = ("house", "tenant")[(method == "tttc") != (rng.random() < 0.1)]
+        return serialize_predominant_profile(random_predominant_profile(n, mode, ties, seed))
+    return serialize_instance(random_instance(n, density, ties, seed))
+
+
+def requests(rng, d):
+    """(argv, the file it writes or None), REQUESTS of them."""
+    for k in range(REQUESTS):
+        command, option, value = rng.choice(COMMANDS)
+        method = value if option == "--method" else "exact"
+        # manipulate exact replays the optimizer once per report
+        n = 1 if rng.random() < 0.1 else rng.randint(2, 4 if command == "manipulate" else 6)
+        path = d / f"{k}.txt"
+        path.write_text(mutate_market(rng, market(rng, n, method)))
+        argv = [command, "--instance", str(path), option, value]
+        out = None
+        if command == "verify":
+            alloc = d / f"{k}.alloc"
+            alloc.write_text(allocation(rng, n))
+            argv += ["--allocation", str(alloc)]
+        elif command == "export":
+            out = d / f"{k}.lp"
+            argv += ["--out", str(out)]
+        elif command == "manipulate":
+            space = SPACES[method] if rng.random() < 0.9 else rng.choice(("strict", "subsets"))
+            argv += ["--agent", str(rng.randint(0, n)), "--space", space,
+                     "--cap", str(rng.randint(0, 300))]
+        if method == "pra" and rng.random() < 0.5:
+            argv += ["--order", "random", "--seed", str(rng.randrange(100))]
+        if method == "exact" and option == "--method":
+            argv += ["--weights", rng.choice(WEIGHT_SCHEMES)]
+        if rng.random() < 0.2:
+            argv += ["--node-budget", str(rng.choice((0, 10, 100, 1000)))]
+        yield argv, out
+
+
+def run(argv, out):
+    """Exit code, stdout, stderr and the bytes written to ``out``, if any."""
+    if out:
+        out.unlink(missing_ok=True)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        code = cli.run(argv)
+    written = out.read_bytes() if out and out.exists() else None
+    return code, stdout.getvalue(), stderr.getvalue(), written
+
+
+def test_every_request_keeps_the_exit_contract(tmp_path):
+    """The collector stays off throughout, so a cycle that the second run
+    makes is still young at the generation-0 collection after it; the
+    first run's garbage (first-use caches) is cleared before it."""
+    exits = Counter()
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        for argv, out in requests(random.Random(SEED), tmp_path):
+            first = run(argv, out)
+            gc.collect(0)
+            second = run(argv, out)
+            garbage = gc.collect(0)
+            code, stdout, stderr, _ = first
+            exits[code] += 1
+            assert code in (0, 1, 2, 3), argv
+            if code < 2:
+                assert stderr == "", (argv, stderr)
+            else:
+                prefix = "input error: " if code == 2 else "budget exceeded: "
+                assert stdout == "", argv
+                assert stderr.startswith(prefix) and stderr.count("\n") == 1, (argv, stderr)
+            assert second == first, argv
+            assert garbage == 0, argv
+    finally:
+        if collecting:
+            gc.enable()
+    assert sorted(exits) == [0, 1, 2, 3], exits

@@ -2,6 +2,7 @@
 
 import pytest
 
+import tep
 from tep import (
     Allocation,
     Instance,
@@ -15,6 +16,7 @@ from tep import (
     parse_instance,
     serialize_instance,
 )
+from tep import model, programs
 from tep.generators import empty_core_instance, random_instance, sp_instance
 
 RING_TEXT = """\
@@ -483,3 +485,21 @@ def test_a_bad_candidate_line_keeps_its_parse_error(line, message):
     with pytest.raises(ParseError) as info:
         parse_candidates(line + "\n", "pref", sp_instance(), 2)
     assert str(info.value) == message
+
+
+def test_the_rank_table_refuses_n_above_the_ceiling_before_any_row(monkeypatch):
+    """Every n³ table the permutation search reads is built from
+    ``Instance.rank_table``, so library callers meet the CLI's refusal too,
+    before any row exists."""
+    def rank_row(*args):
+        raise AssertionError("a row of the n³ rank table was built")
+
+    monkeypatch.setattr(model, "_rank_row", rank_row)
+    inst = make_instance(301, [[] for _ in range(301)])
+    identity = Allocation(tuple(range(301)))
+    for call in (lambda: inst.rank_table, lambda: tep.is_pareto_optimal(inst, identity),
+                 lambda: tep.enumerate_pareto_optimal(inst),
+                 lambda: programs.weights_from_ranks(inst)):
+        with pytest.raises(tep.BudgetExceededError) as refused:
+            call()
+        assert str(refused.value) == "permutation search needs n <= 300, got n = 301"

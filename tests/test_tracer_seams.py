@@ -15,8 +15,9 @@ from pathlib import Path
 
 from tep import cli
 from tep.cli import parse_report
-from tep.files import serialize_predominant_profile, serialize_responsive_profile
-from tep.generators import random_predominant_profile, random_responsive_profile
+from tep.files import (serialize_instance, serialize_predominant_profile,
+                       serialize_responsive_profile)
+from tep.generators import random_predominant_profile, random_responsive_profile, sp_instance
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -77,3 +78,35 @@ def test_solve_requests_pass_through_the_wrapped_mechanisms(tmp_path):
         assert {name: counts[name] for name in span.values() if counts[name]} == \
             {span[method]: 1}, method
     assert opened["pra"]["responsive.rs_aa:calls"] == int(reports["pra"]["rs-aa-calls"]) == 34
+
+
+def test_manipulate_requests_pass_through_the_wrapped_mechanisms(tmp_path):
+    """Each manipulate replays its mechanism through the wrapper of that
+    mechanism alone: the truth's run opens a span before any report, so a
+    small cap still shows one."""
+    markets = {
+        "pra": serialize_responsive_profile(random_responsive_profile(5, 0.7, 0.3, 3)),
+        "ttc": serialize_predominant_profile(random_predominant_profile(4, "house", 0.3, 3)),
+        "tttc": serialize_predominant_profile(random_predominant_profile(4, "tenant", 0.3, 3)),
+        "exact": serialize_instance(sp_instance()),
+    }
+    span = {"pra": "cli.pra_rs:calls", "ttc": "cli.ttc:calls", "tttc": "cli.tttc:calls",
+            "exact": "programs.solve_exact_max_weight:calls"}
+    tracer_module = load_tracer()
+    tracer = tracer_module.Tracer()
+    opened = {}
+    try:
+        tracer_module.install(tracer)
+        for method, text in markets.items():
+            path = tmp_path / f"{method}.txt"
+            path.write_text(text)
+            before = tracer.counts.copy()
+            space = "subsets" if method == "exact" else "strict"
+            with redirect_stdout(io.StringIO()):
+                assert cli.run(["manipulate", "--instance", str(path), "--method", method,
+                                "--agent", "0", "--space", space, "--cap", "3"]) in (0, 1, 3)
+            opened[method] = tracer.counts - before
+    finally:
+        tracer.uninstall()
+    for method, counts in opened.items():
+        assert {name for name in span.values() if counts[name]} == {span[method]}, method
