@@ -32,8 +32,8 @@ the candidates passed over are charged in one ``Budget.tick`` before the
 next one is written or when the group runs out: every exit-3 point and
 ``Budget.left`` stay those of one tick per candidate.  A newly fixed
 agent's rank is read from its order's rank dict, and its improvement
-steps are built once per rank and search.  Both searches keep their
-paths on stacks of their own, so only the node budget bounds how many
+steps are built once per rank and search.  Both searches are generators
+that walk stacks of their own, so only the node budget bounds how many
 agents they reach; ``Instance.rank_table``, from which every n³ table the
 permutation search reads is built, refuses n above
 ``model.MAX_N_CEILING``.
@@ -305,81 +305,78 @@ def _assignment_search(inst: Instance, rank_limits: list[int],
                     return None
         return added
 
-    def walk() -> Iterator[Allocation]:
-        # One frame per written candidate that settled: its agent, the
-        # agent's two facts before the write, the rest of its group, the
-        # ticks charged so far and what the write replaced and settled.  A
-        # leaf and an exhausted group both pop the last frame, undo its write
-        # and go on with the next candidate of its group.
-        stack: list[tuple] = []
-        i, resume = 0, False
-        while True:
-            if resume:
-                if not stack:
-                    return
-                i, gi, ti, cands, size, charged, o, t, ten_o, got_t, added = stack.pop()
-                undo(added)
-                ten[o], got[t] = ten_o, got_t
-                got[i], ten[i] = gi, ti
+    # One frame per written candidate that settled: its agent, the
+    # agent's two facts before the write, the rest of its group, the
+    # ticks charged so far and what the write replaced and settled.  A
+    # leaf and an exhausted group both pop the last frame, undo its write
+    # and go on with the next candidate of its group.
+    stack: list[tuple] = []
+    i, resume = 0, False
+    while True:
+        if resume:
+            if not stack:
+                return
+            i, gi, ti, cands, size, charged, o, t, ten_o, got_t, added = stack.pop()
+            undo(added)
+            ten[o], got[t] = ten_o, got_t
+            got[i], ten[i] = gi, ti
+        else:
+            while i < n and got[i] >= 0 and ten[i] >= 0:
+                i += 1
+            if i == n:
+                yield Allocation(tuple(got))
+                resume = True
+                continue
+            gi, ti = got[i], ten[i]
+            if gi < 0 and ti < 0:
+                fits, size = every[i]
             else:
-                while i < n and got[i] >= 0 and ten[i] >= 0:
-                    i += 1
-                if i == n:
-                    yield Allocation(tuple(got))
-                    resume = True
+                # One fact is fixed: the house if gi is, else the tenant.
+                part, fact = (0, gi) if gi >= 0 else (1, ti)
+                groups = by_fact[part][i]
+                if groups is None:
+                    groups = by_fact[part][i] = _fitting_by(listed[i], i, part)
+                fits, size = groups.get(fact, _NO_CANDIDATE)
+            cands, charged = iter(fits), 0
+        own = endow[i]
+        resume = True
+        # Every candidate in the group costs one tick, in order, whether
+        # it fits or not; the ticks up to a candidate are charged just
+        # before it is written, and the rest when the group runs out.
+        for p, h, t, o in cands:
+            # The candidate fixes got[i] = h, ten[i] = t, ten[o] = i and
+            # got[t] = own; a clash with a fact already fixed ends it
+            # unwritten.  With o == i, t is i too and nothing can clash.
+            ten_o, got_t = ten[o], got[t]
+            if o == i:  # h is i's own house, and i its own tenant
+                tick(p + 1 - charged)
+                charged = p + 1
+                got[i], ten[i] = h, i
+                fixed = [i]
+            else:
+                if (ten_o >= 0 and ten_o != i) or (got_t >= 0 and got_t != own):
                     continue
-                gi, ti = got[i], ten[i]
-                if gi < 0 and ti < 0:
-                    fits, size = every[i]
-                else:
-                    # One fact is fixed: the house if gi is, else the tenant.
-                    part, fact = (0, gi) if gi >= 0 else (1, ti)
-                    groups = by_fact[part][i]
-                    if groups is None:
-                        groups = by_fact[part][i] = _fitting_by(listed[i], i, part)
-                    fits, size = groups.get(fact, _NO_CANDIDATE)
-                cands, charged = iter(fits), 0
-            own = endow[i]
-            resume = True
-            # Every candidate in the group costs one tick, in order, whether
-            # it fits or not; the ticks up to a candidate are charged just
-            # before it is written, and the rest when the group runs out.
-            for p, h, t, o in cands:
-                # The candidate fixes got[i] = h, ten[i] = t, ten[o] = i and
-                # got[t] = own; a clash with a fact already fixed ends it
-                # unwritten.  With o == i, t is i too and nothing can clash.
-                ten_o, got_t = ten[o], got[t]
-                if o == i:  # h is i's own house, and i its own tenant
-                    tick(p + 1 - charged)
-                    charged = p + 1
-                    got[i], ten[i] = h, i
-                    fixed = [i]
-                else:
-                    if (ten_o >= 0 and ten_o != i) or (got_t >= 0 and got_t != own):
-                        continue
-                    tick(p + 1 - charged)
-                    charged = p + 1
-                    got[i], ten[i], ten[o], got[t] = h, t, i, own
-                    # Now fixed: i, and o and t unless already determined or
-                    # still missing their other fact.
-                    fixed = [i]
-                    if o not in determined and got[o] >= 0:
-                        fixed.append(o)
-                    if t != o and t not in determined and ten[t] >= 0:
-                        fixed.append(t)
-                    fixed.sort()
-                added = settle(fixed)
-                if added is not None:
-                    stack.append((i, gi, ti, cands, size, charged, o, t, ten_o, got_t, added))
-                    i, resume = i + 1, False
-                    break
-                ten[o], got[t] = ten_o, got_t
-                got[i], ten[i] = gi, ti
-            else:
-                if charged < size:
-                    tick(size - charged)
-
-    return walk()
+                tick(p + 1 - charged)
+                charged = p + 1
+                got[i], ten[i], ten[o], got[t] = h, t, i, own
+                # Now fixed: i, and o and t unless already determined or
+                # still missing their other fact.
+                fixed = [i]
+                if o not in determined and got[o] >= 0:
+                    fixed.append(o)
+                if t != o and t not in determined and ten[t] >= 0:
+                    fixed.append(t)
+                fixed.sort()
+            added = settle(fixed)
+            if added is not None:
+                stack.append((i, gi, ti, cands, size, charged, o, t, ten_o, got_t, added))
+                i, resume = i + 1, False
+                break
+            ten[o], got[t] = ten_o, got_t
+            got[i], ten[i] = gi, ti
+        else:
+            if charged < size:
+                tick(size - charged)
 
 
 def enumerate_ir_allocations(inst: Instance, *,

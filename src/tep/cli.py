@@ -1,11 +1,8 @@
 """Command-line interface.
 
-Subcommands: gen, solve, verify, oracle, export, manipulate, prove.  Every
-run prints a small structured report (stable field order, deterministic for
+The top-level help names the subcommands and the exit codes.  Every run
+prints a small structured report (stable field order, deterministic for
 fixed inputs and seeds; wall-clock timing only appears under ``--timing``).
-Exit codes: 0 the property holds or an object was found, 1 it fails or none
-exists, 2 bad input, 3 a size bound, the node budget or the report cap was
-exceeded (``Instance.rank_table`` itself refuses n above ``model.MAX_N_CEILING``).
 A request runs with Python's cyclic collector paused: it builds many
 short-lived acyclic containers and leaves no cycles, so refcounting frees it.
 """
@@ -19,9 +16,9 @@ import sys
 import time
 
 from . import axioms, files, generators, incentives, programs
-from .errors import BudgetExceededError, ParseError, ProofError, TepError
+from .errors import BudgetExceededError, ParseError, ProofError
 from .predominant import HOUSE, TENANT, ttc, tttc
-from .responsive import pra_rs
+from .responsive import POLICIES, pra_rs
 
 EXIT_OK = 0
 EXIT_NO = 1
@@ -285,7 +282,11 @@ def _limit(text: str) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="tep", description=__doc__)
+    parser = argparse.ArgumentParser(prog="tep", description=(
+        "Exact oracles and mechanisms for temporary exchange markets. Subcommands: gen, "
+        "solve, verify, oracle, export, manipulate, prove. Exit codes: 0 the property holds "
+        "or an object was found, 1 it fails or none exists, 2 bad input, 3 a size bound, "
+        "the node budget or the report cap was exceeded."))
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
@@ -295,8 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="node budget for the exact searches")
 
     def mechanism_options(p):  # what pra and exact read beside --method
-        p.add_argument("--order", choices=["round-robin", "reverse", "random"],
-                       default="round-robin")
+        p.add_argument("--order", choices=POLICIES, default=POLICIES[0])
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--weights", choices=list(programs.WEIGHT_SCHEMES),
                        default=programs.BORDA)
@@ -344,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--agent", type=int, required=True)
     p.add_argument("--space", required=True,
                    help="strict | subsets | file:CANDIDATES")
-    p.add_argument("--cap", type=_limit, default=100_000)
+    p.add_argument("--cap", type=_limit, default=incentives.DEFAULT_MAX_REPORTS)
     mechanism_options(p)
     common(p)
 
@@ -394,9 +394,6 @@ def run(argv: list[str]) -> int:
         # its path on a stack of its own, so the call stack bounds nothing.
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except TepError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     finally:
         if collecting:
             gc.enable()

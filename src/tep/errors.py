@@ -27,7 +27,9 @@ class ParseError(TepError):
 class BudgetExceededError(TepError):
     """A search exhausted its node budget or report-space cap, or an
     instance is above a size bound: ``Instance.rank_table`` refuses n above
-    ``model.MAX_N_CEILING``, the LP export n above ``programs.EXPORT_MAX_N``."""
+    ``model.MAX_N_CEILING``, the LP export n above ``programs.EXPORT_MAX_N``,
+    and exponential weights a market whose n ** (C + 1) total-weight bound
+    reaches ``programs.EXPONENTIAL_MAX_TOTAL``."""
 
 
 class ProofError(TepError):

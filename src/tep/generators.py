@@ -16,17 +16,22 @@ from .responsive import ResponsiveProfile
 from .rng import SplitMix64
 
 
+def _ring(base: int) -> list[list[set[Outcome]]]:
+    """The preferences of five agents base, ..., base + 4 on a ring: each
+    wants to swap with its successor, then its predecessor, then stay put."""
+    prefs = []
+    for r in range(5):
+        i, nxt, prv = base + r, base + (r + 1) % 5, base + (r - 1) % 5
+        prefs.append([{Outcome(nxt, nxt)}, {Outcome(prv, prv)}, {Outcome(i, i)}])
+    return prefs
+
+
 def empty_core_instance() -> Instance:
-    """Five agents on a ring; each wants to swap with its successor, then its
-    predecessor, then stay put.  Every individually rational allocation is a
+    """Five agents on a ring.  Every individually rational allocation is a
     set of disjoint adjacent swaps, and with five agents someone is always
     left out and forms a blocking pair, so no core-stable allocation exists.
     """
-    prefs = []
-    for i in range(5):
-        nxt, prv = (i + 1) % 5, (i - 1) % 5
-        prefs.append([[Outcome(nxt, nxt)], [Outcome(prv, prv)], [Outcome(i, i)]])
-    return make_instance(5, prefs)
+    return make_instance(5, _ring(0))
 
 
 def sp_instance() -> Instance:
@@ -80,11 +85,16 @@ def make_x3c(m: int, triples) -> X3CInstance:
     return X3CInstance(m, tuple(tuple(sorted(tr)) for tr in triples))
 
 
-def _oriented(triple: tuple[int, int, int]) -> dict[int, tuple[int, int]]:
-    """Fix one trading direction per triple: sorted (a, b, c) trade along the
-    cycle a -> b -> c -> a.  Returns member -> (successor, predecessor)."""
-    a, b, c = triple
-    return {a: (b, c), b: (c, a), c: (a, b)}
+def _trades(x: X3CInstance) -> list[list[tuple[int, int]]]:
+    """Per ground element, the (successor, predecessor) trades of the
+    triples containing it, in triple order.  One trading direction is fixed
+    per triple: sorted (a, b, c) trade along the cycle a -> b -> c -> a."""
+    trades: list[list[tuple[int, int]]] = [[] for _ in range(x.ground_size)]
+    for a, b, c in x.triples:
+        trades[a].append((b, c))
+        trades[b].append((c, a))
+        trades[c].append((a, b))
+    return trades
 
 
 def x3c_core_instance(x: X3CInstance) -> Instance:
@@ -95,24 +105,12 @@ def x3c_core_instance(x: X3CInstance) -> Instance:
     the chosen trades can cover every gadget, i.e. on cover instances.
     Every agent lists at most 6 outcomes.
     """
-    n = 5 * x.ground_size
     prefs = []
-    by_element: dict[int, list[tuple[int, int]]] = {e: [] for e in range(x.ground_size)}
-    for tr in x.triples:
-        for member, (succ, pred) in _oriented(tr).items():
-            by_element[member].append((succ, pred))
-    for e in range(x.ground_size):
-        base = 5 * e
-        cross = {Outcome(5 * succ, 5 * pred) for succ, pred in by_element[e]}
-        agent0: list[set[Outcome]] = [cross]
-        agent0 += [{Outcome(base + 1, base + 1)}, {Outcome(base + 4, base + 4)},
-                   {Outcome(base, base)}]
-        prefs.append(agent0)
-        for r in range(1, 5):
-            nxt, prv = base + (r + 1) % 5, base + (r - 1) % 5
-            prefs.append([{Outcome(nxt, nxt)}, {Outcome(prv, prv)},
-                          {Outcome(base + r, base + r)}])
-    return make_instance(n, prefs)
+    for e, trades in enumerate(_trades(x)):
+        ring = _ring(5 * e)
+        ring[0].insert(0, {Outcome(5 * succ, 5 * pred) for succ, pred in trades})
+        prefs += ring
+    return make_instance(5 * x.ground_size, prefs)
 
 
 def x3c_top_instance(x: X3CInstance) -> Instance:
@@ -121,13 +119,9 @@ def x3c_top_instance(x: X3CInstance) -> Instance:
     endowment outcome.  An allocation giving everyone a top outcome exists
     exactly on cover instances; at most 4 outcomes are listed per agent.
     """
-    n = x.ground_size
-    by_element: dict[int, set[Outcome]] = {e: set() for e in range(n)}
-    for tr in x.triples:
-        for member, (succ, pred) in _oriented(tr).items():
-            by_element[member].add(Outcome(succ, pred))
-    prefs = [[by_element[e], {Outcome(e, e)}] for e in range(n)]
-    return make_instance(n, prefs)
+    prefs = [[{Outcome(succ, pred) for succ, pred in trades}, {Outcome(e, e)}]
+             for e, trades in enumerate(_trades(x))]
+    return make_instance(x.ground_size, prefs)
 
 
 def _classes_from_pool(rng: SplitMix64, pool: list, density: float,
@@ -180,12 +174,10 @@ def random_responsive_profile(n: int, density: float, tie_rate: float,
     houses = []
     tenants = []
     for i in range(n):
-        hcls = _classes_from_pool(rng, [h for h in range(n) if h != i], density, tie_rate)
-        hcls.append([i])
-        houses.append(tuple(frozenset(cls) for cls in hcls))
-        tcls = _classes_from_pool(rng, [t for t in range(n) if t != i], density, tie_rate)
-        tcls.append([i])
-        tenants.append(tuple(frozenset(cls) for cls in tcls))
+        for component in (houses, tenants):  # the house draw first, then the tenant draw
+            classes = _classes_from_pool(rng, [x for x in range(n) if x != i], density, tie_rate)
+            classes.append([i])
+            component.append(tuple(frozenset(cls) for cls in classes))
     return ResponsiveProfile(n, tuple(range(n)), tuple(houses), tuple(tenants))
 
 

@@ -26,6 +26,7 @@ from .model import Allocation, Instance, Market, Outcome, compare, outcome_of
 from .responsive import ResponsiveProfile
 
 Mechanism = Callable
+DEFAULT_MAX_REPORTS = 100_000
 
 
 @dataclass(frozen=True)
@@ -37,7 +38,7 @@ class ManipulationWitness:
 
 def find_manipulation(mechanism: Mechanism, truth: Market, agent: int,
                       reports: Iterable, *,
-                      max_reports: int = 100_000) -> ManipulationWitness | None:
+                      max_reports: int = DEFAULT_MAX_REPORTS) -> ManipulationWitness | None:
     """First report in enumeration order that strictly improves the agent
     under its true preferences, or None when the space is exhausted.
 

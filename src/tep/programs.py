@@ -24,6 +24,7 @@ from operator import add, itemgetter
 
 # all_allocations is unused here but stays a module attribute: perfbench/tracer.py wraps it.
 from .axioms import DEFAULT_NODE_BUDGET, _permutation_search, all_allocations  # noqa: F401
+from .errors import BudgetExceededError
 from .model import Allocation, Instance
 
 BORDA = "borda"
@@ -33,6 +34,11 @@ WEIGHT_SCHEMES = (BORDA, EXPONENTIAL)
 # The CLI refuses to export above this: the weight table and the program grow
 # as n³ (n = 50 writes about 11 MB).
 EXPORT_MAX_N = 50
+
+# Exponential weights are refused when n ** (C + 1), C the most classes an
+# agent lists, reaches this: every total lies below it, and Python prints no
+# int of more digits (its default int-to-str limit).
+EXPONENTIAL_MAX_TOTAL = 10 ** 4300
 
 
 @dataclass(frozen=True)
@@ -50,11 +56,18 @@ def weights_from_ranks(inst: Instance, scheme: str = BORDA) -> WeightTable:
     unlisted outcomes uniformly weigh -n*C, below every class.
     exponential: class c weighs n**(C-c) and unlisted outcomes weigh 1
     (= n**0, the sentinel class), so improving any one agent by a class
-    outweighs rearranging everything below.
+    outweighs rearranging everything below; past ``EXPONENTIAL_MAX_TOTAL``
+    it raises BudgetExceededError before any row.
     """
     if scheme not in WEIGHT_SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; choose from {WEIGHT_SCHEMES}")
     n = inst.n
+    top = max(map(len, inst.prefs)) + 1
+    # n ** top >= 2 ** (top * (bits of n - 1)): the first test needs no power.
+    if scheme == EXPONENTIAL and (top * (n.bit_length() - 1) >= EXPONENTIAL_MAX_TOTAL.bit_length()
+                                  or n ** top >= EXPONENTIAL_MAX_TOTAL):
+        raise BudgetExceededError(f"exponential weights need n ** (C + 1) < 10 ** 4300, C the "
+                                  f"most classes an agent lists, got n = {n}, C = {top - 1}")
 
     def row(num_classes: int, ranks: tuple[int, ...]) -> map:
         if scheme == BORDA:

@@ -101,17 +101,11 @@ def rs_compare(prof: ResponsiveProfile, agent: int, a: Outcome, b: Outcome) -> R
     return RsOrdering.INCOMPARABLE
 
 
-def _weakly_better(prof: ResponsiveProfile, agent: int, a: Outcome, b: Outcome) -> bool:
-    return rs_compare(prof, agent, a, b) in (RsOrdering.BETTER, RsOrdering.INDIFFERENT)
-
-
 def is_rs_ir(prof: ResponsiveProfile, alloc: Allocation) -> bool:
     """Every agent's outcome weakly dominates its endowment outcome on both
     components."""
-    return all(
-        _weakly_better(prof, i, outcome_of(prof, alloc, i), Outcome(prof.endowment[i], i))
-        for i in range(prof.n)
-    )
+    return all(rs_compare(prof, i, outcome_of(prof, alloc, i), Outcome(prof.endowment[i], i))
+               in (RsOrdering.BETTER, RsOrdering.INDIFFERENT) for i in range(prof.n))
 
 
 def is_rs_pareto_optimal(prof: ResponsiveProfile, alloc: Allocation) -> bool:
@@ -242,7 +236,8 @@ class PraResult:
     tenant_kept: tuple[int, ...]
 
 
-_POLICIES = ("round-robin", "reverse", "random")
+# The order policies of pra_rs; the first is its default.
+POLICIES = ("round-robin", "reverse", "random")
 
 
 def _cut(adj: list[set[int]], tenant_drop: bool, agent: int, dropped: frozenset[int],
@@ -260,7 +255,7 @@ def _cut(adj: list[set[int]], tenant_drop: bool, agent: int, dropped: frozenset[
     return cut
 
 
-def pra_rs(prof: ResponsiveProfile, *, order: str = "round-robin",
+def pra_rs(prof: ResponsiveProfile, *, order: str = POLICIES[0],
            seed: int | None = None) -> PraResult:
     """Refine dichotomous acceptability sets until no component can shrink.
 
@@ -286,8 +281,8 @@ def pra_rs(prof: ResponsiveProfile, *, order: str = "round-robin",
     which therefore does not depend on the warm starts taken on the way.
     When no drop succeeds, everyone stays put.
     """
-    if order not in _POLICIES:
-        raise ValueError(f"unknown order policy {order!r}; choose from {_POLICIES}")
+    if order not in POLICIES:
+        raise ValueError(f"unknown order policy {order!r}; choose from {POLICIES}")
     n, endowment = prof.n, prof.endowment
     house_classes, tenant_classes = acceptable_component_classes(prof)
     # Pair 2i is agent i's house component, pair 2i + 1 its tenant component.

@@ -743,6 +743,58 @@ def test_exact_bound_is_checked_before_the_weight_table(tmp_path, capsys, monkey
     assert not (tmp_path / "n301.lp").exists()
 
 
+def _one_dense_agent(tmp_path, n):
+    """An instance file in which agent 0 lists all n² outcomes, (0,0) first,
+    each in a class of its own, and the other agents list nothing."""
+    outcomes = [(0, 0)] + [(h, t) for h in range(n) for t in range(n) if (h, t) != (0, 0)]
+    path = tmp_path / f"dense{n}.tep"
+    path.write_text(f"tep v1\nagents {n}\npref 0: "
+                    + " > ".join(f"[({h},{t})]" for h, t in outcomes) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--method", "exact"],
+    ["manipulate", "--method", "exact", "--agent", "0", "--space", "subsets"],
+], ids=["solve", "manipulate"])
+def test_exponential_weights_past_the_printable_bound_exit_3(tmp_path, capsys, argv):
+    """With 51 agents and 2,601 classes every exponential total is bounded
+    only by 51 ** 2602, which may have more digits than Python prints, so
+    the weights are refused before any row; Borda weights still answer."""
+    inst = _one_dense_agent(tmp_path, 51)
+    code, out = invoke(argv + ["--instance", inst, "--weights", "exponential"])
+    assert (code, out) == (3, "")
+    assert capsys.readouterr().err == (
+        "budget exceeded: exponential weights need n ** (C + 1) < 10 ** 4300, C the most "
+        "classes an agent lists, got n = 51, C = 2601\n")
+    if argv[0] == "solve":
+        code, out = invoke(argv + ["--instance", inst, "--quiet"])
+        assert (code, parse_report(out)["value"]) == (0, "2600")
+
+
+def test_exponential_weights_below_the_bound_print_every_digit(tmp_path):
+    """At n = 50 the bound is 50 ** 2501, below 10 ** 4300: the dense agent
+    keeps (0,0), worth 50 ** 2500, and each other agent keeps its endowment
+    outcome, the one class it lists, worth 50."""
+    code, out = invoke(["solve", "--method", "exact", "--instance", _one_dense_agent(tmp_path, 50),
+                        "--weights", "exponential", "--quiet"])
+    value = parse_report(out)["value"]
+    assert code == 0 and value == str(50 ** 2500 + 49 * 50) and len(value) == 4248
+
+
+def test_top_level_help_describes_the_commands_and_exit_codes(capsys):
+    """The top-level help is written for users: it names the subcommands and
+    the exit codes and carries no reST markup.  Only the description is
+    pinned, since argparse lays the rest out differently across versions."""
+    assert run(["--help"]) == 0
+    out = capsys.readouterr().out
+    assert ("Exact oracles and mechanisms for temporary exchange markets. Subcommands: gen, "
+            "solve, verify, oracle, export, manipulate, prove. Exit codes: 0 the property holds "
+            "or an object was found, 1 it fails or none exists, 2 bad input, 3 a size bound, "
+            "the node budget or the report cap was exceeded.") in " ".join(out.split())
+    assert "``" not in out
+
+
 def test_a_blocking_ring_longer_than_the_recursion_limit_is_found(tmp_path, capsys):
     """Every agent of a 1,500-agent ring prefers its successor's house with
     its predecessor as tenant, so the whole ring blocks the identity; the

@@ -19,7 +19,7 @@ Every top-level function and method of ``src/tep`` has a caller there,
 or a named reason to stay without one (``UNCALLED``): an evaluator that
 only tests call lives in ``tests/references.py``.
 
-Four more scans keep the library's layers apart:
+Five more scans keep the library's layers apart:
 - no module calls ``all_allocations``, which visits all n! allocations: the
   library answers with pruned or polynomial searches, and the walk is kept
   for the references in ``tests/`` only;
@@ -30,7 +30,11 @@ Four more scans keep the library's layers apart:
   counts a search's nodes as initial - left, and the event-log tests spy on
   ``Budget.tick``, so a budget charged any other way would escape both;
 - no module but ``tep.cli`` imports or calls ``gc``: ``cli.run`` pauses the
-  cyclic collector around a request, and that policy lives in one place.
+  cyclic collector around a request, and that policy lives in one place;
+- the library raises no ``TepError`` that ``tep.cli`` has no handler for:
+  ``cli.run`` catches ``ParseError`` (exit 2) and ``BudgetExceededError``
+  (exit 3), and ``ProofError`` is raised in ``tep.incentives`` alone, whose
+  case analyses the CLI reaches only through ``prove``, which catches it.
 """
 
 import ast
@@ -390,3 +394,55 @@ def test_the_collector_scan_sees_imports_and_calls(tmp_path):
     )
     (tmp_path / "cli.py").write_text("import gc\ngc.disable()\n")
     assert gc_uses(tmp_path) == ["m.py:1", "m.py:2", "m.py:3", "m.py:4", "m.py:5"]
+
+
+def unhandled_tep_errors(src: Path = SRC) -> list[str]:
+    """Every raise under ``src`` of ``TepError`` or of a class defined there
+    that derives from it, other than ``ParseError`` and
+    ``BudgetExceededError`` anywhere and ``ProofError`` in ``incentives.py``,
+    as file:line.  A bare ``raise`` re-raises what a handler caught and is
+    not counted."""
+    bases = {node.name: {_callee(base) for base in node.bases}
+             for _, node in _nodes(src) if isinstance(node, ast.ClassDef)}
+    family = {"TepError"}
+    while grown := {name for name, parents in bases.items()
+                    if parents & family and name not in family}:
+        family |= grown
+    allowed = {"ParseError", "BudgetExceededError"}
+    found = []
+    for name, node in _nodes(src):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            raised = _callee(exc)
+            if raised in family and raised not in allowed and not (
+                    raised == "ProofError" and name == "incentives.py"):
+                found.append((name, node.lineno))
+    return [f"{name}:{line}" for name, line in sorted(found)]
+
+
+def test_every_tep_error_the_library_raises_has_a_cli_handler():
+    assert unhandled_tep_errors() == []
+
+
+def test_the_error_scan_sees_new_subclasses_and_misplaced_proof_errors(tmp_path):
+    (tmp_path / "errors.py").write_text(
+        "class TepError(Exception): pass\n"
+        "class ParseError(TepError): pass\n"
+        "class BudgetExceededError(TepError): pass\n"
+        "class ProofError(TepError): pass\n"
+        "class LimitError(BudgetExceededError): pass\n"
+    )
+    (tmp_path / "m.py").write_text(
+        "raise ParseError('syntax', 'x')\n"
+        "raise errors.BudgetExceededError('cap') from None\n"
+        "raise ProofError('open branch')\n"
+        "raise LimitError\n"
+        "raise TepError('x')\n"
+        "raise ValueError('x')\n"
+        "try:\n"
+        "    pass\n"
+        "except ProofError:\n"
+        "    raise\n"
+    )
+    (tmp_path / "incentives.py").write_text("raise ProofError('open branch')\nraise LimitError()\n")
+    assert unhandled_tep_errors(tmp_path) == ["incentives.py:2", "m.py:3", "m.py:4", "m.py:5"]
