@@ -31,7 +31,9 @@ from itertools import islice, repeat
 
 from .errors import ParseError
 from .generators import X3CInstance
-from .model import Allocation, Instance, Market, Outcome, canonicalize_endowment, make_instance
+# canonicalize_endowment is unused here but stays a module attribute: perfbench/tracer.py wraps it.
+from .model import (Allocation, Instance, Market, Outcome, canonicalize_endowment,  # noqa: F401
+                    make_instance)
 from .predominant import HOUSE, TENANT, PredominantProfile
 from .responsive import ResponsiveProfile
 
@@ -350,11 +352,11 @@ def _read_agent_lines(text: str, keyword: str, parse_body, directives: dict | No
 
 
 def parse_instance(text: str) -> Instance:
-    """Parse and validate an instance file, returning it in canonical
-    labeling (agent i owns house i); preference outcomes are relabeled
-    alongside the houses when the endow line is not the identity."""
+    """Parse and validate an instance file in the file's own labels: agent
+    i owns the house its endow line gives it (house i without one), and
+    every answer about the instance names houses as the file does."""
     n, found, prefs = _read_agent_lines(text, "pref", _pref_body, complete=False)
-    return canonicalize_endowment(make_instance(n, prefs, found["endow"]))
+    return make_instance(n, prefs, found["endow"])
 
 
 def format_classes(classes, item=str) -> str:

@@ -4,8 +4,11 @@ Vertices are integer-indexed on both sides.  Runs in O(E * sqrt(V)), which
 keeps the acceptability-matching subroutine polynomial and fast at scale.
 
 :func:`augment` grows a given matching by a single augmenting path instead:
-one edge short of a perfect matching, that is one O(E) search where a cold
-start needs O(sqrt(V)) phases.
+one edge short of a perfect matching, that is one O(V + E) search where a
+cold start needs O(sqrt(V)) phases.  Its search state is two lists: for
+each right vertex the left vertex that reached it, and the breadth-first
+queue, walked while it grows.  It changes nothing but the two sides of the
+matching it was given.
 """
 
 from collections import deque
@@ -87,17 +90,16 @@ def augment(adj: Sequence[Iterable[int]], match_left: list[int], match_right: li
     ``match_left`` and ``match_right`` are the two sides of a valid
     matching, -1 for unmatched.  Breadth-first search over alternating paths
     from ``root``, stopping at the first free right vertex, so the cost is
-    at most O(E).  By Berge's theorem a matching with ``root`` as its only
+    at most O(V + E).  By Berge's theorem a matching with ``root`` as its only
     free left vertex is maximum exactly when this returns False; and a root
     without an augmenting path keeps none after other roots augment, so one
     call per free left vertex yields a maximum matching.
     """
-    via: dict[int, int] = {}  # right vertex -> the left vertex that reached it
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
+    via = [_INF] * len(match_right)  # right vertex -> the left vertex that reached it
+    queue = [root]  # visited in order while it grows: breadth first
+    for u in queue:
         for v in adj[u]:
-            if v in via:
+            if via[v] != _INF:
                 continue
             via[v] = u
             w = match_right[v]

@@ -296,6 +296,16 @@ class Allocation:
         """inverse[h] is the agent receiving house h."""
         return inverse_permutation(self.assignment)
 
+    @classmethod
+    def _with_inverse(cls, assignment: list[int], inverse: list[int]) -> Allocation:
+        """The allocation of a perfect matching given by both of its sides,
+        unchecked: the caller vouches that ``inverse`` inverts
+        ``assignment``, as the two sides of a matching do.  Neither the
+        bijection check nor the inverse is recomputed."""
+        new = object.__new__(cls)
+        new.__dict__.update(assignment=tuple(assignment), inverse=tuple(inverse))
+        return new
+
 
 def compare(inst: Instance, agent: int, a: Outcome, b: Outcome) -> int:
     """Compare outcomes for one agent: +1 if a is strictly preferred to b,

@@ -183,8 +183,11 @@ def rs_aa(n: int, endowment: tuple[int, ...],
     the sets: ``adj`` is the symmetrized graph as one set of houses per
     agent, kept up to date by the caller, who vouches that every edge of
     ``start`` except perhaps the suspect agent's is in ``adj``.  An intact
-    suspect edge returns ``start`` in O(1); a broken one costs one O(E)
-    search from the suspect.  Any other mix of arguments raises ValueError.
+    suspect edge returns ``start`` in O(1); a broken one costs one O(V + E)
+    search from the suspect.  A repaired allocation is built from the two
+    sides of the matching that the search leaves, so it carries its
+    ``inverse`` and is not re-checked for a bijection.  Any other mix of
+    arguments raises ValueError.
     """
     if adj is None:
         if start is not None or suspect is not None:
@@ -204,22 +207,29 @@ def rs_aa(n: int, endowment: tuple[int, ...],
     match, taken = list(start.assignment), list(start.inverse)
     taken[match[suspect]] = -1
     match[suspect] = -1
-    return Allocation(tuple(match)) if augment(adj, match, taken, suspect) else None
+    if not augment(adj, match, taken, suspect):
+        return None
+    return Allocation._with_inverse(match, taken)
 
 
 def acceptable_component_classes(prof: ResponsiveProfile) -> tuple[ComponentClasses, ComponentClasses]:
     """The classes the refinement operates on: each component order truncated
     at the class holding the agent's own house (or itself), since an agent
     is never interested in trading down a component below what it starts
-    with."""
-    houses = []
-    tenants = []
-    for i in range(prof.n):
-        own = prof.house_rank(i, prof.endowment[i])
-        houses.append(prof.house_classes[i][:own + 1])
-        self_rank = prof.tenant_rank(i, i)
-        tenants.append(prof.tenant_classes[i][:self_rank + 1])
-    return tuple(houses), tuple(tenants)
+    with.  The class is found by scanning the classes."""
+    houses = tuple(_through(prof.house_classes[i], own)
+                   for i, own in enumerate(prof.endowment))
+    tenants = tuple(_through(prof.tenant_classes[i], i) for i in range(prof.n))
+    return houses, tenants
+
+
+def _through(classes: tuple[frozenset[int], ...], item: int) -> tuple[frozenset[int], ...]:
+    """``classes`` up to and including the first class that holds ``item``;
+    all of them when none does, as an unlisted item ranks below them all."""
+    for k, cls in enumerate(classes):
+        if item in cls:
+            return classes[:k + 1]
+    return classes
 
 
 @dataclass(frozen=True)
@@ -275,7 +285,9 @@ def pra_rs(prof: ResponsiveProfile, *, order: str = POLICIES[0],
     most one edge of the allocation: the agent's own for a house drop, the
     one into its house for a tenant drop.  So a test looks at that edge
     alone, in O(1), and when it broke runs one alternating-path search from
-    the freed agent, which by Berge's theorem decides feasibility.  Failed
+    the freed agent, which by Berge's theorem decides feasibility; the
+    repaired allocation keeps the search's inverse, so the next tenant drop
+    finds its suspect, the tenant of the agent's house, in O(1).  Failed
     drops are reverted, so the final sets are those of the last successful
     test; one cold Hopcroft-Karp run on them fixes the returned allocation,
     which therefore does not depend on the warm starts taken on the way.

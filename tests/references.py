@@ -16,7 +16,11 @@ top-trading-cycles walk with one branch per mode that ``ttc`` and ``tttc``
 shared before they became one walk steered by the profile's mode.
 ``max_bipartite_matching_reference`` is Hopcroft-Karp with the recursive
 augmenting-path search that ``max_bipartite_matching`` ran before it walked
-an explicit stack.  All are kept as they were, except that
+an explicit stack, and ``augment_reference`` the single augmenting-path
+search as it was before it kept its state in lists.
+``acceptable_component_classes_reference`` truncates each component order
+through the profile's rank dicts, as the refinement's setup did.  All are
+kept as they were, except that
 ``parse_allocation_reference`` refuses a house assigned twice at the line
 of its second assignment, and that the reference reader quotes what it
 refuses through ``tep.files.quote``, which cuts a long quote to a prefix
@@ -54,7 +58,7 @@ from tep.errors import BudgetExceededError, ParseError
 from tep.files import _agent_list, quote
 from tep.generators import X3CInstance
 from tep.incentives import ManipulationWitness
-from tep.model import Allocation, Instance, Market, Outcome, canonicalize_endowment, make_instance
+from tep.model import Allocation, Instance, Market, Outcome, make_instance
 from tep.predominant import HOUSE, TENANT, PredominantProfile
 from tep.programs import Constraint, MathProgram, WeightTable, _x2, _x3
 from tep.responsive import ResponsiveProfile, RsOrdering, rs_compare
@@ -532,11 +536,9 @@ def _read_agent_lines(text: str, keyword: str, parse_body, directives: dict | No
 
 
 def parse_instance_reference(text: str) -> Instance:
-    """Parse and validate an instance file, returning it in canonical
-    labeling (agent i owns house i); preference outcomes are relabeled
-    alongside the houses when the endow line is not the identity."""
+    """Parse and validate an instance file in the file's own labels."""
     n, found, prefs = _read_agent_lines(text, "pref", _pref_body, complete=False)
-    return canonicalize_endowment(make_instance(n, prefs, found["endow"]))
+    return make_instance(n, prefs, found["endow"])
 
 
 def parse_allocation_reference(text: str, n: int) -> Allocation:
@@ -835,6 +837,38 @@ def max_bipartite_matching_reference(n_left: int, n_right: int,
             if match_left[u] == -1 and dfs(u):
                 size += 1
     return size, match_left
+
+
+def augment_reference(adj, match_left: list[int], match_right: list[int], root: int) -> bool:
+    """``tep.matching.augment`` as it kept the search state: the right
+    vertices reached in a dict, the breadth-first queue in a deque."""
+    via: dict[int, int] = {}  # right vertex -> the left vertex that reached it
+    queue = deque([root])
+    while queue:
+        u = queue.popleft()
+        for v in adj[u]:
+            if v in via:
+                continue
+            via[v] = u
+            w = match_right[v]
+            if w == -1:
+                while v != -1:  # flip the path back to the root
+                    u = via[v]
+                    match_right[v] = u
+                    v, match_left[u] = match_left[u], v
+                return True
+            queue.append(w)
+    return False
+
+
+def acceptable_component_classes_reference(prof: ResponsiveProfile):
+    """Each component order cut after the class of the agent's own house (or
+    itself as tenant), the class found through the profile's rank dicts."""
+    houses, tenants = [], []
+    for i in range(prof.n):
+        houses.append(prof.house_classes[i][:prof.house_rank(i, prof.endowment[i]) + 1])
+        tenants.append(prof.tenant_classes[i][:prof.tenant_rank(i, i) + 1])
+    return tuple(houses), tuple(tenants)
 
 
 def pareto_dominates(inst: Instance, q: Allocation, p: Allocation) -> bool:

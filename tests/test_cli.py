@@ -7,17 +7,20 @@ import subprocess
 import sys
 import time
 from contextlib import redirect_stdout
+from itertools import permutations
 from pathlib import Path
 
 import pytest
 
+import references as ref
 import tep
 from tep import cli, model
 from tep.cli import parse_report, run
 from tep.files import (parse_instance, parse_responsive_profile, serialize_allocation,
                        serialize_instance, serialize_predominant_profile)
-from tep.generators import sp_instance
+from tep.generators import random_instance, sp_instance
 from tep.model import Allocation, Outcome, make_instance
+from tep.rng import SplitMix64
 
 
 def invoke(argv):
@@ -108,6 +111,94 @@ def test_solve_pra_keeps_a_permuted_endowment(tmp_path):
     assert (report["allocation"], report["rs-aa-calls"]) == ("1 0", "4")
     prof = parse_responsive_profile(rpath.read_text())
     assert tep.is_rs_ir(prof, tep.Allocation(tuple(map(int, report["allocation"].split()))))
+
+
+def test_an_instance_file_is_answered_in_its_own_labels(tmp_path):
+    """Agent 0 owns house 1 and agent 1 house 2, and each ranks the swap of
+    those two houses first; agent 2 lists only its own outcome.  The exact
+    solve gives the swap, and the swap written in the file's labels is IR."""
+    path = tmp_path / "endow.tep"
+    path.write_text("tep v1\nagents 3\nendow 1 2 0\n"
+                    "pref 0: [(2,1)]\npref 1: [(1,0)]\npref 2: [(0,2)]\n")
+    code, out = invoke(["solve", "--instance", str(path), "--method", "exact"])
+    assert (code, parse_report(out)["allocation"]) == (0, "2 1 0")
+    alloc = tmp_path / "swap.alloc"
+    alloc.write_text("assign 0 2\nassign 1 1\nassign 2 0\n")
+    code, out = invoke(["verify", "--instance", str(path), "--allocation", str(alloc),
+                        "--check", "ir"])
+    assert (code, parse_report(out)["holds"]) == (0, "true")
+
+
+def _brute_force_answers(text):
+    """IR, PO and WPO sets and the best Borda value of an instance file, by
+    brute force over all allocations, in the labels the file text uses: the
+    file is read by the token reader of the references, not by tep.model."""
+    n, found, bodies = ref._read_agent_lines(text, "pref", ref._pref_body, complete=False)
+    endow = found["endow"]
+    ranks = []
+    for i, body in enumerate(bodies):
+        classes = [set(cls) for cls in body if cls]
+        if not any((endow[i], i) in cls for cls in classes):
+            classes.append({(endow[i], i)})
+        ranks.append(({o: r for r, cls in enumerate(classes) for o in cls}, len(classes)))
+    profiles = {}
+    for p in permutations(range(n)):
+        tenant_of = {h: i for i, h in enumerate(p)}
+        profiles[p] = [rank.get((p[i], tenant_of[endow[i]]), size)
+                       for i, (rank, size) in enumerate(ranks)]
+    own = [rank[(endow[i], i)] for i, (rank, _) in enumerate(ranks)]
+    ir = {p for p, r in profiles.items() if all(map(int.__le__, r, own))}
+    po, wpo = set(), set()
+    for p, r in profiles.items():
+        if not any(all(map(int.__le__, q, r)) and q != r for q in profiles.values()):
+            po.add(p)
+        if not any(all(map(int.__lt__, q, r)) for q in profiles.values()):
+            wpo.add(p)
+    borda = {p: sum(size - 1 - x if x < size else -n * size for x, (_, size) in zip(r, ranks))
+             for p, r in profiles.items()}
+    return {"ir": ir, "po": po, "wpo": wpo, "borda": borda}
+
+
+def test_permuted_endowment_answers_agree_with_a_brute_force(tmp_path):
+    """Seeded instance files with a permuted endow line (n <= 5): verify
+    ir|po|wpo, oracle --enumerate ir|po, and the value of solve --method
+    exact, which the printed allocation attains, are the brute force's in
+    the file's own labels."""
+    rng = SplitMix64(20261020)
+    path, alloc = tmp_path / "inst.tep", tmp_path / "inst.alloc"
+    verdicts = set()
+    for seed in range(40):
+        n = 2 + seed % 4
+        endow = list(range(n))
+        while endow == sorted(endow):
+            rng.shuffle(endow)
+        head, agents, rest = serialize_instance(
+            random_instance(n, (0.3, 0.6, 0.9)[seed % 3], (0.0, 0.4)[seed // 3 % 2],
+                            70_000 + seed)).split("\n", 2)
+        text = f"{head}\n{agents}\nendow {' '.join(map(str, endow))}\n{rest}"
+        path.write_text(text)
+        want = _brute_force_answers(text)
+        for check in ("ir", "po"):
+            code, out = invoke(["oracle", "--instance", str(path), "--enumerate", check])
+            listed = {tuple(map(int, line.split(":")[1].split()))
+                      for line in out.splitlines() if line.startswith("allocation:")}
+            assert (code, listed) == (0 if want[check] else 1, want[check]), (text, check)
+        code, out = invoke(["solve", "--instance", str(path), "--method", "exact"])
+        report = parse_report(out)
+        best = tuple(map(int, report["allocation"].split()))
+        assert code == 0 and int(report["value"]) == want["borda"][best], text
+        assert want["borda"][best] == max(want["borda"].values()), text
+        candidates = sorted(want["borda"])
+        for p in (best, rng.choice(sorted(want["ir"])), rng.choice(candidates)):
+            alloc.write_text("".join(f"assign {i} {h}\n" for i, h in enumerate(p)))
+            for check in ("ir", "po", "wpo"):
+                code, out = invoke(["verify", "--instance", str(path),
+                                    "--allocation", str(alloc), "--check", check])
+                holds = p in want[check]
+                assert (code, parse_report(out)["holds"]) == (1 - holds, str(holds).lower()), \
+                    (text, p, check)
+                verdicts.add((check, holds))
+    assert verdicts == {(c, h) for c in ("ir", "po", "wpo") for h in (True, False)}
 
 
 def test_export_writes_program(tmp_path, ring_file):

@@ -179,13 +179,14 @@ def test_serialize_parse_round_trip():
         assert parse_instance(serialize_instance(inst)) == inst
 
 
-def test_parse_canonicalizes_endowment():
+def test_parse_keeps_the_files_house_labels():
     text = "tep v1\nagents 2\nendow 1 0\npref 0: [(0,1)]\n"
     inst = parse_instance(text)
-    assert inst.is_canonical()
-    # agent 0's outcome: the house it wanted (house 0, owned by agent 1) is
-    # now labeled 1
-    assert Outcome(1, 1) in inst.prefs[0][0]
+    assert inst.endowment == (1, 0)
+    # agent 0 wants house 0, which agent 1 owns, as the file says; only an
+    # explicit relabel names it house 1
+    assert inst.prefs[0][0] == frozenset({Outcome(0, 1)})
+    assert canonicalize_endowment(inst).prefs[0][0] == frozenset({Outcome(1, 1)})
 
 
 def test_instance_validation_rejects_bad_inputs():

@@ -192,6 +192,7 @@ UNCALLED = {
     "all_allocations": TRACED,
     "find_top_allocation": TRACED,
     "serialize_allocation": TRACED,
+    "canonicalize_endowment": TRACED,
     "make_x3c": WORKLOAD,
     "parse_report": DOCUMENTED,
     "is_rs_ir": ORACLE,

@@ -26,7 +26,8 @@ from tep.model import inverse_permutation
 from tep.responsive import _symmetrized_graph, acceptable_component_classes
 from tep.rng import SplitMix64
 
-from references import is_rs_pareto_optimal_reference, max_bipartite_matching_reference
+from references import (acceptable_component_classes_reference, augment_reference,
+                        is_rs_pareto_optimal_reference, max_bipartite_matching_reference)
 from test_acceptance import _big_responsive_profile
 
 
@@ -327,6 +328,40 @@ def test_warm_started_matching_grows_to_the_cold_size():
     assert found > 100 and missing > 100
 
 
+def test_augment_matches_the_dict_and_deque_reference():
+    """The list-backed search visits the same vertices in the same order as
+    the reference, so it finds the same path: equal answers and equal
+    matchings after every call, on rows given as sorted lists and as sets,
+    from greedy partial matchings."""
+    found = missing = 0
+    for seed in range(400):
+        rng = SplitMix64(4_000 + seed)
+        n_left = 1 + seed % 12
+        n_right = n_left if seed % 3 else 1 + (seed // 3) % 12
+        adj = _random_graph(rng, n_left, n_right, (0.15, 0.35, 0.7)[seed % 3])
+        if seed % 2:
+            adj = [set(row) for row in adj]
+        order = list(range(n_left))
+        rng.shuffle(order)
+        match_left, taken = [-1] * n_left, set()
+        for u in order:
+            free = [v for v in adj[u] if v not in taken]
+            if free and rng.random() < 0.5:
+                match_left[u] = rng.choice(free)
+                taken.add(match_left[u])
+        match_right = _right_side(match_left, n_right)
+        want_left, want_right = list(match_left), list(match_right)
+        for root in order:
+            if match_left[root] != -1:
+                continue
+            got = augment(adj, match_left, match_right, root)
+            assert got is augment_reference(adj, want_left, want_right, root)
+            assert (match_left, match_right) == (want_left, want_right)
+            found += got
+            missing += not got
+    assert found > 200 and missing > 200
+
+
 def _shift_chain(m):
     """Left u < m - 1 lists right u + 1, then u; the last lists only m - 1.
     The first phase matches u to u + 1 and leaves the last vertex free, and
@@ -405,6 +440,9 @@ def test_rs_aa_suspect_path_agrees_with_a_cold_run():
             assert warm is start
             intact += 1
         else:
+            # the repair hands back augment's two sides unchecked
+            assert sorted(warm.assignment) == list(range(n))
+            assert warm.inverse == inverse_permutation(warm.assignment)
             repaired += 1
     assert intact > 30 and repaired > 30 and infeasible > 30
 
@@ -500,6 +538,41 @@ def test_pra_prunes_items_below_own_class():
     assert hcls[0] == (frozenset({1}), frozenset({0}))
     result = pra_rs(prof)
     assert is_rs_ir(prof, result.allocation)
+
+
+def _shuffled_classes(rng, n, required, density, ties):
+    """Random classes over a random share of the items, ``required`` among
+    them at a random place, so that truncation may cut anywhere."""
+    items = [x for x in range(n) if x == required or rng.random() < density]
+    rng.shuffle(items)
+    classes = []
+    for x in items:
+        if classes and rng.random() < ties:
+            classes[-1].add(x)
+        else:
+            classes.append({x})
+    return tuple(map(frozenset, classes))
+
+
+def test_truncated_classes_match_the_rank_dict_reference():
+    """The class scan cuts each order where the rank dicts did, on seeded
+    profiles with ties up to 0.9, half of them with permuted endowments."""
+    rng = SplitMix64(31)
+    cut = 0
+    for seed in range(300):
+        n = 1 + seed % 10
+        density, ties = (0.3, 0.6, 0.9)[seed % 3], (0.0, 0.35, 0.9)[seed // 3 % 3]
+        endowment = list(range(n))
+        if seed % 2:
+            rng.shuffle(endowment)
+        prof = ResponsiveProfile(
+            n, tuple(endowment),
+            tuple(_shuffled_classes(rng, n, endowment[i], density, ties) for i in range(n)),
+            tuple(_shuffled_classes(rng, n, i, density, ties) for i in range(n)))
+        got = acceptable_component_classes(prof)
+        assert got == acceptable_component_classes_reference(prof)
+        cut += got != (prof.house_classes, prof.tenant_classes)
+    assert cut > 100
 
 
 def test_profile_validation():
