@@ -75,7 +75,6 @@ from .programs import (
     BORDA,
     EXPONENTIAL,
     MathProgram,
-    WeightTable,
     export_ilp,
     export_qp,
     solve_exact_max_weight,

@@ -195,12 +195,12 @@ def _cmd_oracle(args, report: _Report) -> int:
 
 def _cmd_export(args, report: _Report) -> int:
     inst = files.parse_instance(_read(args.instance, report))
-    # The bound first: the weight table has n³ entries and the program n³ terms.
+    # The bound first: the program has n³ terms, read through the n³ rank table.
     if inst.n > programs.EXPORT_MAX_N:
         raise BudgetExceededError(f"export needs n <= {programs.EXPORT_MAX_N}, got n = {inst.n}")
-    table = programs.weights_from_ranks(inst, args.weights)
-    program = (programs.export_ilp(inst, table) if args.form == "ilp"
-               else programs.export_qp(inst, table))
+    weights = programs.weights_from_ranks(inst, args.weights)
+    program = (programs.export_ilp(inst, weights) if args.form == "ilp"
+               else programs.export_qp(inst, weights))
     _write(args.out, program.to_lp_text())
     report.add("form", args.form)
     report.add("variables", len(program.variables))

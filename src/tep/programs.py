@@ -1,8 +1,10 @@
 """0/1 programs for maximum-weight allocation, plus an exact optimizer.
 
-Ordinal preferences are turned into integer weights first (two schemes,
-both order-consistent: strictly preferred outcomes get strictly larger
-weights and indifferent outcomes equal weights).  The linear encoding uses
+Ordinal preferences are turned into integer weights first, one per
+indifference class (two schemes, both order-consistent: strictly preferred
+outcomes get strictly larger weights and indifferent outcomes equal
+weights); the programs and the optimizer read an outcome's weight through
+its rank in ``Instance.rank_table``.  The linear encoding uses
 one binary per (agent, house, tenant) triple; the quadratic encoding uses
 one binary per (agent, house) pair with a bilinear objective.  Programs are
 symbolic and serialize to LP-style text with a deterministic layout, so
@@ -20,7 +22,8 @@ import math
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, compress, filterfalse, repeat
-from operator import add, itemgetter
+from operator import add, itemgetter, neg
+from typing import Sequence
 
 # all_allocations is unused here but stays a module attribute: perfbench/tracer.py wraps it.
 from .axioms import DEFAULT_NODE_BUDGET, _permutation_search, all_allocations  # noqa: F401
@@ -31,8 +34,8 @@ BORDA = "borda"
 EXPONENTIAL = "exponential"
 WEIGHT_SCHEMES = (BORDA, EXPONENTIAL)
 
-# The CLI refuses to export above this: the weight table and the program grow
-# as n³ (n = 50 writes about 11 MB).
+# The CLI refuses to export above this: the program grows as n³ (n = 50
+# writes about 11 MB).
 EXPORT_MAX_N = 50
 
 # Exponential weights are refused when n ** (C + 1), C the most classes an
@@ -41,23 +44,18 @@ EXPORT_MAX_N = 50
 EXPONENTIAL_MAX_TOTAL = 10 ** 4300
 
 
-@dataclass(frozen=True)
-class WeightTable:
-    """Integer weight for every (agent, house received, tenant) triple."""
-
-    n: int
-    weights: tuple[int, ...]  # flat, index = (i * n + j) * n + k
-
-
-def weights_from_ranks(inst: Instance, scheme: str = BORDA) -> WeightTable:
-    """Order-consistent weights from the preference classes.
+def weights_from_ranks(inst: Instance, scheme: str = BORDA) -> tuple[tuple[int, ...], ...]:
+    """Order-consistent weights from the preference classes: per agent, the
+    weight of each class, best first, then that of an unlisted outcome, so
+    ``weights[i][inst.rank_table[i][h * n + t]]`` is agent i's weight of
+    outcome (h, t).
 
     borda: an outcome in class c of an agent with C classes weighs C-1-c;
     unlisted outcomes uniformly weigh -n*C, below every class.
     exponential: class c weighs n**(C-c) and unlisted outcomes weigh 1
     (= n**0, the sentinel class), so improving any one agent by a class
     outweighs rearranging everything below; past ``EXPONENTIAL_MAX_TOTAL``
-    it raises BudgetExceededError before any row.
+    it raises BudgetExceededError.
     """
     if scheme not in WEIGHT_SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; choose from {WEIGHT_SCHEMES}")
@@ -69,17 +67,18 @@ def weights_from_ranks(inst: Instance, scheme: str = BORDA) -> WeightTable:
         raise BudgetExceededError(f"exponential weights need n ** (C + 1) < 10 ** 4300, C the "
                                   f"most classes an agent lists, got n = {n}, C = {top - 1}")
 
-    def row(num_classes: int, ranks: tuple[int, ...]) -> map:
+    def by_class(num_classes: int) -> tuple[int, ...]:
         if scheme == BORDA:
-            by_rank = [num_classes - 1 - rank for rank in range(num_classes)]
-            by_rank.append(-n * num_classes)
-        else:
-            by_rank = [n ** (num_classes - rank) for rank in range(num_classes + 1)]
-        return map(by_rank.__getitem__, ranks)
+            return (*range(num_classes - 1, -1, -1), -n * num_classes)
+        return tuple(n ** (num_classes - rank) for rank in range(num_classes + 1))
 
-    # One pass into the tuple: a list first would hold a second copy of the n³ weights.
-    rows = map(row, map(len, inst.prefs), inst.rank_table)
-    return WeightTable(n=n, weights=tuple(chain.from_iterable(rows)))
+    return tuple(map(by_class, map(len, inst.prefs)))
+
+
+def _by_outcome(inst: Instance, weights: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Per agent, its weight of outcome (h, t) at ``h * n + t``: its rank row
+    mapped through its class weights."""
+    return [list(map(row.__getitem__, ranks)) for row, ranks in zip(weights, inst.rank_table)]
 
 
 @dataclass(frozen=True)
@@ -145,7 +144,7 @@ def _x2(i: int, j: int) -> str:
     return f"x_{i}_{j}"
 
 
-def export_ilp(inst: Instance, table: WeightTable) -> MathProgram:
+def export_ilp(inst: Instance, weights: Sequence[Sequence[int]]) -> MathProgram:
     """Linear encoding over binaries x_i_j_k (agent i receives house j and
     agent k is the tenant of i's own house).
 
@@ -158,7 +157,8 @@ def export_ilp(inst: Instance, table: WeightTable) -> MathProgram:
     n = inst.n
     names = [_x3(i, j, k) for i in range(n) for j in range(n) for k in range(n)]
     ones, minus_ones = repeat(1), repeat(-1)
-    objective = tuple(compress(zip(table.weights, zip(names)), table.weights))
+    flat = list(chain.from_iterable(_by_outcome(inst, weights)))
+    objective = tuple(compress(zip(flat, zip(names)), flat))
     cons: list[Constraint] = []
     for i in range(n):
         terms = tuple(zip(ones, names[i * n * n:(i + 1) * n * n]))
@@ -192,19 +192,18 @@ def export_ilp(inst: Instance, table: WeightTable) -> MathProgram:
     return MathProgram("ilp", tuple(names), objective, tuple(cons))
 
 
-def export_qp(inst: Instance, table: WeightTable) -> MathProgram:
+def export_qp(inst: Instance, weights: Sequence[Sequence[int]]) -> MathProgram:
     """Quadratic encoding over binaries x_i_j (agent i receives house j):
     assignment row and column constraints, objective summing
     w(i, j, k) * x_i_j * x_k_e(i) so the second factor says agent k moved
     into i's own house."""
     n = inst.n
     names = [_x2(i, j) for i in range(n) for j in range(n)]
-    weights = table.weights
     objective = []
-    for i in range(n):
+    for i, outcomes in enumerate(_by_outcome(inst, weights)):
         movers = names[inst.endowment[i]::n]  # x_k_e(i) for every k
         for j in range(n):
-            row = weights[(i * n + j) * n:(i * n + j + 1) * n]
+            row = outcomes[j * n:(j + 1) * n]
             objective.extend(compress(zip(row, zip(repeat(names[i * n + j]), movers)), row))
     cons: list[Constraint] = []
     for i in range(n):
@@ -214,7 +213,7 @@ def export_qp(inst: Instance, table: WeightTable) -> MathProgram:
     return MathProgram("qp", tuple(names), tuple(objective), tuple(cons))
 
 
-def solve_exact_max_weight(inst: Instance, table: WeightTable, *,
+def solve_exact_max_weight(inst: Instance, weights: Sequence[Sequence[int]], *,
                            node_budget: int = DEFAULT_NODE_BUDGET) -> tuple[Allocation, int]:
     """Argmax of total weight over all allocations, returning the
     lexicographically smallest assignment among ties.
@@ -225,13 +224,11 @@ def solve_exact_max_weight(inst: Instance, table: WeightTable, *,
     so far, so a later allocation of equal weight never replaces an earlier
     one.
     """
-    size = inst.n * inst.n
-    # One negated int per distinct weight, shared by every entry that has it:
-    # the n³ costs would otherwise each be a new object.
-    negated = {w: -w for w in set(table.weights)}
-    cost = [list(map(negated.__getitem__, table.weights[i * size:(i + 1) * size]))
-            for i in range(inst.n)]
-    limits = [max(row) for row in cost]
+    # Each agent's few class costs are negated once, and the n³ cost entries
+    # share them.
+    negated = [list(map(neg, row)) for row in weights]
+    cost = _by_outcome(inst, negated)
+    limits = list(map(max, negated))
     *_, (assignment, costs) = _permutation_search(inst, cost, limits, node_budget, math.inf)
     return Allocation(assignment), -sum(costs)
 

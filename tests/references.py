@@ -39,8 +39,10 @@ live here: Pareto dominance, a blocking witness re-checked against the
 definitions, the materialized lexicographic instance of a predominant
 profile, the brute-force exact-cover decision and a seeded exact-cover
 draw, the 0/1 point of an allocation in either encoding, a program's
-objective and feasibility at a point, and a weight table's entry and
-allocation value.
+objective and feasibility at a point, an outcome's and an allocation's
+weight under per-class weights, and ``brute_force_answers``: the IR, PO and
+WPO sets and both weight schemes' values of every allocation of an instance
+file, read by the token reader.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import replace
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import Iterator, Mapping
 
 from tep import is_core_stable, is_individually_rational, outcome_of
@@ -60,7 +62,7 @@ from tep.generators import X3CInstance
 from tep.incentives import ManipulationWitness
 from tep.model import Allocation, Instance, Market, Outcome, make_instance
 from tep.predominant import HOUSE, TENANT, PredominantProfile
-from tep.programs import Constraint, MathProgram, WeightTable, _x2, _x3
+from tep.programs import Constraint, MathProgram, _x2, _x3
 from tep.responsive import ResponsiveProfile, RsOrdering, rs_compare
 from tep.rng import SplitMix64
 
@@ -565,6 +567,39 @@ def parse_allocation_reference(text: str, n: int) -> Allocation:
     return Allocation(tuple(assignment[i] for i in range(n)))
 
 
+def brute_force_answers(text: str) -> dict:
+    """The IR, PO and WPO sets and the Borda and exponential values of every
+    allocation of an instance file, by brute force over all allocations, in
+    the labels the file text uses: the file is read by the token reader
+    above, not by tep.model.  Allocations are keyed by assignment tuple."""
+    n, found, bodies = _read_agent_lines(text, "pref", _pref_body, complete=False)
+    endow = found["endow"]
+    ranks = []
+    for i, body in enumerate(bodies):
+        classes = [set(cls) for cls in body if cls]
+        if not any((endow[i], i) in cls for cls in classes):
+            classes.append({(endow[i], i)})
+        ranks.append(({o: r for r, cls in enumerate(classes) for o in cls}, len(classes)))
+    profiles = {}
+    for p in permutations(range(n)):
+        tenant_of = {h: i for i, h in enumerate(p)}
+        profiles[p] = [rank.get((p[i], tenant_of[endow[i]]), size)
+                       for i, (rank, size) in enumerate(ranks)]
+    own = [rank[(endow[i], i)] for i, (rank, _) in enumerate(ranks)]
+    ir = {p for p, r in profiles.items() if all(map(int.__le__, r, own))}
+    po, wpo = set(), set()
+    for p, r in profiles.items():
+        if not any(all(map(int.__le__, q, r)) and q != r for q in profiles.values()):
+            po.add(p)
+        if not any(all(map(int.__lt__, q, r)) for q in profiles.values()):
+            wpo.add(p)
+    borda = {p: sum(size - 1 - x if x < size else -n * size for x, (_, size) in zip(r, ranks))
+             for p, r in profiles.items()}
+    exponential = {p: sum(n ** (size - x) for x, (_, size) in zip(r, ranks))
+                   for p, r in profiles.items()}
+    return {"ir": ir, "po": po, "wpo": wpo, "borda": borda, "exponential": exponential}
+
+
 def parse_responsive_profile_reference(text: str) -> ResponsiveProfile:
     n, found, bodies = _read_agent_lines(text, "rpref", _rpref_body)
     houses, tenants = zip(*bodies)
@@ -655,7 +690,7 @@ def to_lp_text_reference(program: MathProgram) -> str:
     return "\n".join(out) + "\n"
 
 
-def export_ilp_reference(inst: Instance, table: WeightTable, *,
+def export_ilp_reference(inst: Instance, weights, *,
                          linking: bool = True) -> MathProgram:
     """Linear encoding over binaries x_i_j_k (agent i receives house j and
     agent k is the tenant of i's own house).
@@ -669,9 +704,9 @@ def export_ilp_reference(inst: Instance, table: WeightTable, *,
     n = inst.n
     variables = tuple(_x3(i, j, k) for i in range(n) for j in range(n) for k in range(n))
     objective = tuple(
-        (weight(table, i, j, k), (_x3(i, j, k),))
+        (weight(weights, inst, i, j, k), (_x3(i, j, k),))
         for i in range(n) for j in range(n) for k in range(n)
-        if weight(table, i, j, k) != 0
+        if weight(weights, inst, i, j, k) != 0
     )
     cons: list[Constraint] = []
     for i in range(n):
@@ -707,7 +742,7 @@ def export_ilp_reference(inst: Instance, table: WeightTable, *,
     return MathProgram("ilp", variables, objective, tuple(cons))
 
 
-def export_qp_reference(inst: Instance, table: WeightTable) -> MathProgram:
+def export_qp_reference(inst: Instance, weights) -> MathProgram:
     """Quadratic encoding over binaries x_i_j (agent i receives house j):
     assignment row and column constraints, objective summing
     w(i, j, k) * x_i_j * x_k_e(i) so the second factor says agent k moved
@@ -719,7 +754,7 @@ def export_qp_reference(inst: Instance, table: WeightTable) -> MathProgram:
         own = inst.endowment[i]
         for j in range(n):
             for k in range(n):
-                w = weight(table, i, j, k)
+                w = weight(weights, inst, i, j, k)
                 if w != 0:
                     objective.append((w, (_x2(i, j), _x2(k, own))))
     cons: list[Constraint] = []
@@ -985,9 +1020,11 @@ def is_feasible(program: MathProgram, point: Mapping[str, int]) -> bool:
                for con in program.constraints)
 
 
-def weight(table: WeightTable, agent: int, house: int, tenant: int) -> int:
-    return table.weights[(agent * table.n + house) * table.n + tenant]
+def weight(weights, inst: Instance, agent: int, house: int, tenant: int) -> int:
+    """The agent's class weight of outcome (house, tenant), its class read
+    from the order's rank dict, not from ``Instance.rank_table``."""
+    return weights[agent][inst.rank(agent, Outcome(house, tenant))]
 
 
-def allocation_value(table: WeightTable, inst: Instance, alloc: Allocation) -> int:
-    return sum(weight(table, i, *outcome_of(inst, alloc, i)) for i in range(table.n))
+def allocation_value(weights, inst: Instance, alloc: Allocation) -> int:
+    return sum(weight(weights, inst, i, *outcome_of(inst, alloc, i)) for i in range(inst.n))

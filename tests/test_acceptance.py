@@ -409,10 +409,10 @@ def test_criterion_9_math_programs():
         for n in (2, 3, 4):
             inst = random_instance(n, 0.6, 0.4, 80 + n)
             for scheme in ("borda", "exponential"):
-                table = weights_from_ranks(inst, scheme)
-                ilp = export_ilp(inst, table)
-                qp = export_qp(inst, table)
-                _, exact = solve_exact_max_weight(inst, table)
+                weights = weights_from_ranks(inst, scheme)
+                ilp = export_ilp(inst, weights)
+                qp = export_qp(inst, weights)
+                _, exact = solve_exact_max_weight(inst, weights)
                 assert exact == max(objective_value(ilp, ilp_point(inst, a))
                                     for a in all_allocations(n))
                 assert exact == max(objective_value(qp, qp_point(inst, a))
@@ -422,10 +422,10 @@ def test_criterion_9_math_programs():
         for n, seed in ((4, 91), (5, 92), (6, 93)):
             inst = random_instance(n, 0.5, 0.4, seed)
             for scheme in ("borda", "exponential"):
-                table = weights_from_ranks(inst, scheme)
-                _, best = solve_exact_max_weight(inst, table)
+                weights = weights_from_ranks(inst, scheme)
+                _, best = solve_exact_max_weight(inst, weights)
                 for alloc in all_allocations(n):
-                    if allocation_value(table, inst, alloc) == best:
+                    if allocation_value(weights, inst, alloc) == best:
                         assert is_pareto_optimal(inst, alloc)
 
         # regression: without linking constraints a 0/1 point can satisfy

@@ -3,11 +3,11 @@
 import io
 import os
 import re
+import shlex
 import subprocess
 import sys
 import time
 from contextlib import redirect_stdout
-from itertools import permutations
 from pathlib import Path
 
 import pytest
@@ -129,36 +129,6 @@ def test_an_instance_file_is_answered_in_its_own_labels(tmp_path):
     assert (code, parse_report(out)["holds"]) == (0, "true")
 
 
-def _brute_force_answers(text):
-    """IR, PO and WPO sets and the best Borda value of an instance file, by
-    brute force over all allocations, in the labels the file text uses: the
-    file is read by the token reader of the references, not by tep.model."""
-    n, found, bodies = ref._read_agent_lines(text, "pref", ref._pref_body, complete=False)
-    endow = found["endow"]
-    ranks = []
-    for i, body in enumerate(bodies):
-        classes = [set(cls) for cls in body if cls]
-        if not any((endow[i], i) in cls for cls in classes):
-            classes.append({(endow[i], i)})
-        ranks.append(({o: r for r, cls in enumerate(classes) for o in cls}, len(classes)))
-    profiles = {}
-    for p in permutations(range(n)):
-        tenant_of = {h: i for i, h in enumerate(p)}
-        profiles[p] = [rank.get((p[i], tenant_of[endow[i]]), size)
-                       for i, (rank, size) in enumerate(ranks)]
-    own = [rank[(endow[i], i)] for i, (rank, _) in enumerate(ranks)]
-    ir = {p for p, r in profiles.items() if all(map(int.__le__, r, own))}
-    po, wpo = set(), set()
-    for p, r in profiles.items():
-        if not any(all(map(int.__le__, q, r)) and q != r for q in profiles.values()):
-            po.add(p)
-        if not any(all(map(int.__lt__, q, r)) for q in profiles.values()):
-            wpo.add(p)
-    borda = {p: sum(size - 1 - x if x < size else -n * size for x, (_, size) in zip(r, ranks))
-             for p, r in profiles.items()}
-    return {"ir": ir, "po": po, "wpo": wpo, "borda": borda}
-
-
 def test_permuted_endowment_answers_agree_with_a_brute_force(tmp_path):
     """Seeded instance files with a permuted endow line (n <= 5): verify
     ir|po|wpo, oracle --enumerate ir|po, and the value of solve --method
@@ -177,7 +147,7 @@ def test_permuted_endowment_answers_agree_with_a_brute_force(tmp_path):
                             70_000 + seed)).split("\n", 2)
         text = f"{head}\n{agents}\nendow {' '.join(map(str, endow))}\n{rest}"
         path.write_text(text)
-        want = _brute_force_answers(text)
+        want = ref.brute_force_answers(text)
         for check in ("ir", "po"):
             code, out = invoke(["oracle", "--instance", str(path), "--enumerate", check])
             listed = {tuple(map(int, line.split(":")[1].split()))
@@ -199,6 +169,32 @@ def test_permuted_endowment_answers_agree_with_a_brute_force(tmp_path):
                     (text, p, check)
                 verdicts.add((check, holds))
     assert verdicts == {(c, h) for c in ("ir", "po", "wpo") for h in (True, False)}
+
+
+def test_the_readme_cli_block_runs_as_written(tmp_path, monkeypatch):
+    """The README's CLI lines, run in order in an empty directory: each exits
+    as its '# exit N' comment says (0 without one), and the one marked
+    '# N allocations' lists that many.  Lines that do not start with 'tep'
+    run in sh."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI\n\n```sh\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    counted = 0
+    for line in block.splitlines():
+        if line.startswith("#"):
+            continue
+        comment = line.partition("  #")[2]
+        exits = re.search(r"exit (\d)", comment)
+        if line.startswith("tep "):
+            code, out = invoke(shlex.split(line, comments=True)[1:])
+        else:
+            code = subprocess.run(["sh", "-c", line]).returncode
+        assert code == (int(exits.group(1)) if exits else 0), line
+        listed = re.search(r"(\d+) allocations", comment)
+        if listed:
+            assert parse_report(out)["count"] == listed.group(1), line
+            counted += 1
+    assert counted == 1
 
 
 def test_export_writes_program(tmp_path, ring_file):

@@ -13,7 +13,10 @@ still parse:
 - n = 1 and the agent index n.
 
 Each request runs twice.  The second run must repeat the first byte for
-byte, written files included, and leave nothing for the collector.
+byte, written files included, and leave nothing for the collector.  On an
+instance file with n <= 5 that exits 0 or 1, the answers of ``verify
+--check ir|po|wpo``, ``oracle --enumerate ir|po`` and ``solve --method
+exact`` must be those of ``references.brute_force_answers``.
 """
 
 import gc
@@ -22,8 +25,11 @@ import random
 import re
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
+import references as ref
 from tep import cli
+from tep.cli import parse_report
 from tep.files import (serialize_instance, serialize_predominant_profile,
                        serialize_responsive_profile)
 from tep.generators import random_instance, random_predominant_profile, random_responsive_profile
@@ -38,6 +44,9 @@ COMMANDS = [("verify", "--check", c) for c in ("ir", "po", "wpo", "core")] + \
     [("export", "--form", f) for f in ("ilp", "qp")] + \
     [("manipulate", "--method", m) for m in ("exact", "pra", "ttc", "tttc")]
 SPACES = {"exact": "subsets", "pra": "strict", "ttc": "strict", "tttc": "strict"}
+# The questions references.brute_force_answers answers, as (command, value).
+BRUTE_FORCE = [("verify", c) for c in ("ir", "po", "wpo")] + \
+    [("oracle", e) for e in ("ir", "po")] + [("solve", "exact")]
 
 
 def mutate_classes(rng, text):
@@ -162,6 +171,38 @@ def requests(rng, d):
         yield argv, out
 
 
+def check_answer(argv, code, stdout):
+    """Checks a request that exited 0 or 1 against the brute force, when it
+    asks one of the questions the brute force answers on at most 5 agents.
+    Returns None for any other request, else the command, the question and
+    one bit of the answer: whether the property holds, whether more than
+    one allocation is listed, or whether the optimum moves anyone."""
+    command, _, path, _, value = argv[:5]
+    if (command, value) not in BRUTE_FORCE:
+        return None
+    text = Path(path).read_text()
+    n = int(text.splitlines()[1].split()[1])
+    if n > 5:
+        return None
+    want, report = ref.brute_force_answers(text), parse_report(stdout)
+    if command == "verify":
+        alloc = Path(argv[argv.index("--allocation") + 1]).read_text()
+        holds = ref.parse_allocation_reference(alloc, n).assignment in want[value]
+        assert (code, report["holds"]) == (1 - holds, str(holds).lower()), argv
+        return command, value, holds
+    if command == "oracle":
+        listed = [tuple(map(int, line.split(":")[1].split()))
+                  for line in stdout.splitlines() if line.startswith("allocation:")]
+        assert (code, listed) == (0 if want[value] else 1, sorted(want[value])), argv
+        return command, value, len(listed) > 1
+    values = want[argv[argv.index("--weights") + 1]]
+    top = max(values.values())
+    best = min(p for p, v in values.items() if v == top)
+    assert (code, report["allocation"], int(report["value"])) == \
+        (0, " ".join(map(str, best)), top), argv
+    return command, value, best != tuple(range(n))
+
+
 def run(argv, out):
     """Exit code, stdout, stderr and the bytes written to ``out``, if any."""
     if out:
@@ -177,7 +218,7 @@ def test_every_request_keeps_the_exit_contract(tmp_path):
     """The collector stays off throughout, so a cycle that the second run
     makes is still young at the generation-0 collection after it; the
     first run's garbage (first-use caches) is cleared before it."""
-    exits = Counter()
+    exits, answered = Counter(), set()
     collecting = gc.isenabled()
     gc.disable()
     try:
@@ -198,7 +239,11 @@ def test_every_request_keeps_the_exit_contract(tmp_path):
                 assert stderr.startswith(prefix) and stderr.count("\n") == 1, (argv, stderr)
             assert second == first, argv
             assert garbage == 0, argv
+            if code < 2:
+                answered.add(check_answer(argv, code, stdout))
     finally:
         if collecting:
             gc.enable()
     assert sorted(exits) == [0, 1, 2, 3], exits
+    # every question the brute force answers was asked, with either bit
+    assert answered - {None} == {(*q, a) for q in BRUTE_FORCE for a in (True, False)}, answered

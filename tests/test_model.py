@@ -491,7 +491,8 @@ def test_a_bad_candidate_line_keeps_its_parse_error(line, message):
 def test_the_rank_table_refuses_n_above_the_ceiling_before_any_row(monkeypatch):
     """Every n³ table the permutation search reads is built from
     ``Instance.rank_table``, so library callers meet the CLI's refusal too,
-    before any row exists."""
+    before any row exists.  Weights come per class, so weighing alone
+    answers without a row."""
     def rank_row(*args):
         raise AssertionError("a row of the n³ rank table was built")
 
@@ -500,7 +501,9 @@ def test_the_rank_table_refuses_n_above_the_ceiling_before_any_row(monkeypatch):
     identity = Allocation(tuple(range(301)))
     for call in (lambda: inst.rank_table, lambda: tep.is_pareto_optimal(inst, identity),
                  lambda: tep.enumerate_pareto_optimal(inst),
-                 lambda: programs.weights_from_ranks(inst)):
+                 lambda: programs.solve_exact_max_weight(inst, programs.weights_from_ranks(inst))):
         with pytest.raises(tep.BudgetExceededError) as refused:
             call()
         assert str(refused.value) == "permutation search needs n <= 300, got n = 301"
+    assert programs.weights_from_ranks(inst) == ((0, -301),) * 301
+    assert "rank_table" not in inst.__dict__

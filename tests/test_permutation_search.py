@@ -42,7 +42,7 @@ from tep.generators import random_instance, sp_instance
 from tep.programs import (
     BORDA,
     WEIGHT_SCHEMES,
-    WeightTable,
+    _by_outcome,
     solve_exact_max_weight,
     weights_from_ranks,
 )
@@ -95,21 +95,23 @@ def enumerate_pareto_optimal_reference(inst):
     return out
 
 
-def solve_exact_max_weight_reference(inst, table):
+def solve_exact_max_weight_reference(inst, weights):
     best_alloc = None
     best_value = 0
     for alloc in all_allocations(inst.n):
-        value = allocation_value(table, inst, alloc)
+        value = allocation_value(weights, inst, alloc)
         if best_alloc is None or value > best_value:
             best_alloc, best_value = alloc, value
     return best_alloc, best_value
 
 
 def weights_from_ranks_reference(inst, scheme=BORDA):
+    """Per agent, its weight of every outcome (j, k) at ``j * n + k``."""
     n = inst.n
-    flat = []
+    rows = []
     for i in range(n):
         num_classes = len(inst.prefs[i])
+        row = []
         for j in range(n):
             for k in range(n):
                 rank = inst.rank(i, Outcome(j, k))
@@ -117,8 +119,9 @@ def weights_from_ranks_reference(inst, scheme=BORDA):
                     value = (num_classes - 1 - rank) if rank < num_classes else -n * num_classes
                 else:
                     value = n ** (num_classes - rank)
-                flat.append(value)
-    return WeightTable(n=n, weights=tuple(flat))
+                row.append(value)
+        rows.append(row)
+    return rows
 
 
 def all_tied_instance(n):
@@ -221,9 +224,9 @@ def test_mask_skyline_matches_the_pairwise_skyline_at_n8():
 def test_exact_optimizer_matches_the_full_scan_with_its_tie_break():
     for inst in family():
         for scheme in WEIGHT_SCHEMES:
-            table = weights_from_ranks(inst, scheme)
-            got = solve_exact_max_weight(inst, table)
-            assert got == solve_exact_max_weight_reference(inst, table), (inst, scheme)
+            weights = weights_from_ranks(inst, scheme)
+            got = solve_exact_max_weight(inst, weights)
+            assert got == solve_exact_max_weight_reference(inst, weights), (inst, scheme)
 
 
 def test_exact_optimizer_returns_the_identity_when_every_allocation_ties():
@@ -235,9 +238,13 @@ def test_exact_optimizer_returns_the_identity_when_every_allocation_ties():
 
 
 def test_weight_table_matches_the_per_outcome_loop():
+    """Every outcome's weight, read through its rank in ``Instance.rank_table``
+    as the exports and the exact optimizer read it, is the per-outcome
+    loop's, with permuted endowments among the instances."""
     for inst in family():
         for scheme in WEIGHT_SCHEMES:
-            assert weights_from_ranks(inst, scheme) == weights_from_ranks_reference(inst, scheme)
+            reference = weights_from_ranks_reference(inst, scheme)
+            assert _by_outcome(inst, weights_from_ranks(inst, scheme)) == reference, (inst, scheme)
 
 
 def ir_family():
@@ -326,7 +333,7 @@ def search_cases():
     runs the caller under a node budget."""
     rng = random.Random(12)
     for inst in family(max_n=6):
-        n, ranks = inst.n, inst.rank_table
+        ranks = inst.rank_table
         yield ("sentinel", inst, ranks, [len(c) for c in inst.prefs], None,
                partial(enumerate_pareto_optimal, inst))
         yield ("ir", inst, ranks, axioms._ir_limits(inst), None,
@@ -338,10 +345,9 @@ def search_cases():
                 yield ("wpo", inst, ranks, [r - 1 for r in p_ranks], None,
                        partial(is_weakly_pareto_optimal, inst, alloc))
         for scheme in WEIGHT_SCHEMES:
-            table = weights_from_ranks(inst, scheme)
-            cost = [[-w for w in table.weights[i * n * n:(i + 1) * n * n]] for i in range(n)]
+            cost = [[-w for w in row] for row in weights_from_ranks_reference(inst, scheme)]
             yield ("exact", inst, cost, [max(row) for row in cost], math.inf,
-                   partial(solve_exact_max_weight, inst, table))
+                   partial(solve_exact_max_weight, inst, weights_from_ranks(inst, scheme)))
 
 
 class LoggedBudget(Budget):

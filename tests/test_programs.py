@@ -49,20 +49,22 @@ def ones(point):
 
 def test_borda_weights_by_class():
     inst = RING  # every agent has 3 classes
-    table = weights_from_ranks(inst, "borda")
+    weights = weights_from_ranks(inst, "borda")
+    assert weights == ((2, 1, 0, -15),) * 5  # best class first, then unlisted
     agent = 1
-    assert weight(table, agent, 2, 2) == 2
-    assert weight(table, agent, 0, 0) == 1
-    assert weight(table, agent, 1, 1) == 0  # endowment outcome in the last class
-    assert weight(table, agent, 3, 0) == -15  # unlisted: -n * classes
+    assert weight(weights, inst, agent, 2, 2) == 2
+    assert weight(weights, inst, agent, 0, 0) == 1
+    assert weight(weights, inst, agent, 1, 1) == 0  # endowment outcome in the last class
+    assert weight(weights, inst, agent, 3, 0) == -15  # unlisted: -n * classes
 
 
 def test_exponential_weights_by_class():
-    table = weights_from_ranks(RING, "exponential")
-    assert weight(table, 1, 2, 2) == 5 ** 3
-    assert weight(table, 1, 0, 0) == 5 ** 2
-    assert weight(table, 1, 1, 1) == 5 ** 1
-    assert weight(table, 1, 3, 0) == 1
+    weights = weights_from_ranks(RING, "exponential")
+    assert weights == ((5 ** 3, 5 ** 2, 5, 1),) * 5
+    assert weight(weights, RING, 1, 2, 2) == 5 ** 3
+    assert weight(weights, RING, 1, 0, 0) == 5 ** 2
+    assert weight(weights, RING, 1, 1, 1) == 5 ** 1
+    assert weight(weights, RING, 1, 3, 0) == 1
 
 
 def test_weights_are_order_consistent():
@@ -71,33 +73,35 @@ def test_weights_are_order_consistent():
         for inst in (RING, SP):
             nn = inst.n
             pairs = [Outcome(h, t) for h in range(nn) for t in range(nn)]
-            table = weights_from_ranks(inst, scheme)
+            weights = weights_from_ranks(inst, scheme)
             for i in range(nn):
                 for a in pairs:
                     for b in pairs:
                         c = compare(inst, i, a, b)
-                        wa, wb = weight(table, i, *a), weight(table, i, *b)
+                        wa, wb = weight(weights, inst, i, *a), weight(weights, inst, i, *b)
                         if c > 0:
                             assert wa > wb
                         elif c == 0:
                             assert wa == wb
 
 
-def test_the_weights_are_built_without_a_second_copy():
-    """The n³ weights go into their tuple in one pass: the call's peak stays
-    under 1.5x the finished tuple, where a list copied into a tuple takes
-    about 2.1x."""
+def test_the_exact_solve_builds_no_n3_table_but_its_costs():
+    """Weights come per class, so weighing and solving build one n³ table:
+    the cost rows, mapped from the prebuilt rank table.  The peak stays
+    under 1.5x those rows, where a flat weight tuple beside them doubles
+    it."""
     n = 40
-    inst = make_instance(n, [[[Outcome((i + 1) % n, (i + 1) % n)]] for i in range(n)])
+    inst = make_instance(n, [[] for _ in range(n)])  # the identity leaf cuts the rest
     inst.rank_table  # built before the measurement
+    rows = n * sys.getsizeof([0] * (n * n))
     for scheme in WEIGHT_SCHEMES:
         tracemalloc.start()
         try:
-            table = weights_from_ranks(inst, scheme)
+            solve_exact_max_weight(inst, weights_from_ranks(inst, scheme))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * sys.getsizeof(table.weights), scheme
+        assert peak < 1.5 * rows, scheme
 
 
 def test_unknown_scheme_rejected():
@@ -110,8 +114,8 @@ def test_unknown_scheme_rejected():
 
 def test_ilp_two_agents_feasible_points_are_the_two_allocations():
     inst = make_instance(2, [[], []])
-    table = weights_from_ranks(inst, "borda")
-    program = export_ilp(inst, table)
+    weights = weights_from_ranks(inst, "borda")
+    program = export_ilp(inst, weights)
     assert len(program.variables) == 8
     allowed = {ones(ilp_point(inst, Allocation((0, 1)))),
                ones(ilp_point(inst, Allocation((1, 0))))}
@@ -150,20 +154,20 @@ def test_ilp_feasible_points_biject_with_allocations_n3():
 def test_ilp_objective_matches_allocation_value():
     inst = random_instance(4, 0.7, 0.4, 33)
     for scheme in ("borda", "exponential"):
-        table = weights_from_ranks(inst, scheme)
-        program = export_ilp(inst, table)
+        weights = weights_from_ranks(inst, scheme)
+        program = export_ilp(inst, weights)
         for alloc in all_allocations(4):
             assert objective_value(program, ilp_point(inst, alloc)) == \
-                allocation_value(table, inst, alloc)
+                allocation_value(weights, inst, alloc)
 
 
 def test_sp_exponential_optimum_is_the_four_way_trade():
-    table = weights_from_ranks(SP, "exponential")
-    program = export_ilp(SP, table)
+    weights = weights_from_ranks(SP, "exponential")
+    program = export_ilp(SP, weights)
     best = max(all_allocations(4),
                key=lambda a: objective_value(program, ilp_point(SP, a)))
     assert best == Allocation((1, 2, 3, 0))
-    alloc, value = solve_exact_max_weight(SP, table)
+    alloc, value = solve_exact_max_weight(SP, weights)
     assert alloc == Allocation((1, 2, 3, 0))
     assert value == objective_value(program, ilp_point(SP, alloc))
 
@@ -173,8 +177,8 @@ def test_unlinked_variant_admits_a_non_allocation_point():
     # different permutation than the houses: exhibited at n=3 and rejected
     # by the repaired program
     inst = random_instance(3, 0.5, 0.2, 35)
-    table = weights_from_ranks(inst, "borda")
-    repaired = export_ilp(inst, table)
+    weights = weights_from_ranks(inst, "borda")
+    repaired = export_ilp(inst, weights)
     unlinked = without_linking(repaired)
     allocation_points = {ones(ilp_point(inst, a)) for a in all_allocations(3)}
     ghosts = [p for p in iter_candidate_points(unlinked, 3)
@@ -204,11 +208,11 @@ def test_qp_single_agent_structure():
 
 def test_qp_identity_objective_is_endowment_weight_sum():
     for scheme in ("borda", "exponential"):
-        table = weights_from_ranks(SP, scheme)
-        program = export_qp(SP, table)
+        weights = weights_from_ranks(SP, scheme)
+        program = export_qp(SP, weights)
         point = qp_point(SP, Allocation((0, 1, 2, 3)))
         assert objective_value(program, point) == \
-            sum(weight(table, i, SP.endowment[i], i) for i in range(4))
+            sum(weight(weights, SP, i, SP.endowment[i], i) for i in range(4))
 
 
 def test_qp_and_ilp_optima_agree_with_exact_optimizer():
@@ -216,10 +220,10 @@ def test_qp_and_ilp_optima_agree_with_exact_optimizer():
         for n in (2, 3, 4):
             inst = random_instance(n, 0.7, 0.4, seed)
             for scheme in ("borda", "exponential"):
-                table = weights_from_ranks(inst, scheme)
-                ilp = export_ilp(inst, table)
-                qp = export_qp(inst, table)
-                _, exact = solve_exact_max_weight(inst, table)
+                weights = weights_from_ranks(inst, scheme)
+                ilp = export_ilp(inst, weights)
+                qp = export_qp(inst, weights)
+                _, exact = solve_exact_max_weight(inst, weights)
                 ilp_best = max(objective_value(ilp, ilp_point(inst, a))
                                for a in all_allocations(n))
                 qp_best = max(objective_value(qp, qp_point(inst, a))
@@ -241,13 +245,13 @@ def test_qp_feasible_points_are_permutation_matrices():
 
 def test_exact_single_agent():
     inst = make_instance(1, [[]])
-    table = weights_from_ranks(inst, "borda")
-    assert solve_exact_max_weight(inst, table) == (Allocation((0,)), 0)
+    weights = weights_from_ranks(inst, "borda")
+    assert solve_exact_max_weight(inst, weights) == (Allocation((0,)), 0)
 
 
 def test_exact_on_ring_with_borda_weights():
-    table = weights_from_ranks(RING, "borda")
-    alloc, value = solve_exact_max_weight(RING, table)
+    weights = weights_from_ranks(RING, "borda")
+    alloc, value = solve_exact_max_weight(RING, weights)
     assert value == 6
     assert alloc == Allocation((0, 2, 1, 4, 3))  # smallest argmax: swaps {1,2}, {3,4}
     swaps = [(i, alloc[i]) for i in range(5) if alloc[i] > i]
@@ -261,10 +265,10 @@ def test_max_weight_allocations_are_pareto_optimal():
         n = 4 + seed % 3
         inst = random_instance(n, 0.6, 0.4, seed)
         for scheme in ("borda", "exponential"):
-            table = weights_from_ranks(inst, scheme)
-            _, best = solve_exact_max_weight(inst, table)
+            weights = weights_from_ranks(inst, scheme)
+            _, best = solve_exact_max_weight(inst, weights)
             for alloc in all_allocations(n):
-                if allocation_value(table, inst, alloc) == best:
+                if allocation_value(weights, inst, alloc) == best:
                     assert is_pareto_optimal(inst, alloc)
 
 
@@ -274,23 +278,23 @@ def test_exact_bound():
     every other subtree is cut, so the search makes the 10 internal nodes
     of that path, 10 ticks each."""
     inst = make_instance(10, [[] for _ in range(10)])
-    table = weights_from_ranks(inst, "borda")
+    weights = weights_from_ranks(inst, "borda")
     with pytest.raises(BudgetExceededError):
-        solve_exact_max_weight(inst, table, node_budget=99)
-    assert solve_exact_max_weight(inst, table, node_budget=100) == (Allocation(tuple(range(10))), 0)
+        solve_exact_max_weight(inst, weights, node_budget=99)
+    assert solve_exact_max_weight(inst, weights, node_budget=100) == (Allocation(tuple(range(10))), 0)
 
 
 # ---------------------------------------------------------------- export text
 
 
 def test_lp_text_is_deterministic_and_sectioned():
-    table = weights_from_ranks(SP, "borda")
-    text1 = export_ilp(SP, table).to_lp_text()
-    text2 = export_ilp(SP, table).to_lp_text()
+    weights = weights_from_ranks(SP, "borda")
+    text1 = export_ilp(SP, weights).to_lp_text()
+    text2 = export_ilp(SP, weights).to_lp_text()
     assert text1 == text2
     for section in ("maximize", "obj:", "subject to", "binary", "end"):
         assert section in text1
-    qp_text = export_qp(SP, table).to_lp_text()
+    qp_text = export_qp(SP, weights).to_lp_text()
     assert "x_0_1 * x_" in qp_text
 
 
@@ -322,11 +326,11 @@ def _permuted_instance(n, seed):
 def test_exports_match_the_reference_writer_byte_for_byte(n):
     for seed, scheme in product((n, 100 + n), ("borda", "exponential")):
         inst = _permuted_instance(n, seed)
-        table = weights_from_ranks(inst, scheme)
-        pairs = [(export_qp(inst, table), export_qp_reference(inst, table)),
-                 (export_ilp(inst, table), export_ilp_reference(inst, table)),
-                 (without_linking(export_ilp(inst, table)),
-                  export_ilp_reference(inst, table, linking=False))]
+        weights = weights_from_ranks(inst, scheme)
+        pairs = [(export_qp(inst, weights), export_qp_reference(inst, weights)),
+                 (export_ilp(inst, weights), export_ilp_reference(inst, weights)),
+                 (without_linking(export_ilp(inst, weights)),
+                  export_ilp_reference(inst, weights, linking=False))]
         for program, reference in pairs:
             assert program == reference
             assert program.to_lp_text() == to_lp_text_reference(reference)
