@@ -20,7 +20,12 @@ triple per line.
 A body in the spelling the serializers write is checked against one
 compiled grammar and read with a few string operations per line; only a
 body that fails that check, or whose indices are out of range or repeated,
-is walked token by token, and that walk raises every ParseError.
+is walked token by token, and that walk raises every ParseError.  The
+bracketed index classes of ``rpref`` and ``ppref`` bodies repeat across
+agents and components, so one parse call (a profile file, or a candidate
+file) builds each distinct class text once and looks it up after that;
+nothing of it outlives the call.  ``pref`` outcome classes are built
+afresh, since looking them up measured slower.
 """
 
 from __future__ import annotations
@@ -50,7 +55,6 @@ _CLASSES = rf"\[{_IDS}\](?: > \[{_IDS}\])*"
 _FAST_PREF = re.compile(rf" ?\[{_OC}(?: {_OC})*\](?: > \[{_OC}(?: {_OC})*\])*")
 _FAST_RPREF = re.compile(rf" ?H ({_CLASSES}) ; N ({_CLASSES})")
 _FAST_PPREF = re.compile(rf" ?P ({_IDS}) ; T ({_CLASSES})")
-_BLANK_BRACKETS = str.maketrans("[]", "  ")
 _BLANK_PUNCTUATION = str.maketrans("[]()>,", "      ")
 # Agent-line keyword -> what its files are called and the shape of its body.
 _FORMATS = {"pref": ("instance", "[..] > [..]"),
@@ -124,27 +128,49 @@ def _indices(tokens, n: int) -> tuple[int, ...] | None:
 
 
 def _fast(read):
-    """A body reader that tries ``read(body, n)`` first.  It returns the
-    value of a body in the serializers' spelling whose indices are in range
-    and not repeated, or None; the decorated token walk then reads the body
-    again, accepting the other spellings and raising every ParseError."""
+    """A body reader that tries ``read(body, n, **known)`` first.  It returns
+    the value of a body in the serializers' spelling whose indices are in
+    range and not repeated, or None; the decorated token walk then reads the
+    body again, accepting the other spellings and raising every ParseError.
+    The readers of bracketed index classes take ``known``, the _ClassTexts
+    of their parse call."""
     def wrap(walk):
         @wraps(walk)
-        def reader(body: str, n: int, lineno: int, line: str, agent: int):
-            value = read(body, n)
+        def reader(body: str, n: int, lineno: int, line: str, agent: int, **known):
+            value = read(body, n, **known)
             return walk(body, n, lineno, line, agent) if value is None else value
         return reader
     return wrap
 
 
-def _fast_index_classes(text: str, n: int) -> tuple[frozenset[int], ...] | None:
-    """'[1 2] > [0]' as index classes; the text matched _CLASSES."""
-    chunks = list(map(str.split, text.translate(_BLANK_BRACKETS).split(" > ")))
+class _ClassTexts(dict):
+    """Class text ('3 7') -> its class of indices below n, built on the
+    first lookup of the text, which raises KeyError, and stores nothing, if
+    a token is not such an index in the serializers' spelling.  Each parse
+    call keeps its own, so that a class repeated across agents and
+    components is built once per file."""
+    __slots__ = ("index",)
+
+    def __init__(self, n: int):
+        super().__init__()
+        self.index = _index_table(n).__getitem__
+
+    def __missing__(self, text: str) -> frozenset[int]:
+        self[text] = items = frozenset(map(self.index, text.split()))
+        return items
+
+
+def _fast_index_classes(text: str, known: _ClassTexts) -> tuple[frozenset[int], ...] | None:
+    """'[1 2] > [0]' as index classes; the text matched _CLASSES.  No item
+    may repeat, counting the tokens, since a class merges a repeat ('[1 1]')."""
+    texts = text[1:-1].split("] > [")
     try:
-        classes = tuple(map(frozenset, map(partial(map, _index_table(n).__getitem__), chunks)))
+        classes = tuple(map(known.__getitem__, texts))
     except KeyError:  # not an index below n in the serializers' spelling
         return None
-    return classes if len(frozenset().union(*classes)) == sum(map(len, chunks)) else None
+    # a class text has one token more than spaces, and each ' > ' two spaces
+    tokens = text.count(" ") - len(texts) + 2
+    return classes if len(frozenset().union(*classes)) == tokens else None
 
 
 def _fast_pref(body: str, n: int) -> list[list[Outcome]] | None:
@@ -162,20 +188,20 @@ def _fast_pref(body: str, n: int) -> list[list[Outcome]] | None:
     return list(map(list, map(islice, repeat(iter(outcomes)), sizes)))
 
 
-def _fast_rpref(body: str, n: int):
+def _fast_rpref(body: str, n: int, known: _ClassTexts):
     match = _FAST_RPREF.fullmatch(body)
     if not match:
         return None
-    houses, tenants = (_fast_index_classes(part, n) for part in match.groups())
+    houses, tenants = (_fast_index_classes(part, known) for part in match.groups())
     return None if houses is None or tenants is None else (houses, tenants)
 
 
-def _fast_ppref(body: str, n: int):
+def _fast_ppref(body: str, n: int, known: _ClassTexts):
     match = _FAST_PPREF.fullmatch(body)
     if not match:
         return None
     primary = _indices(match[1].split(), n)
-    tiebreak = _fast_index_classes(match[2], n)
+    tiebreak = _fast_index_classes(match[2], known)
     return None if primary is None or tiebreak is None else (primary, tiebreak)
 
 
@@ -270,8 +296,9 @@ def _ppref_body(body: str, n: int, lineno: int, line: str, agent: int):
             _index_classes(t_part[1:], n, lineno, line, agent, "item"))
 
 
-# Candidate keyword -> the reader of one report.
-_REPORTS = {"pref": _pref_body, "rpref": _rpref_body, "porder": _primary_order}
+# Candidate keyword -> the reader of one report; 'rpref' reports are read
+# by _rpref_body, with the _ClassTexts of their file.
+_REPORTS = {"pref": _pref_body, "porder": _primary_order}
 
 
 def _agent_line(line: str, lineno: int, keyword: str, n: int) -> tuple[int, str]:
@@ -302,14 +329,15 @@ def _parse_mode(line: str, n: int, lineno: int) -> str:
 
 
 def _read_agent_lines(text: str, keyword: str, parse_body, directives: dict | None = None,
-                      complete: bool = True):
+                      complete: bool = True, classes: bool = False):
     """The steps every per-agent format shares: the header and the
     ``agents`` line, then ``endow`` and the given directives, each at most
     once and before the first agent line, then one ``<keyword> <agent>:``
     line per agent, whose body ``parse_body(body, n, lineno, line, agent)``
-    reads.  Returns n, the directive values by name (``endow`` defaults to
-    the identity) and the bodies in agent order, ``[]`` for an agent without
-    a line; ``complete`` refuses a missing line."""
+    reads, with ``known=`` one _ClassTexts for the whole file when
+    ``classes`` is set.  Returns n, the directive values by name (``endow``
+    defaults to the identity) and the bodies in agent order, ``[]`` for an
+    agent without a line; ``complete`` refuses a missing line."""
     kind = _FORMATS[keyword][0]
     lines = _meaningful_lines(text)
     lineno, line = next(lines, (1, None))
@@ -328,6 +356,8 @@ def _read_agent_lines(text: str, keyword: str, parse_body, directives: dict | No
         raise _syntax("need at least one agent", lineno)
     if n > MAX_AGENTS:
         raise ParseError("index-range", f"agent count {n} above the limit {MAX_AGENTS}", lineno)
+    if classes:
+        parse_body = partial(parse_body, known=_ClassTexts(n))
     readers = {"endow": _parse_endow, **(directives or {})}
     found: dict = {}
     bodies: dict = {}
@@ -409,7 +439,7 @@ def serialize_allocation(alloc: Allocation) -> str:
 
 
 def parse_responsive_profile(text: str) -> ResponsiveProfile:
-    n, found, bodies = _read_agent_lines(text, "rpref", _rpref_body)
+    n, found, bodies = _read_agent_lines(text, "rpref", _rpref_body, classes=True)
     houses, tenants = zip(*bodies)
     return _build(ResponsiveProfile, n, found["endow"], houses, tenants)
 
@@ -423,7 +453,8 @@ def serialize_responsive_profile(prof: ResponsiveProfile) -> str:
 
 
 def parse_predominant_profile(text: str) -> PredominantProfile:
-    n, found, bodies = _read_agent_lines(text, "ppref", _ppref_body, {"mode": _parse_mode})
+    n, found, bodies = _read_agent_lines(text, "ppref", _ppref_body, {"mode": _parse_mode},
+                                         classes=True)
     if "mode" not in found:
         raise _syntax("missing 'mode' line", 1)
     primary, tiebreak = zip(*bodies)
@@ -445,6 +476,8 @@ def parse_candidates(text: str, keyword: str, truth: Market, agent: int) -> list
     place of the agent's preferences in ``truth``, so an ``rpref`` candidate
     must list the house the endowment gives the agent.  A fault is reported
     at the candidate's own line."""
+    read = (partial(_rpref_body, known=_ClassTexts(truth.n)) if keyword == "rpref"
+            else _REPORTS[keyword])
     reports = []
     for lineno, line in _meaningful_lines(text):
         if keyword == "porder":  # no ':' after the agent
@@ -456,7 +489,7 @@ def parse_candidates(text: str, keyword: str, truth: Market, agent: int) -> list
             who, body = _agent_line(line, lineno, keyword, truth.n)
         if who != agent:
             raise _syntax(f"candidate line is for agent {who}", lineno)
-        report = _REPORTS[keyword](body, truth.n, lineno, line, agent)
+        report = read(body, truth.n, lineno, line, agent)
         try:
             truth.with_report(agent, report)
         except ValueError as exc:

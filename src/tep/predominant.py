@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 
 from .model import Allocation, Market, Outcome, PreferenceOrder
 
@@ -49,10 +48,13 @@ class PredominantProfile(Market):
         n = self.n
         if len(self.primary) != n or len(self.tiebreak) != n:
             raise ValueError("need one primary order and one tie-break per agent")
+        items = set(range(n))
         for i in agents:
-            if sorted(self.primary[i]) != list(range(n)):
+            order, classes = self.primary[i], self.tiebreak[i]
+            # n entries forming the set of all n items hold each item once
+            if len(order) != n or set(order) != items:
                 raise ValueError(f"agent {i}: primary order must rank all {n} items strictly")
-            if sorted(chain.from_iterable(self.tiebreak[i])) != list(range(n)):
+            if sum(map(len, classes)) != n or set().union(*classes) != items:
                 raise ValueError(f"agent {i}: tie-break classes must partition all {n} items")
 
     @cached_property

@@ -50,7 +50,7 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import replace
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
 from typing import Iterator, Mapping
 
 from tep import is_core_stable, is_individually_rational, outcome_of
@@ -568,10 +568,12 @@ def parse_allocation_reference(text: str, n: int) -> Allocation:
 
 
 def brute_force_answers(text: str) -> dict:
-    """The IR, PO and WPO sets and the Borda and exponential values of every
-    allocation of an instance file, by brute force over all allocations, in
-    the labels the file text uses: the file is read by the token reader
-    above, not by tep.model.  Allocations are keyed by assignment tuple."""
+    """The IR, PO, WPO and core-stable sets and the Borda and exponential
+    values of every allocation of an instance file, by brute force over all
+    allocations (and, for the core, over every coalition and every way it
+    can permute its own houses), in the labels the file text uses: the file
+    is read by the token reader above, not by tep.model.  Allocations are
+    keyed by assignment tuple."""
     n, found, bodies = _read_agent_lines(text, "pref", _pref_body, complete=False)
     endow = found["endow"]
     ranks = []
@@ -597,7 +599,24 @@ def brute_force_answers(text: str) -> dict:
              for p, r in profiles.items()}
     exponential = {p: sum(n ** (size - x) for x, (_, size) in zip(r, ranks))
                    for p, r in profiles.items()}
-    return {"ir": ir, "po": po, "wpo": wpo, "borda": borda, "exponential": exponential}
+    # The core: p is blocked when some coalition can permute its own houses
+    # so that every member strictly improves.  Allocations are bits, in
+    # profile order; worse[i][x] holds those where agent i ranks below x.
+    order = list(profiles)
+    worse = [[sum(1 << k for k, p in enumerate(order) if profiles[p][i] > x)
+              for x in range(size + 1)] for i, (_, size) in enumerate(ranks)]
+    blocked = 0
+    for coalition in chain.from_iterable(combinations(range(n), k) for k in range(1, n + 1)):
+        for houses in permutations([endow[i] for i in coalition]):
+            tenant_of = {h: i for i, h in zip(coalition, houses)}
+            improves = -1
+            for i, h in zip(coalition, houses):
+                rank, size = ranks[i]
+                improves &= worse[i][rank.get((h, tenant_of[endow[i]]), size)]
+            blocked |= improves
+    core = {p for k, p in enumerate(order) if not blocked >> k & 1}
+    return {"ir": ir, "po": po, "wpo": wpo, "core": core, "borda": borda,
+            "exponential": exponential}
 
 
 def parse_responsive_profile_reference(text: str) -> ResponsiveProfile:

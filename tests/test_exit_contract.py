@@ -12,20 +12,24 @@ still parse:
 - allocations that are not permutations;
 - n = 1 and the agent index n.
 
-Each request runs twice.  The second run must repeat the first byte for
-byte, written files included, and leave nothing for the collector.  On an
-instance file with n <= 5 that exits 0 or 1, the answers of ``verify
---check ir|po|wpo``, ``oracle --enumerate ir|po`` and ``solve --method
-exact`` must be those of ``references.brute_force_answers``.
+Each request runs twice, each run within BOUND_S seconds.  The second run
+must repeat the first byte for byte, written files included, and leave
+nothing for the collector.  On an instance file with n <= 5 that exits 0
+or 1, the answers of ``verify --check ir|po|wpo|core``, ``oracle
+--enumerate ir|po|core`` and ``solve --method exact`` must be those of
+``references.brute_force_answers``.
 """
 
 import gc
 import io
 import random
 import re
+import signal
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+
+import pytest
 
 import references as ref
 from tep import cli
@@ -45,8 +49,21 @@ COMMANDS = [("verify", "--check", c) for c in ("ir", "po", "wpo", "core")] + \
     [("manipulate", "--method", m) for m in ("exact", "pra", "ttc", "tttc")]
 SPACES = {"exact": "subsets", "pra": "strict", "ttc": "strict", "tttc": "strict"}
 # The questions references.brute_force_answers answers, as (command, value).
-BRUTE_FORCE = [("verify", c) for c in ("ir", "po", "wpo")] + \
-    [("oracle", e) for e in ("ir", "po")] + [("solve", "exact")]
+BRUTE_FORCE = [("verify", c) for c in ("ir", "po", "wpo", "core")] + \
+    [("oracle", e) for e in ("ir", "po", "core")] + [("solve", "exact")]
+# Each run of a request must end within this many seconds, or the test
+# fails and names the request.  The slowest of the 1,000 runs at SEED took
+# 21 ms on a 2-vCPU Xeon VM (Python 3.11), so the bound is about 95 times
+# that: a slow host does not trip it, while a hang does.
+BOUND_S = 2.0
+
+
+class Overran(BaseException):
+    """A run past BOUND_S.  cli.run catches OSError, so not TimeoutError."""
+
+
+def overran(signum, frame):
+    raise Overran
 
 
 def mutate_classes(rng, text):
@@ -176,7 +193,8 @@ def check_answer(argv, code, stdout):
     asks one of the questions the brute force answers on at most 5 agents.
     Returns None for any other request, else the command, the question and
     one bit of the answer: whether the property holds, whether more than
-    one allocation is listed, or whether the optimum moves anyone."""
+    one allocation is listed, or whether the optimum (or the core-stable
+    allocation of the find-first ``--enumerate core``) moves anyone."""
     command, _, path, _, value = argv[:5]
     if (command, value) not in BRUTE_FORCE:
         return None
@@ -193,6 +211,10 @@ def check_answer(argv, code, stdout):
     if command == "oracle":
         listed = [tuple(map(int, line.split(":")[1].split()))
                   for line in stdout.splitlines() if line.startswith("allocation:")]
+        if value == "core":  # one core-stable allocation, or none
+            assert (code, len(listed)) == ((0, 1) if want[value] else (1, 0)), argv
+            assert set(listed) <= want[value], argv
+            return command, value, listed not in ([], [tuple(range(n))])
         assert (code, listed) == (0 if want[value] else 1, sorted(want[value])), argv
         return command, value, len(listed) > 1
     values = want[argv[argv.index("--weights") + 1]]
@@ -208,8 +230,14 @@ def run(argv, out):
     if out:
         out.unlink(missing_ok=True)
     stdout, stderr = io.StringIO(), io.StringIO()
-    with redirect_stdout(stdout), redirect_stderr(stderr):
-        code = cli.run(argv)
+    signal.setitimer(signal.ITIMER_REAL, BOUND_S)
+    try:
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            code = cli.run(argv)
+    except Overran:
+        pytest.fail(f"request ran past {BOUND_S} s: {argv}")
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
     written = out.read_bytes() if out and out.exists() else None
     return code, stdout.getvalue(), stderr.getvalue(), written
 
@@ -221,6 +249,7 @@ def test_every_request_keeps_the_exit_contract(tmp_path):
     exits, answered = Counter(), set()
     collecting = gc.isenabled()
     gc.disable()
+    alarm = signal.signal(signal.SIGALRM, overran)
     try:
         gc.collect()
         for argv, out in requests(random.Random(SEED), tmp_path):
@@ -242,6 +271,7 @@ def test_every_request_keeps_the_exit_contract(tmp_path):
             if code < 2:
                 answered.add(check_answer(argv, code, stdout))
     finally:
+        signal.signal(signal.SIGALRM, alarm)
         if collecting:
             gc.enable()
     assert sorted(exits) == [0, 1, 2, 3], exits

@@ -1,12 +1,14 @@
 """Profile and allocation file formats."""
 
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
 from tep import (
     Allocation,
+    Market,
+    Outcome,
     ParseError,
     parse_allocation,
     parse_predominant_profile,
@@ -264,22 +266,152 @@ def test_the_reader_agrees_with_the_token_walk(seed):
             assert type(got) is type(want), name
 
 
-def test_the_serializers_spelling_takes_the_fast_path():
-    """Each body the serializers write is read without the token walk."""
-    from tep import files
-    from tep.generators import random_instance
+def _typed(value):
+    """``value`` with the type of every tuple, frozenset and int in it, and
+    a market as its type and fields: two readers agree in value and type
+    when their results map to equal values."""
+    if isinstance(value, Market):
+        return type(value), tuple(_typed(getattr(value, f.name)) for f in fields(value))
+    if isinstance(value, (tuple, list, frozenset)):
+        return type(value), type(value)(map(_typed, value))
+    return type(value), value
 
-    for seed in range(4):
-        texts = {"pref": files.serialize_instance(random_instance(6, 0.6, 0.4, seed)),
-                 "rpref": serialize_responsive_profile(random_responsive_profile(6, 0.7, 0.4,
-                                                                                 seed)),
-                 "ppref": serialize_predominant_profile(random_predominant_profile(6, "house",
-                                                                                   0.4, seed))}
-        for keyword, text in texts.items():
-            read = getattr(files, f"_fast_{keyword}")
-            for line in text.splitlines()[2:]:
-                if line.startswith(keyword):
-                    assert read(line.partition(":")[2], 6) is not None, line
+
+def _grouped(rng, items, tie_rate):
+    """``items`` shuffled and cut into classes, each item joining the class
+    before it at ``tie_rate``."""
+    items = list(items)
+    rng.shuffle(items)
+    classes = []
+    for item in items:
+        if classes and rng.random() < tie_rate:
+            classes[-1].append(item)
+        else:
+            classes.append([item])
+    return tuple(map(frozenset, classes))
+
+
+def _wide_markets(n, tie_rate, seed):
+    """Seeded markets of any size (the generators stop at 12 agents): an
+    instance listing up to 30 outcomes per agent, a responsive profile on a
+    permuted endowment, and a predominant profile of each mode."""
+    import random
+
+    from tep.model import make_instance
+    from tep.predominant import PredominantProfile
+    from tep.responsive import ResponsiveProfile
+
+    rng = random.Random(seed)
+    endow = list(range(n))
+    rng.shuffle(endow)
+    prefs = [_grouped(rng, {Outcome(rng.randrange(n), rng.randrange(n)) for _ in range(30)},
+                      tie_rate) for _ in range(n)]
+    # every other house (tenant) acceptable at 0.7, the own one last
+    houses, tenants = ([_grouped(rng, [x for x in range(n) if x != own and rng.random() < 0.7],
+                                 tie_rate) + (frozenset({own}),) for own in owns]
+                       for owns in (endow, range(n)))
+    yield make_instance(n, prefs, endow)
+    yield ResponsiveProfile(n, tuple(endow), tuple(houses), tuple(tenants))
+    for mode in ("house", "tenant"):
+        yield PredominantProfile(n, tuple(range(n)), mode,
+                                 tuple(tuple(rng.sample(range(n), n)) for _ in range(n)),
+                                 tuple(_grouped(rng, range(n), tie_rate) for _ in range(n)))
+
+
+def _class_reads(n, tie_rate, seed):
+    """(reader, reference reader, text) for the seeded profiles of
+    _wide_markets."""
+    import references as ref
+
+    _, rprof, *pprofs = _wide_markets(n, tie_rate, seed)
+    yield (parse_responsive_profile, ref.parse_responsive_profile_reference,
+           serialize_responsive_profile(rprof))
+    for pprof in pprofs:
+        yield (parse_predominant_profile, ref.parse_predominant_profile_reference,
+               serialize_predominant_profile(pprof))
+
+
+@pytest.mark.parametrize("tie_rate", [0, 0.9])
+def test_profiles_read_each_class_as_the_token_walk_does(tie_rate):
+    """Seeded profile files with up to 40 agents give the reference reader's
+    value and types.  With tie rate 0 every class is one item, so each
+    class text repeats across agents and components and is read from the
+    texts the parse already built."""
+    for n in (1, 2, 5, 13, 27, 40):
+        for seed in range(3):
+            for parse, reference, text in _class_reads(n, tie_rate, seed):
+                got = _read(parse, text)
+                assert _typed(got) == _typed(_read(reference, text)), text
+                assert not isinstance(got, tuple), text
+
+
+@pytest.mark.parametrize("text", [
+    # a class repeated across agents and components, then within a line
+    "rpref 0: H [0 1] > [2] ; N [0 1] > [2]\nrpref 1: H [0 1] ; N [2] > [0 1]\n"
+    "rpref 2: H [2] > [0 1] ; N [2] > [0 1]\n",
+    "rpref 0: H [0 1] ; N [0]\nrpref 1: H [1] ; N [1]\nrpref 2: H [2] > [0 1] > [1] ; N [2]\n",
+    "rpref 0: H [0 1] ; N [0]\nrpref 1: H [1] ; N [1]\nrpref 2: H [2] > [0 1 2] ; N [2]\n",
+    # a class with a repeated item, read before and after the same class
+    "rpref 0: H [1 1] > [0] ; N [0]\nrpref 1: H [1] ; N [1]\nrpref 2: H [2] ; N [2]\n",
+    "rpref 0: H [0] ; N [0] > [1]\nrpref 1: H [1] ; N [1 1]\nrpref 2: H [2] ; N [2]\n",
+    "rpref 0: H [0] ; N [0]\nrpref 1: H [1] ; N [1]\nrpref 2: H [2] > [0 0] ; N [2]\n",
+    "rpref 0: H [0] ; N [0]\nrpref 1: H [1] ; N [1]\nrpref 2: H [2] > [00] ; N [2]\n",
+    "mode house\nppref 0: P 0 1 2 ; T [0 1 2]\nppref 1: P 0 1 2 ; T [0 1 2]\n"
+    "ppref 2: P 0 1 2 ; T [0 1 2]\n",
+    "mode house\nppref 0: P 0 1 2 ; T [0 1] > [2]\nppref 1: P 0 1 2 ; T [2] > [0 1]\n"
+    "ppref 2: P 0 1 2 ; T [0 1] > [1 2]\n",
+    "mode tenant\nppref 0: P 0 1 2 ; T [0 1] > [2]\nppref 1: P 0 1 2 ; T [1 1] > [0 2]\n"
+    "ppref 2: P 0 1 2 ; T [0 1 2]\n",
+])
+def test_a_repeated_class_text_reads_as_the_token_walk_reads_it(text):
+    import references as ref
+
+    text = "tep v1\nagents 3\n" + text
+    if "ppref" in text:
+        parse, reference = parse_predominant_profile, ref.parse_predominant_profile_reference
+    else:
+        parse, reference = parse_responsive_profile, ref.parse_responsive_profile_reference
+    assert _typed(_read(parse, text)) == _typed(_read(reference, text))
+
+
+def test_a_class_read_in_one_file_is_checked_again_in_the_next():
+    """A file with 6 agents that lists [5], read first, does not let [5]
+    through a file with 4 agents: the classes a parse builds are the parse's
+    own.  The same holds for two candidate files."""
+    from tep.files import parse_candidates
+
+    six = ("tep v1\nagents 6\n" + "".join(f"rpref {i}: H [5] > [{i}] ; N [{i}]\n"
+                                          for i in range(5)) + "rpref 5: H [5] ; N [5]\n")
+    four = ("tep v1\nagents 4\nrpref 0: H [0] ; N [0]\nrpref 1: H [5] > [1] ; N [1]\n"
+            "rpref 2: H [2] ; N [2]\nrpref 3: H [3] ; N [3]\n")
+    assert parse_responsive_profile(six).house_classes[0] == (frozenset({5}), frozenset({0}))
+    refused = _read(parse_responsive_profile, four)
+    assert refused == (ParseError, "index-range", "house 5 out of range 0..3", 4, None)
+
+    wide, narrow = (random_responsive_profile(n, 0.7, 0.4, 1) for n in (6, 4))
+    assert parse_candidates("rpref 0: H [5] > [0] ; N [0]\n", "rpref", wide, 0)
+    refused = _read(parse_candidates, "# one report\nrpref 0: H [5] > [0] ; N [0]\n", "rpref",
+                    narrow, 0)
+    assert refused == (ParseError, "index-range", "house 5 out of range 0..3", 2, None)
+
+
+def test_the_serializers_spelling_takes_the_fast_path():
+    """Each body the serializers write is read without the token walk, at 6
+    and at 40 agents."""
+    from tep import files
+
+    for n in (6, 40):
+        for seed in range(4):
+            inst, rprof, pprof, _ = _wide_markets(n, 0.4, seed)
+            texts = {"pref": serialize_instance(inst),
+                     "rpref": serialize_responsive_profile(rprof),
+                     "ppref": serialize_predominant_profile(pprof)}
+            for keyword, text in texts.items():
+                read = getattr(files, f"_fast_{keyword}")
+                known = {} if keyword == "pref" else {"known": files._ClassTexts(n)}
+                for line in text.splitlines()[2:]:
+                    if line.startswith(keyword):
+                        assert read(line.partition(":")[2], n, **known) is not None, line
 
 
 def _cli_argvs(name, text, args, tmp_path):

@@ -266,6 +266,46 @@ def _profile(houses, tenants):
                              tuple(_classes(*t) for t in tenants))
 
 
+_GOOD_ORDER, _GOOD_CLASSES = (2, 0, 1), (frozenset({1}), frozenset({0, 2}))
+_BAD_PRIMARY = "agent 1: primary order must rank all 3 items strictly"
+_BAD_TIEBREAK = "agent 1: tie-break classes must partition all 3 items"
+
+
+@pytest.mark.parametrize("order, classes, message", [
+    ((0, 1, 1), _GOOD_CLASSES, _BAD_PRIMARY),                          # repeated item
+    ((0, 1, 2, 1), _GOOD_CLASSES, _BAD_PRIMARY),                       # ... beside all items
+    ((0, 2), _GOOD_CLASSES, _BAD_PRIMARY),                             # missing item
+    ((0, 1, 3), _GOOD_CLASSES, _BAD_PRIMARY),                          # out-of-range item
+    ((0, 1, -1), _GOOD_CLASSES, _BAD_PRIMARY),
+    ((), _GOOD_CLASSES, _BAD_PRIMARY),                                 # wrong length
+    ((0, 1, 2, 3), _GOOD_CLASSES, _BAD_PRIMARY),
+    (_GOOD_ORDER, ({0, 1}, {1, 2}), _BAD_TIEBREAK),                    # repeated item
+    (_GOOD_ORDER, ([0, 0, 1], [2]), _BAD_TIEBREAK),                    # ... within a class
+    (_GOOD_ORDER, ({0}, {2}), _BAD_TIEBREAK),                          # missing item
+    (_GOOD_ORDER, ({0, 1}, {3}), _BAD_TIEBREAK),                       # out-of-range item
+    (_GOOD_ORDER, ({0, 1, 2}, {-1}), _BAD_TIEBREAK),
+    ((), (), _BAD_PRIMARY),                                            # wrong length
+    (_GOOD_ORDER, (), _BAD_TIEBREAK),
+    (_GOOD_ORDER, ({0, 1, 2}, {3}), _BAD_TIEBREAK),
+])
+def test_each_predominant_fault_has_its_own_message(order, classes, message):
+    """Agent 1's primary order or tie-break classes, in the constructor and,
+    for a primary order, as a report."""
+    from tep.predominant import PredominantProfile
+
+    def build(order, classes):
+        return PredominantProfile(3, (0, 1, 2), "house", (_GOOD_ORDER, order, _GOOD_ORDER),
+                                  (_GOOD_CLASSES, tuple(classes), _GOOD_CLASSES))
+
+    with pytest.raises(ValueError) as info:
+        build(order, classes)
+    assert str(info.value) == message
+    if message == _BAD_PRIMARY:
+        with pytest.raises(ValueError) as info:
+            build(_GOOD_ORDER, _GOOD_CLASSES).with_report(1, order)
+        assert str(info.value) == message
+
+
 def test_component_ranks_and_outcome_keys_read_one_weak_order():
     """house_rank, tenant_rank and outcome_key give each listed item the
     index of its class and every unlisted item the count of classes."""
