@@ -30,9 +30,10 @@ built the first time it needs them.  A group keeps only the candidates
 that can fit, with their positions, and its full length, so the ticks of
 the candidates passed over are charged in one ``Budget.tick`` before the
 next one is written or when the group runs out: every exit-3 point and
-``Budget.left`` stay those of one tick per candidate.  A newly fixed
-agent's rank is read from its order's rank dict, and its improvement
-steps are built once per rank and search.  Both searches are generators
+``Budget.left`` stay those of one tick per candidate.  A write settles
+the agents it fixes in full inline, in index order: the writer at the
+rank its candidate carries, the others at a rank dict lookup and a limit
+test; steps are built once per agent, rank and search.  Both searches are generators
 that walk stacks of their own, so only the node budget bounds how many
 agents they reach; ``Instance.rank_table``, from which every n³ table the
 permutation search reads is built, refuses n above
@@ -230,20 +231,20 @@ def is_core_stable(inst: Instance, alloc: Allocation, *,
     return find_exchange_cycle(options, Budget(node_budget)) is None
 
 
-def _fitting(cands: list[tuple[int, int, int]], agent: int) -> tuple[tuple, int]:
+def _fitting(cands: list[tuple[int, int, int, int]], agent: int) -> tuple[tuple, int]:
     """The candidates an allocation can give ``agent``, each as (position,
-    house, tenant, owner of the house), and how many candidates there are in
-    all.  An outcome fits only if the house is the agent's own exactly when
-    the agent is its own tenant."""
-    return (tuple((p, h, t, o) for p, (h, t, o) in enumerate(cands)
+    house, tenant, owner of the house, rank), and how many candidates there
+    are in all.  An outcome fits only if the house is the agent's own exactly
+    when the agent is its own tenant."""
+    return (tuple((p, h, t, o, r) for p, (h, t, o, r) in enumerate(cands)
                   if (o == agent) == (t == agent)), len(cands))
 
 
-def _fitting_by(cands: list[tuple[int, int, int]], agent: int,
+def _fitting_by(cands: list[tuple[int, int, int, int]], agent: int,
                 part: int) -> dict[int, tuple[tuple, int]]:
     """The candidates grouped by house (``part`` 0) or by tenant (1), each
     group as :func:`_fitting` gives it."""
-    groups: dict[int, list[tuple[int, int, int]]] = {}
+    groups: dict[int, list[tuple[int, int, int, int]]] = {}
     for cand in cands:
         groups.setdefault(cand[part], []).append(cand)
     return {key: _fitting(group, agent) for key, group in groups.items()}
@@ -265,59 +266,34 @@ def _assignment_search(inst: Instance, rank_limits: list[int],
     endow = inst.endowment
     got = [-1] * n  # house received
     ten = [-1] * n  # tenant of own house
-    # Each agent's candidates as (house, tenant, owner of the house), in listed order.
-    listed = [[(h, t, owner[h]) for h, t in inst.listed_outcomes(i, rank_limits[i])]
-              for i in range(n)]
+    ranks = [order.ranks for order in inst.orders]
+    # Each agent's candidates as (house, tenant, owner of the house, rank), in listed order.
+    listed = [[(h, t, owner[h], ranks[i][h, t])
+               for h, t in inst.listed_outcomes(i, rank_limits[i])] for i in range(n)]
     every = [_fitting(cands, i) for i, cands in enumerate(listed)]
     # by_fact[part][i]: agent i's groups by house (part 0) or by tenant (1).
     by_fact: list[list[dict[int, tuple[tuple, int]] | None]] = [[None] * n, [None] * n]
-    ranks = [order.ranks for order in inst.orders]
     unlisted = [order.unacceptable_rank for order in inst.orders]
     steps: list[dict[int, list[tuple[int, int]]]] = [{} for _ in range(n)]
+    # The fully fixed agents.  has_cycle_through reads the options of these
+    # alone, so an agent that leaves the set keeps its stale entry.
     determined: set[int] = set()
     imp_options: Options = [[] for _ in range(n)]
     tick = budget.tick
 
-    def undo(added: list[int]) -> None:
-        for y in added:
-            determined.remove(y)
-            imp_options[y] = []
-
-    def settle(fixed: list[int]) -> list[int] | None:
-        """Validate the agents, in order, that just became fully determined;
-        returns them once added to ``determined``, or None when one fails its
-        rank limit or completes an improvement cycle."""
-        added: list[int] = []
-        for x in fixed:
-            rank = ranks[x].get((got[x], ten[x]), unlisted[x])
-            if rank > rank_limits[x]:
-                undo(added)
-                return None
-            determined.add(x)
-            added.append(x)
-            if prune_blocking:
-                known = steps[x]
-                if rank not in known:
-                    known[rank] = _improvement_steps(inst, x, rank)
-                imp_options[x] = known[rank]
-                if has_cycle_through(imp_options, x, determined, budget):
-                    undo(added)
-                    return None
-        return added
-
     # One frame per written candidate that settled: its agent, the
     # agent's two facts before the write, the rest of its group, the
-    # ticks charged so far and what the write replaced and settled.  A
-    # leaf and an exhausted group both pop the last frame, undo its write
-    # and go on with the next candidate of its group.
+    # ticks charged so far, what the write replaced and the agents it
+    # settled.  A leaf and an exhausted group both pop the last frame,
+    # undo its write and go on with the next candidate of its group.
     stack: list[tuple] = []
     i, resume = 0, False
     while True:
         if resume:
             if not stack:
                 return
-            i, gi, ti, cands, size, charged, o, t, ten_o, got_t, added = stack.pop()
-            undo(added)
+            i, gi, ti, cands, size, charged, o, t, ten_o, got_t, fixed = stack.pop()
+            determined.difference_update(fixed)
             ten[o], got[t] = ten_o, got_t
             got[i], ten[i] = gi, ti
         else:
@@ -343,35 +319,53 @@ def _assignment_search(inst: Instance, rank_limits: list[int],
         # Every candidate in the group costs one tick, in order, whether
         # it fits or not; the ticks up to a candidate are charged just
         # before it is written, and the rest when the group runs out.
-        for p, h, t, o in cands:
+        for p, h, t, o, rank in cands:
             # The candidate fixes got[i] = h, ten[i] = t, ten[o] = i and
             # got[t] = own; a clash with a fact already fixed ends it
             # unwritten.  With o == i, t is i too and nothing can clash.
             ten_o, got_t = ten[o], got[t]
+            if (ten_o >= 0 and ten_o != i) or (got_t >= 0 and got_t != own):
+                continue
+            tick(p + 1 - charged)
+            charged = p + 1
+            got[i], ten[i], ten[o], got[t] = h, t, i, own
+            # Now fixed in full: i, and o and t if the write set their last
+            # fact.  Agents below i are determined, so a fact it found set
+            # was set by that agent's own write, which fixed the agent whole
+            # (a swap partner, t == o, so fixed would have fixed i too).
+            # Every new agent is above i.
             if o == i:  # h is i's own house, and i its own tenant
-                tick(p + 1 - charged)
-                charged = p + 1
-                got[i], ten[i] = h, i
-                fixed = [i]
+                fixed: tuple[int, ...] = (i,)
+            elif t == o:
+                fixed = (i, o)
+            elif ten_o < 0 and got[o] >= 0:
+                if got_t < 0 and ten[t] >= 0:
+                    fixed = (i, o, t) if o < t else (i, t, o)
+                else:
+                    fixed = (i, o)
             else:
-                if (ten_o >= 0 and ten_o != i) or (got_t >= 0 and got_t != own):
-                    continue
-                tick(p + 1 - charged)
-                charged = p + 1
-                got[i], ten[i], ten[o], got[t] = h, t, i, own
-                # Now fixed: i, and o and t unless already determined or
-                # still missing their other fact.
-                fixed = [i]
-                if o not in determined and got[o] >= 0:
-                    fixed.append(o)
-                if t != o and t not in determined and ten[t] >= 0:
-                    fixed.append(t)
-                fixed.sort()
-            added = settle(fixed)
-            if added is not None:
-                stack.append((i, gi, ti, cands, size, charged, o, t, ten_o, got_t, added))
+                fixed = (i, t) if got_t < 0 and ten[t] >= 0 else (i,)
+            # Settle in order: i at its candidate's rank, within its limit,
+            # the others at their looked-up ranks, against theirs.
+            for x in fixed:
+                if x != i:
+                    rank = ranks[x].get((got[x], ten[x]), unlisted[x])
+                    if rank > rank_limits[x]:
+                        break
+                determined.add(x)
+                if prune_blocking:
+                    known = steps[x]
+                    imp = known.get(rank)
+                    if imp is None:
+                        imp = known[rank] = _improvement_steps(inst, x, rank)
+                    imp_options[x] = imp
+                    if has_cycle_through(imp_options, x, determined, budget):
+                        break
+            else:
+                stack.append((i, gi, ti, cands, size, charged, o, t, ten_o, got_t, fixed))
                 i, resume = i + 1, False
                 break
+            determined.difference_update(fixed)
             ten[o], got[t] = ten_o, got_t
             got[i], ten[i] = gi, ti
         else:

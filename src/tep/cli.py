@@ -181,6 +181,8 @@ def _cmd_oracle(args, report: _Report) -> int:
     elif args.enumerate == "po":
         allocs = axioms.enumerate_pareto_optimal(inst, node_budget=args.node_budget)
     else:
+        # Find-first: the first core-stable allocation the backtracking
+        # reaches, with no count line, or 'result: none' and exit 1.
         found = axioms.core_exists(inst, node_budget=args.node_budget)
         if found is None:
             report.add("result", "none")

@@ -242,12 +242,17 @@ def improvement_steps_reference(inst: Instance, agent: int, cur: int) -> list[tu
 
 
 def assignment_search_reference(inst: Instance, rank_limits: list[int],
-                                prune_blocking: bool, budget: Budget) -> Iterator[Allocation]:
+                                prune_blocking: bool, budget: Budget,
+                                writes: list | None = None) -> Iterator[Allocation]:
     """Backtracking over agents in index order, assigning each a listed
     outcome of rank <= its limit, with bijection and tenant-consistency
     propagation.  With ``prune_blocking`` any partial assignment already
     containing an improvement cycle among fully-determined agents is cut,
     so every yielded leaf is core stable.
+
+    When ``writes`` is a list, each candidate written in full is appended
+    to it as (agent, house, tenant, owner of the house, got, ten), with
+    ``got`` and ``ten`` copies of the facts just before the write.
     """
     n = inst.n
     owner = inst.owner
@@ -312,8 +317,11 @@ def assignment_search_reference(inst: Instance, rank_limits: list[int],
                     return True
                 return arr[x] == value
 
+            before = (got[:], ten[:]) if writes is not None else ()
             ok = (put("g", i, o.house) and put("t", i, o.tenant)
                   and put("t", owner[o.house], i) and put("g", o.tenant, endow[i]))
+            if ok and writes is not None:
+                writes.append((i, o.house, o.tenant, owner[o.house], *before))
             added = settle([x for _, x in trail]) if ok else None
             if ok and added is not None:
                 yield from assign(i + 1)

@@ -17,7 +17,9 @@ must repeat the first byte for byte, written files included, and leave
 nothing for the collector.  On an instance file with n <= 5 that exits 0
 or 1, the answers of ``verify --check ir|po|wpo|core``, ``oracle
 --enumerate ir|po|core`` and ``solve --method exact`` must be those of
-``references.brute_force_answers``.
+``references.brute_force_answers``.  Every ``solve --method ttc|tttc``
+request that exits 0 must print the allocation of
+``references.trade_cycles_reference`` on its profile.
 """
 
 import gc
@@ -37,6 +39,7 @@ from tep.cli import parse_report
 from tep.files import (serialize_instance, serialize_predominant_profile,
                        serialize_responsive_profile)
 from tep.generators import random_instance, random_predominant_profile, random_responsive_profile
+from tep.predominant import HOUSE
 from tep.programs import WEIGHT_SCHEMES
 
 SEED = 1
@@ -225,6 +228,16 @@ def check_answer(argv, code, stdout):
     return command, value, best != tuple(range(n))
 
 
+def check_trade(argv, stdout):
+    """Checks the allocation a ``solve --method ttc|tttc`` request that
+    exited 0 printed against the reference's top trading cycles on the
+    profile as the reference reader reads it; returns the method."""
+    prof = ref.parse_predominant_profile_reference(Path(argv[2]).read_text())
+    want, _ = ref.trade_cycles_reference(prof, "max", prof.mode == HOUSE)
+    assert parse_report(stdout)["allocation"] == " ".join(map(str, want.assignment)), argv
+    return argv[4]
+
+
 def run(argv, out):
     """Exit code, stdout, stderr and the bytes written to ``out``, if any."""
     if out:
@@ -246,7 +259,7 @@ def test_every_request_keeps_the_exit_contract(tmp_path):
     """The collector stays off throughout, so a cycle that the second run
     makes is still young at the generation-0 collection after it; the
     first run's garbage (first-use caches) is cleared before it."""
-    exits, answered = Counter(), set()
+    exits, answered, traded = Counter(), set(), Counter()
     collecting = gc.isenabled()
     gc.disable()
     alarm = signal.signal(signal.SIGALRM, overran)
@@ -270,6 +283,8 @@ def test_every_request_keeps_the_exit_contract(tmp_path):
             assert garbage == 0, argv
             if code < 2:
                 answered.add(check_answer(argv, code, stdout))
+            if code == 0 and argv[0] == "solve" and argv[4] in ("ttc", "tttc"):
+                traded[check_trade(argv, stdout)] += 1
     finally:
         signal.signal(signal.SIGALRM, alarm)
         if collecting:
@@ -277,3 +292,4 @@ def test_every_request_keeps_the_exit_contract(tmp_path):
     assert sorted(exits) == [0, 1, 2, 3], exits
     # every question the brute force answers was asked, with either bit
     assert answered - {None} == {(*q, a) for q in BRUTE_FORCE for a in (True, False)}, answered
+    assert min(traded["ttc"], traded["tttc"]) > 0, traded

@@ -16,8 +16,9 @@ Two more families go through the same checks.  Instances with a permuted
 endowment whose top classes list outcomes no allocation gives (the agent's
 own house with another tenant, another agent's house with the agent as its
 own tenant) exercise the clash tests a candidate passes before it writes.
-An m = 3 x3c-core gadget (45 agents) and random instances of the sizes the
-benchmark's ``search`` workload uses run under their IR limits.
+The m = 3 and m = 8 x3c-core gadgets (45 and 120 agents) and random
+instances of the sizes the benchmark's ``search`` workload uses run under
+their IR limits.
 
 The search charges the ticks of candidates it skips in bulk, so on the
 small instances every budget from 0 to the full tick count is tried too:
@@ -102,10 +103,11 @@ def clash_family():
 
 
 def large_family():
-    """The m = 3 x3c-core gadget of a random exact-cover input (45 agents)
-    and random instances with n = 10 and 11, density 0.2..0.3."""
-    return [x3c_core_instance(random_x3c(3, 0)), random_instance(10, 0.2, 0.3, 101),
-            random_instance(11, 0.3, 0.3, 102)]
+    """The m = 3 and m = 8 x3c-core gadgets of random exact-cover inputs (45
+    and 120 agents; the benchmark's ``search`` workload sends m = 8..14) and
+    random instances with n = 10 and 11, density 0.2..0.3."""
+    return [x3c_core_instance(random_x3c(3, 0)), x3c_core_instance(random_x3c(8, 0)),
+            random_instance(10, 0.2, 0.3, 101), random_instance(11, 0.3, 0.3, 102)]
 
 
 def limit_sets(inst, rng):
@@ -171,12 +173,30 @@ def cases():
 
 
 def test_the_search_matches_the_reference_event_for_event(logged_cycle_checks):
+    """Besides the leaves and the families, ``seen`` counts the writes that
+    take each way through the settling of the search, as the reference
+    makes them: a swap (the agent takes o's house and o moves into its
+    own), a write that fixes both o and t in full with t < o, and an
+    own-house write under pruning.  A swap partner never has a fact fixed
+    before the write: the search settles it without looking."""
     seen = {"leaves>1": 0, "cycle-found": 0, "no-leaf": 0, "permuted": 0, "gadget": 0,
-            "impossible-top": 0, "large": 0}
+            "impossible-top": 0, "large": 0, "swap": 0, "pair t<o": 0, "own pruned": 0}
+    swap_fixed = 0
     for case, inst, limits, prune in cases():
+        writes = []
         got = run(_assignment_search, inst, limits, prune, NODES)
-        want = run(assignment_search_reference, inst, limits, prune, NODES)
+        want = run(lambda *args: assignment_search_reference(*args, writes=writes),
+                   inst, limits, prune, NODES)
         assert got == want, case
+        for i, _, t, o, got_before, ten_before in writes:
+            if o == i:
+                seen["own pruned"] += prune
+            elif t == o:
+                seen["swap"] += 1
+                swap_fixed += ten_before[o] >= 0 or got_before[o] >= 0
+            else:
+                seen["pair t<o"] += (t < o and ten_before[o] < 0 and got_before[o] >= 0
+                                     and got_before[t] < 0 and ten_before[t] >= 0)
         leaves = sum(isinstance(e, tuple) and e[0] != "cycle" for e in want[0])
         seen["leaves>1"] += leaves > 1
         seen["no-leaf"] += leaves == 0
@@ -186,6 +206,7 @@ def test_the_search_matches_the_reference_event_for_event(logged_cycle_checks):
         seen["impossible-top"] += case[0] == "clash" and leaves > 0
         seen["large"] += case[0] == "large" and (leaves > 0 or want[0][-1] == "exhausted")
     assert min(seen.values()) > 0, seen
+    assert swap_fixed == 0, swap_fixed
 
 
 def test_the_search_runs_out_of_budget_at_the_same_tick(logged_cycle_checks):
