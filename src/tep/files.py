@@ -17,21 +17,24 @@ lines with a strict ``P`` list and bracketed ``T`` classes.  Candidate files
 hold one misreport per line, and exact-cover files give ``m`` and then one
 triple per line.
 
-A body in the spelling the serializers write is checked against one
-compiled grammar and read with a few string operations per line; only a
-body that fails that check, or whose indices are out of range or repeated,
-is walked token by token, and that walk raises every ParseError.  The
-bracketed index classes of ``rpref`` and ``ppref`` bodies repeat across
-agents and components, so one parse call (a profile file, or a candidate
-file) builds each distinct class text once and looks it up after that;
-nothing of it outlives the call.  ``pref`` outcome classes are built
-afresh, since looking them up measured slower.
+``_FORMATS`` holds one row per agent-line keyword: what its files are
+called, the shape of its body, and the body's two readers.  The fast reader
+checks a body in the spelling the serializers write against one compiled
+grammar and reads it with a few string operations; only a body that fails
+that check, or whose indices are out of range or repeated, goes to the token
+walk, which raises every ParseError.  The bracketed index classes of
+``rpref`` and ``ppref`` bodies repeat across agents and components, so one
+parse call (a market file, or a candidate file) builds each distinct class
+text once and looks it up after that; nothing of it outlives the call.
+``pref`` outcome classes are built afresh, since looking them up measured
+slower.  ``_write_agent_lines`` writes every format, the mirror of
+``_read_agent_lines``.
 """
 
 from __future__ import annotations
 
 import re
-from functools import lru_cache, partial, wraps
+from functools import lru_cache
 from itertools import islice, repeat
 
 from .errors import ParseError
@@ -56,10 +59,6 @@ _FAST_PREF = re.compile(rf" ?\[{_OC}(?: {_OC})*\](?: > \[{_OC}(?: {_OC})*\])*")
 _FAST_RPREF = re.compile(rf" ?H ({_CLASSES}) ; N ({_CLASSES})")
 _FAST_PPREF = re.compile(rf" ?P ({_IDS}) ; T ({_CLASSES})")
 _BLANK_PUNCTUATION = str.maketrans("[]()>,", "      ")
-# Agent-line keyword -> what its files are called and the shape of its body.
-_FORMATS = {"pref": ("instance", "[..] > [..]"),
-            "rpref": ("responsive profile", "H ... ; N ..."),
-            "ppref": ("predominant profile", "P ... ; T ...")}
 
 
 def _meaningful_lines(text: str):
@@ -127,22 +126,6 @@ def _indices(tokens, n: int) -> tuple[int, ...] | None:
         return None
 
 
-def _fast(read):
-    """A body reader that tries ``read(body, n, **known)`` first.  It returns
-    the value of a body in the serializers' spelling whose indices are in
-    range and not repeated, or None; the decorated token walk then reads the
-    body again, accepting the other spellings and raising every ParseError.
-    The readers of bracketed index classes take ``known``, the _ClassTexts
-    of their parse call."""
-    def wrap(walk):
-        @wraps(walk)
-        def reader(body: str, n: int, lineno: int, line: str, agent: int, **known):
-            value = read(body, n, **known)
-            return walk(body, n, lineno, line, agent) if value is None else value
-        return reader
-    return wrap
-
-
 class _ClassTexts(dict):
     """Class text ('3 7') -> its class of indices below n, built on the
     first lookup of the text, which raises KeyError, and stores nothing, if
@@ -173,7 +156,7 @@ def _fast_index_classes(text: str, known: _ClassTexts) -> tuple[frozenset[int], 
     return classes if len(frozenset().union(*classes)) == tokens else None
 
 
-def _fast_pref(body: str, n: int) -> list[list[Outcome]] | None:
+def _fast_pref(body: str, n: int, known: _ClassTexts) -> list[list[Outcome]] | None:
     if not _FAST_PREF.fullmatch(body):
         return None
     numbers = _indices(body.translate(_BLANK_PUNCTUATION).split(), n)
@@ -233,7 +216,6 @@ def _split_classes(body: str, lineno: int, line: str) -> list[str]:
         rest = tail[1:] if tail.startswith(">") else tail
 
 
-@_fast(_fast_pref)
 def _pref_body(body: str, n: int, lineno: int, line: str, agent: int) -> list[list[Outcome]]:
     """Outcome classes in file order, each non-empty, no outcome twice."""
     classes = []
@@ -274,7 +256,6 @@ def _index_classes(body: str, n: int, lineno: int, line: str, agent: int,
     return tuple(classes)
 
 
-@_fast(_fast_rpref)
 def _rpref_body(body: str, n: int, lineno: int, line: str, agent: int):
     house_part, sep, tenant_part = (part.strip() for part in body.partition(";"))
     if not sep or not house_part.startswith("H") or not tenant_part.startswith("N"):
@@ -283,22 +264,29 @@ def _rpref_body(body: str, n: int, lineno: int, line: str, agent: int):
             _index_classes(tenant_part[1:], n, lineno, line, agent, "tenant"))
 
 
-def _primary_order(body: str, n: int, lineno: int, line: str, agent: int) -> tuple[int, ...]:
-    return _items(body.split(), n, lineno)
-
-
-@_fast(_fast_ppref)
 def _ppref_body(body: str, n: int, lineno: int, line: str, agent: int):
     p_part, sep, t_part = (part.strip() for part in body.partition(";"))
     if not sep or not p_part.startswith("P") or not t_part.startswith("T"):
         raise _syntax("ppref body must look like 'P 2 0 1 ; T [..] > [..]'", lineno)
-    return (_primary_order(p_part[1:], n, lineno, line, agent),
+    return (_items(p_part[1:].split(), n, lineno),
             _index_classes(t_part[1:], n, lineno, line, agent, "item"))
 
 
-# Candidate keyword -> the reader of one report; 'rpref' reports are read
-# by _rpref_body, with the _ClassTexts of their file.
-_REPORTS = {"pref": _pref_body, "porder": _primary_order}
+# Agent-line keyword -> what its files are called, the shape of its body,
+# the fast reader of a body in the serializers' spelling (None for any
+# other body) and the token walk that reads every body.
+_FORMATS = {"pref": ("instance", "[..] > [..]", _fast_pref, _pref_body),
+            "rpref": ("responsive profile", "H ... ; N ...", _fast_rpref, _rpref_body),
+            "ppref": ("predominant profile", "P ... ; T ...", _fast_ppref, _ppref_body)}
+
+
+def _read_body(keyword: str, body: str, n: int, lineno: int, line: str, agent: int,
+               known: _ClassTexts):
+    """The value of a ``keyword`` body: the fast reader's, with ``known``
+    the _ClassTexts of the parse call, else the token walk's."""
+    _, _, fast, walk = _FORMATS[keyword]
+    value = fast(body, n, known)
+    return walk(body, n, lineno, line, agent) if value is None else value
 
 
 def _agent_line(line: str, lineno: int, keyword: str, n: int) -> tuple[int, str]:
@@ -328,14 +316,13 @@ def _parse_mode(line: str, n: int, lineno: int) -> str:
     return parts[1]
 
 
-def _read_agent_lines(text: str, keyword: str, parse_body, directives: dict | None = None,
-                      complete: bool = True, classes: bool = False):
+def _read_agent_lines(text: str, keyword: str, directives: dict | None = None,
+                      complete: bool = True):
     """The steps every per-agent format shares: the header and the
     ``agents`` line, then ``endow`` and the given directives, each at most
     once and before the first agent line, then one ``<keyword> <agent>:``
-    line per agent, whose body ``parse_body(body, n, lineno, line, agent)``
-    reads, with ``known=`` one _ClassTexts for the whole file when
-    ``classes`` is set.  Returns n, the directive values by name (``endow``
+    line per agent, its body read by _read_body with one _ClassTexts for
+    the whole file.  Returns n, the directive values by name (``endow``
     defaults to the identity) and the bodies in agent order, ``[]`` for an
     agent without a line; ``complete`` refuses a missing line."""
     kind = _FORMATS[keyword][0]
@@ -356,8 +343,7 @@ def _read_agent_lines(text: str, keyword: str, parse_body, directives: dict | No
         raise _syntax("need at least one agent", lineno)
     if n > MAX_AGENTS:
         raise ParseError("index-range", f"agent count {n} above the limit {MAX_AGENTS}", lineno)
-    if classes:
-        parse_body = partial(parse_body, known=_ClassTexts(n))
+    known = _ClassTexts(n)
     readers = {"endow": _parse_endow, **(directives or {})}
     found: dict = {}
     bodies: dict = {}
@@ -371,7 +357,7 @@ def _read_agent_lines(text: str, keyword: str, parse_body, directives: dict | No
             agent, body = _agent_line(line, lineno, keyword, n)
             if agent in bodies:
                 raise _syntax(f"duplicate {keyword} line for agent {agent}", lineno)
-            bodies[agent] = parse_body(body, n, lineno, line, agent)
+            bodies[agent] = _read_body(keyword, body, n, lineno, line, agent, known)
         else:
             raise _syntax(f"unknown directive {quote(word)}", lineno)
     missing = [i for i in range(n) if i not in bodies]
@@ -385,7 +371,7 @@ def parse_instance(text: str) -> Instance:
     """Parse and validate an instance file in the file's own labels: agent
     i owns the house its endow line gives it (house i without one), and
     every answer about the instance names houses as the file does."""
-    n, found, prefs = _read_agent_lines(text, "pref", _pref_body, complete=False)
+    n, found, prefs = _read_agent_lines(text, "pref", complete=False)
     return make_instance(n, prefs, found["endow"])
 
 
@@ -394,20 +380,19 @@ def format_classes(classes, item=str) -> str:
     return " > ".join("[" + " ".join(map(item, sorted(c))) + "]" for c in classes)
 
 
-def _preamble(market: Market, *directives: str) -> list[str]:
-    """Header, agent count, the given directives, and the endow line when
-    the endowment is not the identity."""
+def _write_agent_lines(market: Market, keyword: str, bodies, *directives: str) -> str:
+    """The mirror of _read_agent_lines: the header, the agent count, the
+    given directives, the endow line when the endowment is not the identity,
+    then one ``<keyword> <agent>: <body>`` line per agent."""
     out = [_HEADER, f"agents {market.n}", *directives]
     if not market.is_canonical():
-        out.append("endow " + " ".join(str(h) for h in market.endowment))
-    return out
+        out.append("endow " + " ".join(map(str, market.endowment)))
+    out += (f"{keyword} {i}: {body}" for i, body in enumerate(bodies))
+    return "\n".join(out) + "\n"
 
 
 def serialize_instance(inst: Instance) -> str:
-    out = _preamble(inst)
-    for i in range(inst.n):
-        out.append(f"pref {i}: {format_classes(inst.prefs[i], Outcome.text)}")
-    return "\n".join(out) + "\n"
+    return _write_agent_lines(inst, "pref", (format_classes(c, Outcome.text) for c in inst.prefs))
 
 
 def parse_allocation(text: str, n: int) -> Allocation:
@@ -439,22 +424,19 @@ def serialize_allocation(alloc: Allocation) -> str:
 
 
 def parse_responsive_profile(text: str) -> ResponsiveProfile:
-    n, found, bodies = _read_agent_lines(text, "rpref", _rpref_body, classes=True)
+    n, found, bodies = _read_agent_lines(text, "rpref")
     houses, tenants = zip(*bodies)
     return _build(ResponsiveProfile, n, found["endow"], houses, tenants)
 
 
 def serialize_responsive_profile(prof: ResponsiveProfile) -> str:
-    out = _preamble(prof)
-    for i in range(prof.n):
-        h, t = format_classes(prof.house_classes[i]), format_classes(prof.tenant_classes[i])
-        out.append(f"rpref {i}: H {h} ; N {t}")
-    return "\n".join(out) + "\n"
+    return _write_agent_lines(prof, "rpref", (
+        f"H {format_classes(h)} ; N {format_classes(t)}"
+        for h, t in zip(prof.house_classes, prof.tenant_classes)))
 
 
 def parse_predominant_profile(text: str) -> PredominantProfile:
-    n, found, bodies = _read_agent_lines(text, "ppref", _ppref_body, {"mode": _parse_mode},
-                                         classes=True)
+    n, found, bodies = _read_agent_lines(text, "ppref", {"mode": _parse_mode})
     if "mode" not in found:
         raise _syntax("missing 'mode' line", 1)
     primary, tiebreak = zip(*bodies)
@@ -462,11 +444,9 @@ def parse_predominant_profile(text: str) -> PredominantProfile:
 
 
 def serialize_predominant_profile(prof: PredominantProfile) -> str:
-    out = _preamble(prof, f"mode {prof.mode}")
-    for i in range(prof.n):
-        p = " ".join(str(x) for x in prof.primary[i])
-        out.append(f"ppref {i}: P {p} ; T {format_classes(prof.tiebreak[i])}")
-    return "\n".join(out) + "\n"
+    return _write_agent_lines(prof, "ppref", (
+        f"P {' '.join(map(str, p))} ; T {format_classes(t)}"
+        for p, t in zip(prof.primary, prof.tiebreak)), f"mode {prof.mode}")
 
 
 def parse_candidates(text: str, keyword: str, truth: Market, agent: int) -> list:
@@ -475,21 +455,21 @@ def parse_candidates(text: str, keyword: str, truth: Market, agent: int) -> list
     <item>...`` strict primary orders.  Each must give a valid market in
     place of the agent's preferences in ``truth``, so an ``rpref`` candidate
     must list the house the endowment gives the agent.  A fault is reported
-    at the candidate's own line."""
-    read = (partial(_rpref_body, known=_ClassTexts(truth.n)) if keyword == "rpref"
-            else _REPORTS[keyword])
+    at the candidate's own line.  The lines share one _ClassTexts."""
+    n, known = truth.n, _ClassTexts(truth.n)
     reports = []
     for lineno, line in _meaningful_lines(text):
-        if keyword == "porder":  # no ':' after the agent
+        if keyword == "porder":  # no ':' after the agent; the body is the items
             parts = line.split()
             if parts[0] != keyword or len(parts) < 2:
                 raise _syntax("expected 'porder <agent> <item>...'", lineno)
-            who, body = _parse_int(parts[1], lineno, "agent"), " ".join(parts[2:])
+            who, body = _parse_int(parts[1], lineno, "agent"), parts[2:]
         else:
-            who, body = _agent_line(line, lineno, keyword, truth.n)
+            who, body = _agent_line(line, lineno, keyword, n)
         if who != agent:
             raise _syntax(f"candidate line is for agent {who}", lineno)
-        report = read(body, truth.n, lineno, line, agent)
+        report = (_items(body, n, lineno) if keyword == "porder"
+                  else _read_body(keyword, body, n, lineno, line, agent, known))
         try:
             truth.with_report(agent, report)
         except ValueError as exc:

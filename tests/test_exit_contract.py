@@ -19,7 +19,12 @@ or 1, the answers of ``verify --check ir|po|wpo|core``, ``oracle
 --enumerate ir|po|core`` and ``solve --method exact`` must be those of
 ``references.brute_force_answers``.  Every ``solve --method ttc|tttc``
 request that exits 0 must print the allocation of
-``references.trade_cycles_reference`` on its profile.
+``references.trade_cycles_reference`` on its profile; at SEED that checks
+17 ``ttc`` and 10 ``tttc`` requests, and at least 8 of each must reach the
+check.  Every ``solve --method pra`` request on at most 5 agents that exits
+0, with ``--order random`` or without, must print an RS-IR and
+RS-Pareto-optimal allocation; at SEED that checks 5 requests, one of them
+with ``--order random``.
 """
 
 import gc
@@ -39,6 +44,7 @@ from tep.cli import parse_report
 from tep.files import (serialize_instance, serialize_predominant_profile,
                        serialize_responsive_profile)
 from tep.generators import random_instance, random_predominant_profile, random_responsive_profile
+from tep.model import Allocation
 from tep.predominant import HOUSE
 from tep.programs import WEIGHT_SCHEMES
 
@@ -110,16 +116,21 @@ def mutate_line(rng, line):
 
 
 def mutate_market(rng, text):
+    """The file with its agent lines mutated, dropped, shuffled or repeated,
+    and now and then an ``endow`` line.  A profile file needs a line for
+    every agent, where instance lines are optional, so a profile loses or
+    repeats a line less often."""
     header, agents, *rest = text.splitlines()
     n = int(agents.split()[1])
     directives = [line for line in rest if line.startswith("mode")]
     lines = [mutate_line(rng, line) if rng.random() < 0.5 else line
              for line in rest if not line.startswith("mode")]
-    if lines and rng.random() < 0.25:
+    instance = any(line.startswith("pref") for line in lines)
+    if lines and rng.random() < (0.25 if instance else 0.06):
         del lines[rng.randrange(len(lines))]
     if rng.random() < 0.25:
         rng.shuffle(lines)
-    if lines and rng.random() < 0.05:
+    if lines and rng.random() < (0.05 if instance else 0.02):
         lines.append(rng.choice(lines))
     if rng.random() < 0.4:
         endow = list(range(n))
@@ -238,6 +249,31 @@ def check_trade(argv, stdout):
     return argv[4]
 
 
+def _rank(classes, item):
+    """The index of the class listing ``item``, past the last when none does."""
+    return next((k for k, cls in enumerate(classes) if item in cls), len(classes))
+
+
+def check_pra(argv, stdout):
+    """Checks the allocation a ``solve --method pra`` request that exited 0
+    printed, on the profile as ``references.parse_responsive_profile_reference``
+    reads it, when it has at most 5 agents; returns whether it did.  RS-IR
+    is read off the component classes: each agent's house ranks no worse
+    than its own house, and its own house's tenant no worse than itself.
+    RS-PO is ``references.is_rs_pareto_optimal_reference``, a walk over every
+    allocation."""
+    prof = ref.parse_responsive_profile_reference(Path(argv[2]).read_text())
+    if prof.n > 5:
+        return False
+    got = tuple(map(int, parse_report(stdout)["allocation"].split()))
+    for i, own in enumerate(prof.endowment):
+        houses, tenants = prof.house_classes[i], prof.tenant_classes[i]
+        assert _rank(houses, got[i]) <= _rank(houses, own), argv
+        assert _rank(tenants, got.index(own)) <= _rank(tenants, i), argv
+    assert ref.is_rs_pareto_optimal_reference(prof, Allocation(got)), argv
+    return True
+
+
 def run(argv, out):
     """Exit code, stdout, stderr and the bytes written to ``out``, if any."""
     if out:
@@ -258,8 +294,12 @@ def run(argv, out):
 def test_every_request_keeps_the_exit_contract(tmp_path):
     """The collector stays off throughout, so a cycle that the second run
     makes is still young at the generation-0 collection after it; the
-    first run's garbage (first-use caches) is cleared before it."""
-    exits, answered, traded = Counter(), set(), Counter()
+    first run's garbage (first-use caches) is cleared before it.  Some
+    profiles still lose or repeat a ``ppref`` line, so those refusals are
+    fuzzed too: at SEED 7 requests are refused for a missing line and 2 for
+    a repeated one."""
+    exits, answered, traded, refused = Counter(), set(), Counter(), Counter()
+    rs_checked = 0
     collecting = gc.isenabled()
     gc.disable()
     alarm = signal.signal(signal.SIGALRM, overran)
@@ -279,12 +319,15 @@ def test_every_request_keeps_the_exit_contract(tmp_path):
                 prefix = "input error: " if code == 2 else "budget exceeded: "
                 assert stdout == "", argv
                 assert stderr.startswith(prefix) and stderr.count("\n") == 1, (argv, stderr)
+                refused.update(m[0] for m in re.finditer(r"(missing|duplicate) ppref", stderr))
             assert second == first, argv
             assert garbage == 0, argv
             if code < 2:
                 answered.add(check_answer(argv, code, stdout))
             if code == 0 and argv[0] == "solve" and argv[4] in ("ttc", "tttc"):
                 traded[check_trade(argv, stdout)] += 1
+            if code == 0 and argv[0] == "solve" and argv[4] == "pra":
+                rs_checked += check_pra(argv, stdout)
     finally:
         signal.signal(signal.SIGALRM, alarm)
         if collecting:
@@ -292,4 +335,6 @@ def test_every_request_keeps_the_exit_contract(tmp_path):
     assert sorted(exits) == [0, 1, 2, 3], exits
     # every question the brute force answers was asked, with either bit
     assert answered - {None} == {(*q, a) for q in BRUTE_FORCE for a in (True, False)}, answered
-    assert min(traded["ttc"], traded["tttc"]) > 0, traded
+    assert min(traded["ttc"], traded["tttc"]) >= 8, traded
+    assert min(refused["missing ppref"], refused["duplicate ppref"]) > 0, refused
+    assert rs_checked > 0

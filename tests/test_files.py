@@ -204,7 +204,9 @@ def _agent_text(line, agent):
 
 def _reader_cases(seed):
     """(name, new reader, reference reader, text, extra args) for seeded
-    files of every format, candidate files and exact-cover files."""
+    files of every format, candidate files and exact-cover files.  A
+    candidate file of several lines repeats class texts across its lines,
+    which one parse reads through one shared table."""
     import references as ref
     from tep.files import parse_candidates, parse_instance, parse_x3c
     from tep.generators import random_instance
@@ -223,6 +225,11 @@ def _reader_cases(seed):
     rother = serialize_responsive_profile(rprof).splitlines()[2 + (agent + 1) % n]
     porder = list(range(n))
     rng.shuffle(porder)
+    truth_line = inst_text.splitlines()[2 + agent]
+    rown = serialize_responsive_profile(rprof).splitlines()[2 + agent]
+    rseeded = serialize_responsive_profile(
+        random_responsive_profile(n, 0.7, 0.4, seed + 99)).splitlines()[2 + agent]
+    porders = [porder, porder[::-1], porder]
     files = [
         ("instance", parse_instance, ref.parse_instance_reference, inst_text, ()),
         ("instance-endow", parse_instance, ref.parse_instance_reference,
@@ -241,6 +248,16 @@ def _reader_cases(seed):
          _agent_text(rother, agent) + "\n", ("rpref", rprof, agent)),
         ("porder-candidates", parse_candidates, ref.parse_candidates_reference,
          f"porder {agent} {' '.join(map(str, porder))}\n", ("porder", pprof, agent)),
+        ("pref-candidate-lines", parse_candidates, ref.parse_candidates_reference,
+         "".join(f"{line}\n" for line in (_agent_text(other, agent), truth_line,
+                                          _agent_text(other, agent), truth_line)),
+         ("pref", parse_instance(inst_text), agent)),
+        ("rpref-candidate-lines", parse_candidates, ref.parse_candidates_reference,
+         "".join(f"{line}\n" for line in (rown, rseeded, rown, rseeded)),
+         ("rpref", rprof, agent)),
+        ("porder-candidate-lines", parse_candidates, ref.parse_candidates_reference,
+         "".join(f"porder {agent} {' '.join(map(str, p))}\n" for p in porders),
+         ("porder", pprof, agent)),
     ]
     for name, new, old, text, args in files:
         yield name, new, old, text, args
@@ -407,11 +424,11 @@ def test_the_serializers_spelling_takes_the_fast_path():
                      "rpref": serialize_responsive_profile(rprof),
                      "ppref": serialize_predominant_profile(pprof)}
             for keyword, text in texts.items():
-                read = getattr(files, f"_fast_{keyword}")
-                known = {} if keyword == "pref" else {"known": files._ClassTexts(n)}
+                _, _, read, _ = files._FORMATS[keyword]
+                known = files._ClassTexts(n)
                 for line in text.splitlines()[2:]:
                     if line.startswith(keyword):
-                        assert read(line.partition(":")[2], n, **known) is not None, line
+                        assert read(line.partition(":")[2], n, known) is not None, line
 
 
 def _cli_argvs(name, text, args, tmp_path):
