@@ -149,9 +149,18 @@ def _permutation_search(inst: Instance, cost: Sequence[Sequence[int]], limits: S
 
 
 def is_individually_rational(inst: Instance, alloc: Allocation) -> bool:
-    """Every agent weakly prefers its outcome to keeping its own house."""
-    return all(inst.rank(i, outcome_of(inst, alloc, i)) <= limit
-               for i, limit in enumerate(_ir_limits(inst)))
+    """Every agent weakly prefers its outcome to keeping its own house:
+    walking its classes best first, it meets its outcome no later than its
+    endowment outcome, which is always listed (an unlisted outcome is
+    worse)."""
+    for i, classes in enumerate(inst.prefs):
+        got, own = outcome_of(inst, alloc, i), inst.endowment_outcome(i)
+        for cls in classes:
+            if got in cls:
+                break
+            if own in cls:
+                return False
+    return True
 
 
 def is_pareto_optimal(inst: Instance, alloc: Allocation, *,

@@ -13,8 +13,10 @@ appended as a final singleton class when a constructor input omits it).
 
 The same weak order, :class:`PreferenceOrder`, also ranks the house and
 tenant components of responsive profiles and the orders of predominant
-ones; :func:`checked_items` validates the class lists of instances and
-responsive profiles.
+ones.  Each class list is validated once: a file line by its reader in
+:mod:`tep.files`, which hands the checked classes over through
+:meth:`Market._from_reader`, and a library input (a constructor argument,
+:func:`make_instance`, a report to ``with_report``) by :func:`checked_items`.
 """
 
 from __future__ import annotations
@@ -96,7 +98,9 @@ def checked_items(agent: int, classes, n: int, item: str = "outcome") -> frozens
     """The items an agent's best-first classes list.  A ValueError names the
     first empty class, out-of-range item or repeated item.  ``item`` is
     ``"outcome"`` for (house, tenant) pairs, else what the integer items
-    are (``"house"``, ``"tenant"``)."""
+    are (``"house"``, ``"tenant"``).  This checks library inputs; the file
+    readers of :mod:`tep.files` refuse the same faults in a line themselves,
+    and their markets skip it (:meth:`Market._from_reader`)."""
     pairs = item == "outcome"
     listed = frozenset().union(*classes)
     values = frozenset().union(*listed) if pairs else listed
@@ -149,6 +153,22 @@ class Market:
 
     def _check_agents(self, agents) -> None:
         """Validate the preferences of the given agents; raises ValueError."""
+
+    def _check_own(self, agents) -> None:
+        """What of :meth:`_check_agents` a file reader leaves to the model:
+        that each agent lists what it must.  Nothing for instances, whose
+        reader appends a missing endowment outcome."""
+
+    @classmethod
+    def _from_reader(cls, *values) -> Market:
+        """The market of ``values``, its fields in constructor order, from a
+        file reader that has refused a non-bijective endowment and every
+        empty, out-of-range or repeated class item.  As in
+        :meth:`_with_entries`, only :meth:`_check_own` of the checks runs."""
+        new = object.__new__(cls)
+        new.__dict__.update(zip((f.name for f in fields(cls)), values))
+        new._check_own(range(new.n))
+        return new
 
     @cached_property
     def owner(self) -> tuple[int, ...]:

@@ -49,13 +49,21 @@ class ResponsiveProfile(Market):
     tenant_classes: ComponentClasses
 
     def _check_agents(self, agents) -> None:
+        self._check_own(agents, checked_items)
+
+    def _check_own(self, agents, listed=None) -> None:
+        """Each agent finds its own house and itself acceptable.  ``listed``
+        gives a component's items: checked_items from the constructor, else
+        their union, for classes a file reader has checked."""
         n = self.n
         for label, per_agent, required in (("house", self.house_classes, self.endowment),
                                            ("tenant", self.tenant_classes, range(n))):
             if len(per_agent) != n:
                 raise ValueError(f"need one {label} order per agent")
             for i in agents:
-                if required[i] not in checked_items(i, per_agent[i], n, label):
+                items = (listed(i, per_agent[i], n, label) if listed
+                         else frozenset().union(*per_agent[i]))
+                if required[i] not in items:
                     raise ValueError(f"agent {i} must find its own {label} acceptable")
 
     @cached_property

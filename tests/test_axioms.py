@@ -77,6 +77,54 @@ def test_ir_ring_swaps():
     assert is_individually_rational(RING, swap_01)
 
 
+def _ir_by_ranks(inst, alloc):
+    """IR read from the rank lookups: no agent ranks its outcome below its
+    endowment outcome."""
+    return all(inst.rank(i, outcome_of(inst, alloc, i)) <= inst.endowment_rank(i)
+               for i in range(inst.n))
+
+
+def _ir_markets(seed):
+    """Seeded generator markets, each also on a permuted endowment (whose
+    endowment outcome may sit anywhere in a list, tied or not, or be
+    appended) and with its last two classes merged (an endowment outcome
+    tied with the class above it)."""
+    import random
+
+    rng = random.Random(seed)
+    n = 2 + seed % 5
+    perm = list(range(n))
+    rng.shuffle(perm)
+    base = random_instance(n, rng.choice([0.1, 0.3, 0.6]), rng.choice([0, 0.4, 0.8]), seed)
+    for inst in (base, RING, SP, x3c_top_instance(make_x3c(1, [(0, 1, 2)] * 3))):
+        merged = [classes[:-2] + (classes[-2] | classes[-1],) if len(classes) > 1 else classes
+                  for classes in inst.prefs]
+        for prefs in (inst.prefs, merged):
+            yield make_instance(inst.n, prefs)
+            if inst.n == n:
+                yield make_instance(n, prefs, endowment=perm)
+
+
+def test_ir_reads_the_classes_as_the_rank_lookups_do():
+    """is_individually_rational agrees with the rank lookups on every
+    allocation of seeded markets, across unlisted outcomes, ties with the
+    endowment outcome and permuted endowments."""
+    seen = set()
+    for seed in range(12):
+        for inst in _ir_markets(seed):
+            for alloc in all_allocations(inst.n):
+                want = _ir_by_ranks(inst, alloc)
+                assert is_individually_rational(inst, alloc) == want, (inst, alloc)
+                for i in range(inst.n):
+                    got, rank = outcome_of(inst, alloc, i), inst.endowment_rank(i)
+                    if inst.rank(i, got) == inst.orders[i].unacceptable_rank:
+                        seen.add("unlisted")
+                    elif inst.rank(i, got) == rank and got != inst.endowment_outcome(i):
+                        seen.add("tie")
+                seen.add(want)
+    assert seen == {True, False, "unlisted", "tie"}
+
+
 # ---------------------------------------------------------------- dominance
 
 

@@ -165,6 +165,41 @@ def _repeat_across_classes(rng, text):
     return "\n".join(lines) + "\n"
 
 
+def _without(classes, token):
+    """Bracketed classes without ``token``, a class left empty dropped."""
+    bodies = re.findall(r"\[([^\[\]]*)\]", classes)
+    kept = [[t for t in body.split() if t != token] for body in bodies]
+    return " > ".join(f"[{' '.join(c)}]" for c in kept if c)
+
+
+def _drop_own(rng, text):
+    """One agent line without its own item: a pref line's endowment outcome,
+    or an rpref line's own house or the agent itself as a tenant.  The
+    endowment is the endow line's, else the identity."""
+    lines = text.splitlines()
+    endow = next((line.split()[1:] for line in lines if line.startswith("endow ")), None)
+    spots = []
+    for k, line in enumerate(lines):
+        m = re.fullmatch(r"(r?pref) ([0-9]+):(.*)", line)
+        if not m:
+            continue
+        agent, body = m[2], m[3]
+        house = endow[int(agent)] if endow else agent
+        if m[1] == "pref":
+            own = f"({house},{agent})"
+            if own in re.findall(r"\([0-9]+,[0-9]+\)", body):
+                spots.append((k, f"pref {agent}: {_without(body, own)}"))
+        else:
+            h, sep, t = body.partition(" ; ")
+            if sep:
+                spots.append((k, f"rpref {agent}: H {_without(h, house)} ; {t.strip()}"))
+                spots.append((k, f"rpref {agent}: {h.strip()} ; N {_without(t, agent)}"))
+    if not spots:
+        return None
+    k, line = spots[rng.below(len(spots))]
+    return "\n".join(lines[:k] + [line] + lines[k + 1:]) + "\n"
+
+
 _MUTATIONS = {
     "digit-letter": lambda rng, t: _swap(rng, t, r"[0-9]", lambda m: "x"),
     "drop-bracket": lambda rng, t: _swap(rng, t, r"[\[\]]", lambda m: ""),
@@ -188,6 +223,8 @@ _MUTATIONS = {
     "repeat-in-class": lambda rng, t: _swap(rng, t, r"\[(\([0-9]+,[0-9]+\)|[0-9]+)",
                                             lambda m: f"[{m[1]} {m[1]}"),
     "repeat-across-classes": _repeat_across_classes,
+    "drop-own": _drop_own,
+    "drop-line": lambda rng, t: _swap(rng, t, r"(?m)^(?:r?pref|ppref) .*\n", lambda m: ""),
 }
 
 
@@ -281,6 +318,57 @@ def test_the_reader_agrees_with_the_token_walk(seed):
         else:
             assert got == want, (name, text)
             assert type(got) is type(want), name
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_market_files_are_checked_by_their_readers_alone(seed, monkeypatch):
+    """The readers refuse every bad class themselves, so a market file of
+    any format, mutated or not, reads to the same value or ParseError with
+    the model's class checks made to fail on any call."""
+    from tep import model, responsive
+
+    def forbidden(*args):
+        raise AssertionError("a file reader called a model class check")
+
+    cases = [(name, new, text, args) for name, new, _, text, args in _reader_cases(seed)
+             if "candidate" not in name]
+    before = [_read(new, text, *args) for _, new, text, args in cases]
+    for module, name in ((model, "checked_items"), (responsive, "checked_items"),
+                         (model, "_normalized_classes")):
+        monkeypatch.setattr(module, name, forbidden)
+    for (name, new, text, args), want in zip(cases, before):
+        assert _read(new, text, *args) == want, name
+
+
+def test_library_inputs_keep_the_class_checks():
+    """make_instance, the ResponsiveProfile constructor and with_report
+    still refuse each bad class with the checked_items messages."""
+    from tep.model import make_instance
+    from tep.responsive import ResponsiveProfile
+
+    def profile(houses):
+        return ResponsiveProfile(2, (0, 1), ((frozenset({0}),), houses),
+                                 ((frozenset({0}),), (frozenset({1}),)))
+
+    inst = make_instance(2, [[[(0, 0)]], [[(1, 1)]]])
+    prof = profile((frozenset({1}),))
+    one, empty = frozenset({1}), frozenset()
+    for build, message in [
+            (lambda: make_instance(2, [[[(0, 2)]], []]), "agent 0 lists out-of-range outcome (0,2)"),
+            (lambda: make_instance(2, [[[(0, 1)], [(0, 1)]], []]), "agent 0 lists outcome (0,1) twice"),
+            (lambda: inst.with_report(1, [[(1, 2)]]), "agent 1 lists out-of-range outcome (1,2)"),
+            (lambda: inst.with_report(1, [[(0, 0)], [(1, 1), (0, 0)]]),
+             "agent 1 lists outcome (0,0) twice"),
+            (lambda: profile((one, empty)), "agent 1 has an empty house class"),
+            (lambda: profile((one, frozenset({2}))), "agent 1 lists out-of-range house 2"),
+            (lambda: profile((one, one)), "agent 1 lists house 1 twice"),
+            (lambda: prof.with_report(1, ((one, empty), (one,))), "agent 1 has an empty house class"),
+            (lambda: prof.with_report(1, ((one,), (one, frozenset({-1})))),
+             "agent 1 lists out-of-range tenant -1"),
+            (lambda: prof.with_report(1, ((one,), (one, one))), "agent 1 lists tenant 1 twice")]:
+        with pytest.raises(ValueError) as refused:
+            build()
+        assert str(refused.value) == message
 
 
 def _typed(value):
