@@ -31,9 +31,11 @@ slower.  ``_write_agent_lines`` writes every format, the mirror of
 ``_read_agent_lines``.
 
 The readers are the only check of a file's classes: they refuse an empty
-class, an out-of-range item or a repeat with its line, and instances and
-responsive profiles reach the model through ``Market._from_reader``, which
-skips ``checked_items``, the check of library inputs.
+class, an out-of-range item or a repeat with its line, and build instances,
+responsive profiles and allocations with ``model._unchecked``, which skips
+the constructor and so ``checked_items``, the check of library inputs.  Of
+the constructor's checks, only that each agent of a responsive profile
+lists its own house and itself is left to the model.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from itertools import islice, repeat
 from . import responsive
 from .errors import ParseError
 from .generators import X3CInstance
-from .model import Allocation, Instance, Market, Outcome, PrefClasses
+from .model import Allocation, Instance, Market, Outcome, _unchecked, _with_own
 # Unused here, but module attributes that perfbench/tracer.py wraps.
 from .model import canonicalize_endowment, make_instance  # noqa: F401
 from .predominant import HOUSE, TENANT, PredominantProfile
@@ -381,20 +383,9 @@ def parse_instance(text: str) -> Instance:
     every answer about the instance names houses as the file does."""
     n, found, bodies = _read_agent_lines(text, "pref", complete=False)
     endow = found["endow"]
-    prefs = tuple(_final_classes(classes, Outcome(endow[i], i)) for i, classes in enumerate(bodies))
-    return Instance._from_reader(n, endow, prefs)
-
-
-def _final_classes(classes: list[list[Outcome]], own: Outcome) -> PrefClasses:
-    """An agent's checked outcome classes as frozensets, with ``own``, its
-    endowment outcome, appended as a final singleton class when none lists
-    it (as make_instance appends it).  A list, then one tuple: with
-    ``tuple(map(...))``, which grows its tuple step by step, a 10 s run of the
-    ``scan`` workload peaked at 28.7 MB of RSS instead of 26.0 MB."""
-    frozen = list(map(frozenset, classes))
-    if not any(own in cls for cls in frozen):
-        frozen.append(frozenset([own]))
-    return tuple(frozen)
+    prefs = tuple(_with_own(map(frozenset, classes), Outcome(endow[i], i))
+                  for i, classes in enumerate(bodies))
+    return _unchecked(Instance, n=n, endowment=endow, prefs=prefs)
 
 
 def format_classes(classes, item=str) -> str:
@@ -438,7 +429,7 @@ def parse_allocation(text: str, n: int) -> Allocation:
     missing = [i for i in range(n) if i not in assignment]
     if missing:
         raise _syntax(f"missing assignment for agents {_agent_list(missing)}", 1)
-    return Allocation(tuple(assignment[i] for i in range(n)))
+    return _unchecked(Allocation, assignment=tuple(assignment[i] for i in range(n)))
 
 
 def serialize_allocation(alloc: Allocation) -> str:
@@ -448,7 +439,10 @@ def serialize_allocation(alloc: Allocation) -> str:
 def parse_responsive_profile(text: str) -> ResponsiveProfile:
     n, found, bodies = _read_agent_lines(text, "rpref")
     houses, tenants = zip(*bodies)
-    return _build(responsive.ResponsiveProfile._from_reader, n, found["endow"], houses, tenants)
+    prof = _unchecked(responsive.ResponsiveProfile, n=n, endowment=found["endow"],
+                      house_classes=houses, tenant_classes=tenants)
+    _build(prof._check_own, range(n))
+    return prof
 
 
 def serialize_responsive_profile(prof: ResponsiveProfile) -> str:

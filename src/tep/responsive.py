@@ -19,7 +19,7 @@ from functools import cached_property
 from .axioms import DEFAULT_NODE_BUDGET, all_allocations  # noqa: F401
 from .cycles import Budget, Options, find_exchange_cycle
 from .matching import augment, max_bipartite_matching
-from .model import (Allocation, Market, Outcome, PreferenceOrder, checked_items,
+from .model import (Allocation, Market, Outcome, PreferenceOrder, _unchecked, checked_items,
                     inverse_permutation, outcome_of)
 from .rng import SplitMix64
 
@@ -217,7 +217,7 @@ def rs_aa(n: int, endowment: tuple[int, ...],
     match[suspect] = -1
     if not augment(adj, match, taken, suspect):
         return None
-    return Allocation._with_inverse(match, taken)
+    return _unchecked(Allocation, assignment=tuple(match), inverse=tuple(taken))
 
 
 def acceptable_component_classes(prof: ResponsiveProfile) -> tuple[ComponentClasses, ComponentClasses]:
@@ -232,12 +232,12 @@ def acceptable_component_classes(prof: ResponsiveProfile) -> tuple[ComponentClas
 
 
 def _through(classes: tuple[frozenset[int], ...], item: int) -> tuple[frozenset[int], ...]:
-    """``classes`` up to and including the first class that holds ``item``;
-    all of them when none does, as an unlisted item ranks below them all."""
+    """``classes`` up to and including the first class that holds ``item``,
+    as one always does: every way to build a profile refuses one whose
+    agent does not list its own house and itself."""
     for k, cls in enumerate(classes):
         if item in cls:
             return classes[:k + 1]
-    return classes
 
 
 @dataclass(frozen=True)

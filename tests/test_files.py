@@ -322,22 +322,27 @@ def test_the_reader_agrees_with_the_token_walk(seed):
 
 @pytest.mark.parametrize("seed", range(8))
 def test_market_files_are_checked_by_their_readers_alone(seed, monkeypatch):
-    """The readers refuse every bad class themselves, so a market file of
-    any format, mutated or not, reads to the same value or ParseError with
-    the model's class checks made to fail on any call."""
+    """The readers refuse every bad class themselves, so a market or
+    allocation file, mutated or not, reads to the same value or ParseError
+    with the model's class checks and the allocation's bijection check made
+    to fail on any call.  A read allocation's inverse inverts it."""
     from tep import model, responsive
 
     def forbidden(*args):
-        raise AssertionError("a file reader called a model class check")
+        raise AssertionError("a file reader called a model check")
 
     cases = [(name, new, text, args) for name, new, _, text, args in _reader_cases(seed)
              if "candidate" not in name]
     before = [_read(new, text, *args) for _, new, text, args in cases]
     for module, name in ((model, "checked_items"), (responsive, "checked_items"),
-                         (model, "_normalized_classes")):
+                         (model, "_normalized_classes"), (model.Allocation, "__post_init__")):
         monkeypatch.setattr(module, name, forbidden)
     for (name, new, text, args), want in zip(cases, before):
-        assert _read(new, text, *args) == want, name
+        got = _read(new, text, *args)
+        assert got == want, name
+        if isinstance(got, Allocation):
+            agents = list(range(len(got.assignment)))
+            assert [got.inverse[h] for h in got.assignment] == agents, name
 
 
 def test_library_inputs_keep_the_class_checks():

@@ -19,7 +19,7 @@ Every top-level function and method of ``src/tep`` has a caller there,
 or a named reason to stay without one (``UNCALLED``): an evaluator that
 only tests call lives in ``tests/references.py``.
 
-Five more scans keep the library's layers apart:
+Six more scans keep the library's layers apart:
 - no module calls ``all_allocations``, which visits all n! allocations: the
   library answers with pruned or polynomial searches, and the walk is kept
   for the references in ``tests/`` only;
@@ -31,6 +31,9 @@ Five more scans keep the library's layers apart:
   ``Budget.tick``, so a budget charged any other way would escape both;
 - no module but ``tep.cli`` imports or calls ``gc``: ``cli.run`` pauses the
   cyclic collector around a request, and that policy lives in one place;
+- ``object.__new__`` appears once, in ``tep.model``, where ``_unchecked``
+  builds a value that its caller has checked without running its
+  constructor: every such bypass goes through that one function;
 - the library raises no ``TepError`` that ``tep.cli`` has no handler for:
   ``cli.run`` catches ``ParseError`` (exit 2) and ``BudgetExceededError``
   (exit 3), and ``ProofError`` is raised in ``tep.incentives`` alone, whose
@@ -340,6 +343,15 @@ def gc_uses(src: Path = SRC) -> list[str]:
     return [f"{name}:{line}" for name, line in sorted(found)]
 
 
+def object_new_uses(src: Path = SRC) -> list[str]:
+    """Every use of ``object.__new__``, called or not, as file:line in line
+    order."""
+    return [f"{name}:{line}" for name, line in sorted(
+        (name, node.lineno) for name, node in _nodes(src)
+        if isinstance(node, ast.Attribute) and node.attr == "__new__"
+        and isinstance(node.value, ast.Name) and node.value.id == "object")]
+
+
 def test_the_library_makes_no_n_factorial_walk():
     assert all_allocations_calls() == []
 
@@ -354,6 +366,11 @@ def test_budgets_are_charged_only_through_budget_tick():
 
 def test_only_the_cli_touches_the_cyclic_collector():
     assert gc_uses() == []
+
+
+def test_constructors_are_skipped_in_one_place():
+    uses = object_new_uses()
+    assert [use.partition(":")[0] for use in uses] == ["model.py"], uses
 
 
 def test_the_layer_scans_see_calls_private_names_and_assignments(tmp_path):
@@ -395,6 +412,18 @@ def test_the_collector_scan_sees_imports_and_calls(tmp_path):
     )
     (tmp_path / "cli.py").write_text("import gc\ngc.disable()\n")
     assert gc_uses(tmp_path) == ["m.py:1", "m.py:2", "m.py:3", "m.py:4", "m.py:5"]
+
+
+def test_the_bypass_scan_sees_calls_and_references(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "new = object.__new__(cls)\n"
+        "make = object.__new__\n"
+        "tuple.__new__(Outcome, (0, 0))\n"
+        "super().__new__(cls)\n"
+        "obj.object.__new__\n"
+    )
+    (tmp_path / "a.py").write_text("x = 1\ny = list(map(object.__new__, types))\n")
+    assert object_new_uses(tmp_path) == ["a.py:2", "m.py:1", "m.py:2"]
 
 
 def unhandled_tep_errors(src: Path = SRC) -> list[str]:
