@@ -23,11 +23,14 @@ checks a body in the spelling the serializers write against one compiled
 grammar and reads it with a few string operations; only a body that fails
 that check, or whose indices are out of range or repeated, goes to the token
 walk, which raises every ParseError.  The bracketed index classes of
-``rpref`` and ``ppref`` bodies repeat across agents and components, so one
-parse call (a market file, or a candidate file) builds each distinct class
-text once and looks it up after that; nothing of it outlives the call.
-``pref`` outcome classes are built afresh, since looking them up measured
-slower.  ``_write_agent_lines`` writes every format, the mirror of
+``rpref`` and ``ppref`` bodies repeat across agents and components, and so
+do the outcomes of ``pref`` bodies (each of the n² outcomes an instance may
+list for every agent), so one parse call (a market file, or a candidate
+file) builds each distinct class or outcome text once and looks it up after
+that; nothing of it outlives the call.  ``pref`` classes are built from
+their outcomes, not looked up by their own text: outcome classes rarely
+repeat in a file, and looking them up measured slower.
+``_write_agent_lines`` writes every format, the mirror of
 ``_read_agent_lines``.
 
 The readers are the only check of a file's classes: they refuse an empty
@@ -42,7 +45,6 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
-from itertools import islice, repeat
 
 from . import responsive
 from .errors import ParseError
@@ -68,7 +70,6 @@ _CLASSES = rf"\[{_IDS}\](?: > \[{_IDS}\])*"
 _FAST_PREF = re.compile(rf" ?\[{_OC}(?: {_OC})*\](?: > \[{_OC}(?: {_OC})*\])*")
 _FAST_RPREF = re.compile(rf" ?H ({_CLASSES}) ; N ({_CLASSES})")
 _FAST_PPREF = re.compile(rf" ?P ({_IDS}) ; T ({_CLASSES})")
-_BLANK_PUNCTUATION = str.maketrans("[]()>,", "      ")
 
 
 def _meaningful_lines(text: str):
@@ -137,20 +138,26 @@ def _indices(tokens, n: int) -> tuple[int, ...] | None:
 
 
 class _ClassTexts(dict):
-    """Class text ('3 7') -> its class of indices below n, built on the
-    first lookup of the text, which raises KeyError, and stores nothing, if
-    a token is not such an index in the serializers' spelling.  Each parse
-    call keeps its own, so that a class repeated across agents and
-    components is built once per file."""
+    """Class text ('3 7') -> its class of indices below n, and outcome text
+    ('(3,7)') -> its Outcome of such indices, built on the first lookup of
+    the text, which raises KeyError, and stores nothing, if a number is not
+    such an index in the serializers' spelling.  Each parse call keeps its
+    own, so that a class repeated across agents and components, or an
+    outcome listed by several agents, is built once per file."""
     __slots__ = ("index",)
 
     def __init__(self, n: int):
         super().__init__()
         self.index = _index_table(n).__getitem__
 
-    def __missing__(self, text: str) -> frozenset[int]:
-        self[text] = items = frozenset(map(self.index, text.split()))
-        return items
+    def __missing__(self, text: str) -> frozenset[int] | Outcome:
+        if text[0] == "(":  # class texts start with a digit
+            # '(3,7)' -> Outcome(3, 7), with no Python call for the tuple
+            value = tuple.__new__(Outcome, map(self.index, text[1:-1].split(",")))
+        else:
+            value = frozenset(map(self.index, text.split()))
+        self[text] = value
+        return value
 
 
 def _fast_index_classes(text: str, known: _ClassTexts) -> tuple[frozenset[int], ...] | None:
@@ -166,19 +173,19 @@ def _fast_index_classes(text: str, known: _ClassTexts) -> tuple[frozenset[int], 
     return classes if len(frozenset().union(*classes)) == tokens else None
 
 
-def _fast_pref(body: str, n: int, known: _ClassTexts) -> list[list[Outcome]] | None:
+def _fast_pref(body: str, n: int, known: _ClassTexts) -> list[frozenset[Outcome]] | None:
+    """'[(1,2) (0,0)] > [(2,1)]' as outcome classes, each outcome text read
+    through ``known``.  No outcome may repeat, counting the '(' of the body,
+    since a class merges a repeat."""
     if not _FAST_PREF.fullmatch(body):
         return None
-    numbers = _indices(body.translate(_BLANK_PUNCTUATION).split(), n)
-    if numbers is None:
+    texts = body.lstrip(" ")[1:-1].split("] > [")
+    get = known.__getitem__
+    try:
+        classes = [frozenset(map(get, text.split())) for text in texts]
+    except KeyError:  # not an index below n in the serializers' spelling
         return None
-    it = iter(numbers)
-    outcomes = list(map(tuple.__new__, repeat(Outcome), zip(it, it)))  # no Python call each
-    if len(set(outcomes)) != len(outcomes):
-        return None
-    # the outcomes cut into consecutive runs, one per class
-    sizes = map(str.count, body.split(" > "), repeat("("))
-    return list(map(list, map(islice, repeat(iter(outcomes)), sizes)))
+    return classes if len(frozenset().union(*classes)) == body.count("(") else None
 
 
 def _fast_rpref(body: str, n: int, known: _ClassTexts):
@@ -293,7 +300,9 @@ _FORMATS = {"pref": ("instance", "[..] > [..]", _fast_pref, _pref_body),
 def _read_body(keyword: str, body: str, n: int, lineno: int, line: str, agent: int,
                known: _ClassTexts):
     """The value of a ``keyword`` body: the fast reader's, with ``known``
-    the _ClassTexts of the parse call, else the token walk's."""
+    the _ClassTexts of the parse call, else the token walk's.  For ``pref``
+    the two agree as sets only: the fast reader gives frozensets, the walk
+    lists in file order."""
     _, _, fast, walk = _FORMATS[keyword]
     value = fast(body, n, known)
     return walk(body, n, lineno, line, agent) if value is None else value
@@ -471,7 +480,9 @@ def parse_candidates(text: str, keyword: str, truth: Market, agent: int) -> list
     <item>...`` strict primary orders.  Each must give a valid market in
     place of the agent's preferences in ``truth``, so an ``rpref`` candidate
     must list the house the endowment gives the agent.  A fault is reported
-    at the candidate's own line.  The lines share one _ClassTexts."""
+    at the candidate's own line.  The ``rpref`` lines share one
+    _ClassTexts; ``pref`` lines go to the token walk alone, which keeps
+    each class a list in file order, the order ``manipulate`` prints."""
     n, known = truth.n, _ClassTexts(truth.n)
     reports = []
     for lineno, line in _meaningful_lines(text):
@@ -484,8 +495,12 @@ def parse_candidates(text: str, keyword: str, truth: Market, agent: int) -> list
             who, body = _agent_line(line, lineno, keyword, n)
         if who != agent:
             raise _syntax(f"candidate line is for agent {who}", lineno)
-        report = (_items(body, n, lineno) if keyword == "porder"
-                  else _read_body(keyword, body, n, lineno, line, agent, known))
+        if keyword == "porder":
+            report = _items(body, n, lineno)
+        elif keyword == "pref":
+            report = _pref_body(body, n, lineno, line, agent)
+        else:
+            report = _read_body(keyword, body, n, lineno, line, agent, known)
         try:
             truth.with_report(agent, report)
         except ValueError as exc:

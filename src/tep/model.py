@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
 from typing import Iterable, NamedTuple
 
 from .errors import BudgetExceededError
@@ -340,7 +340,7 @@ def _with_own(classes: Iterable[frozenset[Outcome]], own: Outcome) -> PrefClasse
     with ``tuple(map(...))``, which grows its tuple step by step, a 10 s run
     of the ``scan`` workload peaked at 28.7 MB of RSS instead of 26.0 MB."""
     frozen = list(classes)
-    if not any(own in cls for cls in frozen):
+    if not any(map(frozenset.__contains__, frozen, repeat(own))):
         frozen.append(frozenset([own]))
     return tuple(frozen)
 

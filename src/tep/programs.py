@@ -28,7 +28,7 @@ from typing import Sequence
 # all_allocations is unused here but stays a module attribute: perfbench/tracer.py wraps it.
 from .axioms import DEFAULT_NODE_BUDGET, _permutation_search, all_allocations  # noqa: F401
 from .errors import BudgetExceededError
-from .model import Allocation, Instance
+from .model import Allocation, Instance, _unchecked
 
 BORDA = "borda"
 EXPONENTIAL = "exponential"
@@ -93,7 +93,10 @@ class Constraint:
 @dataclass(frozen=True)
 class MathProgram:
     """A symbolic 0/1 maximization: linear or bilinear objective terms over
-    declared binary variables, plus linear equality constraints."""
+    declared binary variables, plus linear equality constraints.  The
+    constructor refuses a term naming an undeclared variable; the exporters,
+    which name only the variables they declare, build theirs with
+    ``model._unchecked``."""
 
     kind: str  # "ilp" | "qp"
     variables: tuple[str, ...]
@@ -189,7 +192,8 @@ def export_ilp(inst: Instance, weights: Sequence[Sequence[int]]) -> MathProgram:
             terms = (*zip(ones, names[i * n * n + k:(i + 1) * n * n:n]),
                      *zip(minus_ones, names[(k * n + own) * n:(k * n + own + 1) * n]))
             cons.append(Constraint(f"link_{i}_{k}", terms, 0))
-    return MathProgram("ilp", tuple(names), objective, tuple(cons))
+    return _unchecked(MathProgram, kind="ilp", variables=tuple(names), objective=objective,
+                      constraints=tuple(cons))
 
 
 def export_qp(inst: Instance, weights: Sequence[Sequence[int]]) -> MathProgram:
@@ -210,7 +214,8 @@ def export_qp(inst: Instance, weights: Sequence[Sequence[int]]) -> MathProgram:
         cons.append(Constraint(f"row_{i}", tuple(zip(repeat(1), names[i * n:(i + 1) * n])), 1))
     for j in range(n):
         cons.append(Constraint(f"col_{j}", tuple(zip(repeat(1), names[j::n])), 1))
-    return MathProgram("qp", tuple(names), tuple(objective), tuple(cons))
+    return _unchecked(MathProgram, kind="qp", variables=tuple(names),
+                      objective=tuple(objective), constraints=tuple(cons))
 
 
 def solve_exact_max_weight(inst: Instance, weights: Sequence[Sequence[int]], *,

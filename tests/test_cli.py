@@ -248,15 +248,17 @@ def test_manipulate_with_candidate_file(tmp_path):
     inst_path = tmp_path / "sp.tep"
     inst_path.write_text(serialize_instance(sp_instance()))
     cand_path = tmp_path / "cands.txt"
-    cand_path.write_text("pref 1: [(2,2)] > [(1,1)]\n")
+    cand_path.write_text("pref 1: [(3,3) (1,1)] > [(2,2)]\npref 1: [(2,2)] > [(1,1)]\n")
     code, out = invoke(["manipulate", "--instance", str(inst_path), "--method", "exact",
                         "--agent", "1", "--space", f"file:{cand_path}"])
     report = parse_report(out)
     # the exact mechanism picks the four-way trade on this market; the
-    # truncation forces the two-swap allocation, improving agent 1
+    # first candidate already forces the two-swap allocation, improving
+    # agent 1, and is printed with its class in file order, not sorted
     assert code == 0
     assert report["outcome-before"] == "(2,0)"
     assert report["outcome-after"] == "(2,2)"
+    assert report["report"] == "[(3,3) (1,1)] > [(2,2)]"
     assert "candidate-sha256" not in report  # only the instance is digested
 
 

@@ -30,8 +30,9 @@ A second seeded stream asks questions on 8 to 40 agents, where the brute
 force cannot follow, on files it writes itself with permuted endowments,
 and checks each answer without the engine under test: ``verify --check
 ir`` by reading the classes, ``oracle --enumerate ir`` by checking each
-listed allocation, ``solve --method pra`` for RS-IR and ``solve --method
-ttc|tttc`` against ``references.trade_cycles_reference``.
+listed allocation, ``oracle --enumerate core`` for IR and no blocking
+pair, ``solve --method pra`` for RS-IR and ``solve --method ttc|tttc``
+against ``references.trade_cycles_reference``.
 """
 
 import gc
@@ -41,6 +42,7 @@ import re
 import signal
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -362,7 +364,7 @@ def test_every_request_keeps_the_exit_contract(tmp_path):
 WIDE_SEED = 1
 WIDE_REQUESTS = 120
 WIDE_N = (8, 40)
-WIDE_KINDS = ("verify", "oracle", "pra", "ttc", "tttc")
+WIDE_KINDS = ("verify", "oracle", "core", "pra", "ttc", "tttc")
 
 
 def in_classes(rng, items, tie_rate):
@@ -381,23 +383,33 @@ def body(classes, item=str):
     return " > ".join("[" + " ".join(map(item, cls)) + "]" for cls in classes)
 
 
-def wide_instance(rng, n, tie_rate):
+def wide_instance(rng, n, tie_rate, swaps=False):
     """An instance file on a permuted endowment and an allocation file.
     Each agent lists at most three outcomes above its endowment outcome and
     at most eight below it.  In three files of four each agent also lists
     its outcome under the allocation above its endowment outcome, but half
     the time one agent leaves it out: so the allocation is IR about three
-    times in eight."""
+    times in eight.  With ``swaps`` the agents are paired off, and each
+    also lists the swap with its partner (the partner's house, the partner
+    as tenant) above its endowment outcome, so that a pair can block."""
     endow, sigma = rng.sample(range(n), n), rng.sample(range(n), n)
     holder = {h: i for i, h in enumerate(sigma)}
     plant, spoil = rng.random() < 0.75, rng.randrange(n) if rng.random() < 0.5 else None
+    partner = {}
+    if swaps:
+        order = rng.sample(range(n), n)
+        for a, b in zip(order[::2], order[1::2]):
+            partner[a], partner[b] = b, a
     lines = ["tep v1", f"agents {n}", "endow " + " ".join(map(str, endow))]
     for i in range(n):
         own, mine = (endow[i], i), (sigma[i], holder[endow[i]])
-        others = sorted({(rng.randrange(n), rng.randrange(n)) for _ in range(11)} - {own, mine})
+        swap = [(endow[partner[i]], partner[i])] if i in partner else []
+        others = sorted({(rng.randrange(n), rng.randrange(n)) for _ in range(11)}
+                        - {own, mine, *swap})
         rng.shuffle(others)
         k = rng.randrange(4)
-        above = others[:k] + ([mine] if plant and i != spoil and mine != own else [])
+        above = others[:k] + swap + ([mine] if plant and i != spoil and mine not in (own, *swap)
+                                     else [])
         rng.shuffle(above)
         order = above + [own] + others[k:k + 8]
         classes = in_classes(rng, order, tie_rate)
@@ -434,13 +446,15 @@ def wide_predominant(rng, n, tie_rate, mode):
 
 def wide_requests(rng, d):
     """(kind, argv), WIDE_REQUESTS of them, each on n agents, n in WIDE_N.
-    ``oracle`` requests run under a node budget of 10**3 or 10**5."""
+    ``oracle`` (``--enumerate ir``) and ``core`` (``oracle --enumerate
+    core``) requests run under a node budget of 10**3 or 10**5."""
     for k in range(WIDE_REQUESTS):
         kind, n, tie_rate = rng.choice(WIDE_KINDS), rng.randint(*WIDE_N), rng.choice((0, 0.3))
         path = d / f"wide{k}.txt"
-        argv = [kind if kind in ("verify", "oracle") else "solve", "--instance", str(path)]
-        if kind in ("verify", "oracle"):
-            text, alloc = wide_instance(rng, n, tie_rate)
+        command = {"verify": "verify", "oracle": "oracle", "core": "oracle"}.get(kind, "solve")
+        argv = [command, "--instance", str(path)]
+        if kind in ("verify", "oracle", "core"):
+            text, alloc = wide_instance(rng, n, tie_rate, swaps=kind == "core")
         elif kind == "pra":
             text = wide_responsive(rng, n, tie_rate)
         else:
@@ -449,8 +463,9 @@ def wide_requests(rng, d):
         if kind == "verify":
             (d / f"wide{k}.alloc").write_text(alloc)
             argv += ["--check", "ir", "--allocation", str(d / f"wide{k}.alloc")]
-        elif kind == "oracle":
-            argv += ["--enumerate", "ir", "--node-budget", str(rng.choice((10**3, 10**5)))]
+        elif kind in ("oracle", "core"):
+            argv += ["--enumerate", "ir" if kind == "oracle" else "core",
+                     "--node-budget", str(rng.choice((10**3, 10**5)))]
         else:
             argv += ["--method", kind]
         if kind == "pra" and rng.random() < 0.5:
@@ -466,12 +481,30 @@ def is_ir(inst, got):
                for i, (classes, own) in enumerate(zip(inst.prefs, inst.endowment)))
 
 
+def blocking_pair(inst, got):
+    """Two agents who would both be strictly better off than under the
+    allocation ``got`` by trading their own houses, each moving into the
+    other's and so each the other's tenant, or None."""
+    holder = {h: i for i, h in enumerate(got)}
+    now = [_rank(classes, (got[i], holder[own]))
+           for i, (classes, own) in enumerate(zip(inst.prefs, inst.endowment))]
+    endow = inst.endowment
+    for i, j in combinations(range(inst.n), 2):
+        if (_rank(inst.prefs[i], (endow[j], j)) < now[i]
+                and _rank(inst.prefs[j], (endow[i], i)) < now[j]):
+            return i, j
+    return None
+
+
 def check_wide(kind, argv, code, stdout):
     """Checks a wide request's exit code and answer without the engine:
     ``verify --check ir`` against is_ir; ``oracle --enumerate ir``, unless
     its budget ran out, lists distinct IR allocations in order, the
-    endowment among them; ``pra`` prints an RS-IR allocation
-    (assert_rs_ir); ``ttc`` and ``tttc`` print the allocation of
+    endowment among them; ``oracle --enumerate core``, on exit 0, prints
+    an IR allocation that no pair blocks (blocking_pair), and on exit 1 goes
+    unchecked, since above n = 5 no brute force can show that no core
+    allocation exists; ``pra`` prints an RS-IR allocation (assert_rs_ir);
+    ``ttc`` and ``tttc`` print the allocation of
     ``references.trade_cycles_reference`` (check_trade)."""
     text = Path(argv[2]).read_text()
     if kind == "verify":
@@ -489,6 +522,13 @@ def check_wide(kind, argv, code, stdout):
             assert listed == sorted(set(listed)) and inst.endowment in listed, argv
             for got in listed:
                 assert sorted(got) == list(range(inst.n)) and is_ir(inst, got), (argv, got)
+    elif kind == "core":
+        assert code in (0, 1, 3), argv
+        if code == 0:
+            inst = ref.parse_instance_reference(text)
+            got = tuple(map(int, parse_report(stdout)["allocation"].split()))
+            assert sorted(got) == list(range(inst.n)) and is_ir(inst, got), argv
+            assert blocking_pair(inst, got) is None, argv
     else:
         assert code == 0, argv
         if kind == "pra":
@@ -500,10 +540,11 @@ def check_wide(kind, argv, code, stdout):
 def test_answers_on_wide_markets_are_right(tmp_path):
     """Requests on 8 to 40 agents keep the exit contract, each run within
     BOUND_S seconds, and every answer passes check_wide.  At WIDE_SEED the
-    stream makes, by kind and exit code: ``verify`` 14 exit 0 and 8 exit 1;
-    ``oracle`` 16 exit 0 (listing 1 to 4 allocations) and 7 exit 3; ``pra``
-    27, ``ttc`` 22 and ``tttc`` 26, all exit 0.  Every run took at most
-    0.11 s on a 2-vCPU Xeon VM (Python 3.11)."""
+    stream makes, by kind and exit code: ``verify`` 7 exit 0 and 6 exit 1;
+    ``oracle`` 10 exit 0 (listing 1 to 8 allocations) and 8 exit 3;
+    ``core`` 10 exit 0 and 5 exit 3, none exit 1; ``pra`` 24, ``ttc`` 30
+    and ``tttc`` 20, all exit 0.  Every run took at most 0.11 s on a 2-vCPU
+    Xeon VM (Python 3.11)."""
     exits = Counter()
     alarm = signal.signal(signal.SIGALRM, overran)
     try:
@@ -518,4 +559,4 @@ def test_answers_on_wide_markets_are_right(tmp_path):
     finally:
         signal.signal(signal.SIGALRM, alarm)
     assert set(exits) == {("verify", 0), ("verify", 1), ("oracle", 0), ("oracle", 3),
-                          ("pra", 0), ("ttc", 0), ("tttc", 0)}, exits
+                          ("core", 0), ("core", 3), ("pra", 0), ("ttc", 0), ("tttc", 0)}, exits

@@ -267,6 +267,9 @@ def _reader_cases(seed):
     rseeded = serialize_responsive_profile(
         random_responsive_profile(n, 0.7, 0.4, seed + 99)).splitlines()[2 + agent]
     porders = [porder, porder[::-1], porder]
+    # each class's outcomes in reverse sorted order, which a candidate keeps
+    unsorted = re.sub(r"\[([^\[\]]*)\]", lambda m: f"[{' '.join(m[1].split()[::-1])}]",
+                      _agent_text(other, agent))
     files = [
         ("instance", parse_instance, ref.parse_instance_reference, inst_text, ()),
         ("instance-endow", parse_instance, ref.parse_instance_reference,
@@ -285,6 +288,8 @@ def _reader_cases(seed):
          _agent_text(rother, agent) + "\n", ("rpref", rprof, agent)),
         ("porder-candidates", parse_candidates, ref.parse_candidates_reference,
          f"porder {agent} {' '.join(map(str, porder))}\n", ("porder", pprof, agent)),
+        ("pref-candidate-unsorted", parse_candidates, ref.parse_candidates_reference,
+         f"{unsorted}\n{truth_line}\n", ("pref", parse_instance(inst_text), agent)),
         ("pref-candidate-lines", parse_candidates, ref.parse_candidates_reference,
          "".join(f"{line}\n" for line in (_agent_text(other, agent), truth_line,
                                           _agent_text(other, agent), truth_line)),
@@ -377,13 +382,16 @@ def test_library_inputs_keep_the_class_checks():
 
 
 def _typed(value):
-    """``value`` with the type of every tuple, frozenset and int in it, and
-    a market as its type and fields: two readers agree in value and type
-    when their results map to equal values."""
+    """``value`` with the type of every tuple (an Outcome among them), list,
+    frozenset and int in it, and a market as its type and fields: two
+    readers agree in value and type when their results map to equal
+    values."""
     if isinstance(value, Market):
         return type(value), tuple(_typed(getattr(value, f.name)) for f in fields(value))
-    if isinstance(value, (tuple, list, frozenset)):
-        return type(value), type(value)(map(_typed, value))
+    if isinstance(value, frozenset):
+        return type(value), frozenset(map(_typed, value))
+    if isinstance(value, (tuple, list)):  # Outcome among the tuples
+        return type(value), tuple(map(_typed, value))
     return type(value), value
 
 
@@ -403,8 +411,10 @@ def _grouped(rng, items, tie_rate):
 
 def _wide_markets(n, tie_rate, seed):
     """Seeded markets of any size (the generators stop at 12 agents): an
-    instance listing up to 30 outcomes per agent, a responsive profile on a
-    permuted endowment, and a predominant profile of each mode."""
+    instance listing up to 30 outcomes per agent, drawn from 60 that all
+    agents share so that outcome texts repeat across agents, a responsive
+    profile on a permuted endowment, and a predominant profile of each
+    mode."""
     import random
 
     from tep.model import make_instance
@@ -414,8 +424,8 @@ def _wide_markets(n, tie_rate, seed):
     rng = random.Random(seed)
     endow = list(range(n))
     rng.shuffle(endow)
-    prefs = [_grouped(rng, {Outcome(rng.randrange(n), rng.randrange(n)) for _ in range(30)},
-                      tie_rate) for _ in range(n)]
+    pool = sorted({Outcome(rng.randrange(n), rng.randrange(n)) for _ in range(60)})
+    prefs = [_grouped(rng, rng.sample(pool, min(30, len(pool))), tie_rate) for _ in range(n)]
     # every other house (tenant) acceptable at 0.7, the own one last
     houses, tenants = ([_grouped(rng, [x for x in range(n) if x != own and rng.random() < 0.7],
                                  tie_rate) + (frozenset({own}),) for own in owns]
@@ -429,11 +439,13 @@ def _wide_markets(n, tie_rate, seed):
 
 
 def _class_reads(n, tie_rate, seed):
-    """(reader, reference reader, text) for the seeded profiles of
+    """(reader, reference reader, text) for the seeded markets of
     _wide_markets."""
     import references as ref
+    from tep.files import parse_instance
 
-    _, rprof, *pprofs = _wide_markets(n, tie_rate, seed)
+    inst, rprof, *pprofs = _wide_markets(n, tie_rate, seed)
+    yield parse_instance, ref.parse_instance_reference, serialize_instance(inst)
     yield (parse_responsive_profile, ref.parse_responsive_profile_reference,
            serialize_responsive_profile(rprof))
     for pprof in pprofs:
@@ -443,10 +455,11 @@ def _class_reads(n, tie_rate, seed):
 
 @pytest.mark.parametrize("tie_rate", [0, 0.9])
 def test_profiles_read_each_class_as_the_token_walk_does(tie_rate):
-    """Seeded profile files with up to 40 agents give the reference reader's
-    value and types.  With tie rate 0 every class is one item, so each
-    class text repeats across agents and components and is read from the
-    texts the parse already built."""
+    """Seeded instance and profile files with up to 40 agents give the
+    reference reader's value and types.  With tie rate 0 every class is one
+    item, so each class text repeats across agents and components and is
+    read from the texts the parse already built; each outcome text repeats
+    across the agents of an instance file at every tie rate."""
     for n in (1, 2, 5, 13, 27, 40):
         for seed in range(3):
             for parse, reference, text in _class_reads(n, tie_rate, seed):
@@ -472,23 +485,31 @@ def test_profiles_read_each_class_as_the_token_walk_does(tie_rate):
     "ppref 2: P 0 1 2 ; T [0 1] > [1 2]\n",
     "mode tenant\nppref 0: P 0 1 2 ; T [0 1] > [2]\nppref 1: P 0 1 2 ; T [1 1] > [0 2]\n"
     "ppref 2: P 0 1 2 ; T [0 1 2]\n",
+    # an outcome read valid, then repeated in one class, repeated in a later
+    # class, or spelled with a leading zero
+    "pref 0: [(2,1)] > [(0,0)]\npref 1: [(1,1)]\npref 2: [(0,1) (2,1) (2,1)] > [(2,2)]\n",
+    "pref 0: [(2,1)] > [(0,0)]\npref 1: [(1,1)]\npref 2: [(2,1)] > [(2,2)] > [(0,1) (2,1)]\n",
+    "pref 0: [(2,1)] > [(0,0)]\npref 1: [(1,1)]\npref 2: [(02,1)] > [(2,2)]\n",
 ])
 def test_a_repeated_class_text_reads_as_the_token_walk_reads_it(text):
     import references as ref
+    from tep.files import parse_instance
 
     text = "tep v1\nagents 3\n" + text
-    if "ppref" in text:
-        parse, reference = parse_predominant_profile, ref.parse_predominant_profile_reference
-    else:
-        parse, reference = parse_responsive_profile, ref.parse_responsive_profile_reference
+    parse, reference = {
+        "pref": (parse_instance, ref.parse_instance_reference),
+        "rpref": (parse_responsive_profile, ref.parse_responsive_profile_reference),
+        "ppref": (parse_predominant_profile, ref.parse_predominant_profile_reference),
+    }[text.splitlines()[-1].split()[0]]
     assert _typed(_read(parse, text)) == _typed(_read(reference, text))
 
 
 def test_a_class_read_in_one_file_is_checked_again_in_the_next():
     """A file with 6 agents that lists [5], read first, does not let [5]
     through a file with 4 agents: the classes a parse builds are the parse's
-    own.  The same holds for two candidate files."""
-    from tep.files import parse_candidates
+    own.  The same holds for two candidate files, and for the outcome
+    (5,5) of two instance files."""
+    from tep.files import parse_candidates, parse_instance
 
     six = ("tep v1\nagents 6\n" + "".join(f"rpref {i}: H [5] > [{i}] ; N [{i}]\n"
                                           for i in range(5)) + "rpref 5: H [5] ; N [5]\n")
@@ -503,6 +524,13 @@ def test_a_class_read_in_one_file_is_checked_again_in_the_next():
     refused = _read(parse_candidates, "# one report\nrpref 0: H [5] > [0] ; N [0]\n", "rpref",
                     narrow, 0)
     assert refused == (ParseError, "index-range", "house 5 out of range 0..3", 2, None)
+
+    six = ("tep v1\nagents 6\n" + "".join(f"pref {i}: [(5,5)] > [({i},{i})]\n" for i in range(5))
+           + "pref 5: [(5,5)]\n")
+    four = "tep v1\nagents 4\npref 0: [(0,0)]\npref 1: [(5,5)] > [(1,1)]\n"
+    assert parse_instance(six).prefs[0] == (frozenset({(5, 5)}), frozenset({(0, 0)}))
+    refused = _read(parse_instance, four)
+    assert refused == (ParseError, "index-range", "house 5 out of range 0..3", 4, None)
 
 
 def test_the_serializers_spelling_takes_the_fast_path():

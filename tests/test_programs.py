@@ -336,6 +336,20 @@ def test_exports_match_the_reference_writer_byte_for_byte(n):
             assert program.to_lp_text() == to_lp_text_reference(reference)
 
 
+@pytest.mark.parametrize("n", (1, 4, 9))
+def test_exported_programs_pass_the_constructor_check(n):
+    """The exporters skip the constructor's check of variable names; each
+    export, rebuilt through the constructor, raises nothing and compares
+    equal."""
+    for seed, scheme in product((n, 100 + n), WEIGHT_SCHEMES):
+        inst = _permuted_instance(n, seed)
+        weights = weights_from_ranks(inst, scheme)
+        for program in (export_qp(inst, weights), export_ilp(inst, weights)):
+            rebuilt = MathProgram(program.kind, program.variables, program.objective,
+                                  program.constraints)
+            assert rebuilt == program
+
+
 @pytest.mark.parametrize("objective,terms", [
     ((), ()),
     (((5, ()), (1, ()), (-1, ()), (0, ("a",))), ((1, "a"), (-1, "b"), (0, "a"), (-7, "b"))),
